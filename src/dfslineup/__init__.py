@@ -1,7 +1,6 @@
 """Weekly fantasy-football forecasting, exact lineup optimization, and validation."""
 
 from .data import (
-    FeatureVector,
     PlayerWeekRecord,
     PlayerWeekTable,
     WindowDataset,
@@ -34,7 +33,7 @@ from .optimizer import (
     modal_lineup,
     optimize_all_flex,
     score_lineup,
-    solve_config,
+    solve_flex_configs,
     validate_lineup,
 )
 from .stats import (

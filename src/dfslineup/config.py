@@ -39,7 +39,6 @@ class RunConfig:
     workers: int = 1
     training: TrainingConfig = field(default_factory=TrainingConfig)
     salary_cap: int = 50_000
-    require_two_teams: bool = False
     random_baseline: RandomBaselineConfig = field(default_factory=RandomBaselineConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
 
@@ -65,9 +64,7 @@ class RunConfig:
             raise ConfigError("histogram_bin_width must be positive")
 
     def rules(self) -> ContestRules:
-        return ContestRules(
-            salary_cap=self.salary_cap, require_two_teams=self.require_two_teams
-        )
+        return ContestRules(salary_cap=self.salary_cap)
 
     def to_dict(self) -> dict:
         return asdict(self)

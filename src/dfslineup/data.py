@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -88,18 +89,6 @@ class PlayerWeekRecord:
         return self.fpts is not None
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 43-entry model input plus its optional game-4 FPTS target."""
-
-    values: np.ndarray
-    target: Optional[float] = None
-
-    def __post_init__(self):
-        if self.values.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got {self.values.shape}")
-
-
 @dataclass
 class WindowDataset:
     """Feature rows for one four-week window, one row per player."""
@@ -112,11 +101,6 @@ class WindowDataset:
 
     def __len__(self):
         return len(self.player_ids)
-
-    def rows(self) -> Iterator[tuple[str, FeatureVector]]:
-        for i, pid in enumerate(self.player_ids):
-            target = float(self.targets[i]) if self.has_targets else None
-            yield pid, FeatureVector(self.features[i], target)
 
 
 class PlayerWeekTable:
@@ -156,7 +140,10 @@ def _parse_field(raw, column, line, kind, optional=False):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise SchemaError(f"non-finite value {raw!r}", line=line, column=column)
+            return value
         if kind is bool:
             if raw not in ("0", "1"):
                 raise ValueError

@@ -1,16 +1,17 @@
 """Exact salary-capped lineup optimization via dynamic programming.
 
-The solver maximizes predicted FPTS subject to the salary cap and exact
-position counts.  Salaries are reduced by their gcd so the DP runs over a
-small grid of salary units; the optimum has a zero optimality gap by
-construction.  Ties among equal-objective lineups resolve to the
+The solver maximizes predicted FPTS subject to the salary cap and the exact
+position counts of each of the three flex configurations; one DP, whose
+needed counts run up to each position's largest count, serves all three.
+Salaries are reduced by their gcd so the DP runs over a small grid of
+salary units; the optimum has a zero optimality gap by construction.  Ties among equal-objective lineups resolve to the
 lexicographically smallest sorted player-id tuple.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
@@ -20,43 +21,28 @@ from .data import POSITIONS
 from .errors import InfeasibleLineupError, MissingActualError, PositionShortfallError
 
 SALARY_CAP_DEFAULT = 50_000
-LINEUP_SIZE = 9
 
-# (n_RB, n_WR, n_TE): the three flex placements; QB and DST are always 1.
-FLEX_CONFIGS = ((2, 3, 2), (2, 4, 1), (3, 3, 1))
-BASE_COUNTS = {"QB": 1, "RB": 2, "WR": 3, "TE": 1, "DST": 1}
+# Slots per position of the three flex configurations: the one place the
+# lineup's shape is written down.  A lineup names its configuration by the
+# (RB, WR, TE) counts, so these tuples index FLEX_CONFIGS in table order.
+POSITION_COUNTS = (
+    {"QB": 1, "RB": 2, "WR": 3, "TE": 2, "DST": 1},
+    {"QB": 1, "RB": 2, "WR": 4, "TE": 1, "DST": 1},
+    {"QB": 1, "RB": 3, "WR": 3, "TE": 1, "DST": 1},
+)
+FLEX_CONFIGS = tuple((c["RB"], c["WR"], c["TE"]) for c in POSITION_COUNTS)
+_COUNTS_BY_CONFIG = dict(zip(FLEX_CONFIGS, POSITION_COUNTS))
+LINEUP_SIZE = sum(POSITION_COUNTS[0].values())
 
+# Slots every configuration has, and the most any configuration needs.
+_FIXED_SLOTS = {p: min(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
+_MAX_COUNTS = {p: max(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 _POS_INDEX = {p: i for i, p in enumerate(POSITIONS)}
 
 
 @dataclass(frozen=True)
 class ContestRules:
     salary_cap: int = SALARY_CAP_DEFAULT
-    n_rb: int = 2
-    n_wr: int = 3
-    n_te: int = 2
-    require_two_teams: bool = False
-
-    def __post_init__(self):
-        if (self.n_rb, self.n_wr, self.n_te) not in FLEX_CONFIGS:
-            raise ValueError(
-                f"(n_rb, n_wr, n_te) = {(self.n_rb, self.n_wr, self.n_te)} "
-                f"is not one of the flex configurations {FLEX_CONFIGS}"
-            )
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {"QB": 1, "RB": self.n_rb, "WR": self.n_wr, "TE": self.n_te, "DST": 1}
-
-    def with_flex(self, config) -> "ContestRules":
-        n_rb, n_wr, n_te = config
-        return ContestRules(
-            salary_cap=self.salary_cap,
-            n_rb=n_rb,
-            n_wr=n_wr,
-            n_te=n_te,
-            require_two_teams=self.require_two_teams,
-        )
 
 
 @dataclass(frozen=True)
@@ -65,7 +51,6 @@ class Candidate:
     position: str
     salary: int
     predicted_fpts: float
-    team: str = ""
 
     def __post_init__(self):
         if self.position not in POSITIONS:
@@ -88,13 +73,12 @@ class Lineup:
 
 
 def _assign_slots(by_position: dict[str, list[Candidate]], config) -> list[tuple[str, str]]:
-    n_rb, n_wr, n_te = config
-    required = {"QB": 1, "RB": n_rb, "WR": n_wr, "TE": n_te, "DST": 1}
-    flex_pos = next(p for p in ("RB", "WR", "TE") if required[p] > BASE_COUNTS[p])
+    counts = _COUNTS_BY_CONFIG[config]
+    flex_pos = next(p for p in POSITIONS if counts[p] > _FIXED_SLOTS[p])
     slots = []
     for pos in POSITIONS:
         chosen = sorted(by_position[pos], key=lambda c: (-c.predicted_fpts, c.player_id))
-        base = BASE_COUNTS[pos]
+        base = _FIXED_SLOTS[pos]
         for k, cand in enumerate(chosen):
             if pos == flex_pos and k == base:
                 label = "FLEX"
@@ -106,11 +90,10 @@ def _assign_slots(by_position: dict[str, list[Candidate]], config) -> list[tuple
     return slots
 
 
-def _build_lineup(chosen: list[Candidate], rules: ContestRules) -> Lineup:
+def _build_lineup(chosen: list[Candidate], config) -> Lineup:
     by_position = {p: [] for p in POSITIONS}
     for cand in chosen:
         by_position[cand.position].append(cand)
-    config = (rules.n_rb, rules.n_wr, rules.n_te)
     return Lineup(
         players=tuple(sorted(c.player_id for c in chosen)),
         slots=_assign_slots(by_position, config),
@@ -152,125 +135,87 @@ def _prune_dominated(cands: list[Candidate], required: dict[str, int]) -> list[C
     return keep
 
 
-def _dp_solve(
-    cands: list[Candidate],
-    required: dict[str, int],
-    cap: int,
-    cover_sets: tuple[frozenset, ...] = (),
-):
-    """Suffix DP over (needed counts, salary budget); returns the chosen set.
+def _dp_solve(cands: list[Candidate], cap: int) -> list[Optional[list[Candidate]]]:
+    """Suffix DP over (needed counts, salary budget); one chosen set per config.
 
-    Candidates must be sorted by player_id.  Each entry of ``cover_sets``
-    demands at least one chosen player from that id set; every such
-    constraint adds one binary plane to the DP state.  Only per-candidate
-    take-decision bits are stored; the value grid rolls.  Reconstruction
-    walks forward preferring to take, which yields the lexicographically
-    smallest sorted id tuple among all optimal lineups.
+    Candidates must be sorted by player_id.  The needed counts run up to the
+    largest count of each position over the flex configurations, so every
+    configuration is a root of the same grid; a root whose value is not
+    finite (pool short a position, or nothing fits the cap) yields None.
+    Only each candidate's take-decision bits over the cells it can fill are
+    stored; the value grid rolls.  Reconstruction walks forward preferring
+    to take, which yields the lexicographically smallest sorted id tuple
+    among all optimal lineups.
     """
     unit = 0
     for c in cands:
         unit = gcd(unit, c.salary)
     budget_max = cap // unit if unit else 0
     weights = [c.salary // unit for c in cands] if unit else []
-    req = tuple(required[p] for p in POSITIONS)
-    k = len(cover_sets)
-    # Descending unmet-count order: a plane's take source (componentwise <=)
-    # must still hold candidate j+1's values when the plane is updated.
-    planes = sorted(np.ndindex(*((2,) * k)), key=sum, reverse=True)
-    shape = (2,) * k + tuple(r + 1 for r in req) + (budget_max + 1,)
+    shape = tuple(_MAX_COUNTS[p] + 1 for p in POSITIONS) + (budget_max + 1,)
 
-    # value[f_1..f_k, needed counts, budget]: best completion given that
-    # constraint i is still unmet when f_i == 1.
+    # value[needed counts, budget]: best completion from the suffix.
     value = np.full(shape, -np.inf)
-    value[(0,) * k + (0,) * len(POSITIONS)] = 0.0
+    value[(0,) * len(POSITIONS)] = 0.0
     take_bits = [None] * len(cands)
 
     for j in range(len(cands) - 1, -1, -1):
         cand, w = cands[j], weights[j]
-        axis = k + _POS_INDEX[cand.position]
-        bits = np.zeros(shape, dtype=bool)
-        if w <= budget_max and req[_POS_INDEX[cand.position]] > 0:
-            satisfies = [cand.player_id in cs for cs in cover_sets]
-            for dest_plane in planes:
-                src_plane = tuple(
-                    0 if satisfies[i] else dest_plane[i] for i in range(k)
-                )
-                take_view = list(dest_plane) + [slice(None)] * (len(req) + 1)
-                take_view[axis] = slice(1, None)
-                take_view[-1] = slice(w, None)
-                src_view = list(src_plane) + [slice(None)] * (len(req) + 1)
-                src_view[axis] = slice(0, -1)
-                src_view[-1] = slice(0, budget_max + 1 - w)
-                take_vals = cand.predicted_fpts + value[tuple(src_view)]
-                dest = value[tuple(take_view)]
-                np.greater_equal(take_vals, dest, out=bits[tuple(take_view)])
-                np.maximum(dest, take_vals, out=dest)
-        take_bits[j] = bits
-
-    root = (1,) * k + req + (budget_max,)
-    if not np.isfinite(value[root]):
-        raise InfeasibleLineupError(
-            f"no lineup fits the ${cap:,} salary cap for counts {required}"
-        )
-
-    chosen = []
-    flags = [1] * k
-    need = list(req)
-    budget = budget_max
-    for j, cand in enumerate(cands):
-        axis = _POS_INDEX[cand.position]
-        w = weights[j]
-        if need[axis] == 0 or w > budget:
+        if w > budget_max:
             continue
-        if take_bits[j][tuple(flags) + tuple(need) + (budget,)]:
-            chosen.append(cand)
-            need[axis] -= 1
-            budget -= w
-            for i, cs in enumerate(cover_sets):
-                if cand.player_id in cs:
-                    flags[i] = 0
-            if not any(need):
-                break
-    return chosen
+        axis = _POS_INDEX[cand.position]
+        take_view = [slice(None)] * len(shape)
+        take_view[axis] = slice(1, None)
+        take_view[-1] = slice(w, None)
+        src_view = [slice(None)] * len(shape)
+        src_view[axis] = slice(0, -1)
+        src_view[-1] = slice(0, budget_max + 1 - w)
+        take_vals = cand.predicted_fpts + value[tuple(src_view)]
+        dest = value[tuple(take_view)]
+        take_bits[j] = take_vals >= dest
+        np.maximum(dest, take_vals, out=dest)
+
+    solutions = []
+    for counts in POSITION_COUNTS:
+        need = [counts[p] for p in POSITIONS]
+        if not np.isfinite(value[tuple(need) + (budget_max,)]):
+            solutions.append(None)
+            continue
+        chosen = []
+        budget = budget_max
+        for j, cand in enumerate(cands):
+            axis = _POS_INDEX[cand.position]
+            w = weights[j]
+            if need[axis] == 0 or w > budget:
+                continue
+            cell = list(need) + [budget - w]
+            cell[axis] -= 1
+            if take_bits[j][tuple(cell)]:
+                chosen.append(cand)
+                need[axis] -= 1
+                budget -= w
+                if not any(need):
+                    break
+        solutions.append(chosen)
+    return solutions
 
 
-def _check_pool(cands: list[Candidate], required: dict[str, int]) -> None:
-    seen = set()
-    for c in cands:
-        if c.player_id in seen:
-            raise ValueError(f"duplicate candidate id {c.player_id!r}")
-        seen.add(c.player_id)
-    available = Counter(c.position for c in cands)
-    for pos, needed in required.items():
-        if available[pos] < needed:
-            raise PositionShortfallError(pos, needed, available[pos])
+def solve_flex_configs(candidates: list[Candidate], rules: ContestRules) -> list[Optional[Lineup]]:
+    """Provably optimal lineup of each flex configuration, in FLEX_CONFIGS order.
 
-
-def solve_config(candidates: list[Candidate], rules: ContestRules) -> Lineup:
-    """Provably optimal lineup for one fixed flex configuration.
-
-    The two-team rule is enforced by iterative cuts: whenever the optimum
-    comes out single-team, a cover constraint ("at least one player from
-    another team") is added and the DP re-runs.  Each cut names a new team,
-    so the loop terminates; pruning is skipped once cuts exist because
-    dominance swaps are not team-aware.
+    One DP serves all three configurations; an infeasible one is None.
+    Exact objective ties resolve to the lexicographically smallest sorted
+    player-id tuple.
     """
-    required = rules.counts
     cands = sorted(candidates, key=lambda c: c.player_id)
-    _check_pool(cands, required)
-    cover_sets: tuple[frozenset, ...] = ()
-    while True:
-        pool = cands if cover_sets else _prune_dominated(cands, required)
-        chosen = _dp_solve(pool, required, rules.salary_cap, cover_sets)
-        if not rules.require_two_teams or len({c.team for c in chosen}) >= 2:
-            return _build_lineup(chosen, rules)
-        sole_team = chosen[0].team
-        outsiders = frozenset(c.player_id for c in cands if c.team != sole_team)
-        if not outsiders:
-            raise InfeasibleLineupError(
-                "two-team rule cannot be met: the pool has a single team"
-            )
-        cover_sets = cover_sets + (outsiders,)
+    for prev, cand in zip(cands, cands[1:]):
+        if prev.player_id == cand.player_id:
+            raise ValueError(f"duplicate candidate id {cand.player_id!r}")
+    pool = _prune_dominated(cands, _MAX_COUNTS)
+    return [
+        None if chosen is None else _build_lineup(chosen, config)
+        for config, chosen in zip(FLEX_CONFIGS, _dp_solve(pool, rules.salary_cap))
+    ]
 
 
 def optimize_all_flex(candidates: list[Candidate], rules: ContestRules) -> Lineup:
@@ -279,18 +224,20 @@ def optimize_all_flex(candidates: list[Candidate], rules: ContestRules) -> Lineu
     Exact objective ties resolve to the lexicographically smallest sorted
     player-id tuple.
     """
-    results = []
-    errors = []
-    for config in FLEX_CONFIGS:
-        try:
-            results.append(solve_config(candidates, rules.with_flex(config)))
-        except (InfeasibleLineupError, PositionShortfallError) as exc:
-            errors.append(f"{config}: {exc}")
-    if not results:
-        raise InfeasibleLineupError(
-            "all flex configurations infeasible: " + "; ".join(errors)
-        )
-    return min(results, key=lambda lu: (-lu.predicted_fpts, lu.players))
+    results = [lu for lu in solve_flex_configs(candidates, rules) if lu is not None]
+    if results:
+        return min(results, key=lambda lu: (-lu.predicted_fpts, lu.players))
+    available = Counter(c.position for c in candidates)
+    reasons = []
+    for config, counts in zip(FLEX_CONFIGS, POSITION_COUNTS):
+        short = [
+            str(PositionShortfallError(p, k, available[p]))
+            for p, k in counts.items()
+            if available[p] < k
+        ]
+        reason = ", ".join(short) or f"no lineup fits the ${rules.salary_cap:,} salary cap"
+        reasons.append(f"{config}: {reason}")
+    raise InfeasibleLineupError("all flex configurations infeasible: " + "; ".join(reasons))
 
 
 def modal_lineup(lineups: list[Lineup]) -> Lineup:
@@ -321,27 +268,28 @@ def validate_lineup(
     salary_by_id: dict[str, int],
     position_by_id: dict[str, str],
     min_salary: int = 0,
-    team_by_id: Optional[dict[str, str]] = None,
 ) -> list[str]:
     """Independent constraint check; returns a list of violations (empty = valid).
 
     Deliberately recounts everything from the raw player data rather than
-    trusting any field the solver filled in.
+    trusting any field the solver filled in; the required position counts
+    are those of the lineup's flex configuration.
     """
     problems = []
     if len(set(lineup.players)) != LINEUP_SIZE:
         problems.append(f"expected {LINEUP_SIZE} distinct players, got {lineup.players}")
         return problems
-    counts = Counter(position_by_id[pid] for pid in lineup.players)
-    for pos, needed in rules.counts.items():
-        if counts[pos] != needed:
-            problems.append(f"position {pos}: have {counts[pos]}, need {needed}")
+    required = _COUNTS_BY_CONFIG.get(tuple(lineup.flex_config))
+    if required is None:
+        problems.append(f"unknown flex configuration {tuple(lineup.flex_config)}")
+    else:
+        counts = Counter(position_by_id[pid] for pid in lineup.players)
+        for pos, needed in required.items():
+            if counts[pos] != needed:
+                problems.append(f"position {pos}: have {counts[pos]}, need {needed}")
     total = sum(salary_by_id[pid] for pid in lineup.players)
     if total > rules.salary_cap:
         problems.append(f"salary {total} exceeds cap {rules.salary_cap}")
     if total < min_salary:
         problems.append(f"salary {total} below minimum {min_salary}")
-    if rules.require_two_teams and team_by_id is not None:
-        if len({team_by_id[pid] for pid in lineup.players}) < 2:
-            problems.append("all players from a single team")
     return problems

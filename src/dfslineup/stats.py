@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .data import POSITIONS
 from .errors import (
     NoFeasibleSampleError,
     PositionShortfallError,
     SchemaError,
     ZeroVarianceError,
 )
-from .optimizer import FLEX_CONFIGS, ContestRules, Lineup, _build_lineup
+from .optimizer import FLEX_CONFIGS, POSITION_COUNTS, ContestRules, Lineup, _build_lineup
 from .seeds import mix64
 from .special import kolmogorov_sf, normal_cdf, student_t_sf2
 
@@ -164,27 +165,21 @@ class _LineupSampler:
         self.by_position: dict[str, list] = {}
         for cand in sorted(pool, key=lambda c: c.player_id):
             self.by_position.setdefault(cand.position, []).append(cand)
-        self.flex_rules = [rules.with_flex(cf) for cf in FLEX_CONFIGS]
-        self.counts = [fr.counts for fr in self.flex_rules]
+        available = {p: len(self.by_position.get(p, [])) for p in POSITIONS}
         self.config_ok = [
-            all(len(self.by_position.get(p, [])) >= k for p, k in counts.items())
-            for counts in self.counts
+            all(available[p] >= k for p, k in counts.items()) for counts in POSITION_COUNTS
         ]
         if not any(self.config_ok):
-            for pos, k in rules.counts.items():
-                if len(self.by_position.get(pos, [])) < k:
-                    raise PositionShortfallError(pos, k, len(self.by_position.get(pos, [])))
-        self.positions = list(rules.counts)
+            for pos, k in POSITION_COUNTS[0].items():
+                if available[pos] < k:
+                    raise PositionShortfallError(pos, k, available[pos])
         self.salaries = {
             p: np.array([c.salary for c in self.by_position.get(p, [])], dtype=np.float64)
-            for p in self.positions
+            for p in POSITIONS
         }
         self.kmax = {
-            p: min(
-                max(counts[p] for counts in self.counts),
-                len(self.by_position.get(p, [])),
-            )
-            for p in self.positions
+            p: min(max(counts[p] for counts in POSITION_COUNTS), available[p])
+            for p in POSITIONS
         }
 
     def draw(self, seed: int) -> Lineup:
@@ -203,9 +198,9 @@ class _LineupSampler:
             b = min(batch, attempts_left)
             attempts_left -= b
             batch = min(batch * 4, 1024)
-            config_idx = rng.integers(0, len(FLEX_CONFIGS), size=b)
+            config_idx = rng.integers(0, len(POSITION_COUNTS), size=b)
             picks, cumsal = {}, {}
-            for pos in self.positions:
+            for pos in POSITIONS:
                 k = self.kmax[pos]
                 keys = rng.random((b, len(self.salaries[pos])))
                 picks[pos] = (
@@ -219,7 +214,7 @@ class _LineupSampler:
                 )
             totals = np.zeros(b)
             feasible = np.zeros(b, dtype=bool)
-            for ci, counts in enumerate(self.counts):
+            for ci, counts in enumerate(POSITION_COUNTS):
                 rows = config_idx == ci
                 if not self.config_ok[ci] or not rows.any():
                     continue
@@ -232,10 +227,10 @@ class _LineupSampler:
                 ci = int(config_idx[row])
                 chosen = [
                     self.by_position[pos][i]
-                    for pos, k in self.counts[ci].items()
+                    for pos, k in POSITION_COUNTS[ci].items()
                     for i in picks[pos][row][:k]
                 ]
-                lineup = _build_lineup(chosen, self.flex_rules[ci])
+                lineup = _build_lineup(chosen, FLEX_CONFIGS[ci])
                 lineup.actual_fpts = lineup.predicted_fpts
                 return lineup
         raise NoFeasibleSampleError(
@@ -362,6 +357,8 @@ def load_contest_results(path) -> PopulationStats:
                 value = float(row[1])
             except (IndexError, ValueError):
                 raise SchemaError("cannot parse fpts", line=line, column="fpts") from None
+            if not math.isfinite(value):
+                raise SchemaError(f"non-finite fpts {row[1]!r}", line=line, column="fpts")
             if value != 0.0:
                 scores.append(value)
     return PopulationStats(samples=np.array(scores), label="real_world")

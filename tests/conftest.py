@@ -41,7 +41,7 @@ def season_table(season_csv):
 def week8_pool(season_table):
     """Week-8 draftable players with positive actual FPTS, as candidates."""
     return [
-        Candidate(rec.player_id, rec.position, rec.salary, rec.fpts, team="")
+        Candidate(rec.player_id, rec.position, rec.salary, rec.fpts)
         for rec in season_table
         if rec.week == 8 and rec.draftable and rec.fpts is not None and rec.fpts > 0
     ]
@@ -52,16 +52,26 @@ def rules() -> ContestRules:
     return ContestRules()
 
 
+def _candidate(rng: np.random.Generator, i: int, pos: str, tie_heavy: bool) -> Candidate:
+    if tie_heavy:
+        fpts = float(rng.integers(5, 12))
+        salary = int(rng.integers(20, 60)) * 100
+    else:
+        fpts = float(rng.uniform(1.0, 30.0))
+        salary = int(rng.integers(20, 96)) * 100
+    return Candidate(f"P{i:03d}", pos, salary, fpts)
+
+
 def make_pool(rng: np.random.Generator, n: int, tie_heavy: bool = False):
     """Random candidate pool guaranteed to cover all five positions."""
     pool = []
     for i in range(n):
         pos = _BASE_POSITIONS[i] if i < len(_BASE_POSITIONS) else POSITIONS[rng.integers(0, 5)]
-        if tie_heavy:
-            fpts = float(rng.integers(5, 12))
-            salary = int(rng.integers(20, 60)) * 100
-        else:
-            fpts = float(rng.uniform(1.0, 30.0))
-            salary = int(rng.integers(20, 96)) * 100
-        pool.append(Candidate(f"P{i:03d}", pos, salary, fpts))
+        pool.append(_candidate(rng, i, pos, tie_heavy))
     return pool
+
+
+def make_pool_with(rng: np.random.Generator, shape: dict, tie_heavy: bool = False):
+    """Random candidate pool with exactly ``shape[pos]`` players per position."""
+    positions = [pos for pos, n in shape.items() for _ in range(n)]
+    return [_candidate(rng, i, pos, tie_heavy) for i, pos in enumerate(positions)]

@@ -9,8 +9,14 @@ import itertools
 
 import numpy as np
 
-from dfslineup.data import POSITIONS
-from dfslineup.optimizer import FLEX_CONFIGS
+# The three flex configurations, spelled out here rather than imported so a
+# wrong production table cannot pass its own oracle.  Same order as the
+# production FLEX_CONFIGS.
+FLEX_COUNTS = (
+    {"QB": 1, "RB": 2, "WR": 3, "TE": 2, "DST": 1},
+    {"QB": 1, "RB": 2, "WR": 4, "TE": 1, "DST": 1},
+    {"QB": 1, "RB": 3, "WR": 3, "TE": 1, "DST": 1},
+)
 
 
 def brute_force_config(pool, counts: dict, cap: int):
@@ -20,9 +26,11 @@ def brute_force_config(pool, counts: dict, cap: int):
     ties toward the lexicographically smallest id tuple, or None when no
     lineup fits under the cap.
     """
-    groups = {p: [c for c in pool if c.position == p] for p in POSITIONS}
     best = None
-    combos = [itertools.combinations(groups[p], counts[p]) for p in POSITIONS]
+    combos = [
+        itertools.combinations([c for c in pool if c.position == p], k)
+        for p, k in counts.items()
+    ]
     for parts in itertools.product(*combos):
         team = [c for part in parts for c in part]
         if sum(c.salary for c in team) > cap:
@@ -38,8 +46,7 @@ def brute_force_config(pool, counts: dict, cap: int):
 def brute_force_all_flex(pool, cap: int):
     """Best lineup over the three flex configurations, same tie rule."""
     best = None
-    for n_rb, n_wr, n_te in FLEX_CONFIGS:
-        counts = {"QB": 1, "RB": n_rb, "WR": n_wr, "TE": n_te, "DST": 1}
+    for counts in FLEX_COUNTS:
         result = brute_force_config(pool, counts, cap)
         if result is None:
             continue

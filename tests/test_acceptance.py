@@ -26,11 +26,10 @@ from dfslineup.network import (
     train,
 )
 from dfslineup.optimizer import (
-    FLEX_CONFIGS,
     ContestRules,
     modal_lineup,
     optimize_all_flex,
-    solve_config,
+    solve_flex_configs,
     validate_lineup,
 )
 from dfslineup.pipeline import solve_per_model
@@ -38,7 +37,7 @@ from dfslineup.stats import PopulationStats, bootstrap_ci, cohens_d, ks_normalit
 from dfslineup.stats import random_population, welch_t_test
 
 from .conftest import FIXTURES, make_pool
-from .oracles import brute_force_all_flex, brute_force_config
+from .oracles import FLEX_COUNTS, brute_force_all_flex, brute_force_config
 from .test_network import flat_params, make_dataset, random_net, random_norm, set_flat
 
 MASTER_SEED = 20180901
@@ -61,12 +60,10 @@ class TestSolverExactness:
             cap = int(rng.integers(250, 480)) * 100
             rules = ContestRules(salary_cap=cap)
 
-            config = FLEX_CONFIGS[trial % 3]
-            fixed = rules.with_flex(config)
-            oracle = brute_force_config(pool, fixed.counts, cap)
+            oracle = brute_force_config(pool, FLEX_COUNTS[trial % 3], cap)
             if oracle is None:
                 continue
-            got = solve_config(pool, fixed)
+            got = solve_flex_configs(pool, rules)[trial % 3]
             assert got.predicted_fpts == pytest.approx(oracle[0], abs=1e-9)
             assert got.players == oracle[1]
 
@@ -90,8 +87,7 @@ class TestLineupValidity:
             except InfeasibleLineupError:  # small pools can price out of the cap
                 continue
             salary, position = _maps(pool)
-            checked = rules.with_flex(lineup.flex_config)
-            assert validate_lineup(lineup, checked, salary, position) == []
+            assert validate_lineup(lineup, rules, salary, position) == []
 
     def test_35000_random_draws_all_validate(self, week8_pool):
         rules = ContestRules()
@@ -99,8 +95,7 @@ class TestLineupValidity:
         draws = random_population(week8_pool, rules, 35_000, 45_000, seed=MASTER_SEED)
         assert len(draws) == 35_000
         for lineup in draws:
-            checked = rules.with_flex(lineup.flex_config)
-            errors = validate_lineup(lineup, checked, salary, position, min_salary=45_000)
+            errors = validate_lineup(lineup, rules, salary, position, min_salary=45_000)
             assert errors == []
             assert len(lineup.players) == 9
 

@@ -86,8 +86,7 @@ class TestPipelineArtifacts:
         )
         salary = {r.player_id: r.salary for r in season_table if r.week == 8}
         position = {r.player_id: r.position for r in season_table if r.week == 8}
-        rules = ContestRules().with_flex(tuple(info["flex_config"]))
-        assert validate_lineup(lineup, rules, salary, position) == []
+        assert validate_lineup(lineup, ContestRules(), salary, position) == []
         assert info["total_salary"] == sum(salary[p] for p in info["players"])
 
     def test_validation_report_fields(self, full_run):
@@ -168,6 +167,24 @@ class TestExitCodes:
     def test_invalid_config_value(self, tmp_path):
         config = write_config(tmp_path, target_week=3)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+
+    def test_removed_two_team_key_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, require_two_teams=False)
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert "require_two_teams" in capsys.readouterr().err
+
+    def test_non_finite_season_value(self, tmp_path, capsys):
+        target = tmp_path / "season_nan.csv"
+        lines = (FIXTURES / "season.csv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        spread = header.index("spread")
+        row = lines[1].split(",")
+        row[spread] = "nan"
+        lines[1] = ",".join(row)
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, players_csv=str(target))
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert "(line 2, column 'spread')" in capsys.readouterr().err
 
     def test_malformed_season_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -122,6 +122,16 @@ class TestParsing:
         assert exc.value.line == 2
         assert exc.value.column == column
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["fpts", "spread", "over_under", "latitude", "longitude"])
+    def test_non_finite_float_rejected(self, tmp_path, column, raw):
+        fields = dict(zip(CSV_COLUMNS, GOOD_ROW.split(",")))
+        fields[column] = raw
+        with pytest.raises(SchemaError) as exc:
+            load_player_weeks(write_csv(tmp_path, ",".join(fields.values())))
+        assert exc.value.line == 2
+        assert exc.value.column == column
+
     def test_wrong_field_count(self, tmp_path):
         with pytest.raises(SchemaError) as exc:
             load_player_weeks(write_csv(tmp_path, GOOD_ROW + ",9"))

@@ -7,14 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dfslineup.errors import (
-    InfeasibleLineupError,
-    MissingActualError,
-    PositionShortfallError,
-)
+from dfslineup.errors import InfeasibleLineupError, MissingActualError
 from dfslineup.optimizer import (
-    FLEX_CONFIGS,
     LINEUP_SIZE,
+    _MAX_COUNTS,
     Candidate,
     ContestRules,
     Lineup,
@@ -23,12 +19,12 @@ from dfslineup.optimizer import (
     modal_lineup,
     optimize_all_flex,
     score_lineup,
-    solve_config,
+    solve_flex_configs,
     validate_lineup,
 )
 
-from .conftest import make_pool
-from .oracles import brute_force_all_flex, brute_force_config
+from .conftest import make_pool, make_pool_with
+from .oracles import FLEX_COUNTS, brute_force_all_flex, brute_force_config
 
 
 def lineup_positions(lineup, pool):
@@ -45,15 +41,20 @@ class TestCandidates:
         with pytest.raises(ValueError):
             Candidate("A", "QB", -100, 10.0)
 
-    def test_rules_reject_unknown_flex_config(self):
-        with pytest.raises(ValueError):
-            ContestRules(n_rb=3, n_wr=4, n_te=1)
+    def test_rules_reject_unknown_flex_config(self, rules):
+        pool = make_pool(np.random.default_rng(56), 16)
+        lineup = optimize_all_flex(pool, rules)
+        lineup.flex_config = (3, 4, 1)
+        salary = {c.player_id: c.salary for c in pool}
+        position = {c.player_id: c.position for c in pool}
+        problems = validate_lineup(lineup, rules, salary, position)
+        assert problems == ["unknown flex configuration (3, 4, 1)"]
 
     def test_duplicate_ids_rejected(self, rules):
         pool = make_pool(np.random.default_rng(0), 14)
         pool.append(pool[0])
         with pytest.raises(ValueError, match="duplicate"):
-            solve_config(pool, rules)
+            solve_flex_configs(pool, rules)
 
 
 class TestBruteForceAgreement:
@@ -62,19 +63,16 @@ class TestBruteForceAgreement:
         rng = np.random.default_rng(42 if tie_heavy else 43)
         for trial in range(40):
             pool = make_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
-            for config in FLEX_CONFIGS:
-                flex_rules = rules.with_flex(config)
-                want = brute_force_config(pool, flex_rules.counts, rules.salary_cap)
-                try:
-                    lineup = solve_config(pool, flex_rules)
-                    got = (lineup.predicted_fpts, lineup.players)
-                except InfeasibleLineupError:
-                    got = None
+            lineups = solve_flex_configs(pool, rules)
+            assert len(lineups) == len(FLEX_COUNTS)
+            for counts, lineup in zip(FLEX_COUNTS, lineups):
+                want = brute_force_config(pool, counts, rules.salary_cap)
                 if want is None:
-                    assert got is None
+                    assert lineup is None
                 else:
-                    assert got[0] == pytest.approx(want[0], abs=1e-9)
-                    assert got[1] == want[1]
+                    assert lineup.flex_config == (counts["RB"], counts["WR"], counts["TE"])
+                    assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
+                    assert lineup.players == want[1]
 
     def test_all_flex_matches_oracle(self, rules):
         rng = np.random.default_rng(44)
@@ -99,23 +97,56 @@ class TestBruteForceAgreement:
                 make_pool(rng, 20, tie_heavy=(trial % 2 == 0)),
                 key=lambda c: c.player_id,
             )
-            required = rules.counts
-            pruned = _prune_dominated(pool, required)
+            pruned = _prune_dominated(pool, _MAX_COUNTS)
             assert len(pruned) <= len(pool)
+            full = _dp_solve(pool, rules.salary_cap)
+            slim = _dp_solve(pruned, rules.salary_cap)
+            assert len(full) == len(slim) == len(FLEX_COUNTS)
+            for a, b in zip(full, slim):
+                if a is None:
+                    assert b is None
+                else:
+                    assert [c.player_id for c in a] == [c.player_id for c in b]
+
+    def test_config_short_a_position_is_skipped(self, rules):
+        # Exactly three WR: 2-4-1 is infeasible, the other two still compete.
+        rng = np.random.default_rng(57)
+        shape = {"QB": 2, "RB": 4, "WR": 3, "TE": 3, "DST": 2}
+        for trial in range(20):
+            pool = make_pool_with(rng, shape, tie_heavy=(trial % 2 == 0))
+            lineups = solve_flex_configs(pool, rules)
+            assert lineups[1] is None
+            want = brute_force_all_flex(pool, rules.salary_cap)
             try:
-                full = _dp_solve(pool, required, rules.salary_cap)
+                lineup = optimize_all_flex(pool, rules)
+                got = (lineup.predicted_fpts, lineup.players)
             except InfeasibleLineupError:
-                with pytest.raises(InfeasibleLineupError):
-                    _dp_solve(pruned, required, rules.salary_cap)
-                continue
-            slim = _dp_solve(pruned, required, rules.salary_cap)
-            assert sorted(c.player_id for c in full) == sorted(c.player_id for c in slim)
+                got = None
+            if want is None:
+                assert got is None
+            else:
+                assert lineup.flex_config in ((2, 3, 2), (3, 3, 1))
+                assert got[0] == pytest.approx(want[0], abs=1e-9)
+                assert got[1] == want[1]
+
+    def test_no_config_coverable(self, rules):
+        pool = make_pool_with(
+            np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
+        )
+        assert solve_flex_configs(pool, rules) == [None, None, None]
+        with pytest.raises(InfeasibleLineupError) as exc:
+            optimize_all_flex(pool, rules)
+        message = str(exc.value)
+        assert "position TE: need 2 candidates, have 1" in message
+        assert "position WR: need 4 candidates, have 3" in message
+        assert "position RB: need 3 candidates, have 2" in message
 
 
 class TestStructure:
     def test_lineup_shape_and_slots(self, rules):
         rng = np.random.default_rng(46)
-        lineup = solve_config(make_pool(rng, 16), rules)
+        lineup = solve_flex_configs(make_pool(rng, 16), rules)[0]
+        assert lineup.flex_config == (2, 3, 2)
         assert len(lineup.players) == LINEUP_SIZE
         assert lineup.players == tuple(sorted(lineup.players))
         labels = [slot for slot, _ in lineup.slots]
@@ -136,16 +167,16 @@ class TestStructure:
             Candidate("TE2", "TE", 5000, 9.0),
             Candidate("DST1", "DST", 5000, 8.0),
         ]
-        lineup = solve_config(pool, ContestRules(n_rb=2, n_wr=3, n_te=2))
+        lineup = optimize_all_flex(pool, rules)  # only 2-3-2 fits this pool
+        assert lineup.flex_config == (2, 3, 2)
         slots = dict((label, pid) for label, pid in lineup.slots)
         assert slots["FLEX"] == "TE2"  # second TE is the flex
         assert slots["TE"] == "TE1"
 
     def test_position_shortfall(self, rules):
         pool = [c for c in make_pool(np.random.default_rng(47), 16) if c.position != "DST"]
-        with pytest.raises(PositionShortfallError) as exc:
-            solve_config(pool, rules)
-        assert exc.value.position == "DST"
+        with pytest.raises(InfeasibleLineupError, match="position DST: need 1 candidates, have 0"):
+            optimize_all_flex(pool, rules)
 
     def test_infeasible_when_cap_too_tight(self):
         pool = make_pool(np.random.default_rng(48), 16)
@@ -183,72 +214,6 @@ class TestStructure:
         again = optimize_all_flex(scaled, rules)
         assert again.players == base.players
 
-    def test_two_team_requirement(self):
-        # Team A dominates; require_two_teams must pull in a team-B player.
-        pool = []
-        for i, pos in enumerate(
-            ["QB", "RB", "RB", "RB", "WR", "WR", "WR", "WR", "TE", "TE", "DST"]
-        ):
-            pool.append(Candidate(f"A{i:02d}", pos, 4000, 20.0, team="A"))
-        pool.append(Candidate("B00", "QB", 4000, 1.0, team="B"))
-        pool.append(Candidate("B01", "DST", 4000, 1.0, team="B"))
-        single = optimize_all_flex(pool, ContestRules(require_two_teams=False))
-        assert all(p.startswith("A") for p in single.players)
-        dual = optimize_all_flex(pool, ContestRules(require_two_teams=True))
-        teams = {p[0] for p in dual.players}
-        assert teams == {"A", "B"}
-        assert dual.predicted_fpts == pytest.approx(8 * 20.0 + 1.0)
-
-    def test_two_team_matches_filtered_brute_force(self):
-        rng = np.random.default_rng(55)
-        teams = ["T1", "T2", "T3"]
-        for trial in range(20):
-            pool = [
-                Candidate(
-                    c.player_id,
-                    c.position,
-                    c.salary,
-                    c.predicted_fpts,
-                    team=teams[i % len(teams)] if trial % 2 else "T1",
-                )
-                for i, c in enumerate(make_pool(rng, 14))
-            ]
-            rules = ContestRules(require_two_teams=True)
-            team_of = {c.player_id: c.team for c in pool}
-
-            # Oracle: brute force over configs, keeping only two-team lineups.
-            import itertools
-
-            from dfslineup.data import POSITIONS
-
-            best = None
-            for config in FLEX_CONFIGS:
-                counts = rules.with_flex(config).counts
-                groups = {p: [c for c in pool if c.position == p] for p in POSITIONS}
-                combos = [itertools.combinations(groups[p], counts[p]) for p in POSITIONS]
-                for parts in itertools.product(*combos):
-                    team = [c for part in parts for c in part]
-                    if sum(c.salary for c in team) > rules.salary_cap:
-                        continue
-                    if len({c.team for c in team}) < 2:
-                        continue
-                    value = sum(c.predicted_fpts for c in team)
-                    ids = tuple(sorted(c.player_id for c in team))
-                    key = (-value, ids)
-                    if best is None or key < best[0]:
-                        best = (key, value, ids)
-            try:
-                lineup = optimize_all_flex(pool, rules)
-                got = (lineup.predicted_fpts, lineup.players)
-                assert len({team_of[p] for p in lineup.players}) >= 2
-            except InfeasibleLineupError:
-                got = None
-            if best is None:
-                assert got is None
-            else:
-                assert got[0] == pytest.approx(best[1], abs=1e-9)
-                assert got[1] == best[2]
-
 
 class TestModalAndScoring:
     def lineup(self, ids, fpts=100.0):
@@ -285,42 +250,28 @@ class TestValidator:
     def test_accepts_solver_output(self, rules):
         pool = make_pool(np.random.default_rng(52), 16)
         lineup = optimize_all_flex(pool, rules)
-        flex_rules = rules.with_flex(lineup.flex_config)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
-        assert validate_lineup(lineup, flex_rules, salary, position) == []
+        assert validate_lineup(lineup, rules, salary, position) == []
 
     def test_flags_violations(self, rules):
         pool = make_pool(np.random.default_rng(53), 16)
         lineup = optimize_all_flex(pool, rules)
-        flex_rules = rules.with_flex(lineup.flex_config)
         position = {c.player_id: c.position for c in pool}
         # Inflated salaries push the honest total over the cap.
         salary = {c.player_id: 40_000 for c in pool}
-        problems = validate_lineup(lineup, flex_rules, salary, position)
+        problems = validate_lineup(lineup, rules, salary, position)
         assert any("exceeds cap" in p for p in problems)
         # Corrupt a position so the counts no longer match.
         position[lineup.players[0]] = "QB" if position[lineup.players[0]] != "QB" else "RB"
         salary = {c.player_id: c.salary for c in pool}
-        problems = validate_lineup(lineup, flex_rules, salary, position)
+        problems = validate_lineup(lineup, rules, salary, position)
         assert any(p.startswith("position") for p in problems)
 
-    def test_flags_min_salary_and_single_team(self, rules):
+    def test_flags_min_salary(self, rules):
         pool = make_pool(np.random.default_rng(54), 16)
         lineup = optimize_all_flex(pool, rules)
-        flex_rules = rules.with_flex(lineup.flex_config)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
-        problems = validate_lineup(lineup, flex_rules, salary, position, min_salary=60_000)
+        problems = validate_lineup(lineup, rules, salary, position, min_salary=60_000)
         assert any("below minimum" in p for p in problems)
-        two_team_rules = ContestRules(
-            n_rb=flex_rules.n_rb,
-            n_wr=flex_rules.n_wr,
-            n_te=flex_rules.n_te,
-            require_two_teams=True,
-        )
-        team = {c.player_id: "SAME" for c in pool}
-        problems = validate_lineup(
-            lineup, two_team_rules, salary, position, team_by_id=team
-        )
-        assert any("single team" in p for p in problems)

@@ -31,7 +31,7 @@ from dfslineup.stats import (
     welch_t_test,
 )
 
-from .conftest import make_pool
+from .conftest import make_pool, make_pool_with
 
 
 class TestSpecialFunctions:
@@ -200,8 +200,7 @@ class TestRandomLineups:
         position = {c.player_id: c.position for c in pool}
         lineups = random_population(pool, rules, 50, 40_000, seed=3)
         for lu in lineups:
-            flex_rules = rules.with_flex(lu.flex_config)
-            assert validate_lineup(lu, flex_rules, salary, position, min_salary=40_000) == []
+            assert validate_lineup(lu, rules, salary, position, min_salary=40_000) == []
             assert lu.actual_fpts == pytest.approx(lu.predicted_fpts)
         again = random_lineup(pool, rules, 40_000, mix64(3, 0))
         assert again.players == lineups[0].players
@@ -221,6 +220,16 @@ class TestRandomLineups:
         pool = [c for c in make_pool(np.random.default_rng(12), 40) if c.position != "QB"]
         with pytest.raises(PositionShortfallError):
             random_lineup(pool, rules, 0, seed=1)
+
+    def test_shortfall_names_first_short_position(self, rules):
+        # No flex configuration is coverable; the first shortfall of the
+        # 2-3-2 configuration is reported.
+        pool = make_pool_with(
+            np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
+        )
+        with pytest.raises(PositionShortfallError, match="need 2 candidates, have 1") as exc:
+            random_lineup(pool, rules, 0, seed=1)
+        assert exc.value.position == "TE"
 
     def test_min_salary_above_cap_rejected(self, rules):
         pool = make_pool(np.random.default_rng(13), 30)
@@ -291,3 +300,12 @@ class TestReportingPipeline:
         with pytest.raises(SchemaError) as exc:
             load_contest_results(mangled)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_load_contest_results_rejects_non_finite(self, tmp_path, raw):
+        path = tmp_path / "contest.csv"
+        path.write_text(f"user_rank,fpts\n1,120.5\n2,{raw}\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            load_contest_results(path)
+        assert exc.value.line == 3
+        assert exc.value.column == "fpts"
