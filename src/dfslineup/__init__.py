@@ -44,7 +44,7 @@ from .stats import (
     compare_populations,
     ks_normality,
     percentile,
-    random_lineup,
+    random_population,
     welch_t_test,
 )
 

@@ -58,6 +58,16 @@ class RunConfig:
                 f"min_salary {self.random_baseline.min_salary} exceeds "
                 f"salary_cap {self.salary_cap}"
             )
+        if self.random_baseline.count < 5:
+            # The KS normality test needs at least 5 random lineups.
+            raise ConfigError(
+                f"random_baseline.count must be >= 5, got {self.random_baseline.count}"
+            )
+        if self.report.bootstrap_resamples < 1:
+            raise ConfigError(
+                "report.bootstrap_resamples must be >= 1, "
+                f"got {self.report.bootstrap_resamples}"
+            )
         if not 0.0 < self.report.ci_level < 1.0:
             raise ConfigError(f"ci_level {self.report.ci_level} outside (0, 1)")
         if self.report.histogram_bin_width <= 0:

@@ -307,10 +307,9 @@ def cmd_validate(cfg: RunConfig) -> None:
     ]
     rb = cfg.random_baseline
     rules = cfg.rules()
-    random_lineups = stats.random_population(pool, rules, rb.count, rb.min_salary, rb.seed)
-    random_pop = stats.PopulationStats(
-        samples=np.array([lu.actual_fpts for lu in random_lineups]), label="random"
-    )
+    draws = stats.random_population(pool, rules, rb.count, rb.min_salary, rb.seed)
+    fpts = np.array([c.predicted_fpts for c in pool])
+    random_pop = stats.PopulationStats(samples=fpts[draws].sum(axis=1), label="random")
 
     level = cfg.report.ci_level
     resamples = cfg.report.bootstrap_resamples

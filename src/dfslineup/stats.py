@@ -9,6 +9,7 @@ definition: ties count at half weight.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +23,7 @@ from .errors import (
     SchemaError,
     ZeroVarianceError,
 )
-from .optimizer import FLEX_CONFIGS, POSITION_COUNTS, ContestRules, Lineup, _build_lineup
+from .optimizer import _MAX_COUNTS, POSITION_COUNTS, ContestRules
 from .seeds import mix64
 from .special import kolmogorov_sf, normal_cdf, student_t_sf2
 
@@ -147,114 +148,94 @@ def bootstrap_ci(
     percs = 100.0 * (counts[:, 0] + 0.5 * counts[:, 1]) / n
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(percs, [alpha, 1.0 - alpha], method="linear")
-    point = percentile(score, population)
+    point = 100.0 * (below + 0.5 * equal) / n
     return max(0.0, min(float(lo), point)), min(100.0, max(float(hi), point))
 
 
-class _LineupSampler:
-    """Precomputed pool state shared by every random-lineup draw."""
-
-    def __init__(self, pool, rules: ContestRules, min_salary: int):
-        if min_salary > rules.salary_cap:
-            raise ValueError("min_salary exceeds the salary cap")
-        bad = [c.player_id for c in pool if c.predicted_fpts <= 0.0]
-        if bad:
-            raise ValueError(f"pool contains zero-FPTS players: {bad[:5]}")
-        self.rules = rules
-        self.min_salary = min_salary
-        self.by_position: dict[str, list] = {}
-        for cand in sorted(pool, key=lambda c: c.player_id):
-            self.by_position.setdefault(cand.position, []).append(cand)
-        available = {p: len(self.by_position.get(p, [])) for p in POSITIONS}
-        self.config_ok = [
-            all(available[p] >= k for p, k in counts.items()) for counts in POSITION_COUNTS
-        ]
-        if not any(self.config_ok):
-            for pos, k in POSITION_COUNTS[0].items():
-                if available[pos] < k:
-                    raise PositionShortfallError(pos, k, available[pos])
-        self.salaries = {
-            p: np.array([c.salary for c in self.by_position.get(p, [])], dtype=np.float64)
-            for p in POSITIONS
-        }
-        self.kmax = {
-            p: min(max(counts[p] for counts in POSITION_COUNTS), available[p])
-            for p in POSITIONS
-        }
-
-    def draw(self, seed: int) -> Lineup:
-        """One uniform slot-wise random draw, rejection-sampled into the band.
-
-        Attempts run in vectorized batches: per attempt a flex configuration
-        uniformly among the three, then per position the k smallest of
-        i.i.d. uniform keys — a uniform draw without replacement.  The first
-        attempt inside the salary band wins; the total attempt budget is
-        MAX_REJECTIONS.
-        """
-        rng = np.random.default_rng(seed)
-        batch = 16
-        attempts_left = MAX_REJECTIONS
-        while attempts_left > 0:
-            b = min(batch, attempts_left)
-            attempts_left -= b
-            batch = min(batch * 4, 1024)
-            config_idx = rng.integers(0, len(POSITION_COUNTS), size=b)
-            picks, cumsal = {}, {}
-            for pos in POSITIONS:
-                k = self.kmax[pos]
-                keys = rng.random((b, len(self.salaries[pos])))
-                picks[pos] = (
-                    np.argpartition(keys, range(k), axis=1)[:, :k]
-                    if k
-                    else np.empty((b, 0), dtype=np.int64)
-                )
-                picked = self.salaries[pos][picks[pos]]
-                cumsal[pos] = np.concatenate(
-                    [np.zeros((b, 1)), np.cumsum(picked, axis=1)], axis=1
-                )
-            totals = np.zeros(b)
-            feasible = np.zeros(b, dtype=bool)
-            for ci, counts in enumerate(POSITION_COUNTS):
-                rows = config_idx == ci
-                if not self.config_ok[ci] or not rows.any():
-                    continue
-                feasible[rows] = True
-                totals[rows] = sum(cumsal[pos][rows, k] for pos, k in counts.items())
-            ok = feasible & (totals >= self.min_salary) & (totals <= self.rules.salary_cap)
-            hits = np.flatnonzero(ok)
-            if len(hits):
-                row = int(hits[0])
-                ci = int(config_idx[row])
-                chosen = [
-                    self.by_position[pos][i]
-                    for pos, k in POSITION_COUNTS[ci].items()
-                    for i in picks[pos][row][:k]
-                ]
-                lineup = _build_lineup(chosen, FLEX_CONFIGS[ci])
-                lineup.actual_fpts = lineup.predicted_fpts
-                return lineup
-        raise NoFeasibleSampleError(
-            f"{MAX_REJECTIONS} consecutive draws missed the salary band "
-            f"[{self.min_salary}, {self.rules.salary_cap}]"
-        )
+# Attempts per seeded block of the random baseline.
+_BLOCK = 4096
 
 
-def random_lineup(pool, rules: ContestRules, min_salary: int, seed: int) -> Lineup:
-    """One uniform slot-wise random lineup with salary in [min_salary, cap].
-
-    The flex configuration is chosen uniformly among the three before the
-    per-position draws.  Draws violating the salary band are rejected; after
-    10,000 rejections a NoFeasibleSampleError is raised.
-    """
-    return _LineupSampler(pool, rules, min_salary).draw(seed)
+def _draw_block(rng, groups, keep, config_ok, salary, band):
+    """One block of attempts: (rows, in_band), rows a (_BLOCK, 9) index array."""
+    config = rng.integers(0, len(POSITION_COUNTS), size=_BLOCK)
+    cols = []
+    for pos in POSITIONS:
+        ids = groups[pos]
+        k = min(_MAX_COUNTS[pos], len(ids))
+        # Pick j is uniform over the players not picked yet: a draw below
+        # len(ids) - j, shifted past each earlier pick in ascending order.
+        picks = np.empty((_BLOCK, k), dtype=np.intp)
+        for j in range(k):
+            u = rng.integers(0, len(ids) - j, size=_BLOCK)
+            for taken in np.sort(picks[:, :j], axis=1).T:
+                u += u >= taken
+            picks[:, j] = u
+        # Pad a short position with its first pick; the configurations
+        # needing the padding are never in band.
+        cols.append(np.pad(ids[picks], ((0, 0), (0, _MAX_COUNTS[pos] - k)), mode="edge"))
+    rows = np.concatenate(cols, axis=1)[keep[config]].reshape(_BLOCK, -1)
+    total = salary[rows].sum(axis=1)
+    return rows, config_ok[config] & (total >= band[0]) & (total <= band[1])
 
 
 def random_population(
     pool, rules: ContestRules, count: int, min_salary: int, seed: int
-) -> list[Lineup]:
-    """Draw `count` random lineups; draw i uses seed mix64(seed, i)."""
-    sampler = _LineupSampler(pool, rules, min_salary)
-    return [sampler.draw(mix64(seed, i)) for i in range(count)]
+) -> np.ndarray:
+    """`count` uniform slot-wise random lineups with salary in [min_salary, cap].
+
+    Returns a (count, 9) array of indices into `pool`.  Per attempt: a flex
+    configuration uniformly among the three, then per position uniform
+    picks without replacement from that position's players in player_id
+    order.  Attempts run in blocks of _BLOCK; block b draws from
+    default_rng(mix64(seed, b)) and in-band attempts are kept in order, so
+    a smaller count gives a prefix of a larger one.  MAX_REJECTIONS
+    consecutive misses raise NoFeasibleSampleError.
+    """
+    if min_salary > rules.salary_cap:
+        raise ValueError("min_salary exceeds the salary cap")
+    bad = [c.player_id for c in pool if c.predicted_fpts <= 0.0]
+    if bad:
+        raise ValueError(f"pool contains zero-FPTS players: {bad[:5]}")
+    order = sorted(range(len(pool)), key=lambda i: pool[i].player_id)
+    groups = {
+        p: np.array([i for i in order if pool[i].position == p], dtype=np.intp)
+        for p in POSITIONS
+    }
+    config_ok = np.array(
+        [all(len(groups[p]) >= k for p, k in counts.items()) for counts in POSITION_COUNTS]
+    )
+    if not config_ok.any():
+        for pos, k in POSITION_COUNTS[0].items():
+            if len(groups[pos]) < k:
+                raise PositionShortfallError(pos, k, len(groups[pos]))
+    # A column per slot a position can need; each configuration keeps the
+    # first counts[pos] columns of each position.
+    keep = np.array(
+        [[j < counts[p] for p in POSITIONS for j in range(_MAX_COUNTS[p])]
+         for counts in POSITION_COUNTS]
+    )
+    salary = np.array([c.salary for c in pool], dtype=np.int64)
+    band = (min_salary, rules.salary_cap)
+
+    chunks, misses, need = [], 0, count
+    for block in itertools.count():
+        rng = np.random.default_rng(mix64(seed, block))
+        rows, ok = _draw_block(rng, groups, keep, config_ok, salary, band)
+        hits = np.flatnonzero(ok)[:need]
+        need -= len(hits)
+        # Runs of misses lie between the last hit before this block, each
+        # hit, and the block's end while draws are still needed.
+        marks = np.concatenate(([-1 - misses], hits, [_BLOCK] if need else []))
+        if np.any(np.diff(marks) > MAX_REJECTIONS):
+            raise NoFeasibleSampleError(
+                f"{MAX_REJECTIONS} consecutive draws missed the salary band "
+                f"[{min_salary}, {rules.salary_cap}]"
+            )
+        chunks.append(rows[hits])
+        if not need:
+            return np.concatenate(chunks)
+        misses = _BLOCK - 1 - int(marks[-2])
 
 
 def boxplot_stats(samples) -> dict:

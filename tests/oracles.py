@@ -56,6 +56,25 @@ def brute_force_all_flex(pool, cap: int):
     return None if best is None else (best[1], best[2])
 
 
+def random_rows_ok(pool, rows, min_salary: int, cap: int) -> list[bool]:
+    """Recount each row of pool indices: 9 distinct players, position counts
+    equal to one FLEX_COUNTS row, total salary in [min_salary, cap]."""
+    ok = []
+    for row in rows:
+        players = [pool[int(i)] for i in row]
+        counts = {pos: 0 for pos in FLEX_COUNTS[0]}
+        for c in players:
+            counts[c.position] += 1
+        salary = sum(c.salary for c in players)
+        ok.append(
+            len(players) == 9
+            and len({c.player_id for c in players}) == 9
+            and counts in FLEX_COUNTS
+            and min_salary <= salary <= cap
+        )
+    return ok
+
+
 def reference_forward(w1, b1, w2, b2, mean, std, x):
     """Scalar-loop forward pass: z-score, sigmoid hidden layer, linear output."""
     z = [(x[i] - mean[i]) / std[i] for i in range(len(x))]

@@ -168,6 +168,20 @@ class TestExitCodes:
         config = write_config(tmp_path, target_week=3)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("random_baseline", "count", 0),
+            ("random_baseline", "count", 4),
+            ("report", "bootstrap_resamples", 0),
+        ],
+    )
+    def test_too_small_population_settings(self, tmp_path, capsys, section, key, value):
+        base = yaml.safe_load(write_config(tmp_path).read_text(encoding="utf-8"))
+        config = write_config(tmp_path, **{section: {**base[section], key: value}})
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_removed_two_team_key_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, require_two_teams=False)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT

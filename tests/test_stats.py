@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.special
@@ -13,8 +15,8 @@ from dfslineup.errors import (
     SchemaError,
     ZeroVarianceError,
 )
-from dfslineup.optimizer import Candidate, ContestRules, validate_lineup
-from dfslineup.seeds import mix64
+from dfslineup import stats
+from dfslineup.optimizer import Candidate, ContestRules
 from dfslineup.special import betainc, kolmogorov_sf, normal_cdf, student_t_sf2
 from dfslineup.stats import (
     PopulationStats,
@@ -26,12 +28,12 @@ from dfslineup.stats import (
     ks_normality,
     load_contest_results,
     percentile,
-    random_lineup,
     random_population,
     welch_t_test,
 )
 
 from .conftest import make_pool, make_pool_with
+from .oracles import FLEX_COUNTS, random_rows_ok
 
 
 class TestSpecialFunctions:
@@ -196,30 +198,114 @@ class TestPercentile:
 class TestRandomLineups:
     def test_draws_are_valid_and_deterministic(self, rules):
         pool = make_pool(np.random.default_rng(9), 60)
-        salary = {c.player_id: c.salary for c in pool}
-        position = {c.player_id: c.position for c in pool}
-        lineups = random_population(pool, rules, 50, 40_000, seed=3)
-        for lu in lineups:
-            assert validate_lineup(lu, rules, salary, position, min_salary=40_000) == []
-            assert lu.actual_fpts == pytest.approx(lu.predicted_fpts)
-        again = random_lineup(pool, rules, 40_000, mix64(3, 0))
-        assert again.players == lineups[0].players
+        draws = random_population(pool, rules, 50, 40_000, seed=3)
+        assert draws.shape == (50, 9)
+        assert all(random_rows_ok(pool, draws, 40_000, rules.salary_cap))
+        assert np.array_equal(random_population(pool, rules, 50, 40_000, seed=3), draws)
 
-    def test_per_draw_seeds_are_independent(self, rules):
+    def test_smaller_count_is_a_prefix(self, rules):
+        # 9,000 draws span more than one block of attempts.
+        pool = make_pool(np.random.default_rng(9), 60)
+        many = random_population(pool, rules, 9_000, 40_000, seed=3)
+        for n in (1, 50, 4_000):
+            assert np.array_equal(random_population(pool, rules, n, 40_000, seed=3), many[:n])
+
+    def test_pool_order_does_not_matter(self, rules):
+        pool = make_pool(np.random.default_rng(15), 60)
+        shuffled = [pool[i] for i in np.random.default_rng(16).permutation(len(pool))]
+        ids = [
+            [pool[i].player_id for i in row]
+            for row in random_population(pool, rules, 200, 40_000, 5)
+        ]
+        again = [
+            [shuffled[i].player_id for i in row]
+            for row in random_population(shuffled, rules, 200, 40_000, 5)
+        ]
+        assert again == ids
+
+    def test_rows_are_not_all_alike(self, rules):
         pool = make_pool(np.random.default_rng(10), 60)
-        lineups = random_population(pool, rules, 30, 40_000, seed=4)
-        assert len({lu.players for lu in lineups}) > 1
+        draws = random_population(pool, rules, 30, 40_000, seed=4)
+        assert len({tuple(sorted(row)) for row in draws.tolist()}) > 1
+
+    def test_distribution_matches_enumeration(self):
+        # 390 lineups over the three configurations; the band drops some at
+        # both ends.  Each in-band lineup of configuration c has probability
+        # proportional to 1 / (3 * number of lineups of c).
+        pool = make_pool_with(
+            np.random.default_rng(61), {"QB": 1, "RB": 4, "WR": 5, "TE": 3, "DST": 1}
+        )
+        rules, min_salary = ContestRules(salary_cap=55_000), 46_000
+        weight, rejected = {}, 0
+        for counts in FLEX_COUNTS:
+            combos = [
+                itertools.combinations([i for i, c in enumerate(pool) if c.position == p], k)
+                for p, k in counts.items()
+            ]
+            lineups = [sum(parts, ()) for parts in itertools.product(*combos)]
+            for lineup in lineups:
+                salary = sum(pool[i].salary for i in lineup)
+                if min_salary <= salary <= rules.salary_cap:
+                    weight[frozenset(lineup)] = 1.0 / (3 * len(lineups))
+                else:
+                    rejected += 1
+        assert len(weight) + rejected == 390 and rejected > 0
+        n = 60_000
+        draws = random_population(pool, rules, n, min_salary, seed=17)
+        seen = {}
+        for row in draws.tolist():
+            key = frozenset(row)
+            assert key in weight
+            seen[key] = seen.get(key, 0) + 1
+        keys = list(weight)
+        expected = np.array([weight[k] for k in keys])
+        expected *= n / expected.sum()
+        observed = np.array([seen.get(k, 0) for k in keys])
+        assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "hits, fails",
+        [
+            ([9_999, 19_999], False),  # 9,999 misses before each hit
+            ([10_000, 10_001], True),  # 10,000 misses before the first hit
+            ([5, 10_005], False),  # the gap crosses two block boundaries
+            ([5, 10_006], True),
+            ([5], True),  # misses run on after the last hit
+        ],
+    )
+    def test_rejection_budget_counts_across_blocks(self, rules, monkeypatch, hits, fails):
+        # The in-band attempts are scripted; count=2 needs two of them.
+        calls = []
+
+        def scripted(rng, *args):
+            start = len(calls) * stats._BLOCK
+            calls.append(start)
+            assert len(calls) <= 5, "drew past the rejection budget"
+            ok = np.zeros(stats._BLOCK, dtype=bool)
+            for h in hits:
+                if start <= h < start + stats._BLOCK:
+                    ok[h - start] = True
+            return np.zeros((stats._BLOCK, 9), dtype=np.intp), ok
+
+        monkeypatch.setattr(stats, "_draw_block", scripted)
+        assert stats._BLOCK < stats.MAX_REJECTIONS == 10_000
+        pool = make_pool(np.random.default_rng(9), 60)
+        if fails:
+            with pytest.raises(NoFeasibleSampleError):
+                random_population(pool, rules, 2, 40_000, seed=1)
+        else:
+            assert random_population(pool, rules, 2, 40_000, seed=1).shape == (2, 9)
 
     def test_rejects_nonpositive_fpts(self, rules):
         pool = make_pool(np.random.default_rng(11), 30)
         pool[5] = Candidate(pool[5].player_id, pool[5].position, pool[5].salary, 0.0)
         with pytest.raises(ValueError, match="zero-FPTS"):
-            random_lineup(pool, rules, 0, seed=1)
+            random_population(pool, rules, 1, 0, seed=1)
 
     def test_position_shortfall(self, rules):
         pool = [c for c in make_pool(np.random.default_rng(12), 40) if c.position != "QB"]
         with pytest.raises(PositionShortfallError):
-            random_lineup(pool, rules, 0, seed=1)
+            random_population(pool, rules, 1, 0, seed=1)
 
     def test_shortfall_names_first_short_position(self, rules):
         # No flex configuration is coverable; the first shortfall of the
@@ -228,13 +314,13 @@ class TestRandomLineups:
             np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
         )
         with pytest.raises(PositionShortfallError, match="need 2 candidates, have 1") as exc:
-            random_lineup(pool, rules, 0, seed=1)
+            random_population(pool, rules, 1, 0, seed=1)
         assert exc.value.position == "TE"
 
     def test_min_salary_above_cap_rejected(self, rules):
         pool = make_pool(np.random.default_rng(13), 30)
         with pytest.raises(ValueError):
-            random_lineup(pool, rules, 50_001, seed=1)
+            random_population(pool, rules, 1, 50_001, seed=1)
 
     def test_unreachable_band_raises(self, rules):
         # Every salary is 2000, so any lineup totals 18,000 < 45,000.
@@ -243,7 +329,7 @@ class TestRandomLineups:
             for c in make_pool(np.random.default_rng(14), 30)
         ]
         with pytest.raises(NoFeasibleSampleError):
-            random_lineup(pool, rules, 45_000, seed=1)
+            random_population(pool, rules, 1, 45_000, seed=1)
 
 
 class TestDescriptive:
