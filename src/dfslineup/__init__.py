@@ -11,9 +11,9 @@ from .data import (
 )
 from .ensemble import (
     Ensemble,
-    PredictionDistribution,
     lineup_prediction_interval,
     predict_distribution,
+    sample_matrix,
     train_ensemble,
 )
 from .network import (

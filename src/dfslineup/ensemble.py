@@ -30,17 +30,6 @@ class Ensemble:
         return len(self.models)
 
 
-@dataclass
-class PredictionDistribution:
-    """One player's per-model FPTS samples with interval summary."""
-
-    player_id: str
-    samples: np.ndarray
-    mean: float
-    ci_low: float
-    ci_high: float
-
-
 def model_seed(master_seed: int, index: int) -> int:
     return mix64(master_seed, index)
 
@@ -84,63 +73,42 @@ def train_ensemble(
 
 
 def sample_matrix(ensemble: Ensemble, window: WindowDataset) -> np.ndarray:
-    """Per-model forward outputs, shape (n_models, n_players)."""
+    """Per-model forward outputs for a prediction window, shape (n_models, n_players).
+
+    Each seeded member yields one sample per player, so this matrix is the
+    whole predictive distribution; every summary is a reduction over it.
+    """
+    if window.has_targets:
+        raise ValueError("sample_matrix expects a prediction window")
+    if window.features.shape[1] != ensemble.models[0].network.w1.shape[1]:
+        raise ValueError("feature length does not match ensemble input size")
     return np.vstack(
         [predict_batch(m.network, m.norm, window.features) for m in ensemble.models]
     )
 
 
 def _central_interval(samples: np.ndarray, level: float):
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(samples, [alpha, 1.0 - alpha], method="linear")
-    return float(lo), float(hi)
-
-
-def predict_distribution(
-    ensemble: Ensemble, predict_window: WindowDataset, level: float = 0.95
-) -> list[PredictionDistribution]:
-    """One PredictionDistribution per player in the prediction window."""
-    if predict_window.has_targets:
-        raise ValueError("predict_distribution expects a prediction window")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level {level} outside (0, 1)")
-    if predict_window.features.shape[1] != ensemble.models[0].network.w1.shape[1]:
-        raise ValueError("feature length does not match ensemble input size")
-    samples = sample_matrix(ensemble, predict_window)
-    out = []
-    for j, pid in enumerate(predict_window.player_ids):
-        col = samples[:, j]
-        lo, hi = _central_interval(col, level)
-        out.append(
-            PredictionDistribution(
-                player_id=pid,
-                samples=col,
-                mean=float(col.mean()),
-                ci_low=lo,
-                ci_high=hi,
-            )
-        )
-    return out
+    alpha = (1.0 - level) / 2.0
+    return np.quantile(samples, [alpha, 1.0 - alpha], axis=0, method="linear")
 
 
-def lineup_prediction_interval(samples_by_player, lineup, level: float = 0.95):
-    """Interval for the lineup total from per-model lineup sums.
+def predict_distribution(samples: np.ndarray, level: float = 0.95):
+    """Per-player (mean, ci_low, ci_high) arrays over the sample matrix's columns."""
+    ci_low, ci_high = _central_interval(samples, level)
+    # Each column reduced in contiguous memory sums in the same order as a
+    # lone 1-D column would, which keeps the means bit-stable.
+    return np.asfortranarray(samples).mean(axis=0), ci_low, ci_high
+
+
+def lineup_prediction_interval(lineup_samples: np.ndarray, level: float = 0.95):
+    """Mean and interval of the lineup total from its (n_models, 9) sample columns.
 
     Summing within a model draw preserves cross-player correlation, so the
     interval is not the sum of per-player intervals.
     """
-    player_ids = getattr(lineup, "players", lineup)
-    arrays = []
-    length = None
-    for pid in player_ids:
-        if pid not in samples_by_player:
-            raise KeyError(f"no prediction samples for player {pid!r}")
-        arr = np.asarray(samples_by_player[pid], dtype=np.float64)
-        if length is None:
-            length = arr.shape[0]
-        elif arr.shape[0] != length:
-            raise ValueError("player sample arrays differ in length")
-        arrays.append(arr)
-    totals = np.sum(arrays, axis=0)
+    # Players are added one at a time for each model, in lineup order.
+    totals = np.asfortranarray(lineup_samples).sum(axis=1)
     lo, hi = _central_interval(totals, level)
-    return float(totals.mean()), lo, hi
+    return float(totals.mean()), float(lo), float(hi)

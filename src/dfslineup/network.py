@@ -134,7 +134,7 @@ def _forward_batch(net: Network, z: np.ndarray):
 
 def forward(net: Network, norm: NormStats, x) -> float:
     """Predict FPTS for one 43-entry feature vector."""
-    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    values = np.asarray(x, dtype=np.float64)
     if values.shape != (net.w1.shape[1],):
         raise ValueError(f"expected {net.w1.shape[1]} features, got {values.shape}")
     if not np.all(np.isfinite(values)):

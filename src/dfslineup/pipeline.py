@@ -16,20 +16,13 @@ import numpy as np
 
 from . import stats
 from .config import RunConfig
-from .data import (
-    WindowDataset,
-    build_window,
-    eligible_players,
-    load_exclusions,
-    load_player_weeks,
-)
+from .data import WindowDataset, build_window, load_exclusions, load_player_weeks
 from .ensemble import (
     lineup_prediction_interval,
     predict_distribution,
     sample_matrix,
     train_ensemble,
 )
-from .errors import MissingActualError
 from .optimizer import Candidate, Lineup, modal_lineup, optimize_all_flex, score_lineup
 from .seeds import mix64
 
@@ -143,11 +136,7 @@ def _load_predict_window(cfg: RunConfig):
             targets=None,
             has_targets=False,
         )
-        meta = {
-            pid: (int(sal), str(pos))
-            for pid, sal, pos in zip(window.player_ids, blob["salary"], blob["position"])
-        }
-    return window, meta
+        return window, blob["salary"], blob["position"]
 
 
 # --------------------------------------------------------------- predict
@@ -156,28 +145,27 @@ def _load_predict_window(cfg: RunConfig):
 def cmd_predict(cfg: RunConfig) -> None:
     """Train the ensemble and export per-player prediction distributions."""
     train_w = _load_train_window(cfg)
-    pred_w, meta = _load_predict_window(cfg)
+    pred_w, salary, position = _load_predict_window(cfg)
 
     ensemble = train_ensemble(
         train_w, cfg.n_models, cfg.master_seed, cfg.training, workers=cfg.workers
     )
-    dists = predict_distribution(ensemble, pred_w, level=cfg.report.ci_level)
     samples = sample_matrix(ensemble, pred_w)
+    mean, ci_low, ci_high = predict_distribution(samples, level=cfg.report.ci_level)
 
     lines = ["player_id,position,salary,mean_fpts,ci_low,ci_high"]
-    for d in dists:
-        salary, position = meta[d.player_id]
+    for j, pid in enumerate(pred_w.player_ids):
         lines.append(
-            f"{d.player_id},{position},{salary},{_fmt(d.mean)},"
-            f"{_fmt(d.ci_low)},{_fmt(d.ci_high)}"
+            f"{pid},{position[j]},{salary[j]},{_fmt(mean[j])},"
+            f"{_fmt(ci_low[j])},{_fmt(ci_high[j])}"
         )
     _write_text(_out(cfg, PREDICTIONS), "\n".join(lines) + "\n")
     _write_npz(
         _out(cfg, SAMPLES),
         player_ids=np.array(pred_w.player_ids),
         samples=samples,
-        salary=np.array([meta[p][0] for p in pred_w.player_ids], dtype=np.int64),
-        position=np.array([meta[p][1] for p in pred_w.player_ids]),
+        salary=salary,
+        position=position,
     )
 
 
@@ -215,12 +203,11 @@ def cmd_optimize(cfg: RunConfig) -> None:
     modal = modal_lineup(lineups)
     modal_count = sum(1 for lu in lineups if lu.players == modal.players)
 
-    samples_by_player = {pid: samples[:, j] for j, pid in enumerate(ids)}
+    by_id = {pid: j for j, pid in enumerate(ids)}
     mean_total, ci_low, ci_high = lineup_prediction_interval(
-        samples_by_player, modal, level=cfg.report.ci_level
+        samples[:, [by_id[pid] for pid in modal.players]], level=cfg.report.ci_level
     )
 
-    by_id = {pid: j for j, pid in enumerate(ids)}
     lines = ["slot,player_id,position,salary,predicted_fpts,actual_fpts"]
     total_salary = 0
     for slot, pid in modal.slots:

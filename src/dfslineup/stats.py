@@ -52,7 +52,6 @@ class TestResult:
     statistic: float
     p_value: float
     df: Optional[float] = None
-    effect_size: Optional[float] = None
 
 
 def _sample_var(x: np.ndarray) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from dfslineup import ensemble
 from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from dfslineup.data import load_player_weeks
 from dfslineup.optimizer import ContestRules, Lineup, validate_lineup
@@ -137,6 +138,20 @@ class TestOptions:
         first = (out / "predictions.csv").read_bytes()
         assert main(["predict", "--config", str(config), "--seed", "99"]) == EXIT_OK
         assert (out / "predictions.csv").read_bytes() != first
+
+    def test_predict_runs_one_forward_pass(self, tmp_path, monkeypatch):
+        forward = ensemble.predict_batch
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(ensemble, "predict_batch", counted)
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        assert main(["predict", "--config", str(config)]) == EXIT_OK
+        assert len(calls) == N_MODELS
 
     def test_n_models_override(self, tmp_path):
         config = write_config(tmp_path)

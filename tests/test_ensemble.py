@@ -92,55 +92,47 @@ class TestDistributions:
     def test_distribution_quantiles_match_numpy(self, trained):
         ensemble, window = trained
         samples = sample_matrix(ensemble, window)
-        dists = predict_distribution(ensemble, window, level=0.90)
-        assert [d.player_id for d in dists] == window.player_ids
-        for j, d in enumerate(dists):
-            col = samples[:, j]
-            assert d.mean == pytest.approx(col.mean())
-            lo, hi = np.quantile(col, [0.05, 0.95], method="linear")
-            assert d.ci_low == pytest.approx(lo)
-            assert d.ci_high == pytest.approx(hi)
-            assert d.ci_low <= d.mean <= d.ci_high
+        mean, ci_low, ci_high = predict_distribution(samples, level=0.90)
+        assert mean.shape == ci_low.shape == ci_high.shape == (len(window),)
+        cols = [samples[:, j] for j in range(len(window))]
+        assert np.array_equal(mean, [col.mean() for col in cols])
+        np.testing.assert_allclose(
+            np.column_stack([ci_low, ci_high]),
+            [np.quantile(col, [0.05, 0.95], method="linear") for col in cols],
+            rtol=1e-12,
+        )
+        assert np.all((ci_low <= mean) & (mean <= ci_high))
 
     def test_rejects_training_window_and_bad_level(self, trained):
         ensemble, window = trained
         ds = make_dataset(np.random.default_rng(5), n=20)
         with pytest.raises(ValueError):
-            predict_distribution(ensemble, ds)
+            sample_matrix(ensemble, ds)
         with pytest.raises(ValueError):
-            predict_distribution(ensemble, window, level=1.0)
+            predict_distribution(sample_matrix(ensemble, window), level=1.0)
         bad = make_predict_window(np.random.default_rng(6))
         bad.features = bad.features[:, :10]
         with pytest.raises(ValueError):
-            predict_distribution(ensemble, bad)
+            sample_matrix(ensemble, bad)
 
 
 class TestLineupInterval:
     def test_sum_preserves_correlation(self):
         """Anticorrelated players: the lineup interval must collapse, not add."""
         t = np.linspace(-1, 1, 200)
-        samples = {"A": 10.0 + t, "B": 10.0 - t}
-        mean, lo, hi = lineup_prediction_interval(samples, ["A", "B"], level=0.9)
+        samples = np.column_stack([10.0 + t, 10.0 - t])
+        mean, lo, hi = lineup_prediction_interval(samples, level=0.9)
         assert mean == pytest.approx(20.0)
         assert hi - lo == pytest.approx(0.0, abs=1e-12)
         # Independent-looking per-player intervals would have been ~ +/- 0.9 wide.
-        mean_a, lo_a, hi_a = lineup_prediction_interval({"A": samples["A"]}, ["A"], 0.9)
+        mean_a, lo_a, hi_a = lineup_prediction_interval(samples[:, :1], 0.9)
         assert hi_a - lo_a > 1.0
 
     def test_matches_direct_totals(self):
         rng = np.random.default_rng(7)
-        samples = {f"P{i}": rng.normal(10, 2, 50) for i in range(9)}
-        ids = list(samples)
-        mean, lo, hi = lineup_prediction_interval(samples, ids, level=0.95)
-        totals = np.sum([samples[p] for p in ids], axis=0)
-        assert mean == pytest.approx(totals.mean())
+        samples = rng.normal(10, 2, (50, 9))
+        mean, lo, hi = lineup_prediction_interval(samples, level=0.95)
+        totals = np.sum([samples[:, j] for j in range(9)], axis=0)
+        assert mean == totals.mean()
         qlo, qhi = np.quantile(totals, [0.025, 0.975], method="linear")
         assert lo == pytest.approx(qlo) and hi == pytest.approx(qhi)
-
-    def test_missing_player_and_ragged_lengths(self):
-        with pytest.raises(KeyError):
-            lineup_prediction_interval({"A": np.ones(5)}, ["A", "B"])
-        with pytest.raises(ValueError):
-            lineup_prediction_interval(
-                {"A": np.ones(5), "B": np.ones(6)}, ["A", "B"]
-            )
