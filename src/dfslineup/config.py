@@ -17,7 +17,6 @@ from .optimizer import ContestRules
 class RandomBaselineConfig:
     count: int = 35_000
     min_salary: int = 45_000
-    seed: int = 7
 
 
 @dataclass

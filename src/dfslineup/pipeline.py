@@ -39,6 +39,10 @@ HISTOGRAMS = "histograms.csv"
 BOXPLOT = "boxplot.csv"
 REPORT_TXT = "report.txt"
 
+# Salts that derive the validate stage's seeds from master_seed.
+RANDOM_SALT = 0xBA5E
+BOOTSTRAP_SALT = 0xB007
+
 
 def _out(cfg: RunConfig, name: str) -> Path:
     return Path(cfg.output_dir) / name
@@ -294,7 +298,9 @@ def cmd_validate(cfg: RunConfig) -> None:
     ]
     rb = cfg.random_baseline
     rules = cfg.rules()
-    draws = stats.random_population(pool, rules, rb.count, rb.min_salary, rb.seed)
+    draws = stats.random_population(
+        pool, rules, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT)
+    )
     fpts = np.array([c.predicted_fpts for c in pool])
     random_pop = stats.PopulationStats(samples=fpts[draws].sum(axis=1), label="random")
 
@@ -319,7 +325,7 @@ def cmd_validate(cfg: RunConfig) -> None:
             score,
             resamples=resamples,
             level=level,
-            seed=mix64(cfg.master_seed, 0xB007),
+            seed=mix64(cfg.master_seed, BOOTSTRAP_SALT),
         )
         report["random"] = _summary_dict(comparison.random)
         report["real_world"] = _summary_dict(comparison.real)
@@ -332,7 +338,7 @@ def cmd_validate(cfg: RunConfig) -> None:
         summaries = [comparison.random, comparison.real]
     else:
         summary = stats.summarize_population(
-            random_pop, score, resamples, level, mix64(cfg.master_seed, 0xB007)
+            random_pop, score, resamples, level, mix64(cfg.master_seed, BOOTSTRAP_SALT)
         )
         report["random"] = _summary_dict(summary)
         summaries = [summary]

@@ -236,7 +236,7 @@ def _write_config(tmp_path, out_name):
         "n_models": 4,
         "master_seed": MASTER_SEED,
         "training": {"max_epochs": 120, "patience": 10},
-        "random_baseline": {"count": 300, "min_salary": 45_000, "seed": 7},
+        "random_baseline": {"count": 300, "min_salary": 45_000},
         "report": {"bootstrap_resamples": 500},
     }
     path = tmp_path / f"{out_name}.yaml"

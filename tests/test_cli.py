@@ -28,7 +28,7 @@ def write_config(tmp_path, **overrides):
         "n_models": N_MODELS,
         "master_seed": 20180901,
         "training": {"max_epochs": 120, "patience": 10},
-        "random_baseline": {"count": 300, "min_salary": 45_000, "seed": 7},
+        "random_baseline": {"count": 300, "min_salary": 45_000},
         "report": {"bootstrap_resamples": 500},
     }
     cfg.update(overrides)
@@ -153,6 +153,19 @@ class TestOptions:
         assert main(["predict", "--config", str(config)]) == EXIT_OK
         assert len(calls) == N_MODELS
 
+    def test_seed_override_changes_random_population(self, full_run, tmp_path):
+        out, config = full_run
+        reports = []
+        for extra in ([], ["--seed", "99"]):
+            argv = ["validate", "--config", str(config), "--output-dir", str(tmp_path)]
+            for name in ("lineup.json", "samples.npz"):
+                (tmp_path / name).write_bytes((out / name).read_bytes())
+            assert main(argv + extra) == EXIT_OK
+            reports.append(json.loads((tmp_path / "validation_report.json").read_text()))
+        first, second = (r["random"] for r in reports)
+        assert first["mean_fpts"] != second["mean_fpts"]
+        assert first["boxplot"] != second["boxplot"]
+
     def test_n_models_override(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
@@ -202,6 +215,13 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert "require_two_teams" in capsys.readouterr().err
 
+    def test_removed_random_seed_key_rejected(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, random_baseline={"count": 300, "min_salary": 45_000, "seed": 7}
+        )
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert "['seed']" in capsys.readouterr().err
+
     def test_non_finite_season_value(self, tmp_path, capsys):
         target = tmp_path / "season_nan.csv"
         lines = (FIXTURES / "season.csv").read_text(encoding="utf-8").splitlines()
@@ -229,7 +249,7 @@ class TestExitCodes:
         config = write_config(
             tmp_path,
             salary_cap=18_000,
-            random_baseline={"count": 10, "min_salary": 0, "seed": 1},
+            random_baseline={"count": 10, "min_salary": 0},
         )
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
         assert main(["predict", "--config", str(config)]) == EXIT_OK
@@ -240,7 +260,7 @@ class TestExitCodes:
         config = write_config(
             tmp_path,
             salary_cap=49_950,
-            random_baseline={"count": 10, "min_salary": 49_901, "seed": 1},
+            random_baseline={"count": 10, "min_salary": 49_901},
         )
         for command in ("ingest", "predict", "optimize"):
             assert main([command, "--config", str(config)]) == EXIT_OK

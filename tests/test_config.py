@@ -32,7 +32,7 @@ def test_round_trip(tmp_path):
         n_models=17,
         master_seed=5,
         training=TrainingConfig(hidden_units=7, max_epochs=50),
-        random_baseline=RandomBaselineConfig(count=100, min_salary=30_000, seed=2),
+        random_baseline=RandomBaselineConfig(count=100, min_salary=30_000),
         report=ReportConfig(ci_level=0.9, bootstrap_resamples=500),
     )
     path = tmp_path / "cfg.yaml"
