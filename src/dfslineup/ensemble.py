@@ -108,7 +108,8 @@ def lineup_prediction_interval(lineup_samples: np.ndarray, level: float = 0.95):
     Summing within a model draw preserves cross-player correlation, so the
     interval is not the sum of per-player intervals.
     """
-    # Players are added one at a time for each model, in lineup order.
+    # Column-contiguous layout adds the players one at a time for each model,
+    # in lineup order, whatever order numpy would pick for a row-major array.
     totals = np.asfortranarray(lineup_samples).sum(axis=1)
     lo, hi = _central_interval(totals, level)
     return float(totals.mean()), float(lo), float(hi)

@@ -155,11 +155,11 @@ class TestOptions:
 
     def test_seed_override_changes_random_population(self, full_run, tmp_path):
         out, config = full_run
+        for name in ("lineup.json", "samples.npz"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        argv = ["validate", "--config", str(config), "--output-dir", str(tmp_path)]
         reports = []
         for extra in ([], ["--seed", "99"]):
-            argv = ["validate", "--config", str(config), "--output-dir", str(tmp_path)]
-            for name in ("lineup.json", "samples.npz"):
-                (tmp_path / name).write_bytes((out / name).read_bytes())
             assert main(argv + extra) == EXIT_OK
             reports.append(json.loads((tmp_path / "validation_report.json").read_text()))
         first, second = (r["random"] for r in reports)
