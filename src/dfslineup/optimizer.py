@@ -4,8 +4,17 @@ The solver maximizes predicted FPTS subject to the salary cap and the exact
 position counts of each of the three flex configurations; one DP, whose
 needed counts run up to each position's largest count, serves all three.
 Salaries are reduced by their gcd so the DP runs over a small grid of
-salary units; the optimum has a zero optimality gap by construction.  Ties among equal-objective lineups resolve to the
-lexicographically smallest sorted player-id tuple.
+salary units, and the optimum has a zero optimality gap by construction.
+
+Ties among equal-objective lineups resolve to the lexicographically
+smallest sorted player-id tuple.  The DP meets that rule when it reads the
+candidates in player-id order, but it is cheapest with them grouped by
+position, WR last, so the suffix fills WR while the other needed counts
+are still zero.  Each solve therefore runs grouped first.  If its read-back
+takes a player whose take and skip values lie within a tie margin (derived
+from the pool's FPTS, far above the rounding of a nine-term sum), the same
+DP runs again in player-id order and its answer stands.  Without such a
+near tie the grouped optimum is the only optimum, and both orders agree.
 """
 
 from __future__ import annotations
@@ -38,6 +47,9 @@ LINEUP_SIZE = sum(POSITION_COUNTS[0].values())
 _FIXED_SLOTS = {p: min(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 _MAX_COUNTS = {p: max(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 _POS_INDEX = {p: i for i, p in enumerate(POSITIONS)}
+# Forward order of the grouped solve.  The suffix DP meets WR first, while
+# the other need axes are still capped at zero.
+_GROUP_RANK = {p: i for i, p in enumerate(("QB", "DST", "TE", "RB", "WR"))}
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,11 @@ class Candidate:
     def __post_init__(self):
         if self.position not in POSITIONS:
             raise ValueError(f"unknown position {self.position!r}")
-        if not isinstance(self.salary, (int, np.integer)) or self.salary <= 0:
+        if (
+            isinstance(self.salary, bool)
+            or not isinstance(self.salary, (int, np.integer))
+            or self.salary <= 0
+        ):
             raise ValueError(
                 f"salary must be a positive integer, got {self.salary!r} "
                 f"for {self.player_id}"
@@ -103,79 +119,83 @@ def _build_lineup(chosen: list[Candidate], config) -> Lineup:
     )
 
 
-def _prune_dominated(cands: list[Candidate], required: dict[str, int]) -> list[Candidate]:
-    """Drop candidates that can never appear in the lex-min optimal lineup.
+def undominated(position, salary, fpts) -> np.ndarray:
+    """Mask of the players that can appear in the lex-min optimal lineup.
 
-    A rival weakly better in both salary and FPTS (strictly better in FPTS,
-    or equal FPTS with a smaller id) is a dominator; with at least k_p
-    dominators, any lineup using the candidate can swap one in, so the
-    candidate is safe to drop.  Equal-FPTS rivals with larger ids are not
-    dominators: swapping them in could break the lexicographic tie rule.
+    The arrays are in player_id order.  A rival of the same position that
+    costs no more and has higher FPTS, or equal FPTS and a smaller id, is a
+    dominator.  With at least as many dominators as the position's largest
+    count, any lineup using the player can swap one in, so the player is
+    safe to drop.  Equal-FPTS rivals with larger ids are not dominators:
+    swapping them in could break the lexicographic tie rule.
     """
-    by_pos: dict[str, list[Candidate]] = {}
-    for c in cands:
-        by_pos.setdefault(c.position, []).append(c)
-    keep = []
-    for pos, group in by_pos.items():
-        k = required[pos]
-        for c in group:
-            dominators = 0
-            for o in group:
-                if o is c or o.salary > c.salary:
-                    continue
-                if o.predicted_fpts > c.predicted_fpts or (
-                    o.predicted_fpts == c.predicted_fpts and o.player_id < c.player_id
-                ):
-                    dominators += 1
-                    if dominators >= k:
-                        break
-            if dominators < k:
-                keep.append(c)
-    keep.sort(key=lambda c: c.player_id)
+    position, salary = np.asarray(position), np.asarray(salary)
+    fpts = np.asarray(fpts, dtype=float)
+    keep = np.zeros(len(fpts), dtype=bool)
+    for pos, k in _MAX_COUNTS.items():
+        g = np.flatnonzero(position == pos)
+        s, f = salary[g], fpts[g]
+        # dominates[i, o]: player o dominates player i; index order is id order.
+        better = (f > f[:, None]) | ((f == f[:, None]) & np.tri(len(g), k=-1, dtype=bool))
+        dominates = (s <= s[:, None]) & better
+        keep[g[dominates.sum(axis=1) < k]] = True
     return keep
 
 
-def _dp_solve(cands: list[Candidate], cap: int) -> list[Optional[list[Candidate]]]:
+def _dp_solve(
+    cands: list[Candidate], cap: int, tol: float
+) -> tuple[list[Optional[list[Candidate]]], bool]:
     """Suffix DP over (needed counts, salary budget); one chosen set per config.
 
-    Candidates must be sorted by player_id.  The needed counts run up to the
-    largest count of each position over the flex configurations, so every
-    configuration is a root of the same grid; a root whose value is not
-    finite (pool short a position, or nothing fits the cap) yields None.
-    Only each candidate's take-decision bits over the cells it can fill are
-    stored; the value grid rolls.  Reconstruction walks forward preferring
-    to take, which yields the lexicographically smallest sorted id tuple
-    among all optimal lineups.
+    The needed counts run up to the largest count of each position over the
+    flex configurations, so every configuration is a root of the same grid;
+    a root whose value is not finite (pool short a position, or nothing fits
+    the cap) yields None.  Each step touches only the needed counts its
+    suffix can fill: the rest of the grid stays -inf.  Per candidate, over
+    the cells it can fill, a take bit (take - skip >= -tol) and a tie bit
+    (take - skip <= tol) are stored; the value grid rolls.  Reconstruction
+    walks the candidates in the given order preferring to take, and also
+    returns whether any step it took was within tol of skipping.  With tol 0
+    and candidates in player_id order, the chosen set is the lexicographically
+    smallest sorted id tuple among all optimal lineups.
     """
     unit = 0
     for c in cands:
         unit = gcd(unit, c.salary)
     budget_max = cap // unit if unit else 0
     weights = [c.salary // unit for c in cands] if unit else []
+    axes = [_POS_INDEX[c.position] for c in cands]
     shape = tuple(_MAX_COUNTS[p] + 1 for p in POSITIONS) + (budget_max + 1,)
 
     # value[needed counts, budget]: best completion from the suffix.
     value = np.full(shape, -np.inf)
     value[(0,) * len(POSITIONS)] = 0.0
+    live = [0] * len(POSITIONS)  # largest needed count the suffix can fill
     take_bits = [None] * len(cands)
+    tie_bits = [None] * len(cands)
 
     for j in range(len(cands) - 1, -1, -1):
-        cand, w = cands[j], weights[j]
+        axis, w = axes[j], weights[j]
         if w > budget_max:
             continue
-        axis = _POS_INDEX[cand.position]
+        live[axis] = min(live[axis] + 1, shape[axis] - 1)
+        grid = value[tuple(slice(0, k + 1) for k in live)]
         take_view = [slice(None)] * len(shape)
         take_view[axis] = slice(1, None)
         take_view[-1] = slice(w, None)
         src_view = [slice(None)] * len(shape)
         src_view[axis] = slice(0, -1)
         src_view[-1] = slice(0, budget_max + 1 - w)
-        take_vals = cand.predicted_fpts + value[tuple(src_view)]
-        dest = value[tuple(take_view)]
-        take_bits[j] = take_vals >= dest
+        take_vals = cands[j].predicted_fpts + grid[tuple(src_view)]
+        dest = grid[tuple(take_view)]
+        with np.errstate(invalid="ignore"):  # -inf - -inf: neither bit
+            diff = take_vals - dest
+        take_bits[j] = diff >= -tol
+        tie_bits[j] = diff <= tol
         np.maximum(dest, take_vals, out=dest)
 
     solutions = []
+    tied = False
     for counts in POSITION_COUNTS:
         need = [counts[p] for p in POSITIONS]
         if not np.isfinite(value[tuple(need) + (budget_max,)]):
@@ -184,20 +204,21 @@ def _dp_solve(cands: list[Candidate], cap: int) -> list[Optional[list[Candidate]
         chosen = []
         budget = budget_max
         for j, cand in enumerate(cands):
-            axis = _POS_INDEX[cand.position]
-            w = weights[j]
+            axis, w = axes[j], weights[j]
             if need[axis] == 0 or w > budget:
                 continue
             cell = list(need) + [budget - w]
             cell[axis] -= 1
-            if take_bits[j][tuple(cell)]:
+            cell = tuple(cell)
+            if take_bits[j][cell]:
+                tied = tied or bool(tie_bits[j][cell])
                 chosen.append(cand)
                 need[axis] -= 1
                 budget -= w
                 if not any(need):
                     break
         solutions.append(chosen)
-    return solutions
+    return solutions, tied
 
 
 def solve_flex_configs(candidates: list[Candidate], rules: ContestRules) -> list[Optional[Lineup]]:
@@ -211,10 +232,24 @@ def solve_flex_configs(candidates: list[Candidate], rules: ContestRules) -> list
     for prev, cand in zip(cands, cands[1:]):
         if prev.player_id == cand.player_id:
             raise ValueError(f"duplicate candidate id {cand.player_id!r}")
-    pool = _prune_dominated(cands, _MAX_COUNTS)
+    keep = undominated(
+        [c.position for c in cands], [c.salary for c in cands], [c.predicted_fpts for c in cands]
+    )
+    pool = [c for c, kept in zip(cands, keep) if kept]
+    # Far above the rounding of a nine-term sum (about 2**-50 of its size)
+    # and far below any real FPTS gap.  Not a config key: every margin in
+    # that range gives the same lineups and only sets how often the
+    # id-order solve runs.
+    tol = 2.0**-40 * (1 + LINEUP_SIZE * max((abs(c.predicted_fpts) for c in pool), default=0.0))
+    grouped = sorted(pool, key=lambda c: _GROUP_RANK[c.position])  # stable: id order within
+    solutions, tied = _dp_solve(grouped, rules.salary_cap, tol)
+    if tied:
+        solutions, _ = _dp_solve(pool, rules.salary_cap, 0.0)
+    # Re-sorted so predicted_fpts is summed in id order whichever solve ran:
+    # it decides the cross-configuration choice down to its last bit.
     return [
-        None if chosen is None else _build_lineup(chosen, config)
-        for config, chosen in zip(FLEX_CONFIGS, _dp_solve(pool, rules.salary_cap))
+        None if chosen is None else _build_lineup(sorted(chosen, key=lambda c: c.player_id), config)
+        for config, chosen in zip(FLEX_CONFIGS, solutions)
     ]
 
 

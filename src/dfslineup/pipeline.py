@@ -23,7 +23,14 @@ from .ensemble import (
     sample_matrix,
     train_ensemble,
 )
-from .optimizer import Candidate, Lineup, modal_lineup, optimize_all_flex, score_lineup
+from .optimizer import (
+    Candidate,
+    Lineup,
+    modal_lineup,
+    optimize_all_flex,
+    score_lineup,
+    undominated,
+)
 from .seeds import mix64
 
 TRAIN_WINDOW = "train_window.npz"
@@ -183,17 +190,25 @@ def _load_samples(cfg: RunConfig):
 
 
 def solve_per_model(ids, samples, salary, position, rules) -> list[Lineup]:
-    """One exact solve per model row of the sample matrix."""
+    """One exact solve per model row of the sample matrix.
+
+    Each row is pruned on arrays first, so only the players that can be in
+    its optimum become candidates.
+    """
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # the pruner's id order
+    ids = [ids[j] for j in order]
+    position = np.asarray(position)[order]
+    salary = np.asarray(salary)[order]
     lineups = []
-    for m in range(samples.shape[0]):
+    for row in samples[:, order]:
         candidates = [
             Candidate(
                 player_id=ids[j],
-                position=position[j],
+                position=str(position[j]),
                 salary=int(salary[j]),
-                predicted_fpts=float(samples[m, j]),
+                predicted_fpts=float(row[j]),
             )
-            for j in range(len(ids))
+            for j in np.flatnonzero(undominated(position, salary, row))
         ]
         lineups.append(optimize_all_flex(candidates, rules))
     return lineups
@@ -382,8 +397,14 @@ def cmd_report(cfg: RunConfig) -> str:
     """Render the validation bundle as plain text; returns the text."""
     with open(_require(_out(cfg, VALIDATION_JSON), "validate"), encoding="utf-8") as fh:
         report = json.load(fh)
+    with open(_require(_out(cfg, LINEUP_JSON), "optimize"), encoding="utf-8") as fh:
+        lineup = json.load(fh)
 
-    lines = [f"Week {report['week']} lineup validation", "=" * 34]
+    lines = [
+        f"Week {report['week']} lineup validation",
+        "=" * 34,
+        f"modal lineup: {lineup['modal_count']} of {lineup['n_models']} models",
+    ]
     if report["status"] != "valid":
         lines.append(f"status: {report['status']}")
         lines.append(f"missing actuals: {', '.join(report['missing_actuals'])}")

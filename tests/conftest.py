@@ -71,6 +71,14 @@ def make_pool(rng: np.random.Generator, n: int, tie_heavy: bool = False):
     return pool
 
 
+def make_shuffled_pool(rng: np.random.Generator, n: int, tie_heavy: bool = False):
+    """``make_pool`` with its ids permuted across positions, so id order and
+    position-grouped order disagree."""
+    pool = make_pool(rng, n, tie_heavy)
+    ids = [pool[i].player_id for i in rng.permutation(n)]
+    return [Candidate(pid, c.position, c.salary, c.predicted_fpts) for pid, c in zip(ids, pool)]
+
+
 def make_pool_with(rng: np.random.Generator, shape: dict, tie_heavy: bool = False):
     """Random candidate pool with exactly ``shape[pos]`` players per position."""
     positions = [pos for pos, n in shape.items() for _ in range(n)]

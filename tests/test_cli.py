@@ -108,6 +108,8 @@ class TestPipelineArtifacts:
         text = capsys.readouterr().out
         assert "Week 8 lineup validation" in text
         assert "Random lineups" in text and "Real-world users" in text
+        info = json.loads((out / "lineup.json").read_text())
+        assert f"modal lineup: {info['modal_count']} of {N_MODELS} models" in text
         assert (out / "report.txt").read_text() == text
 
     def test_rerun_is_byte_identical(self, full_run, tmp_path):

@@ -9,22 +9,28 @@ import pytest
 
 from dfslineup.errors import InfeasibleLineupError, MissingActualError
 from dfslineup.optimizer import (
+    _GROUP_RANK,
     LINEUP_SIZE,
-    _MAX_COUNTS,
     Candidate,
     ContestRules,
     Lineup,
     _dp_solve,
-    _prune_dominated,
     modal_lineup,
     optimize_all_flex,
     score_lineup,
     solve_flex_configs,
+    undominated,
     validate_lineup,
 )
 
-from .conftest import make_pool, make_pool_with
-from .oracles import FLEX_COUNTS, brute_force_all_flex, brute_force_config
+from .conftest import make_pool, make_pool_with, make_shuffled_pool
+from .oracles import FLEX_COUNTS, brute_force_all_flex, brute_force_config, prune_keep_ids
+
+
+def keep_mask(pool):
+    return undominated(
+        [c.position for c in pool], [c.salary for c in pool], [c.predicted_fpts for c in pool]
+    )
 
 
 def lineup_positions(lineup, pool):
@@ -40,6 +46,8 @@ class TestCandidates:
             Candidate("A", "QB", 0, 10.0)
         with pytest.raises(ValueError):
             Candidate("A", "QB", -100, 10.0)
+        with pytest.raises(ValueError):
+            Candidate("A", "QB", True, 1.0)
 
     def test_rules_reject_unknown_flex_config(self, rules):
         pool = make_pool(np.random.default_rng(56), 16)
@@ -90,6 +98,52 @@ class TestBruteForceAgreement:
                 assert got[0] == pytest.approx(want[0], abs=1e-9)
                 assert got[1] == want[1]
 
+    @pytest.mark.parametrize("tie_heavy", [False, True])
+    def test_shuffled_ids_match_oracle(self, tie_heavy):
+        # Ids permuted across positions, so the grouped order is far from id
+        # order; a binding cap makes cross-position ties.
+        rng = np.random.default_rng(60 if tie_heavy else 61)
+        for trial in range(200):
+            pool = make_shuffled_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
+            rules = ContestRules(salary_cap=int(rng.integers(250, 480)) * 100)
+            for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(pool, rules)):
+                want = brute_force_config(pool, counts, rules.salary_cap)
+                if want is None:
+                    assert lineup is None
+                else:
+                    assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
+                    assert lineup.players == want[1]
+            want = brute_force_all_flex(pool, rules.salary_cap)
+            if want is not None:
+                lineup = optimize_all_flex(pool, rules)
+                assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
+                assert lineup.players == want[1]
+
+    def test_exact_tie_reaches_the_id_order_solve(self, rules):
+        # Seven $5,000 starters leave $15,000 for one RB and one WR.  Two pairs
+        # tie at 30: (RB B $9,000, WR C $6,000) and (RB D $6,000, WR A $9,000).
+        # The grouped order meets the RBs first and keeps B; the lexicographic
+        # minimum holds A, which only the id-order solve finds.
+        pool = [
+            Candidate("A", "WR", 9000, 20.0),
+            Candidate("B", "RB", 9000, 20.0),
+            Candidate("C", "WR", 6000, 10.0),
+            Candidate("D", "RB", 6000, 10.0),
+            Candidate("QB1", "QB", 5000, 30.0),
+            Candidate("DST1", "DST", 5000, 30.0),
+            Candidate("TE1", "TE", 5000, 30.0),
+            Candidate("TE2", "TE", 5000, 30.0),
+            Candidate("RB1", "RB", 5000, 30.0),
+            Candidate("WR1", "WR", 5000, 30.0),
+            Candidate("WR2", "WR", 5000, 30.0),
+        ]
+        grouped = sorted(pool, key=lambda c: (_GROUP_RANK[c.position], c.player_id))
+        (fast, _, _), tied = _dp_solve(grouped, rules.salary_cap, 1e-9)
+        assert tied and {"B", "C"} <= {c.player_id for c in fast}
+        want = brute_force_config(pool, FLEX_COUNTS[0], rules.salary_cap)
+        assert {"A", "D"} <= set(want[1])
+        assert solve_flex_configs(pool, rules)[0].players == want[1]
+
     def test_pruning_never_changes_the_answer(self, rules):
         rng = np.random.default_rng(45)
         for trial in range(30):
@@ -97,16 +151,28 @@ class TestBruteForceAgreement:
                 make_pool(rng, 20, tie_heavy=(trial % 2 == 0)),
                 key=lambda c: c.player_id,
             )
-            pruned = _prune_dominated(pool, _MAX_COUNTS)
+            keep = keep_mask(pool)
+            pruned = [c for c, kept in zip(pool, keep) if kept]
             assert len(pruned) <= len(pool)
-            full = _dp_solve(pool, rules.salary_cap)
-            slim = _dp_solve(pruned, rules.salary_cap)
+            full, _ = _dp_solve(pool, rules.salary_cap, 0.0)
+            slim, _ = _dp_solve(pruned, rules.salary_cap, 0.0)
             assert len(full) == len(slim) == len(FLEX_COUNTS)
             for a, b in zip(full, slim):
                 if a is None:
                     assert b is None
                 else:
                     assert [c.player_id for c in a] == [c.player_id for c in b]
+
+    @pytest.mark.parametrize("tie_heavy", [False, True])
+    def test_prune_mask_matches_pairwise_oracle(self, tie_heavy):
+        rng = np.random.default_rng(62 if tie_heavy else 63)
+        for trial in range(40):
+            pool = sorted(
+                make_shuffled_pool(rng, int(rng.integers(13, 60)), tie_heavy=tie_heavy),
+                key=lambda c: c.player_id,
+            )
+            keep = keep_mask(pool)
+            assert {c.player_id for c, kept in zip(pool, keep) if kept} == prune_keep_ids(pool)
 
     def test_config_short_a_position_is_skipped(self, rules):
         # Exactly three WR: 2-4-1 is infeasible, the other two still compete.
