@@ -11,7 +11,6 @@ import logging
 import sys
 from pathlib import Path
 
-from . import pipeline
 from .config import RunConfig, load_config, save_config
 from .errors import (
     ConfigError,
@@ -26,6 +25,7 @@ from .errors import (
     WindowRangeError,
     ZeroVarianceError,
 )
+from .report import cmd_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -106,6 +106,12 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
             return EXIT_OK
         cfg = _load(args)
+        if args.command == "report":
+            print(cmd_report(cfg), end="")
+            return EXIT_OK
+        # Only the computing stages load numpy and the model stack.
+        from . import pipeline
+
         if args.command == "ingest":
             pipeline.cmd_ingest(cfg)
         elif args.command == "predict":
@@ -114,8 +120,6 @@ def main(argv=None) -> int:
             pipeline.cmd_optimize(cfg)
         elif args.command == "validate":
             pipeline.cmd_validate(cfg)
-        elif args.command == "report":
-            print(pipeline.cmd_report(cfg), end="")
         return EXIT_OK
     except _INFEASIBLE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

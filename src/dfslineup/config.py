@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
 from .errors import ConfigError
-from .network import TrainingConfig
-from .optimizer import ContestRules
+
+
+@dataclass
+class TrainingConfig:
+    hidden_units: int = 19
+    learning_rate: float = 1e-2
+    momentum: float = 0.9
+    l2_penalty: float = 1e-3
+    patience: int = 20
+    max_epochs: int = 2000
+    train_fraction: float = 0.8
 
 
 @dataclass
@@ -71,22 +80,55 @@ class RunConfig:
             raise ConfigError(f"ci_level {self.report.ci_level} outside (0, 1)")
         if self.report.histogram_bin_width <= 0:
             raise ConfigError("histogram_bin_width must be positive")
-
-    def rules(self) -> ContestRules:
-        return ContestRules(salary_cap=self.salary_cap)
+        t = self.training
+        for key, ok, rule in (
+            ("hidden_units", t.hidden_units >= 1, ">= 1"),
+            ("learning_rate", t.learning_rate > 0, "> 0"),
+            ("momentum", 0 <= t.momentum < 1, "in [0, 1)"),
+            ("l2_penalty", t.l2_penalty >= 0, ">= 0"),
+            ("patience", t.patience >= 1, ">= 1"),
+            ("max_epochs", t.max_epochs >= 1, ">= 1"),
+            ("train_fraction", 0 < t.train_fraction < 1, "in (0, 1)"),
+        ):
+            if not ok:
+                raise ConfigError(f"training.{key} must be {rule}, got {getattr(t, key)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_types(cls, raw: dict, prefix: str = "") -> None:
+    """Reject values whose type does not match the field's default.
+
+    An int field takes only int; a float field takes int or float; a str
+    field takes str, or None where the default is None.  bool is never a
+    number here, although Python counts it as an int.
+    """
+    for f in fields(cls):
+        if f.name not in raw or f.default is MISSING:
+            continue
+        value, default = raw[f.name], f.default
+        if isinstance(default, int):
+            ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        elif isinstance(default, float):
+            ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        else:
+            ok, kind = isinstance(value, str) or (default is None and value is None), "a string"
+        if not ok:
+            raise ConfigError(f"{prefix}{f.name} must be {kind}, got {value!r}")
 
 
 def _coerce_section(data: dict, key: str, cls):
     raw = data.get(key, {})
     if raw is None:
         raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key!r} section must be a mapping, got {raw!r}")
     known = {f for f in cls.__dataclass_fields__}
     extra = set(raw) - known
     if extra:
-        raise ConfigError(f"unknown keys in {key!r} section: {sorted(extra)}")
+        raise ConfigError(f"unknown keys in {key!r} section: {sorted(extra, key=str)}")
+    _check_types(cls, raw, f"{key}.")
     return cls(**raw)
 
 
@@ -107,11 +149,9 @@ def config_from_dict(data: dict) -> RunConfig:
     known = {f for f in RunConfig.__dataclass_fields__}
     extra = set(data) - known
     if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    try:
-        cfg = RunConfig(**data, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"unknown config keys: {sorted(extra, key=str)}")
+    _check_types(RunConfig, data)
+    cfg = RunConfig(**data, **kwargs)
     cfg.validate()
     return cfg
 

@@ -126,9 +126,6 @@ class PlayerWeekTable:
     def player_ids(self) -> list[str]:
         return sorted({pid for pid, _ in self._by_key})
 
-    def weeks_present(self) -> set[int]:
-        return {wk for _, wk in self._by_key}
-
 
 def _parse_field(raw, column, line, kind, optional=False):
     raw = raw.strip()

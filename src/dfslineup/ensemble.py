@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainingConfig
 from .data import WindowDataset
 from .errors import EnsembleTrainingError, TrainingDivergedError
-from .network import TrainedModel, TrainingConfig, predict_batch, train
+from .network import TrainedModel, predict_batch, train
 from .seeds import mix64
 
 RETRY_SALT = 0x5EED

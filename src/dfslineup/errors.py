@@ -62,14 +62,6 @@ class InfeasibleLineupError(DFSLineupError):
     """No lineup satisfies the salary cap and position counts."""
 
 
-class MissingActualError(DFSLineupError):
-    """A drafted player has no actual FPTS value."""
-
-    def __init__(self, player_id):
-        self.player_id = player_id
-        super().__init__(f"no actual FPTS for player {player_id!r}")
-
-
 class NoFeasibleSampleError(DFSLineupError):
     """Random-lineup rejection sampling exhausted its attempt budget."""
 

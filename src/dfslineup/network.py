@@ -9,26 +9,16 @@ training loss increases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import N_FEATURES, WindowDataset
+from .config import TrainingConfig
+from .data import WindowDataset
 from .errors import TrainingDivergedError
 from .seeds import mix64
 
 STD_FLOOR = 1e-8
-
-
-@dataclass
-class TrainingConfig:
-    hidden_units: int = 19
-    learning_rate: float = 1e-2
-    momentum: float = 0.9
-    l2_penalty: float = 1e-3
-    patience: int = 20
-    max_epochs: int = 2000
-    train_fraction: float = 0.8
 
 
 @dataclass
@@ -45,14 +35,6 @@ class Network:
 
     def params(self):
         return (self.w1, self.b1, self.w2, self.b2)
-
-
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 @dataclass
@@ -132,17 +114,6 @@ def _forward_batch(net: Network, z: np.ndarray):
     return hidden, preds
 
 
-def forward(net: Network, norm: NormStats, x) -> float:
-    """Predict FPTS for one 43-entry feature vector."""
-    values = np.asarray(x, dtype=np.float64)
-    if values.shape != (net.w1.shape[1],):
-        raise ValueError(f"expected {net.w1.shape[1]} features, got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite feature value")
-    _, preds = _forward_batch(net, norm.apply(values[None, :]))
-    return float(preds[0])
-
-
 def predict_batch(net: Network, norm: NormStats, x: np.ndarray) -> np.ndarray:
     _, preds = _forward_batch(net, norm.apply(x))
     return preds
@@ -157,6 +128,7 @@ def loss_and_gradient(
 ):
     """MSE plus L2 weight penalty, with exact analytic gradients.
 
+    Returns (loss, grads), grads a tuple in ``Network.params()`` order.
     Biases are excluded from the penalty.  x holds raw (unnormalized)
     feature rows; normalization is applied internally.
     """
@@ -179,7 +151,7 @@ def loss_and_gradient(
     dact = dhidden * hidden * (1.0 - hidden)
     gw1 = dact.T @ z + 2.0 * l2_penalty * net.w1
     gb1 = dact.sum(axis=0)
-    return loss, Gradients(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
+    return loss, (gw1, gb1, gw2, gb2)
 
 
 def train(dataset: WindowDataset, hyper: TrainingConfig, seed: int) -> TrainedModel:
@@ -203,27 +175,22 @@ def train(dataset: WindowDataset, hyper: TrainingConfig, seed: int) -> TrainedMo
     stale = 0
     lr = hyper.learning_rate
     prev_loss = np.inf
-    velocity = Gradients(
-        w1=np.zeros_like(net.w1),
-        b1=np.zeros_like(net.b1),
-        w2=np.zeros_like(net.w2),
-        b2=np.zeros_like(net.b2),
-    )
+    velocity = tuple(np.zeros_like(p) for p in net.params())
 
     epochs_run = 0
     for epoch in range(1, hyper.max_epochs + 1):
         if stale >= hyper.patience:
             break
-        loss, grad = loss_and_gradient(net, norm, x_tr, y_tr, hyper.l2_penalty)
+        loss, grads = loss_and_gradient(net, norm, x_tr, y_tr, hyper.l2_penalty)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         if loss > prev_loss:
             lr *= 0.5
         prev_loss = loss
-        for name in ("w1", "b1", "w2", "b2"):
-            v = hyper.momentum * getattr(velocity, name) - lr * getattr(grad, name)
-            setattr(velocity, name, v)
-            setattr(net, name, getattr(net, name) + v)
+        for param, v, g in zip(net.params(), velocity, grads):
+            v *= hyper.momentum  # v <- momentum * v - lr * g, then param += v
+            v -= lr * g
+            param += v
         epochs_run = epoch
 
         val = mse(net, norm, x_val, y_val)
@@ -244,32 +211,3 @@ def train(dataset: WindowDataset, hyper: TrainingConfig, seed: int) -> TrainedMo
         val_mse=best_val,
         epochs_run=epochs_run,
     )
-
-
-def save_model(model: TrainedModel, path) -> None:
-    """Serialize to .npz; float64 round-trips are bit-exact."""
-    np.savez(
-        path,
-        w1=model.network.w1,
-        b1=model.network.b1,
-        w2=model.network.w2,
-        b2=model.network.b2,
-        mean=model.norm.mean,
-        std=model.norm.std,
-        meta=np.array(
-            [model.seed, model.epochs_run], dtype=np.int64
-        ),
-        scores=np.array([model.train_mse, model.val_mse], dtype=np.float64),
-    )
-
-
-def load_model(path) -> TrainedModel:
-    with np.load(path) as blob:
-        return TrainedModel(
-            network=Network(blob["w1"], blob["b1"], blob["w2"], blob["b2"]),
-            norm=NormStats(mean=blob["mean"], std=blob["std"]),
-            seed=int(blob["meta"][0]),
-            epochs_run=int(blob["meta"][1]),
-            train_mse=float(blob["scores"][0]),
-            val_mse=float(blob["scores"][1]),
-        )

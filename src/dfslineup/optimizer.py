@@ -27,9 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .data import POSITIONS
-from .errors import InfeasibleLineupError, MissingActualError, PositionShortfallError
-
-SALARY_CAP_DEFAULT = 50_000
+from .errors import InfeasibleLineupError, PositionShortfallError
 
 # Slots per position of the three flex configurations: the one place the
 # lineup's shape is written down.  A lineup names its configuration by the
@@ -50,11 +48,6 @@ _POS_INDEX = {p: i for i, p in enumerate(POSITIONS)}
 # Forward order of the grouped solve.  The suffix DP meets WR first, while
 # the other need axes are still capped at zero.
 _GROUP_RANK = {p: i for i, p in enumerate(("QB", "DST", "TE", "RB", "WR"))}
-
-
-@dataclass(frozen=True)
-class ContestRules:
-    salary_cap: int = SALARY_CAP_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,6 @@ class Lineup:
     flex_config: tuple[int, int, int]
     total_salary: int
     predicted_fpts: float
-    actual_fpts: Optional[float] = None
 
 
 def _assign_slots(by_position: dict[str, list[Candidate]], config) -> list[tuple[str, str]]:
@@ -221,30 +213,27 @@ def _dp_solve(
     return solutions, tied
 
 
-def solve_flex_configs(candidates: list[Candidate], rules: ContestRules) -> list[Optional[Lineup]]:
+def solve_flex_configs(candidates: list[Candidate], salary_cap: int) -> list[Optional[Lineup]]:
     """Provably optimal lineup of each flex configuration, in FLEX_CONFIGS order.
 
     One DP serves all three configurations; an infeasible one is None.
     Exact objective ties resolve to the lexicographically smallest sorted
-    player-id tuple.
+    player-id tuple.  The DP is exact on any pool; it does not prune, so
+    callers that want a small pool pass only the ``undominated`` players.
     """
-    cands = sorted(candidates, key=lambda c: c.player_id)
-    for prev, cand in zip(cands, cands[1:]):
+    pool = sorted(candidates, key=lambda c: c.player_id)
+    for prev, cand in zip(pool, pool[1:]):
         if prev.player_id == cand.player_id:
             raise ValueError(f"duplicate candidate id {cand.player_id!r}")
-    keep = undominated(
-        [c.position for c in cands], [c.salary for c in cands], [c.predicted_fpts for c in cands]
-    )
-    pool = [c for c, kept in zip(cands, keep) if kept]
     # Far above the rounding of a nine-term sum (about 2**-50 of its size)
     # and far below any real FPTS gap.  Not a config key: every margin in
     # that range gives the same lineups and only sets how often the
     # id-order solve runs.
     tol = 2.0**-40 * (1 + LINEUP_SIZE * max((abs(c.predicted_fpts) for c in pool), default=0.0))
     grouped = sorted(pool, key=lambda c: _GROUP_RANK[c.position])  # stable: id order within
-    solutions, tied = _dp_solve(grouped, rules.salary_cap, tol)
+    solutions, tied = _dp_solve(grouped, salary_cap, tol)
     if tied:
-        solutions, _ = _dp_solve(pool, rules.salary_cap, 0.0)
+        solutions, _ = _dp_solve(pool, salary_cap, 0.0)
     # Re-sorted so predicted_fpts is summed in id order whichever solve ran:
     # it decides the cross-configuration choice down to its last bit.
     return [
@@ -253,13 +242,13 @@ def solve_flex_configs(candidates: list[Candidate], rules: ContestRules) -> list
     ]
 
 
-def optimize_all_flex(candidates: list[Candidate], rules: ContestRules) -> Lineup:
+def optimize_all_flex(candidates: list[Candidate], salary_cap: int) -> Lineup:
     """Best lineup over the three flex configurations.
 
     Exact objective ties resolve to the lexicographically smallest sorted
     player-id tuple.
     """
-    results = [lu for lu in solve_flex_configs(candidates, rules) if lu is not None]
+    results = [lu for lu in solve_flex_configs(candidates, salary_cap) if lu is not None]
     if results:
         return min(results, key=lambda lu: (-lu.predicted_fpts, lu.players))
     available = Counter(c.position for c in candidates)
@@ -270,7 +259,7 @@ def optimize_all_flex(candidates: list[Candidate], rules: ContestRules) -> Lineu
             for p, k in counts.items()
             if available[p] < k
         ]
-        reason = ", ".join(short) or f"no lineup fits the ${rules.salary_cap:,} salary cap"
+        reason = ", ".join(short) or f"no lineup fits the ${salary_cap:,} salary cap"
         reasons.append(f"{config}: {reason}")
     raise InfeasibleLineupError("all flex configurations infeasible: " + "; ".join(reasons))
 
@@ -287,19 +276,9 @@ def modal_lineup(lineups: list[Lineup]) -> Lineup:
     return next(lu for lu in lineups if lu.players == winner)
 
 
-def score_lineup(lineup: Lineup, actuals: dict[str, float]) -> float:
-    """Sum of the lineup's actual FPTS; raises if any player is missing."""
-    total = 0.0
-    for pid in lineup.players:
-        if pid not in actuals:
-            raise MissingActualError(pid)
-        total += actuals[pid]
-    return total
-
-
 def validate_lineup(
     lineup: Lineup,
-    rules: ContestRules,
+    salary_cap: int,
     salary_by_id: dict[str, int],
     position_by_id: dict[str, str],
     min_salary: int = 0,
@@ -323,8 +302,8 @@ def validate_lineup(
             if counts[pos] != needed:
                 problems.append(f"position {pos}: have {counts[pos]}, need {needed}")
     total = sum(salary_by_id[pid] for pid in lineup.players)
-    if total > rules.salary_cap:
-        problems.append(f"salary {total} exceeds cap {rules.salary_cap}")
+    if total > salary_cap:
+        problems.append(f"salary {total} exceeds cap {salary_cap}")
     if total < min_salary:
         problems.append(f"salary {total} below minimum {min_salary}")
     return problems

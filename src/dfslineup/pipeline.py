@@ -1,9 +1,10 @@
 """File-based pipeline stages: ingest -> predict -> optimize -> validate -> report.
 
 Each stage reads the previous stage's artifacts from the output directory
-and writes its own.  All writes go through a temp-file-then-rename helper so
-a failing stage leaves no partial artifact behind.  Every float written to a
-text artifact uses repr(), which keeps reruns byte-identical.
+and writes its own, through the temp-file-then-rename helpers of
+``report``.  Every float written to a text artifact uses repr(), which
+keeps reruns byte-identical.  ``report`` holds the last stage, which needs
+no numpy; it is re-exported here so every stage is ``pipeline.cmd_<stage>``.
 """
 
 from __future__ import annotations
@@ -23,43 +24,30 @@ from .ensemble import (
     sample_matrix,
     train_ensemble,
 )
-from .optimizer import (
-    Candidate,
-    Lineup,
-    modal_lineup,
-    optimize_all_flex,
-    score_lineup,
-    undominated,
+from .optimizer import Candidate, Lineup, modal_lineup, optimize_all_flex, undominated
+from .report import (  # noqa: F401  cmd_report: re-exported
+    BOXPLOT,
+    ELIGIBILITY,
+    HISTOGRAMS,
+    LINEUP_CSV,
+    LINEUP_JSON,
+    PERCENTILES,
+    PREDICT_WINDOW,
+    PREDICTIONS,
+    SAMPLES,
+    TRAIN_WINDOW,
+    VALIDATION_JSON,
+    _out,
+    _require,
+    _write_json,
+    _write_text,
+    cmd_report,
 )
 from .seeds import mix64
-
-TRAIN_WINDOW = "train_window.npz"
-PREDICT_WINDOW = "predict_window.npz"
-ELIGIBILITY = "eligibility.csv"
-PREDICTIONS = "predictions.csv"
-SAMPLES = "samples.npz"
-LINEUP_CSV = "lineup.csv"
-LINEUP_JSON = "lineup.json"
-VALIDATION_JSON = "validation_report.json"
-PERCENTILES = "percentiles.csv"
-HISTOGRAMS = "histograms.csv"
-BOXPLOT = "boxplot.csv"
-REPORT_TXT = "report.txt"
 
 # Salts that derive the validate stage's seeds from master_seed.
 RANDOM_SALT = 0xBA5E
 BOOTSTRAP_SALT = 0xB007
-
-
-def _out(cfg: RunConfig, name: str) -> Path:
-    return Path(cfg.output_dir) / name
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _write_npz(path: Path, **arrays) -> None:
@@ -69,18 +57,8 @@ def _write_npz(path: Path, **arrays) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def _require(path: Path, stage: str) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run `{stage}` first")
-    return path
 
 
 # ---------------------------------------------------------------- ingest
@@ -189,7 +167,7 @@ def _load_samples(cfg: RunConfig):
 # -------------------------------------------------------------- optimize
 
 
-def solve_per_model(ids, samples, salary, position, rules) -> list[Lineup]:
+def solve_per_model(ids, samples, salary, position, salary_cap: int) -> list[Lineup]:
     """One exact solve per model row of the sample matrix.
 
     Each row is pruned on arrays first, so only the players that can be in
@@ -210,15 +188,14 @@ def solve_per_model(ids, samples, salary, position, rules) -> list[Lineup]:
             )
             for j in np.flatnonzero(undominated(position, salary, row))
         ]
-        lineups.append(optimize_all_flex(candidates, rules))
+        lineups.append(optimize_all_flex(candidates, salary_cap))
     return lineups
 
 
 def cmd_optimize(cfg: RunConfig) -> None:
     """Solve every model's lineup and export the modal lineup with its interval."""
     ids, samples, salary, position = _load_samples(cfg)
-    rules = cfg.rules()
-    lineups = solve_per_model(ids, samples, salary, position, rules)
+    lineups = solve_per_model(ids, samples, salary, position, cfg.salary_cap)
     modal = modal_lineup(lineups)
     modal_count = sum(1 for lu in lineups if lu.players == modal.players)
 
@@ -297,14 +274,11 @@ def cmd_validate(cfg: RunConfig) -> None:
         )
         return
 
-    modal = Lineup(
-        players=tuple(lineup_info["players"]),
-        slots=[tuple(s) for s in lineup_info["slots"]],
-        flex_config=tuple(lineup_info["flex_config"]),
-        total_salary=lineup_info["total_salary"],
-        predicted_fpts=lineup_info["predicted_mean"],
-    )
-    score = score_lineup(modal, actuals)
+    # Left to right: sum() compensates its float additions from Python 3.12
+    # on, which would move the last bits of the score.
+    score = 0.0
+    for pid in lineup_info["players"]:
+        score += actuals[pid]
 
     pool = [
         Candidate(rec.player_id, rec.position, rec.salary, rec.fpts)
@@ -312,9 +286,8 @@ def cmd_validate(cfg: RunConfig) -> None:
         if rec.week == week and rec.draftable and rec.fpts is not None and rec.fpts > 0
     ]
     rb = cfg.random_baseline
-    rules = cfg.rules()
     draws = stats.random_population(
-        pool, rules, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT)
+        pool, cfg.salary_cap, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT)
     )
     fpts = np.array([c.predicted_fpts for c in pool])
     random_pop = stats.PopulationStats(samples=fpts[draws].sum(axis=1), label="random")
@@ -388,49 +361,3 @@ def cmd_validate(cfg: RunConfig) -> None:
     _write_text(_out(cfg, PERCENTILES), "\n".join(perc_lines) + "\n")
     _write_text(_out(cfg, BOXPLOT), "\n".join(box_lines) + "\n")
     _write_text(_out(cfg, HISTOGRAMS), "\n".join(hist_lines) + "\n")
-
-
-# ---------------------------------------------------------------- report
-
-
-def cmd_report(cfg: RunConfig) -> str:
-    """Render the validation bundle as plain text; returns the text."""
-    with open(_require(_out(cfg, VALIDATION_JSON), "validate"), encoding="utf-8") as fh:
-        report = json.load(fh)
-    with open(_require(_out(cfg, LINEUP_JSON), "optimize"), encoding="utf-8") as fh:
-        lineup = json.load(fh)
-
-    lines = [
-        f"Week {report['week']} lineup validation",
-        "=" * 34,
-        f"modal lineup: {lineup['modal_count']} of {lineup['n_models']} models",
-    ]
-    if report["status"] != "valid":
-        lines.append(f"status: {report['status']}")
-        lines.append(f"missing actuals: {', '.join(report['missing_actuals'])}")
-    else:
-        lo, hi = report["predicted_ci"]
-        lines.append(
-            f"predicted FPTS: {report['predicted_fpts']:.1f} [{lo:.1f}, {hi:.1f}]"
-        )
-        lines.append(f"actual FPTS:    {report['actual_fpts']:.2f}")
-        lines.append("")
-        for key, title in (("random", "Random lineups"), ("real_world", "Real-world users")):
-            if key not in report:
-                continue
-            s = report[key]
-            plo, phi = s["percentile_ci"]
-            lines.append(
-                f"{title}: n={s['n']}, mean {s['mean_fpts']:.1f}, "
-                f"percentile {s['percentile']:.1f} [{plo:.1f}, {phi:.1f}], "
-                f"KS D={s['ks_statistic']:.4f} (p={s['ks_p_value']:.3g})"
-            )
-        if "welch_t" in report:
-            w = report["welch_t"]
-            lines.append(
-                f"real vs random: t={w['statistic']:.3f} (df={w['df']:.1f}, "
-                f"p={w['p_value']:.3g}), Cohen's d={report['cohens_d']:.3f}"
-            )
-    text = "\n".join(lines) + "\n"
-    _write_text(_out(cfg, REPORT_TXT), text)
-    return text

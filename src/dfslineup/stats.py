@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     ZeroVarianceError,
 )
-from .optimizer import _MAX_COUNTS, POSITION_COUNTS, ContestRules
+from .optimizer import _MAX_COUNTS, POSITION_COUNTS
 from .seeds import mix64
 from .special import kolmogorov_sf, normal_cdf, student_t_sf2
 
@@ -179,7 +179,7 @@ def _draw_block(rng, groups, keep, config_ok, salary, band):
 
 
 def random_population(
-    pool, rules: ContestRules, count: int, min_salary: int, seed: int
+    pool, salary_cap: int, count: int, min_salary: int, seed: int
 ) -> np.ndarray:
     """`count` uniform slot-wise random lineups with salary in [min_salary, cap].
 
@@ -191,7 +191,7 @@ def random_population(
     a smaller count gives a prefix of a larger one.  MAX_REJECTIONS
     consecutive misses raise NoFeasibleSampleError.
     """
-    if min_salary > rules.salary_cap:
+    if min_salary > salary_cap:
         raise ValueError("min_salary exceeds the salary cap")
     bad = [c.player_id for c in pool if c.predicted_fpts <= 0.0]
     if bad:
@@ -215,7 +215,7 @@ def random_population(
          for counts in POSITION_COUNTS]
     )
     salary = np.array([c.salary for c in pool], dtype=np.int64)
-    band = (min_salary, rules.salary_cap)
+    band = (min_salary, salary_cap)
 
     chunks, misses, need = [], 0, count
     for block in itertools.count():
@@ -229,7 +229,7 @@ def random_population(
         if np.any(np.diff(marks) > MAX_REJECTIONS):
             raise NoFeasibleSampleError(
                 f"{MAX_REJECTIONS} consecutive draws missed the salary band "
-                f"[{min_salary}, {rules.salary_cap}]"
+                f"[{min_salary}, {salary_cap}]"
             )
         chunks.append(rows[hits])
         if not need:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dfslineup.data import POSITIONS, load_player_weeks
-from dfslineup.optimizer import Candidate, ContestRules
+from dfslineup.optimizer import Candidate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -48,8 +48,8 @@ def week8_pool(season_table):
 
 
 @pytest.fixture
-def rules() -> ContestRules:
-    return ContestRules()
+def salary_cap() -> int:
+    return 50_000
 
 
 def _candidate(rng: np.random.Generator, i: int, pos: str, tie_heavy: bool) -> Candidate:

@@ -20,13 +20,9 @@ from dfslineup.cli import EXIT_OK, main
 from dfslineup.errors import InfeasibleLineupError
 from dfslineup.data import build_window
 from dfslineup.ensemble import sample_matrix, train_ensemble
-from dfslineup.network import (
-    TrainingConfig,
-    loss_and_gradient,
-    train,
-)
+from dfslineup.config import TrainingConfig
+from dfslineup.network import loss_and_gradient, train
 from dfslineup.optimizer import (
-    ContestRules,
     modal_lineup,
     optimize_all_flex,
     solve_flex_configs,
@@ -58,17 +54,16 @@ class TestSolverExactness:
         for trial in range(200):
             pool = make_pool(rng, int(rng.integers(13, 17)), tie_heavy=trial % 4 == 0)
             cap = int(rng.integers(250, 480)) * 100
-            rules = ContestRules(salary_cap=cap)
 
             oracle = brute_force_config(pool, FLEX_COUNTS[trial % 3], cap)
             if oracle is None:
                 continue
-            got = solve_flex_configs(pool, rules)[trial % 3]
+            got = solve_flex_configs(pool, cap)[trial % 3]
             assert got.predicted_fpts == pytest.approx(oracle[0], abs=1e-9)
             assert got.players == oracle[1]
 
             best_value, best_ids = brute_force_all_flex(pool, cap)
-            flexed = optimize_all_flex(pool, rules)
+            flexed = optimize_all_flex(pool, cap)
             assert flexed.predicted_fpts == pytest.approx(best_value, abs=1e-9)
             assert flexed.players == best_ids
         assert time.perf_counter() - start < 10.0
@@ -79,21 +74,21 @@ class TestLineupValidity:
 
     def test_solver_lineups_all_validate(self):
         rng = np.random.default_rng(0xACC2)
+        salary_cap = 50_000
         for trial in range(100):
             pool = make_pool(rng, int(rng.integers(13, 30)), tie_heavy=trial % 5 == 0)
-            rules = ContestRules()
             try:
-                lineup = optimize_all_flex(pool, rules)
+                lineup = optimize_all_flex(pool, salary_cap)
             except InfeasibleLineupError:  # small pools can price out of the cap
                 continue
             salary, position = _maps(pool)
-            assert validate_lineup(lineup, rules, salary, position) == []
+            assert validate_lineup(lineup, salary_cap, salary, position) == []
 
     def test_35000_random_draws_all_validate(self, week8_pool):
-        rules = ContestRules()
-        draws = random_population(week8_pool, rules, 35_000, 45_000, seed=MASTER_SEED)
+        salary_cap = 50_000
+        draws = random_population(week8_pool, salary_cap, 35_000, 45_000, seed=MASTER_SEED)
         assert draws.shape == (35_000, 9)
-        assert all(random_rows_ok(week8_pool, draws, 45_000, rules.salary_cap))
+        assert all(random_rows_ok(week8_pool, draws, 45_000, salary_cap))
 
 
 class TestGradientExactness:
@@ -112,9 +107,7 @@ class TestGradientExactness:
             l2 = float(rng.choice([0.0, 1e-3, 1e-2]))
 
             _, grad = loss_and_gradient(net, norm, x, y, l2)
-            analytic = np.concatenate(
-                [grad.w1.ravel(), grad.b1.ravel(), grad.w2.ravel(), grad.b2.ravel()]
-            )
+            analytic = np.concatenate([g.ravel() for g in grad])
             theta = flat_params(net)
             numeric = np.empty_like(theta)
             for i in range(len(theta)):
@@ -164,7 +157,7 @@ class TestModalConvergence:
         ids = predict_w.player_ids
         salary = np.array([week8[p].salary for p in ids])
         position = [week8[p].position for p in ids]
-        lineups = solve_per_model(ids, samples, salary, position, ContestRules())
+        lineups = solve_per_model(ids, samples, salary, position, 50_000)
 
         first_100 = modal_lineup(lineups[:100])
         full = modal_lineup(lineups)

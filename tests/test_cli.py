@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +16,12 @@ import yaml
 from dfslineup import ensemble
 from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from dfslineup.data import load_player_weeks
-from dfslineup.optimizer import ContestRules, Lineup, validate_lineup
+from dfslineup.optimizer import Lineup, validate_lineup
 
 from .conftest import FIXTURES
 
 N_MODELS = 4
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, **overrides):
@@ -87,7 +92,7 @@ class TestPipelineArtifacts:
         )
         salary = {r.player_id: r.salary for r in season_table if r.week == 8}
         position = {r.player_id: r.position for r in season_table if r.week == 8}
-        assert validate_lineup(lineup, ContestRules(), salary, position) == []
+        assert validate_lineup(lineup, 50_000, salary, position) == []
         assert info["total_salary"] == sum(salary[p] for p in info["players"])
 
     def test_validation_report_fields(self, full_run):
@@ -122,6 +127,28 @@ class TestPipelineArtifacts:
             )
         for name in ("train_window.npz", "predictions.csv", "samples.npz", "lineup.json"):
             assert (other / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["config-init", "report"])
+    def test_light_commands_do_not_load_numpy(self, full_run, tmp_path, command):
+        _, config = full_run
+        if command == "config-init":
+            config = tmp_path / "new.yaml"
+        code = (
+            "import sys\n"
+            "from dfslineup.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print('numpy' in sys.modules)\n"
+            "sys.exit(status)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, command, "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 class TestOptions:
@@ -211,6 +238,37 @@ class TestExitCodes:
         config = write_config(tmp_path, **{section: {**base[section], key: value}})
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("target_week", "8"),
+            ("n_models", True),
+            ("master_seed", 1.5),
+            ("output_dir", 5),
+            ("report.ci_level", "0.9"),
+            ("report.histogram_bin_width", True),
+            ("training", 5),
+            ("training.patience", "x"),
+            ("training.hidden_units", 0),
+            ("training.learning_rate", -1.0),
+            ("training.momentum", 1.0),
+            ("training.l2_penalty", -0.1),
+            ("training.patience", 0),
+            ("training.max_epochs", 0),
+            ("training.train_fraction", 1.0),
+        ],
+    )
+    def test_mistyped_or_out_of_range_value(self, tmp_path, capsys, key, value):
+        base = yaml.safe_load(write_config(tmp_path).read_text(encoding="utf-8"))
+        section, _, name = key.rpartition(".")
+        if section:
+            base[section] = {**base.get(section, {}), name: value}
+        else:
+            base[name] = value
+        config = write_config(tmp_path, **base)
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert key in capsys.readouterr().err
 
     def test_removed_two_team_key_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, require_two_teams=False)

@@ -8,12 +8,12 @@ from dfslineup.config import (
     RandomBaselineConfig,
     ReportConfig,
     RunConfig,
+    TrainingConfig,
     config_from_dict,
     load_config,
     save_config,
 )
 from dfslineup.errors import ConfigError
-from dfslineup.network import TrainingConfig
 
 
 def test_defaults_validate():
@@ -46,6 +46,10 @@ def test_unknown_keys_rejected():
         config_from_dict({"target_weak": 8})
     with pytest.raises(ConfigError, match="unknown keys in 'training'"):
         config_from_dict({"training": {"hidden": 19}})
+    with pytest.raises(ConfigError, match=r"unknown config keys: \[1, 'foo'\]"):
+        config_from_dict({1: 2, "foo": 3})
+    with pytest.raises(ConfigError, match=r"unknown keys in 'training' section: \[1, 'x'\]"):
+        config_from_dict({"training": {1: 2, "x": 3}})
 
 
 @pytest.mark.parametrize(
@@ -86,4 +90,10 @@ def test_empty_file_gives_defaults(tmp_path):
 
 def test_rules_reflect_config():
     cfg = config_from_dict({"salary_cap": 55_000})
-    assert cfg.rules().salary_cap == 55_000
+    assert cfg.salary_cap == 55_000
+
+
+def test_float_field_takes_an_int_and_optional_path_takes_none():
+    cfg = config_from_dict({"training": {"learning_rate": 1}, "exclusions_file": None})
+    assert cfg.training.learning_rate == 1
+    assert cfg.exclusions_file is None

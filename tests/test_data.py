@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,7 +73,7 @@ class TestParsing:
     def test_fixture_loads_completely(self, season_table):
         assert len(season_table) == 5100
         assert len(season_table.player_ids()) == 300
-        assert season_table.weeks_present() == set(range(1, 18))
+        assert {rec.week for rec in season_table} == set(range(1, 18))
 
     def test_good_row_round_trip(self, tmp_path):
         table = load_player_weeks(write_csv(tmp_path, GOOD_ROW))
@@ -279,3 +283,12 @@ class TestWindows:
             assert np.all(np.isfinite(ds.features))
             assert np.all(ds.features[:, POS_SLICE].sum(axis=1) == 1.0)
             assert ds.features.shape == (len(ds), N_FEATURES)
+
+
+def test_fixture_generator_reproduces_the_committed_fixtures():
+    """The one generator of tests/fixtures/ still writes them byte for byte."""
+    script = Path(__file__).resolve().parents[1] / "benchmark" / "gen_season.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--self-check"], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

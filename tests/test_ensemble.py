@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dfslineup.config import TrainingConfig
 from dfslineup.data import N_FEATURES, WindowDataset
 from dfslineup.ensemble import (
     lineup_prediction_interval,
@@ -13,7 +14,6 @@ from dfslineup.ensemble import (
     sample_matrix,
     train_ensemble,
 )
-from dfslineup.network import TrainingConfig
 from dfslineup.seeds import mix64
 
 from .test_network import make_dataset

@@ -5,19 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dfslineup.config import TrainingConfig
 from dfslineup.data import N_FEATURES, WindowDataset
 from dfslineup.errors import TrainingDivergedError
 from dfslineup.network import (
     Network,
     NormStats,
-    TrainingConfig,
-    forward,
     init_network,
     loss_and_gradient,
     mse,
     norm_stats,
     predict_batch,
-    save_model,
     split_data,
     train,
 )
@@ -66,32 +64,28 @@ def set_flat(net, vec):
     return out
 
 
+def reference(net, norm, x):
+    return reference_forward(net.w1, net.b1, net.w2, net.b2, norm.mean, norm.std, x)
+
+
 class TestForward:
     def test_matches_scalar_reference(self):
+        """One-row batches, one random network each."""
         rng = np.random.default_rng(0)
         for _ in range(20):
             net, norm = random_net(rng), random_norm(rng)
             x = rng.normal(0, 2, 7)
-            want = reference_forward(net.w1, net.b1, net.w2, net.b2, norm.mean, norm.std, x)
-            assert forward(net, norm, x) == pytest.approx(want, abs=1e-12)
-
-    def test_rejects_bad_input(self):
-        rng = np.random.default_rng(1)
-        net, norm = random_net(rng), random_norm(rng)
-        with pytest.raises(ValueError):
-            forward(net, norm, np.zeros(6))
-        bad = np.zeros(7)
-        bad[3] = np.nan
-        with pytest.raises(ValueError):
-            forward(net, norm, bad)
+            (got,) = predict_batch(net, norm, x[None, :])
+            assert got == pytest.approx(reference(net, norm, x), abs=1e-12)
 
     def test_predict_batch_matches_forward(self):
+        """Every row of a multi-row batch matches the scalar reference."""
         rng = np.random.default_rng(2)
         net, norm = random_net(rng), random_norm(rng)
         x = rng.normal(0, 1, (9, 7))
         batch = predict_batch(net, norm, x)
         for i in range(9):
-            assert batch[i] == pytest.approx(forward(net, norm, x[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(reference(net, norm, x[i]), abs=1e-12)
 
 
 class TestGradient:
@@ -108,7 +102,7 @@ class TestGradient:
             lam = float(rng.choice([0.0, 1e-3, 1e-2]))
 
             _, grad = loss_and_gradient(net, norm, x, y, lam)
-            analytic = np.concatenate([g.ravel() for g in (grad.w1, grad.b1, grad.w2, grad.b2)])
+            analytic = np.concatenate([g.ravel() for g in grad])
             theta = flat_params(net)
             numeric = np.empty_like(theta)
             for k in range(len(theta)):
@@ -135,9 +129,11 @@ class TestGradient:
         assert loss1 == pytest.approx(
             loss0 + 0.1 * (np.sum(net.w1**2) + np.sum(net.w2**2))
         )
-        assert np.allclose(grad0.b1, grad1.b1)
-        assert np.allclose(grad0.b2, grad1.b2)
-        assert not np.allclose(grad0.w1, grad1.w1)
+        w1, b1, w2, b2 = 0, 1, 2, 3  # Network.params() order
+        assert np.allclose(grad0[b1], grad1[b1])
+        assert np.allclose(grad0[b2], grad1[b2])
+        assert not np.allclose(grad0[w1], grad1[w1])
+        assert not np.allclose(grad0[w2], grad1[w2])
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(5)
@@ -221,22 +217,3 @@ class TestTraining:
         # Retraining with more epochs can only improve or match best-val MSE.
         longer = train(ds, TrainingConfig(max_epochs=400), seed=9)
         assert longer.val_mse <= model.val_mse + 1e-12
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        ds = make_dataset(np.random.default_rng(15), n=40)
-        model = train(ds, TrainingConfig(max_epochs=30), seed=4)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        from dfslineup.network import load_model
-
-        back = load_model(path)
-        for a, b in zip(model.network.params(), back.network.params()):
-            assert np.array_equal(a, b)
-        assert np.array_equal(model.norm.mean, back.norm.mean)
-        assert np.array_equal(model.norm.std, back.norm.std)
-        assert back.seed == model.seed
-        assert back.val_mse == model.val_mse
-        x = ds.features[0]
-        assert forward(back.network, back.norm, x) == forward(model.network, model.norm, x)

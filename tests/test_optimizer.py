@@ -7,17 +7,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dfslineup.errors import InfeasibleLineupError, MissingActualError
+from dfslineup.errors import InfeasibleLineupError
 from dfslineup.optimizer import (
     _GROUP_RANK,
     LINEUP_SIZE,
     Candidate,
-    ContestRules,
     Lineup,
     _dp_solve,
     modal_lineup,
     optimize_all_flex,
-    score_lineup,
     solve_flex_configs,
     undominated,
     validate_lineup,
@@ -49,32 +47,32 @@ class TestCandidates:
         with pytest.raises(ValueError):
             Candidate("A", "QB", True, 1.0)
 
-    def test_rules_reject_unknown_flex_config(self, rules):
+    def test_rules_reject_unknown_flex_config(self, salary_cap):
         pool = make_pool(np.random.default_rng(56), 16)
-        lineup = optimize_all_flex(pool, rules)
+        lineup = optimize_all_flex(pool, salary_cap)
         lineup.flex_config = (3, 4, 1)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
-        problems = validate_lineup(lineup, rules, salary, position)
+        problems = validate_lineup(lineup, salary_cap, salary, position)
         assert problems == ["unknown flex configuration (3, 4, 1)"]
 
-    def test_duplicate_ids_rejected(self, rules):
+    def test_duplicate_ids_rejected(self, salary_cap):
         pool = make_pool(np.random.default_rng(0), 14)
         pool.append(pool[0])
         with pytest.raises(ValueError, match="duplicate"):
-            solve_flex_configs(pool, rules)
+            solve_flex_configs(pool, salary_cap)
 
 
 class TestBruteForceAgreement:
     @pytest.mark.parametrize("tie_heavy", [False, True])
-    def test_matches_oracle_objective_and_identity(self, rules, tie_heavy):
+    def test_matches_oracle_objective_and_identity(self, salary_cap, tie_heavy):
         rng = np.random.default_rng(42 if tie_heavy else 43)
         for trial in range(40):
             pool = make_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
-            lineups = solve_flex_configs(pool, rules)
+            lineups = solve_flex_configs(pool, salary_cap)
             assert len(lineups) == len(FLEX_COUNTS)
             for counts, lineup in zip(FLEX_COUNTS, lineups):
-                want = brute_force_config(pool, counts, rules.salary_cap)
+                want = brute_force_config(pool, counts, salary_cap)
                 if want is None:
                     assert lineup is None
                 else:
@@ -82,13 +80,13 @@ class TestBruteForceAgreement:
                     assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
                     assert lineup.players == want[1]
 
-    def test_all_flex_matches_oracle(self, rules):
+    def test_all_flex_matches_oracle(self, salary_cap):
         rng = np.random.default_rng(44)
         for trial in range(30):
             pool = make_pool(rng, 15, tie_heavy=(trial % 2 == 0))
-            want = brute_force_all_flex(pool, rules.salary_cap)
+            want = brute_force_all_flex(pool, salary_cap)
             try:
-                lineup = optimize_all_flex(pool, rules)
+                lineup = optimize_all_flex(pool, salary_cap)
                 got = (lineup.predicted_fpts, lineup.players)
             except InfeasibleLineupError:
                 got = None
@@ -105,21 +103,21 @@ class TestBruteForceAgreement:
         rng = np.random.default_rng(60 if tie_heavy else 61)
         for trial in range(200):
             pool = make_shuffled_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
-            rules = ContestRules(salary_cap=int(rng.integers(250, 480)) * 100)
-            for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(pool, rules)):
-                want = brute_force_config(pool, counts, rules.salary_cap)
+            salary_cap = int(rng.integers(250, 480)) * 100
+            for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(pool, salary_cap)):
+                want = brute_force_config(pool, counts, salary_cap)
                 if want is None:
                     assert lineup is None
                 else:
                     assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
                     assert lineup.players == want[1]
-            want = brute_force_all_flex(pool, rules.salary_cap)
+            want = brute_force_all_flex(pool, salary_cap)
             if want is not None:
-                lineup = optimize_all_flex(pool, rules)
+                lineup = optimize_all_flex(pool, salary_cap)
                 assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
                 assert lineup.players == want[1]
 
-    def test_exact_tie_reaches_the_id_order_solve(self, rules):
+    def test_exact_tie_reaches_the_id_order_solve(self, salary_cap):
         # Seven $5,000 starters leave $15,000 for one RB and one WR.  Two pairs
         # tie at 30: (RB B $9,000, WR C $6,000) and (RB D $6,000, WR A $9,000).
         # The grouped order meets the RBs first and keeps B; the lexicographic
@@ -138,13 +136,13 @@ class TestBruteForceAgreement:
             Candidate("WR2", "WR", 5000, 30.0),
         ]
         grouped = sorted(pool, key=lambda c: (_GROUP_RANK[c.position], c.player_id))
-        (fast, _, _), tied = _dp_solve(grouped, rules.salary_cap, 1e-9)
+        (fast, _, _), tied = _dp_solve(grouped, salary_cap, 1e-9)
         assert tied and {"B", "C"} <= {c.player_id for c in fast}
-        want = brute_force_config(pool, FLEX_COUNTS[0], rules.salary_cap)
+        want = brute_force_config(pool, FLEX_COUNTS[0], salary_cap)
         assert {"A", "D"} <= set(want[1])
-        assert solve_flex_configs(pool, rules)[0].players == want[1]
+        assert solve_flex_configs(pool, salary_cap)[0].players == want[1]
 
-    def test_pruning_never_changes_the_answer(self, rules):
+    def test_pruning_never_changes_the_answer(self, salary_cap):
         rng = np.random.default_rng(45)
         for trial in range(30):
             pool = sorted(
@@ -154,8 +152,8 @@ class TestBruteForceAgreement:
             keep = keep_mask(pool)
             pruned = [c for c, kept in zip(pool, keep) if kept]
             assert len(pruned) <= len(pool)
-            full, _ = _dp_solve(pool, rules.salary_cap, 0.0)
-            slim, _ = _dp_solve(pruned, rules.salary_cap, 0.0)
+            full, _ = _dp_solve(pool, salary_cap, 0.0)
+            slim, _ = _dp_solve(pruned, salary_cap, 0.0)
             assert len(full) == len(slim) == len(FLEX_COUNTS)
             for a, b in zip(full, slim):
                 if a is None:
@@ -174,17 +172,17 @@ class TestBruteForceAgreement:
             keep = keep_mask(pool)
             assert {c.player_id for c, kept in zip(pool, keep) if kept} == prune_keep_ids(pool)
 
-    def test_config_short_a_position_is_skipped(self, rules):
+    def test_config_short_a_position_is_skipped(self, salary_cap):
         # Exactly three WR: 2-4-1 is infeasible, the other two still compete.
         rng = np.random.default_rng(57)
         shape = {"QB": 2, "RB": 4, "WR": 3, "TE": 3, "DST": 2}
         for trial in range(20):
             pool = make_pool_with(rng, shape, tie_heavy=(trial % 2 == 0))
-            lineups = solve_flex_configs(pool, rules)
+            lineups = solve_flex_configs(pool, salary_cap)
             assert lineups[1] is None
-            want = brute_force_all_flex(pool, rules.salary_cap)
+            want = brute_force_all_flex(pool, salary_cap)
             try:
-                lineup = optimize_all_flex(pool, rules)
+                lineup = optimize_all_flex(pool, salary_cap)
                 got = (lineup.predicted_fpts, lineup.players)
             except InfeasibleLineupError:
                 got = None
@@ -195,13 +193,13 @@ class TestBruteForceAgreement:
                 assert got[0] == pytest.approx(want[0], abs=1e-9)
                 assert got[1] == want[1]
 
-    def test_no_config_coverable(self, rules):
+    def test_no_config_coverable(self, salary_cap):
         pool = make_pool_with(
             np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
         )
-        assert solve_flex_configs(pool, rules) == [None, None, None]
+        assert solve_flex_configs(pool, salary_cap) == [None, None, None]
         with pytest.raises(InfeasibleLineupError) as exc:
-            optimize_all_flex(pool, rules)
+            optimize_all_flex(pool, salary_cap)
         message = str(exc.value)
         assert "position TE: need 2 candidates, have 1" in message
         assert "position WR: need 4 candidates, have 3" in message
@@ -209,9 +207,9 @@ class TestBruteForceAgreement:
 
 
 class TestStructure:
-    def test_lineup_shape_and_slots(self, rules):
+    def test_lineup_shape_and_slots(self, salary_cap):
         rng = np.random.default_rng(46)
-        lineup = solve_flex_configs(make_pool(rng, 16), rules)[0]
+        lineup = solve_flex_configs(make_pool(rng, 16), salary_cap)[0]
         assert lineup.flex_config == (2, 3, 2)
         assert len(lineup.players) == LINEUP_SIZE
         assert lineup.players == tuple(sorted(lineup.players))
@@ -219,9 +217,9 @@ class TestStructure:
         assert labels.count("QB") == 1 and labels.count("DST") == 1
         assert labels.count("FLEX") == 1
         assert sorted(pid for _, pid in lineup.slots) == sorted(lineup.players)
-        assert lineup.total_salary <= rules.salary_cap
+        assert lineup.total_salary <= salary_cap
 
-    def test_flex_slot_gets_lowest_projection_of_its_position(self, rules):
+    def test_flex_slot_gets_lowest_projection_of_its_position(self, salary_cap):
         pool = [
             Candidate("QB1", "QB", 5000, 20.0),
             Candidate("RB1", "RB", 5000, 15.0),
@@ -233,51 +231,51 @@ class TestStructure:
             Candidate("TE2", "TE", 5000, 9.0),
             Candidate("DST1", "DST", 5000, 8.0),
         ]
-        lineup = optimize_all_flex(pool, rules)  # only 2-3-2 fits this pool
+        lineup = optimize_all_flex(pool, salary_cap)  # only 2-3-2 fits this pool
         assert lineup.flex_config == (2, 3, 2)
         slots = dict((label, pid) for label, pid in lineup.slots)
         assert slots["FLEX"] == "TE2"  # second TE is the flex
         assert slots["TE"] == "TE1"
 
-    def test_position_shortfall(self, rules):
+    def test_position_shortfall(self, salary_cap):
         pool = [c for c in make_pool(np.random.default_rng(47), 16) if c.position != "DST"]
         with pytest.raises(InfeasibleLineupError, match="position DST: need 1 candidates, have 0"):
-            optimize_all_flex(pool, rules)
+            optimize_all_flex(pool, salary_cap)
 
     def test_infeasible_when_cap_too_tight(self):
         pool = make_pool(np.random.default_rng(48), 16)
         with pytest.raises(InfeasibleLineupError):
-            optimize_all_flex(pool, ContestRules(salary_cap=10_000))
+            optimize_all_flex(pool, 10_000)
 
-    def test_monotone_in_cap(self, rules):
+    def test_monotone_in_cap(self, salary_cap):
         rng = np.random.default_rng(49)
         for _ in range(10):
             pool = make_pool(rng, 15)
             try:
-                tight = optimize_all_flex(pool, ContestRules(salary_cap=50_000))
+                tight = optimize_all_flex(pool, 50_000)
             except InfeasibleLineupError:
                 continue
-            loose = optimize_all_flex(pool, ContestRules(salary_cap=60_000))
+            loose = optimize_all_flex(pool, 60_000)
             assert loose.predicted_fpts >= tight.predicted_fpts - 1e-12
 
-    def test_adding_a_candidate_never_hurts(self, rules):
+    def test_adding_a_candidate_never_hurts(self, salary_cap):
         rng = np.random.default_rng(50)
         for _ in range(10):
             pool = make_pool(rng, 15)
-            base = optimize_all_flex(pool, rules)
+            base = optimize_all_flex(pool, salary_cap)
             bigger = pool + [Candidate("ZZZ", "WR", 3000, float(rng.uniform(1, 30)))]
-            again = optimize_all_flex(bigger, rules)
+            again = optimize_all_flex(bigger, salary_cap)
             assert again.predicted_fpts >= base.predicted_fpts - 1e-12
 
-    def test_scaling_projections_preserves_identity(self, rules):
+    def test_scaling_projections_preserves_identity(self, salary_cap):
         rng = np.random.default_rng(51)
         pool = make_pool(rng, 16)
-        base = optimize_all_flex(pool, rules)
+        base = optimize_all_flex(pool, salary_cap)
         scaled = [
             Candidate(c.player_id, c.position, c.salary, 2.0 * c.predicted_fpts)
             for c in pool
         ]
-        again = optimize_all_flex(scaled, rules)
+        again = optimize_all_flex(scaled, salary_cap)
         assert again.players == base.players
 
 
@@ -304,40 +302,33 @@ class TestModalAndScoring:
         with pytest.raises(ValueError):
             modal_lineup([])
 
-    def test_score_lineup(self):
-        lu = self.lineup("ABC")
-        assert score_lineup(lu, {"A": 1.0, "B": 2.0, "C": 3.5}) == pytest.approx(6.5)
-        with pytest.raises(MissingActualError) as exc:
-            score_lineup(lu, {"A": 1.0, "B": 2.0})
-        assert exc.value.player_id == "C"
-
 
 class TestValidator:
-    def test_accepts_solver_output(self, rules):
+    def test_accepts_solver_output(self, salary_cap):
         pool = make_pool(np.random.default_rng(52), 16)
-        lineup = optimize_all_flex(pool, rules)
+        lineup = optimize_all_flex(pool, salary_cap)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
-        assert validate_lineup(lineup, rules, salary, position) == []
+        assert validate_lineup(lineup, salary_cap, salary, position) == []
 
-    def test_flags_violations(self, rules):
+    def test_flags_violations(self, salary_cap):
         pool = make_pool(np.random.default_rng(53), 16)
-        lineup = optimize_all_flex(pool, rules)
+        lineup = optimize_all_flex(pool, salary_cap)
         position = {c.player_id: c.position for c in pool}
         # Inflated salaries push the honest total over the cap.
         salary = {c.player_id: 40_000 for c in pool}
-        problems = validate_lineup(lineup, rules, salary, position)
+        problems = validate_lineup(lineup, salary_cap, salary, position)
         assert any("exceeds cap" in p for p in problems)
         # Corrupt a position so the counts no longer match.
         position[lineup.players[0]] = "QB" if position[lineup.players[0]] != "QB" else "RB"
         salary = {c.player_id: c.salary for c in pool}
-        problems = validate_lineup(lineup, rules, salary, position)
+        problems = validate_lineup(lineup, salary_cap, salary, position)
         assert any(p.startswith("position") for p in problems)
 
-    def test_flags_min_salary(self, rules):
+    def test_flags_min_salary(self, salary_cap):
         pool = make_pool(np.random.default_rng(54), 16)
-        lineup = optimize_all_flex(pool, rules)
+        lineup = optimize_all_flex(pool, salary_cap)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
-        problems = validate_lineup(lineup, rules, salary, position, min_salary=60_000)
+        problems = validate_lineup(lineup, salary_cap, salary, position, min_salary=60_000)
         assert any("below minimum" in p for p in problems)

@@ -16,7 +16,7 @@ from dfslineup.errors import (
     ZeroVarianceError,
 )
 from dfslineup import stats
-from dfslineup.optimizer import Candidate, ContestRules
+from dfslineup.optimizer import Candidate
 from dfslineup.special import betainc, kolmogorov_sf, normal_cdf, student_t_sf2
 from dfslineup.stats import (
     PopulationStats,
@@ -196,36 +196,36 @@ class TestPercentile:
 
 
 class TestRandomLineups:
-    def test_draws_are_valid_and_deterministic(self, rules):
+    def test_draws_are_valid_and_deterministic(self, salary_cap):
         pool = make_pool(np.random.default_rng(9), 60)
-        draws = random_population(pool, rules, 50, 40_000, seed=3)
+        draws = random_population(pool, salary_cap, 50, 40_000, seed=3)
         assert draws.shape == (50, 9)
-        assert all(random_rows_ok(pool, draws, 40_000, rules.salary_cap))
-        assert np.array_equal(random_population(pool, rules, 50, 40_000, seed=3), draws)
+        assert all(random_rows_ok(pool, draws, 40_000, salary_cap))
+        assert np.array_equal(random_population(pool, salary_cap, 50, 40_000, seed=3), draws)
 
-    def test_smaller_count_is_a_prefix(self, rules):
+    def test_smaller_count_is_a_prefix(self, salary_cap):
         # 9,000 draws span more than one block of attempts.
         pool = make_pool(np.random.default_rng(9), 60)
-        many = random_population(pool, rules, 9_000, 40_000, seed=3)
+        many = random_population(pool, salary_cap, 9_000, 40_000, seed=3)
         for n in (1, 50, 4_000):
-            assert np.array_equal(random_population(pool, rules, n, 40_000, seed=3), many[:n])
+            assert np.array_equal(random_population(pool, salary_cap, n, 40_000, seed=3), many[:n])
 
-    def test_pool_order_does_not_matter(self, rules):
+    def test_pool_order_does_not_matter(self, salary_cap):
         pool = make_pool(np.random.default_rng(15), 60)
         shuffled = [pool[i] for i in np.random.default_rng(16).permutation(len(pool))]
         ids = [
             [pool[i].player_id for i in row]
-            for row in random_population(pool, rules, 200, 40_000, 5)
+            for row in random_population(pool, salary_cap, 200, 40_000, 5)
         ]
         again = [
             [shuffled[i].player_id for i in row]
-            for row in random_population(shuffled, rules, 200, 40_000, 5)
+            for row in random_population(shuffled, salary_cap, 200, 40_000, 5)
         ]
         assert again == ids
 
-    def test_rows_are_not_all_alike(self, rules):
+    def test_rows_are_not_all_alike(self, salary_cap):
         pool = make_pool(np.random.default_rng(10), 60)
-        draws = random_population(pool, rules, 30, 40_000, seed=4)
+        draws = random_population(pool, salary_cap, 30, 40_000, seed=4)
         assert len({tuple(sorted(row)) for row in draws.tolist()}) > 1
 
     def test_distribution_matches_enumeration(self):
@@ -235,7 +235,7 @@ class TestRandomLineups:
         pool = make_pool_with(
             np.random.default_rng(61), {"QB": 1, "RB": 4, "WR": 5, "TE": 3, "DST": 1}
         )
-        rules, min_salary = ContestRules(salary_cap=55_000), 46_000
+        salary_cap, min_salary = 55_000, 46_000
         weight, rejected = {}, 0
         for counts in FLEX_COUNTS:
             combos = [
@@ -245,13 +245,13 @@ class TestRandomLineups:
             lineups = [sum(parts, ()) for parts in itertools.product(*combos)]
             for lineup in lineups:
                 salary = sum(pool[i].salary for i in lineup)
-                if min_salary <= salary <= rules.salary_cap:
+                if min_salary <= salary <= salary_cap:
                     weight[frozenset(lineup)] = 1.0 / (3 * len(lineups))
                 else:
                     rejected += 1
         assert len(weight) + rejected == 390 and rejected > 0
         n = 60_000
-        draws = random_population(pool, rules, n, min_salary, seed=17)
+        draws = random_population(pool, salary_cap, n, min_salary, seed=17)
         seen = {}
         for row in draws.tolist():
             key = frozenset(row)
@@ -273,7 +273,7 @@ class TestRandomLineups:
             ([5], True),  # misses run on after the last hit
         ],
     )
-    def test_rejection_budget_counts_across_blocks(self, rules, monkeypatch, hits, fails):
+    def test_rejection_budget_counts_across_blocks(self, salary_cap, monkeypatch, hits, fails):
         # The in-band attempts are scripted; count=2 needs two of them.
         calls = []
 
@@ -292,44 +292,44 @@ class TestRandomLineups:
         pool = make_pool(np.random.default_rng(9), 60)
         if fails:
             with pytest.raises(NoFeasibleSampleError):
-                random_population(pool, rules, 2, 40_000, seed=1)
+                random_population(pool, salary_cap, 2, 40_000, seed=1)
         else:
-            assert random_population(pool, rules, 2, 40_000, seed=1).shape == (2, 9)
+            assert random_population(pool, salary_cap, 2, 40_000, seed=1).shape == (2, 9)
 
-    def test_rejects_nonpositive_fpts(self, rules):
+    def test_rejects_nonpositive_fpts(self, salary_cap):
         pool = make_pool(np.random.default_rng(11), 30)
         pool[5] = Candidate(pool[5].player_id, pool[5].position, pool[5].salary, 0.0)
         with pytest.raises(ValueError, match="zero-FPTS"):
-            random_population(pool, rules, 1, 0, seed=1)
+            random_population(pool, salary_cap, 1, 0, seed=1)
 
-    def test_position_shortfall(self, rules):
+    def test_position_shortfall(self, salary_cap):
         pool = [c for c in make_pool(np.random.default_rng(12), 40) if c.position != "QB"]
         with pytest.raises(PositionShortfallError):
-            random_population(pool, rules, 1, 0, seed=1)
+            random_population(pool, salary_cap, 1, 0, seed=1)
 
-    def test_shortfall_names_first_short_position(self, rules):
+    def test_shortfall_names_first_short_position(self, salary_cap):
         # No flex configuration is coverable; the first shortfall of the
         # 2-3-2 configuration is reported.
         pool = make_pool_with(
             np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
         )
         with pytest.raises(PositionShortfallError, match="need 2 candidates, have 1") as exc:
-            random_population(pool, rules, 1, 0, seed=1)
+            random_population(pool, salary_cap, 1, 0, seed=1)
         assert exc.value.position == "TE"
 
-    def test_min_salary_above_cap_rejected(self, rules):
+    def test_min_salary_above_cap_rejected(self, salary_cap):
         pool = make_pool(np.random.default_rng(13), 30)
         with pytest.raises(ValueError):
-            random_population(pool, rules, 1, 50_001, seed=1)
+            random_population(pool, salary_cap, 1, 50_001, seed=1)
 
-    def test_unreachable_band_raises(self, rules):
+    def test_unreachable_band_raises(self, salary_cap):
         # Every salary is 2000, so any lineup totals 18,000 < 45,000.
         pool = [
             Candidate(c.player_id, c.position, 2000, c.predicted_fpts)
             for c in make_pool(np.random.default_rng(14), 30)
         ]
         with pytest.raises(NoFeasibleSampleError):
-            random_population(pool, rules, 1, 45_000, seed=1)
+            random_population(pool, salary_cap, 1, 45_000, seed=1)
 
 
 class TestDescriptive:
