@@ -17,7 +17,6 @@ from .errors import (
     DuplicateKeyError,
     EnsembleTrainingError,
     InfeasibleLineupError,
-    InsufficientHistoryError,
     NoFeasibleSampleError,
     PositionShortfallError,
     SchemaError,
@@ -36,7 +35,6 @@ _INPUT_ERRORS = (
     ConfigError,
     SchemaError,
     DuplicateKeyError,
-    InsufficientHistoryError,
     WindowRangeError,
     FileNotFoundError,
     ValueError,

@@ -6,16 +6,11 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DuplicateKeyError,
-    InsufficientHistoryError,
-    SchemaError,
-    WindowRangeError,
-)
+from .errors import DuplicateKeyError, SchemaError, WindowRangeError
 
 log = logging.getLogger(__name__)
 
@@ -27,6 +22,7 @@ LAST_WEEK = 17
 N_WINDOWS = 14
 LOOKBACK_WEEKS = 6
 MIN_GAMES_PLAYED = 4
+HISTORY_GAMES = 3
 
 CSV_COLUMNS = [
     "player_id",
@@ -47,6 +43,11 @@ CSV_COLUMNS = [
     "draftable",
 ]
 
+# The float grids, in CSV order: the per-game fields read from the history
+# games, then the pre-game fields read from the history games and game 4.
+VALUE_COLUMNS = CSV_COLUMNS[4:15]
+N_PER_GAME = 6
+
 # Feature layout (0-based slices into the 43-entry vector): one-hot position,
 # then per-game history blocks, then the four-game pre-game blocks.
 POS_SLICE = slice(0, 5)
@@ -63,32 +64,6 @@ LAT_SLICE = slice(35, 39)
 LON_SLICE = slice(39, 43)
 
 
-@dataclass(frozen=True)
-class PlayerWeekRecord:
-    """One player's observed data for one week."""
-
-    player_id: str
-    week: int
-    position: str
-    salary: int
-    fpts: Optional[float]
-    point_diff: Optional[int]
-    team_off_rank: Optional[int]
-    team_def_rank: Optional[int]
-    opp_off_rank: Optional[int]
-    opp_def_rank: Optional[int]
-    home: bool
-    spread: Optional[float]
-    over_under: Optional[float]
-    latitude: Optional[float]
-    longitude: Optional[float]
-    draftable: bool
-
-    @property
-    def played(self) -> bool:
-        return self.fpts is not None
-
-
 @dataclass
 class WindowDataset:
     """Feature rows for one four-week window, one row per player."""
@@ -96,35 +71,67 @@ class WindowDataset:
     window_index: int
     player_ids: list[str]
     features: np.ndarray  # (n_players, 43)
-    targets: Optional[np.ndarray]  # (n_players,) when has_targets
-    has_targets: bool
+    targets: Optional[np.ndarray]  # (n_players,) for a training window, else None
 
     def __len__(self):
         return len(self.player_ids)
 
 
 class PlayerWeekTable:
-    """Immutable lookup over (player_id, week) records."""
+    """The season as (n_players, 18) grids: row i is ``player_ids()[i]``,
+    column w is week w (column 0 stays empty).
 
-    def __init__(self, records: list[PlayerWeekRecord]):
-        self._by_key: dict[tuple[str, int], PlayerWeekRecord] = {}
-        for rec in records:
-            key = (rec.player_id, rec.week)
-            if key in self._by_key:
-                raise DuplicateKeyError(f"duplicate (player_id, week) = {key}")
-            self._by_key[key] = rec
+    ``present`` marks the rows the CSV holds, ``position`` is an index into
+    POSITIONS, ``salary`` an int and ``draftable`` a bool.  ``values``
+    stacks one float grid per VALUE_COLUMNS entry; an empty field or a
+    missing row is NaN there.
+    """
+
+    def __init__(self, rows):
+        """``rows``: parsed rows, fields in CSV_COLUMNS order and None for an
+        empty optional field, at most one per (player_id, week)."""
+        pids, weeks, position, salary, *values, draftable = (
+            list(zip(*rows)) or [()] * len(CSV_COLUMNS)
+        )
+        self._ids = sorted(set(pids))
+        self._index = {pid: i for i, pid in enumerate(self._ids)}
+        shape = (len(self._ids), LAST_WEEK + 1)
+        at = (
+            np.array([self._index[pid] for pid in pids], dtype=np.intp),
+            np.array(weeks, dtype=np.intp),
+        )
+        self.present = np.zeros(shape, dtype=bool)
+        self.present[at] = True
+        self.position = np.zeros(shape, dtype=np.int8)
+        self.position[at] = [POSITIONS.index(p) for p in position]
+        self.salary = np.zeros(shape, dtype=np.int64)
+        self.salary[at] = salary
+        self.draftable = np.zeros(shape, dtype=bool)
+        self.draftable[at] = draftable
+        self.values = np.full((len(VALUE_COLUMNS), *shape), np.nan)
+        self.values[(slice(None), *at)] = np.array(values, dtype=np.float64)
+        self._n_rows = len(pids)
 
     def __len__(self):
-        return len(self._by_key)
-
-    def __iter__(self) -> Iterator[PlayerWeekRecord]:
-        return iter(self._by_key.values())
-
-    def get(self, player_id: str, week: int) -> Optional[PlayerWeekRecord]:
-        return self._by_key.get((player_id, week))
+        return self._n_rows
 
     def player_ids(self) -> list[str]:
-        return sorted({pid for pid, _ in self._by_key})
+        return list(self._ids)
+
+    def at_week(self, week: int, player_ids=None) -> dict:
+        """One week's fields by CSV column name, plus ``present``, one entry
+        per player of ``player_ids`` (default: every player, in id order).
+        Position comes as a list of str.  A missing row reads present and
+        draftable False and NaN in the float fields."""
+        rows = slice(None) if player_ids is None else [self._index[p] for p in player_ids]
+        out = {name: grid[rows, week] for name, grid in zip(VALUE_COLUMNS, self.values)}
+        out.update(
+            present=self.present[rows, week],
+            position=[POSITIONS[c] for c in self.position[rows, week]],
+            salary=self.salary[rows, week],
+            draftable=self.draftable[rows, week],
+        )
+        return out
 
 
 def _parse_field(raw, column, line, kind, optional=False):
@@ -157,7 +164,9 @@ def _parse_rank(raw, column, line):
     return rank
 
 
-def parse_row(row: dict, line: int) -> PlayerWeekRecord:
+def parse_row(row: dict, line: int) -> tuple:
+    """Validate one CSV row: its fields in CSV_COLUMNS order, parsed, with
+    None for an empty optional field."""
     player_id = row["player_id"].strip()
     if not player_id:
         raise SchemaError("empty player_id", line=line, column="player_id")
@@ -182,23 +191,23 @@ def parse_row(row: dict, line: int) -> PlayerWeekRecord:
     if longitude is not None and not -180.0 <= longitude <= 180.0:
         raise SchemaError(f"longitude {longitude} out of range", line=line, column="longitude")
 
-    return PlayerWeekRecord(
-        player_id=player_id,
-        week=week,
-        position=position,
-        salary=salary,
-        fpts=_parse_field(row["fpts"], "fpts", line, float, optional=True),
-        point_diff=_parse_field(row["point_diff"], "point_diff", line, int, optional=True),
-        team_off_rank=_parse_rank(row["team_off_rank"], "team_off_rank", line),
-        team_def_rank=_parse_rank(row["team_def_rank"], "team_def_rank", line),
-        opp_off_rank=_parse_rank(row["opp_off_rank"], "opp_off_rank", line),
-        opp_def_rank=_parse_rank(row["opp_def_rank"], "opp_def_rank", line),
-        home=_parse_field(row["home"], "home", line, bool),
-        spread=_parse_field(row["spread"], "spread", line, float, optional=True),
-        over_under=_parse_field(row["over_under"], "over_under", line, float, optional=True),
-        latitude=latitude,
-        longitude=longitude,
-        draftable=draftable,
+    return (
+        player_id,
+        week,
+        position,
+        salary,
+        _parse_field(row["fpts"], "fpts", line, float, optional=True),
+        _parse_field(row["point_diff"], "point_diff", line, int, optional=True),
+        _parse_rank(row["team_off_rank"], "team_off_rank", line),
+        _parse_rank(row["team_def_rank"], "team_def_rank", line),
+        _parse_rank(row["opp_off_rank"], "opp_off_rank", line),
+        _parse_rank(row["opp_def_rank"], "opp_def_rank", line),
+        _parse_field(row["home"], "home", line, bool),
+        _parse_field(row["spread"], "spread", line, float, optional=True),
+        _parse_field(row["over_under"], "over_under", line, float, optional=True),
+        latitude,
+        longitude,
+        draftable,
     )
 
 
@@ -207,7 +216,7 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
 
     Rows with an empty ``fpts`` field are retained as did-not-play weeks.
     Raises SchemaError with file position on malformed rows and
-    DuplicateKeyError on a repeated (player_id, week).
+    DuplicateKeyError naming both lines of a repeated (player_id, week).
     """
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -219,7 +228,7 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
             raise SchemaError(
                 f"header {header} does not match expected schema {CSV_COLUMNS}", line=1
             )
-        records = []
+        rows, lines = [], {}
         for line, raw in enumerate(reader, start=2):
             if not raw:
                 continue
@@ -227,8 +236,14 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
                 raise SchemaError(
                     f"expected {len(CSV_COLUMNS)} fields, got {len(raw)}", line=line
                 )
-            records.append(parse_row(dict(zip(CSV_COLUMNS, raw)), line))
-    return PlayerWeekTable(records)
+            row = parse_row(dict(zip(CSV_COLUMNS, raw)), line)
+            first = lines.setdefault(row[:2], line)
+            if first != line:
+                raise DuplicateKeyError(
+                    f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line {first}"
+                )
+            rows.append(row)
+    return PlayerWeekTable(rows)
 
 
 def load_exclusions(path) -> set[str]:
@@ -242,138 +257,69 @@ def load_exclusions(path) -> set[str]:
     return out
 
 
-def encode_position(position: str) -> list[int]:
-    """One-hot encode a position in the fixed QB, RB, WR, TE, DST order."""
-    if position not in POSITIONS:
-        raise ValueError(f"unknown position {position!r}")
-    return [1 if p == position else 0 for p in POSITIONS]
-
-
 def lookback_weeks(target_week: int) -> range:
     """The up-to-six weeks preceding target_week, clipped at week 1."""
     return range(max(FIRST_WEEK, target_week - LOOKBACK_WEEKS), target_week)
 
 
-def _eligible(
-    table: PlayerWeekTable,
-    target_week: int,
-    require_target_fpts: bool,
-    min_played: int,
-) -> list[str]:
-    out = []
-    for pid in table.player_ids():
-        target_rec = table.get(pid, target_week)
-        if target_rec is None or not target_rec.draftable:
-            continue
-        if require_target_fpts and not target_rec.played:
-            continue
-        played = sum(
-            1
-            for wk in lookback_weeks(target_week)
-            if (rec := table.get(pid, wk)) is not None and rec.played
-        )
-        if played >= min_played:
-            out.append(pid)
-    return out
-
-
-def eligible_players(
-    table: PlayerWeekTable, target_week: int, require_target_fpts: bool = False
-) -> list[str]:
-    """Players draftable in target_week with >=4 played games in the prior six weeks.
-
-    With require_target_fpts (training-window use) the player must also have
-    earned FPTS in target_week itself.
-    """
-    if target_week < FIRST_WEEK + MIN_GAMES_PLAYED:
-        raise InsufficientHistoryError(
-            f"target week {target_week} needs at least four prior weeks of games"
-        )
-    return _eligible(table, target_week, require_target_fpts, MIN_GAMES_PLAYED)
-
-
-def _history_weeks(table: PlayerWeekTable, pid: str, game4_week: int) -> Optional[list[int]]:
-    """Three most recent played weeks before game 4, within the six-week lookback."""
-    played = [
-        wk
-        for wk in lookback_weeks(game4_week)
-        if (rec := table.get(pid, wk)) is not None and rec.played
-    ]
-    if len(played) < 3:
-        return None
-    return played[-3:]
-
-
-def _feature_row(table: PlayerWeekTable, pid: str, game4_week: int) -> Optional[np.ndarray]:
-    history = _history_weeks(table, pid, game4_week)
-    if history is None:
-        return None
-    recs = [table.get(pid, wk) for wk in history]
-    rec4 = table.get(pid, game4_week)
-    assert rec4 is not None  # eligibility guarantees a target-week record
-
-    vec = np.empty(N_FEATURES, dtype=np.float64)
-    vec[POS_SLICE] = encode_position(rec4.position)
-
-    per_game = [
-        (FPTS_SLICE, [r.fpts for r in recs]),
-        (PDIFF_SLICE, [r.point_diff for r in recs]),
-        (TEAM_OFF_SLICE, [r.team_off_rank for r in recs]),
-        (TEAM_DEF_SLICE, [r.team_def_rank for r in recs]),
-        (OPP_OFF_SLICE, [r.opp_off_rank for r in recs]),
-        (OPP_DEF_SLICE, [r.opp_def_rank for r in recs]),
-        (HOME_SLICE, [float(r.home) for r in recs] + [float(rec4.home)]),
-        (SPREAD_SLICE, [r.spread for r in recs] + [rec4.spread]),
-        (OVER_UNDER_SLICE, [r.over_under for r in recs] + [rec4.over_under]),
-        (LAT_SLICE, [r.latitude for r in recs] + [rec4.latitude]),
-        (LON_SLICE, [r.longitude for r in recs] + [rec4.longitude]),
-    ]
-    for sl, vals in per_game:
-        if any(v is None for v in vals):
-            return None
-        vec[sl] = vals
-    return vec
-
-
 def build_window(table: PlayerWeekTable, window_index: int, mode: str) -> WindowDataset:
     """Assemble the feature matrix for one window.
 
-    Window w spans weeks w..w+3; game 4 is week w+3.  In train mode the
-    game-4 FPTS becomes the target; in predict mode only the pre-game
-    game-4 fields (home, spread, over/under, location) are used.
+    Window w spans weeks w..w+3; game 4 is week w+3.  A player is eligible
+    when draftable in game 4 with at least four played games in the six
+    weeks before it; the three most recent of those are the history games.
+    In train mode the game-4 FPTS becomes the target and must exist; in
+    predict mode only the pre-game game-4 fields (home, spread, over/under,
+    location) are used.  A player missing a used field is dropped.
     """
     if mode not in ("train", "predict"):
         raise ValueError(f"mode must be 'train' or 'predict', got {mode!r}")
     if not 1 <= window_index <= N_WINDOWS:
         raise WindowRangeError(f"window index {window_index} outside [1, {N_WINDOWS}]")
-    game4_week = window_index + 3
+    game4 = window_index + 3
     train = mode == "train"
+    fpts = table.values[0]
+    lookback = lookback_weeks(game4)
+    played = ~np.isnan(fpts[:, lookback.start : lookback.stop])
 
     # Window 1 has only three prior weeks; played games 1-3 plus the game-4
     # FPTS still make four games, so the requirement relaxes there.
-    min_played = min(MIN_GAMES_PLAYED, game4_week - FIRST_WEEK)
-    ids, rows, targets = [], [], []
-    for pid in _eligible(table, game4_week, train, min_played):
-        vec = _feature_row(table, pid, game4_week)
-        if vec is None:
-            log.warning(
-                "window %d: player %s dropped (missing history or pre-game fields)",
-                window_index,
-                pid,
-            )
-            continue
-        ids.append(pid)
-        rows.append(vec)
-        if train:
-            targets.append(table.get(pid, game4_week).fpts)
+    min_played = min(MIN_GAMES_PLAYED, game4 - FIRST_WEEK)
+    eligible = table.draftable[:, game4] & (played.sum(axis=1) >= min_played)
+    if train:
+        eligible &= ~np.isnan(fpts[:, game4])
+    rows = np.flatnonzero(eligible)
 
-    features = (
-        np.vstack(rows) if rows else np.empty((0, N_FEATURES), dtype=np.float64)
+    # A history game has at most three played weeks from it to the end of
+    # the lookback.  Every eligible row has at least three played weeks, so
+    # it keeps exactly three, in week order.
+    played = played[rows]
+    from_end = np.cumsum(played[:, ::-1], axis=1)[:, ::-1]
+    history = np.nonzero(played & (from_end <= HISTORY_GAMES))[1].reshape(-1, HISTORY_GAMES)
+    history += lookback.start
+    games = np.column_stack([history, np.full(len(rows), game4)])
+    at = rows[:, None]
+    features = np.hstack(
+        [
+            np.eye(len(POSITIONS))[table.position[rows, game4]],
+            *table.values[:N_PER_GAME, at, history],
+            *table.values[N_PER_GAME:, at, games],
+        ]
     )
+
+    complete = ~np.isnan(features).any(axis=1)
+    if not complete.all():
+        dropped = [table._ids[i] for i in rows[~complete]]
+        log.warning(
+            "window %d: %d player(s) dropped (missing history or pre-game fields)",
+            window_index,
+            len(dropped),
+        )
+        log.debug("window %d: dropped %s", window_index, ", ".join(dropped))
+    rows = rows[complete]
     return WindowDataset(
         window_index=window_index,
-        player_ids=ids,
-        features=features,
-        targets=np.asarray(targets, dtype=np.float64) if train else None,
-        has_targets=train,
+        player_ids=[table._ids[i] for i in rows],
+        features=features[complete],
+        targets=fpts[rows, game4] if train else None,
     )

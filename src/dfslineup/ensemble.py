@@ -24,7 +24,6 @@ RETRY_SALT = 0x5EED
 @dataclass
 class Ensemble:
     models: list[TrainedModel]
-    window_index: int
     master_seed: int
 
     def __len__(self):
@@ -70,7 +69,7 @@ def train_ensemble(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_train_member, tasks, chunksize=chunk))
     models = [m for _, m in sorted(results, key=lambda r: r[0])]
-    return Ensemble(models=models, window_index=dataset.window_index, master_seed=master_seed)
+    return Ensemble(models=models, master_seed=master_seed)
 
 
 def sample_matrix(ensemble: Ensemble, window: WindowDataset) -> np.ndarray:
@@ -79,7 +78,7 @@ def sample_matrix(ensemble: Ensemble, window: WindowDataset) -> np.ndarray:
     Each seeded member yields one sample per player, so this matrix is the
     whole predictive distribution; every summary is a reduction over it.
     """
-    if window.has_targets:
+    if window.targets is not None:
         raise ValueError("sample_matrix expects a prediction window")
     if window.features.shape[1] != ensemble.models[0].network.w1.shape[1]:
         raise ValueError("feature length does not match ensemble input size")

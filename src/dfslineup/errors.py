@@ -24,10 +24,6 @@ class DuplicateKeyError(DFSLineupError):
     """Two rows carry the same (player_id, week) key."""
 
 
-class InsufficientHistoryError(DFSLineupError):
-    """Target week is too early to have the required four weeks of history."""
-
-
 class WindowRangeError(DFSLineupError):
     """Window index outside the 14 windows a season supports."""
 

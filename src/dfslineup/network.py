@@ -85,7 +85,7 @@ def split_data(dataset: WindowDataset, train_fraction: float, seed: int):
     """Disjoint shuffled train/validation partition, deterministic per seed."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction {train_fraction} outside (0, 1)")
-    if not dataset.has_targets:
+    if dataset.targets is None:
         raise ValueError("cannot split a dataset without targets")
     n = len(dataset)
     if n < 2:
@@ -102,7 +102,6 @@ def split_data(dataset: WindowDataset, train_fraction: float, seed: int):
             player_ids=[dataset.player_ids[i] for i in idx],
             features=dataset.features[idx],
             targets=dataset.targets[idx],
-            has_targets=True,
         )
 
     return take(train_idx), take(val_idx)

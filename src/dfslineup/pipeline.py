@@ -10,6 +10,7 @@ no numpy; it is re-exported here so every stage is ``pipeline.cmd_<stage>``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     keep = [i for i, pid in enumerate(pred_w.player_ids) if pid not in excluded]
     pred_ids = [pred_w.player_ids[i] for i in keep]
     pred_feats = pred_w.features[keep]
-    target_recs = {pid: table.get(pid, cfg.target_week) for pid in pred_ids}
+    target = table.at_week(cfg.target_week, pred_ids)
 
     lines = ["player_id,eligible_train,eligible_predict,excluded"]
     train_ids = set(train_w.player_ids)
@@ -99,8 +100,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
         window_index=np.array([pred_w.window_index]),
         player_ids=np.array(pred_ids),
         features=pred_feats,
-        salary=np.array([target_recs[pid].salary for pid in pred_ids], dtype=np.int64),
-        position=np.array([target_recs[pid].position for pid in pred_ids]),
+        salary=target["salary"],
+        position=np.array(target["position"]),
     )
     _write_text(_out(cfg, ELIGIBILITY), "\n".join(lines) + "\n")
 
@@ -112,7 +113,6 @@ def _load_train_window(cfg: RunConfig) -> WindowDataset:
             player_ids=[str(p) for p in blob["player_ids"]],
             features=blob["features"],
             targets=blob["targets"],
-            has_targets=True,
         )
 
 
@@ -123,7 +123,6 @@ def _load_predict_window(cfg: RunConfig):
             player_ids=[str(p) for p in blob["player_ids"]],
             features=blob["features"],
             targets=None,
-            has_targets=False,
         )
         return window, blob["salary"], blob["position"]
 
@@ -250,17 +249,21 @@ def _summary_dict(summary: stats.PopulationSummary) -> dict:
 
 def cmd_validate(cfg: RunConfig) -> None:
     """Compare the generated lineup to random (and real-world) populations."""
+    # Parsed again, not taken from ingest: actual FPTS may arrive after it.
     table = load_player_weeks(cfg.players_csv)
     with open(_require(_out(cfg, LINEUP_JSON), "optimize"), encoding="utf-8") as fh:
         lineup_info = json.load(fh)
     ids, samples, _, _ = _load_samples(cfg)
     week = cfg.target_week
+    target = table.at_week(week)
+    season_ids = table.player_ids()
 
-    actuals = {}
-    for pid in lineup_info["players"]:
-        rec = table.get(pid, week)
-        if rec is not None and rec.fpts is not None:
-            actuals[pid] = rec.fpts
+    fpts_by_id = dict(zip(season_ids, target["fpts"].tolist()))
+    actuals = {
+        pid: fpts_by_id[pid]
+        for pid in lineup_info["players"]
+        if not math.isnan(fpts_by_id.get(pid, math.nan))
+    }
     missing = sorted(set(lineup_info["players"]) - set(actuals))
     if missing:
         _write_json(
@@ -280,16 +283,16 @@ def cmd_validate(cfg: RunConfig) -> None:
     for pid in lineup_info["players"]:
         score += actuals[pid]
 
+    pool_rows = np.flatnonzero(target["draftable"] & (target["fpts"] > 0))
+    fpts = target["fpts"][pool_rows]
     pool = [
-        Candidate(rec.player_id, rec.position, rec.salary, rec.fpts)
-        for rec in table
-        if rec.week == week and rec.draftable and rec.fpts is not None and rec.fpts > 0
+        Candidate(season_ids[j], target["position"][j], int(target["salary"][j]), float(f))
+        for j, f in zip(pool_rows, fpts)
     ]
     rb = cfg.random_baseline
     draws = stats.random_population(
         pool, cfg.salary_cap, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT)
     )
-    fpts = np.array([c.predicted_fpts for c in pool])
     random_pop = stats.PopulationStats(samples=fpts[draws].sum(axis=1), label="random")
 
     level = cfg.report.ci_level

@@ -333,9 +333,11 @@ def load_contest_results(path) -> PopulationStats:
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise SchemaError(f"expected 2 fields, got {len(row)}", line=line)
             try:
                 value = float(row[1])
-            except (IndexError, ValueError):
+            except ValueError:
                 raise SchemaError("cannot parse fpts", line=line, column="fpts") from None
             if not math.isfinite(value):
                 raise SchemaError(f"non-finite fpts {row[1]!r}", line=line, column="fpts")

@@ -40,10 +40,11 @@ def season_table(season_csv):
 @pytest.fixture(scope="session")
 def week8_pool(season_table):
     """Week-8 draftable players with positive actual FPTS, as candidates."""
+    week = season_table.at_week(8)
     return [
-        Candidate(rec.player_id, rec.position, rec.salary, rec.fpts)
-        for rec in season_table
-        if rec.week == 8 and rec.draftable and rec.fpts is not None and rec.fpts > 0
+        Candidate(pid, week["position"][j], int(week["salary"][j]), float(week["fpts"][j]))
+        for j, pid in enumerate(season_table.player_ids())
+        if week["draftable"][j] and week["fpts"][j] > 0
     ]
 
 

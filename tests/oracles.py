@@ -1,11 +1,12 @@
 """Independent test oracles: brute-force lineup enumeration, a pair-by-pair
-dominance pruner and a reference forward pass.  Deliberately written in the
-most literal style possible so a bug in the production code cannot hide in a
-shared helper.
+dominance pruner, a reference forward pass and a per-player window builder.
+Deliberately written in the most literal style possible so a bug in the
+production code cannot hide in a shared helper.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -110,3 +111,57 @@ def reference_forward(w1, b1, w2, b2, mean, std, x):
     for h in range(len(hidden)):
         out += w2[0, h] * hidden[h]
     return float(out)
+
+
+def reference_window(csv_path, window_index: int, mode: str):
+    """One four-week window built player by player from the raw CSV text.
+
+    Game 4 is week window_index + 3.  A player (in id order) is kept when
+    the game-4 row exists and is draftable, has FPTS in train mode, and the
+    six weeks before game 4 (clipped at week 1) hold at least four played
+    weeks, three for window 1.  The last three played weeks are the history
+    games.  The row is one-hot position (QB, RB, WR, TE, DST) of game 4, six
+    per-game fields over the history games, then five pre-game fields over
+    the history games and game 4; a blank among them drops the player.
+    Returns (ids, features (n, 43), targets or None).
+    """
+    rows = {}
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        for r in csv.DictReader(fh):
+            rows[(r["player_id"], int(r["week"]))] = r
+    game4 = window_index + 3
+    lookback = [w for w in range(game4 - 6, game4) if w >= 1]
+    needed = 3 if window_index == 1 else 4
+    per_game = ("fpts", "point_diff", "team_off_rank", "team_def_rank",
+                "opp_off_rank", "opp_def_rank")
+    pre_game = ("home", "spread", "over_under", "latitude", "longitude")
+    ids, features, targets = [], [], []
+    for pid in sorted({pid for pid, _ in rows}):
+        target = rows.get((pid, game4))
+        if target is None or target["draftable"] != "1":
+            continue
+        if mode == "train" and target["fpts"] == "":
+            continue
+        played = []
+        for w in lookback:
+            if (pid, w) in rows and rows[(pid, w)]["fpts"] != "":
+                played.append(rows[(pid, w)])
+        if len(played) < needed:
+            continue
+        history = played[-3:]
+        raw = []
+        for col in per_game:
+            for game in history:
+                raw.append(game[col])
+        for col in pre_game:
+            for game in history + [target]:
+                raw.append(game[col])
+        if "" in raw:
+            continue
+        onehot = [1.0 if target["position"] == p else 0.0 for p in ("QB", "RB", "WR", "TE", "DST")]
+        ids.append(pid)
+        features.append(onehot + [float(v) for v in raw])
+        if mode == "train":
+            targets.append(float(target["fpts"]))
+    matrix = np.array(features, dtype=np.float64).reshape(len(ids), 43)
+    return ids, matrix, (np.array(targets, dtype=np.float64) if mode == "train" else None)

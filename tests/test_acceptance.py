@@ -153,10 +153,10 @@ class TestModalConvergence:
         )
         samples = sample_matrix(ensemble, predict_w)
 
-        week8 = {r.player_id: r for r in season_table if r.week == 8}
         ids = predict_w.player_ids
-        salary = np.array([week8[p].salary for p in ids])
-        position = [week8[p].position for p in ids]
+        week8 = season_table.at_week(8, ids)
+        salary = week8["salary"]
+        position = week8["position"]
         lineups = solve_per_model(ids, samples, salary, position, 50_000)
 
         first_100 = modal_lineup(lineups[:100])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dfslineup import ensemble
+from dfslineup import ensemble, pipeline, stats
 from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from dfslineup.data import load_player_weeks
 from dfslineup.optimizer import Lineup, validate_lineup
@@ -90,8 +91,10 @@ class TestPipelineArtifacts:
             total_salary=info["total_salary"],
             predicted_fpts=info["predicted_mean"],
         )
-        salary = {r.player_id: r.salary for r in season_table if r.week == 8}
-        position = {r.player_id: r.position for r in season_table if r.week == 8}
+        ids, week = season_table.player_ids(), season_table.at_week(8)
+        rows = [j for j, present in enumerate(week["present"]) if present]
+        salary = {ids[j]: int(week["salary"][j]) for j in rows}
+        position = {ids[j]: week["position"][j] for j in rows}
         assert validate_lineup(lineup, 50_000, salary, position) == []
         assert info["total_salary"] == sum(salary[p] for p in info["players"])
 
@@ -350,3 +353,14 @@ class TestInvalidWeek:
         assert len(report["missing_actuals"]) == 9
         assert main(["report", "--config", str(config)]) == EXIT_OK
         assert "invalid_week" in capsys.readouterr().out
+
+
+def test_traced_names_exist():
+    """Every name the benchmark's tracer patches is still on its module, so a
+    rename cannot silently break a traced run."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [n for n in tracing.PIPELINE_NAMES if not hasattr(pipeline, n)] == []
+    assert [n for n in tracing.STATS_NAMES if not hasattr(stats, n)] == []

@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import logging
+import random
+
 import numpy as np
 import pytest
 
+from dfslineup.config import RunConfig
 from dfslineup.data import (
     CSV_COLUMNS,
     FPTS_SLICE,
@@ -16,24 +20,19 @@ from dfslineup.data import (
     LAT_SLICE,
     LON_SLICE,
     N_FEATURES,
+    N_WINDOWS,
     OVER_UNDER_SLICE,
     POS_SLICE,
+    POSITIONS,
     SPREAD_SLICE,
-    PlayerWeekRecord,
-    PlayerWeekTable,
     build_window,
-    eligible_players,
-    encode_position,
     load_exclusions,
     load_player_weeks,
     lookback_weeks,
 )
-from dfslineup.errors import (
-    DuplicateKeyError,
-    InsufficientHistoryError,
-    SchemaError,
-    WindowRangeError,
-)
+from dfslineup.errors import ConfigError, DuplicateKeyError, SchemaError, WindowRangeError
+
+from .oracles import reference_window
 
 HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = "QB001,1,QB,5000,18.2,7,3,10,22,15,1,-3.5,47.0,40.0,-75.0,1"
@@ -45,8 +44,8 @@ def write_csv(tmp_path, *rows):
     return path
 
 
-def record(pid="X1", week=1, position="WR", salary=5000, fpts=10.0, **overrides):
-    """A fully populated record; pass None explicitly to blank a field."""
+def row(pid="X1", week=1, position="WR", salary=5000, fpts=10.0, **overrides):
+    """A fully populated CSV row; pass None explicitly to blank a field."""
     values = dict(
         player_id=pid,
         week=week,
@@ -66,29 +65,47 @@ def record(pid="X1", week=1, position="WR", salary=5000, fpts=10.0, **overrides)
         draftable=True,
     )
     values.update(overrides)
-    return PlayerWeekRecord(**values)
+    text = {None: "", True: "1", False: "0"}
+    return ",".join(
+        text[v] if v is None or isinstance(v, bool) else str(v)
+        for v in (values[c] for c in CSV_COLUMNS)
+    )
+
+
+def load(tmp_path, *rows):
+    return load_player_weeks(write_csv(tmp_path, *rows))
+
+
+def week_fields(table, pid, week):
+    """One (player, week) cell of every field of the table."""
+    return {name: values[0] for name, values in table.at_week(week, [pid]).items()}
+
+
+def eligible(table, target_week, require_target_fpts=False):
+    """Players eligible for target_week: the window whose game 4 it is."""
+    mode = "train" if require_target_fpts else "predict"
+    return build_window(table, target_week - 3, mode).player_ids
 
 
 class TestParsing:
     def test_fixture_loads_completely(self, season_table):
         assert len(season_table) == 5100
         assert len(season_table.player_ids()) == 300
-        assert {rec.week for rec in season_table} == set(range(1, 18))
+        weeks = {w for w in range(18) if season_table.at_week(w)["present"].any()}
+        assert weeks == set(range(1, 18))
 
     def test_good_row_round_trip(self, tmp_path):
-        table = load_player_weeks(write_csv(tmp_path, GOOD_ROW))
-        rec = table.get("QB001", 1)
-        assert rec.position == "QB"
-        assert rec.salary == 5000
-        assert rec.fpts == pytest.approx(18.2)
-        assert rec.home is True
-        assert rec.played
+        rec = week_fields(load(tmp_path, GOOD_ROW), "QB001", 1)
+        assert rec["position"] == "QB"
+        assert rec["salary"] == 5000
+        assert rec["fpts"] == pytest.approx(18.2)
+        assert rec["home"] == 1.0
+        assert rec["present"] and not np.isnan(rec["fpts"])  # played
 
     def test_missing_fpts_is_did_not_play(self, tmp_path):
-        row = GOOD_ROW.replace("18.2", "")
-        rec = load_player_weeks(write_csv(tmp_path, row)).get("QB001", 1)
-        assert rec.fpts is None
-        assert not rec.played
+        rec = week_fields(load(tmp_path, GOOD_ROW.replace("18.2", "")), "QB001", 1)
+        assert rec["present"]  # the row is kept
+        assert np.isnan(rec["fpts"])  # as a week not played
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -142,8 +159,9 @@ class TestParsing:
         assert exc.value.line == 2
 
     def test_duplicate_key_rejected(self, tmp_path):
-        with pytest.raises(DuplicateKeyError):
+        with pytest.raises(DuplicateKeyError) as exc:
             load_player_weeks(write_csv(tmp_path, GOOD_ROW, GOOD_ROW))
+        assert "line 3 repeats line 2" in str(exc.value)
 
     def test_draftable_zero_salary_rejected(self, tmp_path):
         row = GOOD_ROW.replace(",5000,", ",0,")
@@ -157,61 +175,67 @@ class TestParsing:
 
 
 class TestEligibility:
-    def test_encode_position(self):
-        assert encode_position("QB") == [1, 0, 0, 0, 0]
-        assert encode_position("DST") == [0, 0, 0, 0, 1]
-        with pytest.raises(ValueError):
-            encode_position("K")
+    def test_encode_position(self, tmp_path):
+        rows = [row(pid, week=w, position=pos) for pid, pos in (("Q1", "QB"), ("D1", "DST"))
+                for w in (1, 2, 3, 4, 5)]
+        ds = build_window(load(tmp_path, *rows), 2, "predict")
+        assert ds.player_ids == ["D1", "Q1"]
+        assert list(ds.features[1, POS_SLICE]) == [1, 0, 0, 0, 0]
+        assert list(ds.features[0, POS_SLICE]) == [0, 0, 0, 0, 1]
+        with pytest.raises(SchemaError) as exc:
+            load(tmp_path, row(position="K"))
+        assert exc.value.column == "position"
 
     def test_lookback_window_clips_at_week_one(self):
         assert list(lookback_weeks(8)) == [2, 3, 4, 5, 6, 7]
         assert list(lookback_weeks(4)) == [1, 2, 3]
 
-    def test_requires_four_played_games(self):
-        recs = [record(week=w) for w in (1, 2, 3)] + [record(week=5)]
-        table = PlayerWeekTable(recs)
-        assert eligible_players(table, 5) == []  # only 3 played in lookback
-        recs.append(record(week=4))
-        assert eligible_players(PlayerWeekTable(recs), 5) == ["X1"]
+    def test_requires_four_played_games(self, tmp_path):
+        rows = [row(week=w) for w in (1, 2, 3)] + [row(week=5)]
+        assert eligible(load(tmp_path, *rows), 5) == []  # only 3 played in lookback
+        rows.append(row(week=4))
+        assert eligible(load(tmp_path, *rows), 5) == ["X1"]
 
-    def test_not_draftable_excluded(self):
-        recs = [record(week=w) for w in (1, 2, 3, 4)]
-        recs.append(record(week=5, draftable=False))
-        assert eligible_players(PlayerWeekTable(recs), 5) == []
+    def test_not_draftable_excluded(self, tmp_path):
+        rows = [row(week=w) for w in (1, 2, 3, 4)]
+        rows.append(row(week=5, draftable=False))
+        assert eligible(load(tmp_path, *rows), 5) == []
 
-    def test_bye_weeks_do_not_count_as_played(self):
-        recs = [record(week=w) for w in (1, 2, 3)]
-        recs.append(record(week=4, fpts=None))  # bye
-        recs.append(record(week=5))
-        assert eligible_players(PlayerWeekTable(recs), 5) == []
+    def test_bye_weeks_do_not_count_as_played(self, tmp_path):
+        rows = [row(week=w) for w in (1, 2, 3)]
+        rows.append(row(week=4, fpts=None))  # bye
+        rows.append(row(week=5))
+        assert eligible(load(tmp_path, *rows), 5) == []
 
-    def test_six_week_lookback_boundary(self):
+    def test_six_week_lookback_boundary(self, tmp_path):
         # Played weeks 2-5 are inside the lookback for week 8; week 1 is not.
-        recs = [record(week=w) for w in (1, 2, 3, 4, 5)] + [record(week=8)]
-        assert eligible_players(PlayerWeekTable(recs), 8) == ["X1"]
-        recs = [record(week=w) for w in (1, 2, 3, 4)] + [record(week=8)]
-        assert eligible_players(PlayerWeekTable(recs), 8) == []  # only 3 inside
+        rows = [row(week=w) for w in (1, 2, 3, 4, 5)] + [row(week=8)]
+        assert eligible(load(tmp_path, *rows), 8) == ["X1"]
+        rows = [row(week=w) for w in (1, 2, 3, 4)] + [row(week=8)]
+        assert eligible(load(tmp_path, *rows), 8) == []  # only 3 inside
 
-    def test_require_target_fpts(self):
-        recs = [record(week=w) for w in (1, 2, 3, 4)]
-        recs.append(record(week=5, fpts=None))
-        table = PlayerWeekTable(recs)
-        assert eligible_players(table, 5, require_target_fpts=False) == ["X1"]
-        assert eligible_players(table, 5, require_target_fpts=True) == []
+    def test_require_target_fpts(self, tmp_path):
+        rows = [row(week=w) for w in (1, 2, 3, 4)]
+        rows.append(row(week=5, fpts=None))
+        table = load(tmp_path, *rows)
+        assert eligible(table, 5, require_target_fpts=False) == ["X1"]
+        assert eligible(table, 5, require_target_fpts=True) == []
 
     def test_too_early_target_week(self, season_table):
-        with pytest.raises(InsufficientHistoryError):
-            eligible_players(season_table, 4)
+        with pytest.raises(ConfigError):
+            RunConfig(target_week=4).validate()
+        with pytest.raises(WindowRangeError):  # its training window would be window 0
+            build_window(season_table, 4 - 4, "train")
 
 
 class TestWindows:
-    def make_table(self, played_weeks, game4_week=8, game4_fpts=21.0, **game4_overrides):
-        recs = [
-            record(week=w, fpts=10.0 + w, spread=-float(w), over_under=40.0 + w)
+    def make_table(self, tmp_path, played_weeks, game4_week=8, game4_fpts=21.0, **game4_overrides):
+        rows = [
+            row(week=w, fpts=10.0 + w, spread=-float(w), over_under=40.0 + w)
             for w in played_weeks
         ]
-        recs.append(record(week=game4_week, fpts=game4_fpts, **game4_overrides))
-        return PlayerWeekTable(recs)
+        rows.append(row(week=game4_week, fpts=game4_fpts, **game4_overrides))
+        return load(tmp_path, *rows)
 
     def test_window_bounds(self, season_table):
         for bad in (0, 15):
@@ -220,61 +244,67 @@ class TestWindows:
         with pytest.raises(ValueError):
             build_window(season_table, 3, "rank")
 
-    def test_train_window_features_and_target(self):
+    def test_train_window_features_and_target(self, tmp_path):
         # Window 5 spans weeks 5-8; game 4 is week 8.
-        table = self.make_table([2, 3, 4, 5, 6, 7])
+        table = self.make_table(tmp_path, [2, 3, 4, 5, 6, 7])
         ds = build_window(table, 5, "train")
         assert ds.player_ids == ["X1"]
-        assert ds.has_targets and ds.targets[0] == pytest.approx(21.0)
-        row = ds.features[0]
-        assert row.shape == (N_FEATURES,)
-        assert list(row[POS_SLICE]) == [0, 0, 1, 0, 0]  # WR
+        assert ds.targets is not None and ds.targets[0] == pytest.approx(21.0)
+        feats = ds.features[0]
+        assert feats.shape == (N_FEATURES,)
+        assert list(feats[POS_SLICE]) == [0, 0, 1, 0, 0]  # WR
         # Three most recent played games: weeks 5, 6, 7 in chronological order.
-        assert list(row[FPTS_SLICE]) == pytest.approx([15.0, 16.0, 17.0])
-        assert list(row[SPREAD_SLICE]) == pytest.approx([-5.0, -6.0, -7.0, -2.5])
-        assert list(row[OVER_UNDER_SLICE]) == pytest.approx([45.0, 46.0, 47.0, 44.0])
+        assert list(feats[FPTS_SLICE]) == pytest.approx([15.0, 16.0, 17.0])
+        assert list(feats[SPREAD_SLICE]) == pytest.approx([-5.0, -6.0, -7.0, -2.5])
+        assert list(feats[OVER_UNDER_SLICE]) == pytest.approx([45.0, 46.0, 47.0, 44.0])
 
-    def test_history_skips_unplayed_weeks(self):
+    def test_history_skips_unplayed_weeks(self, tmp_path):
         # Week 6 is a bye: history falls back to weeks 4, 5, 7.
-        recs = [
-            record(week=w, fpts=10.0 + w) for w in (2, 3, 4, 5, 7)
-        ] + [record(week=6, fpts=None), record(week=8)]
-        ds = build_window(PlayerWeekTable(recs), 5, "train")
+        rows = [
+            row(week=w, fpts=10.0 + w) for w in (2, 3, 4, 5, 7)
+        ] + [row(week=6, fpts=None), row(week=8)]
+        ds = build_window(load(tmp_path, *rows), 5, "train")
         assert list(ds.features[0][FPTS_SLICE]) == pytest.approx([14.0, 15.0, 17.0])
 
-    def test_insufficient_played_history_drops_player(self):
-        table = self.make_table([6, 7])  # only two played games
+    def test_insufficient_played_history_drops_player(self, tmp_path):
+        table = self.make_table(tmp_path, [6, 7])  # only two played games
         assert len(build_window(table, 5, "train")) == 0
 
-    def test_missing_pregame_field_drops_player(self):
-        table = self.make_table([4, 5, 6, 7], spread=None)
-        assert len(build_window(table, 5, "train")) == 0
+    def test_missing_pregame_field_drops_player(self, tmp_path, caplog):
+        table = self.make_table(tmp_path, [4, 5, 6, 7], spread=None)
+        with caplog.at_level(logging.DEBUG, logger="dfslineup.data"):
+            assert len(build_window(table, 5, "train")) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["window 5: 1 player(s) dropped (missing history or pre-game fields)"]
+        assert "window 5: dropped X1" in caplog.text
 
-    def test_missing_history_context_drops_player(self):
-        recs = [record(week=w, fpts=10.0, point_diff=None) for w in (4, 5, 6, 7)]
-        recs.append(record(week=8))
-        assert len(build_window(PlayerWeekTable(recs), 5, "train")) == 0
+    def test_missing_history_context_drops_player(self, tmp_path):
+        rows = [row(week=w, fpts=10.0, point_diff=None) for w in (4, 5, 6, 7)]
+        rows.append(row(week=8))
+        assert len(build_window(load(tmp_path, *rows), 5, "train")) == 0
 
-    def test_predict_mode_ignores_target_fpts(self):
-        table = self.make_table([4, 5, 6, 7], game4_fpts=None)
+    def test_predict_mode_ignores_target_fpts(self, tmp_path):
+        table = self.make_table(tmp_path, [4, 5, 6, 7], game4_fpts=None)
         train = build_window(table, 5, "train")
         predict = build_window(table, 5, "predict")
         assert len(train) == 0  # no game-4 FPTS to train on
         assert predict.player_ids == ["X1"]
-        assert not predict.has_targets and predict.targets is None
+        assert predict.targets is None
 
-    def test_window_one_relaxes_to_three_played_games(self):
+    def test_window_one_relaxes_to_three_played_games(self, tmp_path):
         # Game 4 of window 1 is week 4: only three prior weeks exist.
-        recs = [record(week=w) for w in (1, 2, 3, 4)]
-        ds = build_window(PlayerWeekTable(recs), 1, "train")
+        rows = [row(week=w) for w in (1, 2, 3, 4)]
+        ds = build_window(load(tmp_path, *rows), 1, "train")
         assert ds.player_ids == ["X1"]
 
-    def test_game4_home_flag_and_location_included(self):
-        table = self.make_table([4, 5, 6, 7], home=False, latitude=33.0, longitude=-112.0)
-        row = build_window(table, 5, "predict").features[0]
-        assert row[HOME_SLICE][3] == 0.0
-        assert row[LAT_SLICE][3] == pytest.approx(33.0)
-        assert row[LON_SLICE][3] == pytest.approx(-112.0)
+    def test_game4_home_flag_and_location_included(self, tmp_path):
+        table = self.make_table(
+            tmp_path, [4, 5, 6, 7], home=False, latitude=33.0, longitude=-112.0
+        )
+        feats = build_window(table, 5, "predict").features[0]
+        assert feats[HOME_SLICE][3] == 0.0
+        assert feats[LAT_SLICE][3] == pytest.approx(33.0)
+        assert feats[LON_SLICE][3] == pytest.approx(-112.0)
 
     def test_all_fourteen_windows_build_on_fixture(self, season_table):
         for w in range(1, 15):
@@ -283,6 +313,67 @@ class TestWindows:
             assert np.all(np.isfinite(ds.features))
             assert np.all(ds.features[:, POS_SLICE].sum(axis=1) == 1.0)
             assert ds.features.shape == (len(ds), N_FEATURES)
+
+
+def assert_windows_match_reference(table, csv_path):
+    """Every window in both modes equals the per-player reference, bit for bit."""
+    for w in range(1, N_WINDOWS + 1):
+        for mode in ("train", "predict"):
+            ds = build_window(table, w, mode)
+            ids, features, targets = reference_window(csv_path, w, mode)
+            assert ds.player_ids == ids, (w, mode)
+            assert ds.features.shape == features.shape, (w, mode)
+            assert ds.features.tobytes() == features.tobytes(), (w, mode)
+            if targets is None:
+                assert ds.targets is None, (w, mode)
+            else:
+                assert ds.targets.tobytes() == targets.tobytes(), (w, mode)
+
+
+def random_season(rng: random.Random, n_players: int = 12) -> list[str]:
+    """Rows of a small season with missing rows, byes, blank optional fields,
+    undraftable weeks and the odd position change."""
+    optional = ("point_diff", "team_off_rank", "team_def_rank", "opp_off_rank",
+                "opp_def_rank", "spread", "over_under", "latitude", "longitude")
+    rows = []
+    for i in range(n_players):
+        position = rng.choice(POSITIONS)
+        for week in range(1, 18):
+            if rng.random() < 0.1:
+                continue  # no row at all
+            draftable = rng.random() > 0.15
+            fields = dict(
+                position=rng.choice(POSITIONS) if rng.random() < 0.05 else position,
+                salary=rng.randrange(30, 95) * 100 if draftable else rng.choice((0, 4000)),
+                fpts=None if rng.random() < 0.2 else round(rng.uniform(-2.0, 35.0), 2),
+                point_diff=rng.randint(-30, 30),
+                team_off_rank=rng.randint(1, 32),
+                team_def_rank=rng.randint(1, 32),
+                opp_off_rank=rng.randint(1, 32),
+                opp_def_rank=rng.randint(1, 32),
+                home=rng.random() < 0.5,
+                spread=rng.uniform(-14.0, 14.0),
+                over_under=round(rng.uniform(35.0, 55.0), 1),
+                latitude=rng.uniform(25.0, 48.0),
+                longitude=rng.uniform(-123.0, -71.0),
+                draftable=draftable,
+            )
+            for name in optional:
+                if rng.random() < 0.03:
+                    fields[name] = None
+            rows.append(row(f"P{i:02d}", week, **fields))
+    rng.shuffle(rows)
+    return rows
+
+
+class TestWindowOracle:
+    def test_fixture_windows_match_reference(self, season_table, season_csv):
+        assert_windows_match_reference(season_table, season_csv)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_seasons_match_reference(self, tmp_path, seed):
+        path = write_csv(tmp_path, *random_season(random.Random(seed)))
+        assert_windows_match_reference(load_player_weeks(path), path)
 
 
 def test_fixture_generator_reproduces_the_committed_fixtures():

@@ -27,7 +27,6 @@ def make_predict_window(rng, n=12):
         player_ids=[f"P{i:03d}" for i in range(n)],
         features=rng.normal(0, 1, (n, N_FEATURES)),
         targets=None,
-        has_targets=False,
     )
 
 

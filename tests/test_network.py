@@ -46,7 +46,6 @@ def make_dataset(rng, n=80, n_features=N_FEATURES, noise=0.5):
         player_ids=[f"P{i:03d}" for i in range(n)],
         features=x,
         targets=y,
-        has_targets=True,
     )
 
 

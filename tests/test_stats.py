@@ -386,6 +386,11 @@ class TestReportingPipeline:
         with pytest.raises(SchemaError) as exc:
             load_contest_results(mangled)
         assert exc.value.line == 2
+        for extra in ("1,120.5,junk", "1"):
+            mangled.write_text(f"user_rank,fpts\n2,99.0\n{extra}\n", encoding="utf-8")
+            with pytest.raises(SchemaError) as exc:
+                load_contest_results(mangled)
+            assert exc.value.line == 3
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_load_contest_results_rejects_non_finite(self, tmp_path, raw):
