@@ -1,24 +1,28 @@
 """Bagged model training and per-player FPTS prediction distributions.
 
 Every member model gets its own seed derived from (master_seed, index), so
-results do not depend on execution order or on how many workers ran the
-training.  Reductions are always by model index.
+results do not depend on execution order, on the batch a member trained in
+or on how many workers ran the training.  Reductions are always by model
+index.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .config import TrainingConfig
 from .data import WindowDataset
 from .errors import EnsembleTrainingError, TrainingDivergedError
-from .network import TrainedModel, predict_batch, train
+from .network import TrainedModel, predict_batch, train_batch
 from .seeds import mix64
 
 RETRY_SALT = 0x5EED
+B = 8  # members per stacked batch; the network module docstring says why 8
 
 
 @dataclass
@@ -34,17 +38,11 @@ def model_seed(master_seed: int, index: int) -> int:
     return mix64(master_seed, index)
 
 
-def _train_member(args):
-    dataset, hyper, master_seed, index = args
-    seed = model_seed(master_seed, index)
-    try:
-        return index, train(dataset, hyper, seed)
-    except TrainingDivergedError:
-        pass
-    try:
-        return index, train(dataset, hyper, mix64(seed, RETRY_SALT))
-    except TrainingDivergedError:
-        raise EnsembleTrainingError(index) from None
+def _train_in_batches(run, dataset, hyper, seeds):
+    """One result per seed, in order, from fixed batches of B consecutive seeds."""
+    batches = [seeds[i : i + B] for i in range(0, len(seeds), B)]
+    results = run(train_batch, repeat(dataset), repeat(hyper), batches)
+    return [r for batch in results for r in batch]
 
 
 def train_ensemble(
@@ -56,19 +54,30 @@ def train_ensemble(
 ) -> Ensemble:
     """Train n_models independently seeded/split models on one window.
 
-    A model that diverges is retrained once with a perturbed derived seed;
-    a second divergence raises EnsembleTrainingError naming the index.
+    Members train in batches of B by index, whole batches spread over at
+    most ``workers`` processes.  The models that diverge are retrained once,
+    again in batches of B, each with a perturbed derived seed; a second
+    divergence raises EnsembleTrainingError naming the smallest such index.
     """
     if n_models < 1:
         raise ValueError(f"n_models must be >= 1, got {n_models}")
-    tasks = [(dataset, hyper, master_seed, i) for i in range(n_models)]
-    if workers <= 1:
-        results = [_train_member(t) for t in tasks]
-    else:
-        chunk = max(1, n_models // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_train_member, tasks, chunksize=chunk))
-    models = [m for _, m in sorted(results, key=lambda r: r[0])]
+    seeds = [model_seed(master_seed, i) for i in range(n_models)]
+    # A process pool forks all its workers up front, so it gets no more
+    # than there are batches.
+    n_workers = min(workers, -(-n_models // B))
+    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    with pool or nullcontext():
+        run = pool.map if pool else map
+        models = _train_in_batches(run, dataset, hyper, seeds)
+        diverged = [
+            i for i, m in enumerate(models) if isinstance(m, TrainingDivergedError)
+        ]
+        retry = [mix64(seeds[i], RETRY_SALT) for i in diverged]
+        retried = _train_in_batches(run, dataset, hyper, retry)
+    for i, m in zip(diverged, retried):
+        if isinstance(m, TrainingDivergedError):
+            raise EnsembleTrainingError(i)
+        models[i] = m
     return Ensemble(models=models, master_seed=master_seed)
 
 

@@ -33,7 +33,10 @@ class TrainingDivergedError(DFSLineupError):
 
     def __init__(self, epoch):
         self.epoch = epoch
-        super().__init__(f"training diverged at epoch {epoch}")
+        super().__init__(epoch)  # args hold the epoch, so the error pickles whole
+
+    def __str__(self):
+        return f"training diverged at epoch {self.epoch}"
 
 
 class EnsembleTrainingError(DFSLineupError):

@@ -1,5 +1,6 @@
 """Independent test oracles: brute-force lineup enumeration, a pair-by-pair
-dominance pruner, a reference forward pass and a per-player window builder.
+dominance pruner, a reference forward pass, a one-network training loop and
+a per-player window builder.
 Deliberately written in the most literal style possible so a bug in the
 production code cannot hide in a shared helper.
 """
@@ -111,6 +112,69 @@ def reference_forward(w1, b1, w2, b2, mean, std, x):
     for h in range(len(hidden)):
         out += w2[0, h] * hidden[h]
     return float(out)
+
+
+def _reference_forward_2d(params, z):
+    w1, b1, w2, b2 = params
+    hidden = 1.0 / (1.0 + np.exp(-(z @ w1.T + b1)))
+    return hidden, hidden @ w2.ravel() + b2[0]
+
+
+def reference_loss_and_gradient(params, z, y, lam):
+    """One network's loss and gradients, (w1, b1, w2, b2), on 2-D arrays."""
+    w1, _, w2, _ = params
+    hidden, preds = _reference_forward_2d(params, z)
+    err = preds - y
+    loss = float(np.mean(err**2)) + lam * float(np.sum(w1**2) + np.sum(w2**2))
+    dpred = 2.0 * err / len(y)
+    dact = dpred[:, None] * w2.ravel()[None, :] * hidden * (1.0 - hidden)
+    grads = [
+        dact.T @ z + 2.0 * lam * w1,
+        dact.sum(axis=0),
+        (dpred @ hidden)[None, :] + 2.0 * lam * w2,
+        np.array([dpred.sum()]),
+    ]
+    return loss, grads
+
+
+def reference_train(w1, b1, w2, b2, z_tr, y_tr, z_val, y_val, hyper):
+    """One network's momentum descent, epoch by epoch, on 2-D arrays.
+
+    z_* are normalized rows.  Returns ("diverged", epoch) when the training
+    loss or then the validation MSE turns non-finite, else the parameters of
+    the best-validation epoch with their train MSE, best validation MSE and
+    the epochs run.  The lr halves whenever the training loss rises.
+    """
+    params = [w1.copy(), b1.copy(), w2.copy(), b2.copy()]
+
+    def mse(p, z, y):
+        return float(np.mean((_reference_forward_2d(p, z)[1] - y) ** 2))
+
+    best, best_val = [q.copy() for q in params], mse(params, z_val, y_val)
+    velocity = [np.zeros_like(q) for q in params]
+    lr, prev_loss, stale, epochs_run = hyper.learning_rate, np.inf, 0, 0
+    for epoch in range(1, hyper.max_epochs + 1):
+        if stale >= hyper.patience:
+            break
+        loss, grads = reference_loss_and_gradient(params, z_tr, y_tr, hyper.l2_penalty)
+        if not np.isfinite(loss):
+            return ("diverged", epoch)
+        if loss > prev_loss:
+            lr *= 0.5
+        prev_loss = loss
+        for q, v, g in zip(params, velocity, grads):
+            v *= hyper.momentum
+            v -= lr * g
+            q += v
+        epochs_run = epoch
+        val = mse(params, z_val, y_val)
+        if not np.isfinite(val):
+            return ("diverged", epoch)
+        if val < best_val:
+            best, best_val, stale = [q.copy() for q in params], val, 0
+        else:
+            stale += 1
+    return (tuple(best), mse(best, z_tr, y_tr), best_val, epochs_run)
 
 
 def reference_window(csv_path, window_index: int, mode: str):

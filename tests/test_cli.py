@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from dfslineup import ensemble, pipeline, stats
-from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from dfslineup.data import load_player_weeks
 from dfslineup.optimizer import Lineup, validate_lineup
 
@@ -317,6 +317,21 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
         assert main(["predict", "--config", str(config)]) == EXIT_OK
         assert main(["optimize", "--config", str(config)]) == EXIT_INFEASIBLE
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n_models, workers", [(N_MODELS, 1), (9, 2)])
+    def test_divergence_twice_exits_four(self, tmp_path, capsys, n_models, workers):
+        # Every member diverges, with its first seed and with its retry seed.
+        # Nine models make two batches, which go to a pool of two processes.
+        config = write_config(
+            tmp_path,
+            n_models=n_models,
+            workers=workers,
+            training={"learning_rate": 1.0e12, "momentum": 0.99},
+        )
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        assert main(["predict", "--config", str(config)]) == EXIT_NUMERIC
+        assert "error: model 0 diverged twice; giving up\n" == capsys.readouterr().err
 
     def test_unreachable_salary_band_exits_three(self, tmp_path):
         # Salaries are multiples of 100, so no lineup total lands in this band.

@@ -5,15 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dfslineup import ensemble as ensemble_module
 from dfslineup.config import TrainingConfig
 from dfslineup.data import N_FEATURES, WindowDataset
 from dfslineup.ensemble import (
+    RETRY_SALT,
     lineup_prediction_interval,
     model_seed,
     predict_distribution,
     sample_matrix,
     train_ensemble,
 )
+from dfslineup.errors import TrainingDivergedError
 from dfslineup.seeds import mix64
 
 from .test_network import make_dataset
@@ -45,13 +48,73 @@ class TestTraining:
             assert m1.val_mse == m2.val_mse
 
     def test_parallel_equals_serial(self):
+        """11 models make batches of 8 and 3, spread over 2 of 3 workers."""
         ds = make_dataset(np.random.default_rng(1), n=60)
-        serial = train_ensemble(ds, 8, master_seed=5, hyper=FAST, workers=1)
-        parallel = train_ensemble(ds, 8, master_seed=5, hyper=FAST, workers=4)
+        serial = train_ensemble(ds, 11, master_seed=5, hyper=FAST, workers=1)
+        parallel = train_ensemble(ds, 11, master_seed=5, hyper=FAST, workers=3)
+        assert len(serial) == len(parallel) == 11
         for ms, mp in zip(serial.models, parallel.models):
             assert ms.seed == mp.seed
+            assert ms.epochs_run == mp.epochs_run and ms.val_mse == mp.val_mse
             for a, b in zip(ms.network.params(), mp.network.params()):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "workers, n_models, pool_size",
+        [(64, 3, None), (64, 20, 3), (2, 20, 2), (1, 20, None)],
+    )
+    def test_pool_has_no_more_workers_than_batches(
+        self, monkeypatch, workers, n_models, pool_size
+    ):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool; runs the batches in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", RecordingPool)
+        ds = make_dataset(np.random.default_rng(8), n=30)
+        hyper = TrainingConfig(max_epochs=3)
+        ensemble = train_ensemble(
+            ds, n_models, master_seed=3, hyper=hyper, workers=workers
+        )
+        assert len(ensemble) == n_models
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_diverged_member_is_retrained_with_the_retry_seed(self, monkeypatch):
+        ds = make_dataset(np.random.default_rng(9), n=40)
+        master, k = 17, 9
+        first_seed = model_seed(master, k)
+        real = ensemble_module.train_batch
+
+        def first_seed_of_k_diverges(dataset, hyper, seeds):
+            results = real(dataset, hyper, seeds)
+            return [
+                TrainingDivergedError(3) if s == first_seed else r
+                for s, r in zip(seeds, results)
+            ]
+
+        monkeypatch.setattr(ensemble_module, "train_batch", first_seed_of_k_diverges)
+        ensemble = train_ensemble(ds, 11, master_seed=master, hyper=FAST)
+        seeds = [m.seed for m in ensemble.models]
+        assert seeds[k] == mix64(first_seed, RETRY_SALT)
+        assert seeds[:k] + seeds[k + 1 :] == [
+            model_seed(master, i) for i in range(11) if i != k
+        ]
+        # The tracer counts a retry as a seed that is not model_seed(master, i).
+        assert sum(s != model_seed(master, i) for i, s in enumerate(seeds)) == 1
+        alone = real(ds, FAST, [seeds[k]])[0]
+        assert np.array_equal(ensemble.models[k].network.w1, alone.network.w1)
 
     def test_prefix_property(self):
         """The first k models of a larger ensemble equal a smaller ensemble."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,15 @@ from dfslineup.network import (
     predict_batch,
     split_data,
     train,
+    train_batch,
 )
+from dfslineup.seeds import mix64
 
-from .oracles import reference_forward
+from .oracles import (
+    reference_forward,
+    reference_loss_and_gradient,
+    reference_train,
+)
 
 
 def random_net(rng, n_inputs=7, n_hidden=4):
@@ -100,7 +108,8 @@ class TestGradient:
             y = rng.normal(0, 5, x.shape[0])
             lam = float(rng.choice([0.0, 1e-3, 1e-2]))
 
-            _, grad = loss_and_gradient(net, norm, x, y, lam)
+            z = norm.apply(x)
+            _, grad = loss_and_gradient(net, z, y, lam)
             analytic = np.concatenate([g.ravel() for g in grad])
             theta = flat_params(net)
             numeric = np.empty_like(theta)
@@ -108,8 +117,8 @@ class TestGradient:
                 up, dn = theta.copy(), theta.copy()
                 up[k] += h
                 dn[k] -= h
-                lu, _ = loss_and_gradient(set_flat(net, up), norm, x, y, lam)
-                ld, _ = loss_and_gradient(set_flat(net, dn), norm, x, y, lam)
+                lu, _ = loss_and_gradient(set_flat(net, up), z, y, lam)
+                ld, _ = loss_and_gradient(set_flat(net, dn), z, y, lam)
                 numeric[k] = (lu - ld) / (2 * h)
             # Scale-aware relative error: near-zero components are judged
             # against the loss scale, not their own magnitude, since central
@@ -123,8 +132,9 @@ class TestGradient:
         net, norm = random_net(rng), random_norm(rng)
         x = rng.normal(0, 1, (5, 7))
         y = rng.normal(0, 1, 5)
-        loss0, grad0 = loss_and_gradient(net, norm, x, y, 0.0)
-        loss1, grad1 = loss_and_gradient(net, norm, x, y, 0.1)
+        z = norm.apply(x)
+        loss0, grad0 = loss_and_gradient(net, z, y, 0.0)
+        loss1, grad1 = loss_and_gradient(net, z, y, 0.1)
         assert loss1 == pytest.approx(
             loss0 + 0.1 * (np.sum(net.w1**2) + np.sum(net.w2**2))
         )
@@ -134,11 +144,28 @@ class TestGradient:
         assert not np.allclose(grad0[w1], grad1[w1])
         assert not np.allclose(grad0[w2], grad1[w2])
 
+    def test_stacked_members_match_the_2d_reference_bitwise(self):
+        """Loss and gradients of a stack equal each member's 2-D computation."""
+        rng = np.random.default_rng(15)
+        nets = [random_net(rng, N_FEATURES, 19) for _ in range(5)]
+        stack = Network(*(np.stack(p) for p in zip(*(n.params() for n in nets))))
+        z = rng.normal(0, 1, (5, 31, N_FEATURES))
+        y = rng.normal(0, 5, (5, 31))
+        for lam in (1e-3, 1.0):  # at 1.0 the penalty's last bits reach the loss
+            loss, grads = loss_and_gradient(stack, z, y, lam)
+            for k, net in enumerate(nets):
+                ref_loss, ref_grads = reference_loss_and_gradient(
+                    net.params(), z[k], y[k], lam
+                )
+                assert loss[k] == ref_loss
+                for g, ref in zip(grads, ref_grads):
+                    assert g[k].tobytes() == ref.tobytes()
+
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(5)
         net, norm = random_net(rng), random_norm(rng)
         with pytest.raises(ValueError):
-            loss_and_gradient(net, norm, np.empty((0, 7)), np.empty(0), 0.0)
+            loss_and_gradient(net, np.empty((0, 7)), np.empty(0), 0.0)
 
 
 class TestSplit:
@@ -210,9 +237,101 @@ class TestTraining:
             train(ds, cfg, seed=2)
         assert exc.value.epoch >= 1
 
+    def test_divergence_error_pickles_whole(self):
+        """Worker processes hand the error back pickled."""
+        back = pickle.loads(pickle.dumps(TrainingDivergedError(14)))
+        assert back.epoch == 14
+        assert str(back) == "training diverged at epoch 14"
+
     def test_returns_best_validation_parameters(self):
         ds = make_dataset(np.random.default_rng(14), n=80)
         model = train(ds, TrainingConfig(max_epochs=200), seed=9)
         # Retraining with more epochs can only improve or match best-val MSE.
         longer = train(ds, TrainingConfig(max_epochs=400), seed=9)
         assert longer.val_mse <= model.val_mse + 1e-12
+
+
+def reference_outcome(ds, hyper, seed):
+    """The one-network reference loop, fed the split and init a seed derives."""
+    tr, va = split_data(ds, hyper.train_fraction, mix64(seed, 1))
+    norm = norm_stats(tr.features)
+    net = init_network(ds.features.shape[1], hyper.hidden_units, mix64(seed, 2))
+    out = reference_train(
+        *net.params(), norm.apply(tr.features), tr.targets,
+        norm.apply(va.features), va.targets, hyper,
+    )
+    if out[0] == "diverged":
+        return out
+    params, train_mse, val_mse, epochs_run = out
+    return (tuple(p.tobytes() for p in params), train_mse, val_mse, epochs_run)
+
+
+def outcome(result):
+    if isinstance(result, TrainingDivergedError):
+        return ("diverged", result.epoch)
+    params = tuple(p.tobytes() for p in result.network.params())
+    return (params, result.train_mse, result.val_mse, result.epochs_run)
+
+
+def epochs(outcomes):
+    return [o[3] for o in outcomes if o[0] != "diverged"]
+
+
+class TestBatchIndependence:
+    """A member's bytes do not depend on the batch it trains in."""
+
+    SEEDS = list(range(10))
+    CASES = {
+        # (dataset seed, rows, hyperparameters, what the case must exhibit)
+        "stops_at_different_epochs": (
+            20, 60, TrainingConfig(max_epochs=200, patience=5),
+            lambda out: len(set(epochs(out))) > 1,
+        ),
+        "patience_1": (
+            21, 50, TrainingConfig(max_epochs=200, patience=1),
+            lambda out: min(epochs(out)) == 1 and len(set(epochs(out))) > 2,
+        ),
+        "max_epochs_reached": (
+            22, 50, TrainingConfig(max_epochs=7, patience=20),
+            lambda out: epochs(out) == [7] * 10,
+        ),
+        # Members diverge at the validation-MSE check, beside healthy ones.
+        "some_diverge_beside_healthy": (
+            13, 40, TrainingConfig(learning_rate=3e9, momentum=0.9, max_epochs=60),
+            lambda out: 0 < sum(o[0] == "diverged" for o in out) < 10,
+        ),
+        # Members 1 and 5 diverge at the training-loss check of epoch 20, the
+        # rest at the validation-MSE check of epoch 19 or 20.
+        "diverges_at_both_checks": (
+            13, 40, TrainingConfig(learning_rate=5e9, momentum=0.9, max_epochs=60),
+            lambda out: all(o[0] == "diverged" for o in out)
+            and len({o[1] for o in out}) > 1,
+        ),
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batches_equal_the_reference_loop(self, case):
+        ds_seed, n, hyper, exhibits = self.CASES[case]
+        ds = make_dataset(np.random.default_rng(ds_seed), n=n)
+        expected = [reference_outcome(ds, hyper, s) for s in self.SEEDS]
+        assert exhibits(expected)
+        for size in (1, 3, 4, 10):
+            got = [
+                outcome(r)
+                for i in range(0, len(self.SEEDS), size)
+                for r in train_batch(ds, hyper, self.SEEDS[i : i + size])
+            ]
+            assert got == expected, f"batches of {size}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_is_the_one_member_batch(self):
+        ds_seed, n, hyper, _ = self.CASES["some_diverge_beside_healthy"]
+        ds = make_dataset(np.random.default_rng(ds_seed), n=n)
+        for seed, result in zip(self.SEEDS, train_batch(ds, hyper, self.SEEDS)):
+            if isinstance(result, TrainingDivergedError):
+                with pytest.raises(TrainingDivergedError) as exc:
+                    train(ds, hyper, seed)
+                assert exc.value.epoch == result.epoch
+            else:
+                assert outcome(train(ds, hyper, seed)) == outcome(result)
