@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -9,6 +10,21 @@ from typing import Optional
 import yaml
 
 from .errors import ConfigError
+
+
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads YAML 1.2 exponent floats.
+
+    YAML 1.1 wants a dot and a signed exponent, so ``1e-3`` and ``1.0e12``
+    would load as strings; YAML 1.2 reads both as floats.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 @dataclass
@@ -162,7 +178,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
     return config_from_dict(data or {})

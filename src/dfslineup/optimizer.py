@@ -6,6 +6,17 @@ needed counts run up to each position's largest count, serves all three.
 Salaries are reduced by their gcd so the DP runs over a small grid of
 salary units, and the optimum has a zero optimality gap by construction.
 
+Every lineup has exactly nine players, so the budget axis starts above each
+position's salary floor, its cheapest player in the pool: a cell that needs
+``n[p]`` more players of each position is stored at its budget less
+``sum(n[p] * floor[p])``, and a player takes ``salary - floor[p]`` units.  The
+cells this drops are those below the floors, which no set of players can
+fill, and those above every configuration's root, which no read-back
+reaches.  Every kept cell holds the same sum of the same floats as on an
+axis from zero, so the take and tie bits, and with them every lineup, are
+unchanged.  On fixture week 8 ($100 units) the axis is 240 units long, not
+501.
+
 Ties among equal-objective lineups resolve to the lexicographically
 smallest sorted player-id tuple.  The DP meets that rule when it reads the
 candidates in player-id order, but it is cheapest with them grouped by
@@ -137,64 +148,84 @@ def undominated(position, salary, fpts) -> np.ndarray:
 def _dp_solve(
     cands: list[Candidate], cap: int, tol: float
 ) -> tuple[list[Optional[list[Candidate]]], bool]:
-    """Suffix DP over (needed counts, salary budget); one chosen set per config.
+    """Suffix DP over (needed counts, budget above the floors); one chosen set per config.
 
     The needed counts run up to the largest count of each position over the
-    flex configurations, so every configuration is a root of the same grid;
-    a root whose value is not finite (pool short a position, or nothing fits
-    the cap) yields None.  Each step touches only the needed counts its
-    suffix can fill: the rest of the grid stays -inf.  Per candidate, over
-    the cells it can fill, a take bit (take - skip >= -tol) and a tie bit
-    (take - skip <= tol) are stored; the value grid rolls.  Reconstruction
-    walks the candidates in the given order preferring to take, and also
-    returns whether any step it took was within tol of skipping.  With tol 0
-    and candidates in player_id order, the chosen set is the lexicographically
-    smallest sorted id tuple among all optimal lineups.
+    flex configurations, so every configuration is a root of the same grid.
+    The budget axis is floor-indexed: a cell with needed counts ``n`` and
+    budget ``b`` salary units sits at ``u = b - sum(n[p] * floor[p])``, where
+    ``floor[p]`` is the cheapest unit salary of position ``p`` in the pool,
+    and a take moves ``u`` down by the candidate's salary less its floor,
+    which is never negative.  Configuration ``c`` is read back from the root
+    ``cap // unit - sum(counts_c[p] * floor[p])``; the axis runs to the
+    largest root.  A negative root, or one whose value is not finite (pool
+    short a position, or nothing fits the cap), yields None.  A take still
+    reads the cell it read on an axis from zero, so every kept cell, and its
+    take and tie bits, equal those of that axis.
+
+    Each step touches only the needed counts its suffix can fill: the rest
+    of the grid stays -inf.  Per candidate, over the cells it can fill, a
+    take bit (take - skip >= -tol) and a tie bit (take - skip <= tol) are
+    stored; the value grid rolls.  Reconstruction walks the candidates in
+    the given order preferring to take, and also returns whether any step it
+    took was within tol of skipping.  With tol 0 and candidates in player_id
+    order, the chosen set is the lexicographically smallest sorted id tuple
+    among all optimal lineups.
     """
     unit = 0
     for c in cands:
         unit = gcd(unit, c.salary)
     budget_max = cap // unit if unit else 0
-    weights = [c.salary // unit for c in cands] if unit else []
     axes = [_POS_INDEX[c.position] for c in cands]
-    shape = tuple(_MAX_COUNTS[p] + 1 for p in POSITIONS) + (budget_max + 1,)
+    units = [c.salary // unit for c in cands] if unit else []
+    # Cheapest unit salary per position axis; 0 for a position the pool lacks.
+    floor = [min((w for a, w in zip(axes, units) if a == i), default=0) for i in _POS_INDEX.values()]
+    weights = [w - floor[a] for a, w in zip(axes, units)]
+    roots = [
+        budget_max - sum(k * floor[_POS_INDEX[p]] for p, k in counts.items())
+        for counts in POSITION_COUNTS
+    ]
+    top = max(roots)
+    if top < 0:  # the floors alone exceed the cap
+        return [None] * len(POSITION_COUNTS), False
+    shape = tuple(_MAX_COUNTS[p] + 1 for p in POSITIONS) + (top + 1,)
 
-    # value[needed counts, budget]: best completion from the suffix.
+    # value[needed counts, budget above the floors]: best completion from the suffix.
     value = np.full(shape, -np.inf)
     value[(0,) * len(POSITIONS)] = 0.0
     live = [0] * len(POSITIONS)  # largest needed count the suffix can fill
     take_bits = [None] * len(cands)
     tie_bits = [None] * len(cands)
 
-    for j in range(len(cands) - 1, -1, -1):
-        axis, w = axes[j], weights[j]
-        if w > budget_max:
-            continue
-        live[axis] = min(live[axis] + 1, shape[axis] - 1)
-        grid = value[tuple(slice(0, k + 1) for k in live)]
-        take_view = [slice(None)] * len(shape)
-        take_view[axis] = slice(1, None)
-        take_view[-1] = slice(w, None)
-        src_view = [slice(None)] * len(shape)
-        src_view[axis] = slice(0, -1)
-        src_view[-1] = slice(0, budget_max + 1 - w)
-        take_vals = cands[j].predicted_fpts + grid[tuple(src_view)]
-        dest = grid[tuple(take_view)]
-        with np.errstate(invalid="ignore"):  # -inf - -inf: neither bit
+    with np.errstate(invalid="ignore"):  # -inf - -inf: neither bit
+        for j in range(len(cands) - 1, -1, -1):
+            axis, w = axes[j], weights[j]
+            if w > top:
+                continue
+            live[axis] = min(live[axis] + 1, shape[axis] - 1)
+            grid = value[tuple(slice(0, k + 1) for k in live)]
+            take_view = [slice(None)] * len(shape)
+            take_view[axis] = slice(1, None)
+            take_view[-1] = slice(w, None)
+            src_view = [slice(None)] * len(shape)
+            src_view[axis] = slice(0, -1)
+            src_view[-1] = slice(0, top + 1 - w)
+            take_vals = cands[j].predicted_fpts + grid[tuple(src_view)]
+            dest = grid[tuple(take_view)]
             diff = take_vals - dest
-        take_bits[j] = diff >= -tol
-        tie_bits[j] = diff <= tol
-        np.maximum(dest, take_vals, out=dest)
+            take_bits[j] = diff >= -tol
+            tie_bits[j] = diff <= tol
+            np.maximum(dest, take_vals, out=dest)
 
     solutions = []
     tied = False
-    for counts in POSITION_COUNTS:
+    for counts, root in zip(POSITION_COUNTS, roots):
         need = [counts[p] for p in POSITIONS]
-        if not np.isfinite(value[tuple(need) + (budget_max,)]):
+        if root < 0 or not np.isfinite(value[tuple(need) + (root,)]):
             solutions.append(None)
             continue
         chosen = []
-        budget = budget_max
+        budget = root
         for j, cand in enumerate(cands):
             axis, w = axes[j], weights[j]
             if need[axis] == 0 or w > budget:

@@ -97,3 +97,23 @@ def test_float_field_takes_an_int_and_optional_path_takes_none():
     cfg = config_from_dict({"training": {"learning_rate": 1}, "exclusions_file": None})
     assert cfg.training.learning_rate == 1
     assert cfg.exclusions_file is None
+
+
+@pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("1E+3", 1e3), ("1.0e12", 1e12)])
+def test_exponent_floats_load_as_floats(tmp_path, text, value):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"training:\n  learning_rate: {text}\n", encoding="utf-8")
+    assert load_config(path).training.learning_rate == value
+
+
+def test_quoted_exponent_is_still_a_string(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("training:\n  learning_rate: '1e-3'\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="training.learning_rate must be a number, got '1e-3'"):
+        load_config(path)
+
+
+def test_defaults_round_trip(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    save_config(RunConfig(), path)
+    assert load_config(path) == RunConfig()

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfslineup.data import POSITIONS
 from dfslineup.errors import InfeasibleLineupError
 from dfslineup.optimizer import (
     _GROUP_RANK,
@@ -204,6 +208,147 @@ class TestBruteForceAgreement:
         assert "position TE: need 2 candidates, have 1" in message
         assert "position WR: need 4 candidates, have 3" in message
         assert "position RB: need 3 candidates, have 2" in message
+
+
+def assert_matches_oracle(pool, salary_cap):
+    """Every configuration's optimum, and the best over them, equal brute force."""
+    for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(pool, salary_cap)):
+        want = brute_force_config(pool, counts, salary_cap)
+        if want is None:
+            assert lineup is None
+        else:
+            assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
+            assert lineup.players == want[1]
+    want = brute_force_all_flex(pool, salary_cap)
+    if want is None:
+        with pytest.raises(InfeasibleLineupError):
+            optimize_all_flex(pool, salary_cap)
+    else:
+        lineup = optimize_all_flex(pool, salary_cap)
+        assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
+        assert lineup.players == want[1]
+
+
+# Nine players at the position floors of the 2-3-2 configuration, $43,000 in
+# all; the other two configurations need a $5,000 WR or RB in place of the
+# $4,000 TE, so their cheapest lineup costs $44,000.
+_FLOOR_POOL = [
+    Candidate("QB1", "QB", 5000, 20.0),
+    Candidate("QB2", "QB", 7100, 25.0),
+    Candidate("RB1", "RB", 5000, 14.0),
+    Candidate("RB2", "RB", 5000, 13.0),
+    Candidate("RB3", "RB", 5000, 12.0),
+    Candidate("RB4", "RB", 6300, 19.0),
+    Candidate("WR1", "WR", 5000, 11.0),
+    Candidate("WR2", "WR", 5000, 10.0),
+    Candidate("WR3", "WR", 5000, 9.0),
+    Candidate("WR4", "WR", 5000, 8.0),
+    Candidate("WR5", "WR", 8800, 22.0),
+    Candidate("TE1", "TE", 4000, 7.0),
+    Candidate("TE2", "TE", 4000, 6.0),
+    Candidate("TE3", "TE", 6100, 9.5),
+    Candidate("DST1", "DST", 5000, 5.0),
+    Candidate("DST2", "DST", 5500, 7.5),
+]
+
+
+class TestFloorShift:
+    """The budget axis starts at each position's salary floor."""
+
+    def test_cheapest_lineup_at_exactly_the_cap(self):
+        # Root u = 0 for 2-3-2: feasible, and the only lineup is the floors.
+        lineups = solve_flex_configs(_FLOOR_POOL, 43_000)
+        assert lineups[1] is None and lineups[2] is None
+        assert lineups[0].total_salary == 43_000
+        assert lineups[0].players == tuple(
+            sorted(["QB1", "RB1", "RB2", "WR1", "WR2", "WR3", "TE1", "TE2", "DST1"])
+        )
+        assert_matches_oracle(_FLOOR_POOL, 43_000)
+        for cap in (43_099, 44_000, 44_100, 50_000):
+            assert_matches_oracle(_FLOOR_POOL, cap)
+
+    def test_floors_above_the_cap(self):
+        # Every root is negative: the floors alone exceed the cap.
+        salary_cap = 42_900
+        assert solve_flex_configs(_FLOOR_POOL, salary_cap) == [None, None, None]
+        with pytest.raises(InfeasibleLineupError) as exc:
+            optimize_all_flex(_FLOOR_POOL, salary_cap)
+        assert str(exc.value) == "all flex configurations infeasible: " + "; ".join(
+            f"{config}: no lineup fits the $42,900 salary cap"
+            for config in ((2, 3, 2), (2, 4, 1), (3, 3, 1))
+        )
+        assert brute_force_all_flex(_FLOOR_POOL, salary_cap) is None
+
+    @pytest.mark.parametrize("unit", [50, 1])
+    def test_salary_gcd(self, unit):
+        # Salaries in steps of $50 or $1, so the DP's unit is 50 or 1.  Cap
+        # and salaries scale with the unit, which keeps the budget axis short.
+        rng = np.random.default_rng(70 + unit)
+        for trial in range(30):
+            base = make_shuffled_pool(rng, int(rng.integers(13, 16)), tie_heavy=(trial % 2 == 0))
+            salaries = rng.integers(40, 192, size=len(base)) * unit
+            pool = [
+                Candidate(c.player_id, c.position, int(s), c.predicted_fpts)
+                for c, s in zip(base, salaries)
+            ]
+            assert gcd(*(c.salary for c in pool)) == unit
+            assert_matches_oracle(pool, int(rng.integers(500, 1040)) * unit)
+
+    def test_position_with_a_single_player(self, salary_cap):
+        # One QB, one DST and one TE: each floor is that player's salary, its
+        # shifted weight 0, and 2-3-2 cannot be filled.
+        rng = np.random.default_rng(71)
+        shape = {"QB": 1, "RB": 5, "WR": 6, "TE": 1, "DST": 1}
+        for trial in range(20):
+            pool = make_pool_with(rng, shape, tie_heavy=(trial % 2 == 0))
+            assert solve_flex_configs(pool, salary_cap)[0] is None
+            assert_matches_oracle(pool, salary_cap)
+
+    def test_player_beyond_every_root_is_never_taken(self):
+        # WR9 costs $9,000 <= the cap, but its $4,000 above the WR floor
+        # exceeds every root ($3,900 at most): no lineup can hold the player,
+        # however many points it projects.
+        salary_cap = 46_900
+        pool = _FLOOR_POOL + [Candidate("WR9", "WR", 9000, 500.0)]
+        for lineup in solve_flex_configs(pool, salary_cap):
+            assert lineup is None or "WR9" not in lineup.players
+        assert "WR9" not in optimize_all_flex(pool, salary_cap).players
+        assert_matches_oracle(pool, salary_cap)
+        # One unit more and it fits the 2-3-2 root exactly.
+        assert "WR9" in optimize_all_flex(pool, salary_cap + 100).players
+
+
+# Each position's largest count over the flex configurations: a pool holding
+# exactly these can fill every configuration.
+_FULL_SHAPE = ["QB", "RB", "RB", "RB", "WR", "WR", "WR", "WR", "TE", "TE", "DST"]
+
+
+@st.composite
+def pools_and_caps(draw):
+    """A small pool with ids shuffled across positions, and a cap.
+
+    The pool is ``_FULL_SHAPE`` less up to two players (so a configuration
+    can go short) plus up to four of any position.  Salaries step by $1, $50
+    or $100, so the DP's unit varies; a tie-heavy pool draws FPTS from four
+    values and salaries from a narrow band.
+    """
+    positions = list(_FULL_SHAPE)
+    for i in sorted(draw(st.sets(st.integers(0, len(positions) - 1), max_size=2)), reverse=True):
+        del positions[i]
+    positions += draw(st.lists(st.sampled_from(POSITIONS), max_size=4))
+    tie_heavy = draw(st.booleans())
+    unit = draw(st.sampled_from([1, 50, 100]))
+    salary = st.integers(40, 80 if tie_heavy else 191).map(lambda k: k * unit)
+    fpts = st.integers(5, 8).map(float) if tie_heavy else st.floats(1.0, 30.0)
+    ids = draw(st.permutations([f"P{i:02d}" for i in range(len(positions))]))
+    pool = [Candidate(pid, pos, draw(salary), draw(fpts)) for pid, pos in zip(ids, positions)]
+    return pool, draw(st.integers(550, 1300)) * unit
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(pools_and_caps())
+def test_random_pools_match_oracle(pool_and_cap):
+    assert_matches_oracle(*pool_and_cap)
 
 
 class TestStructure:
