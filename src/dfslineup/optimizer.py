@@ -6,6 +6,11 @@ needed counts run up to each position's largest count, serves all three.
 Salaries are reduced by their gcd so the DP runs over a small grid of
 salary units, and the optimum has a zero optimality gap by construction.
 
+The pool is four parallel columns: player ids, positions, salaries and
+predicted FPTS.  The solver checks them and sorts them by id once per call,
+then works on index lists.  A ``Lineup`` is its sorted ids, flex
+configuration and predicted total; ``assign_slots`` labels one lineup.
+
 Every lineup has exactly nine players, so the budget axis starts above each
 position's salary floor, its cheapest player in the pool: a cell that needs
 ``n[p]`` more players of each position is stored at its budget less
@@ -61,65 +66,35 @@ _POS_INDEX = {p: i for i, p in enumerate(POSITIONS)}
 _GROUP_RANK = {p: i for i, p in enumerate(("QB", "DST", "TE", "RB", "WR"))}
 
 
-@dataclass(frozen=True)
-class Candidate:
-    player_id: str
-    position: str
-    salary: int
-    predicted_fpts: float
-
-    def __post_init__(self):
-        if self.position not in POSITIONS:
-            raise ValueError(f"unknown position {self.position!r}")
-        if (
-            isinstance(self.salary, bool)
-            or not isinstance(self.salary, (int, np.integer))
-            or self.salary <= 0
-        ):
-            raise ValueError(
-                f"salary must be a positive integer, got {self.salary!r} "
-                f"for {self.player_id}"
-            )
-
-
 @dataclass
 class Lineup:
     players: tuple[str, ...]  # sorted player ids; the lineup's identity
-    slots: list[tuple[str, str]]  # (slot label, player_id)
     flex_config: tuple[int, int, int]
-    total_salary: int
     predicted_fpts: float
 
 
-def _assign_slots(by_position: dict[str, list[Candidate]], config) -> list[tuple[str, str]]:
+def assign_slots(players, position, fpts, config) -> list[tuple[str, str]]:
+    """(slot label, player_id) per player of one lineup, grouped by position.
+
+    The three sequences are parallel, in any order.  Within a position the
+    higher projection (then the smaller id) takes the lower slot number; the
+    flex position's extra player, its lowest projection, is the FLEX slot.
+    """
     counts = _COUNTS_BY_CONFIG[config]
     flex_pos = next(p for p in POSITIONS if counts[p] > _FIXED_SLOTS[p])
     slots = []
     for pos in POSITIONS:
-        chosen = sorted(by_position[pos], key=lambda c: (-c.predicted_fpts, c.player_id))
+        chosen = sorted((-f, pid) for pid, p, f in zip(players, position, fpts) if p == pos)
         base = _FIXED_SLOTS[pos]
-        for k, cand in enumerate(chosen):
+        for k, (_, pid) in enumerate(chosen):
             if pos == flex_pos and k == base:
                 label = "FLEX"
             elif base == 1:
                 label = pos
             else:
                 label = f"{pos}{k + 1}"
-            slots.append((label, cand.player_id))
+            slots.append((label, pid))
     return slots
-
-
-def _build_lineup(chosen: list[Candidate], config) -> Lineup:
-    by_position = {p: [] for p in POSITIONS}
-    for cand in chosen:
-        by_position[cand.position].append(cand)
-    return Lineup(
-        players=tuple(sorted(c.player_id for c in chosen)),
-        slots=_assign_slots(by_position, config),
-        flex_config=config,
-        total_salary=sum(c.salary for c in chosen),
-        predicted_fpts=float(sum(c.predicted_fpts for c in chosen)),
-    )
 
 
 def undominated(position, salary, fpts) -> np.ndarray:
@@ -146,12 +121,14 @@ def undominated(position, salary, fpts) -> np.ndarray:
 
 
 def _dp_solve(
-    cands: list[Candidate], cap: int, tol: float
-) -> tuple[list[Optional[list[Candidate]]], bool]:
+    order: list[int], position, salary, fpts, cap: int, tol: float
+) -> tuple[list[Optional[list[int]]], bool]:
     """Suffix DP over (needed counts, budget above the floors); one chosen set per config.
 
-    The needed counts run up to the largest count of each position over the
-    flex configurations, so every configuration is a root of the same grid.
+    The DP reads the pool columns in ``order``, a list of indices into them;
+    a chosen set is a sorted list of those indices.  The needed counts run
+    up to the largest count of each position over the flex configurations,
+    so every configuration is a root of the same grid.
     The budget axis is floor-indexed: a cell with needed counts ``n`` and
     budget ``b`` salary units sits at ``u = b - sum(n[p] * floor[p])``, where
     ``floor[p]`` is the cheapest unit salary of position ``p`` in the pool,
@@ -173,11 +150,11 @@ def _dp_solve(
     among all optimal lineups.
     """
     unit = 0
-    for c in cands:
-        unit = gcd(unit, c.salary)
+    for j in order:
+        unit = gcd(unit, salary[j])
     budget_max = cap // unit if unit else 0
-    axes = [_POS_INDEX[c.position] for c in cands]
-    units = [c.salary // unit for c in cands] if unit else []
+    axes = [_POS_INDEX[position[j]] for j in order]
+    units = [salary[j] // unit for j in order]
     # Cheapest unit salary per position axis; 0 for a position the pool lacks.
     floor = [min((w for a, w in zip(axes, units) if a == i), default=0) for i in _POS_INDEX.values()]
     weights = [w - floor[a] for a, w in zip(axes, units)]
@@ -194,11 +171,11 @@ def _dp_solve(
     value = np.full(shape, -np.inf)
     value[(0,) * len(POSITIONS)] = 0.0
     live = [0] * len(POSITIONS)  # largest needed count the suffix can fill
-    take_bits = [None] * len(cands)
-    tie_bits = [None] * len(cands)
+    take_bits = [None] * len(order)
+    tie_bits = [None] * len(order)
 
     with np.errstate(invalid="ignore"):  # -inf - -inf: neither bit
-        for j in range(len(cands) - 1, -1, -1):
+        for j in range(len(order) - 1, -1, -1):
             axis, w = axes[j], weights[j]
             if w > top:
                 continue
@@ -210,7 +187,7 @@ def _dp_solve(
             src_view = [slice(None)] * len(shape)
             src_view[axis] = slice(0, -1)
             src_view[-1] = slice(0, top + 1 - w)
-            take_vals = cands[j].predicted_fpts + grid[tuple(src_view)]
+            take_vals = fpts[order[j]] + grid[tuple(src_view)]
             dest = grid[tuple(take_view)]
             diff = take_vals - dest
             take_bits[j] = diff >= -tol
@@ -226,7 +203,7 @@ def _dp_solve(
             continue
         chosen = []
         budget = root
-        for j, cand in enumerate(cands):
+        for j, player in enumerate(order):
             axis, w = axes[j], weights[j]
             if need[axis] == 0 or w > budget:
                 continue
@@ -235,54 +212,72 @@ def _dp_solve(
             cell = tuple(cell)
             if take_bits[j][cell]:
                 tied = tied or bool(tie_bits[j][cell])
-                chosen.append(cand)
+                chosen.append(player)
                 need[axis] -= 1
                 budget -= w
                 if not any(need):
                     break
-        solutions.append(chosen)
+        solutions.append(sorted(chosen))
     return solutions, tied
 
 
-def solve_flex_configs(candidates: list[Candidate], salary_cap: int) -> list[Optional[Lineup]]:
+def solve_flex_configs(ids, position, salary, fpts, salary_cap: int) -> list[Optional[Lineup]]:
     """Provably optimal lineup of each flex configuration, in FLEX_CONFIGS order.
 
-    One DP serves all three configurations; an infeasible one is None.
-    Exact objective ties resolve to the lexicographically smallest sorted
-    player-id tuple.  The DP is exact on any pool; it does not prune, so
-    callers that want a small pool pass only the ``undominated`` players.
+    The pool is four parallel columns in any order: player ids, positions,
+    salaries and predicted FPTS.  Columns of different lengths, an unknown
+    position, a salary that is not a positive integer (a bool included) or
+    a repeated id raise ValueError.  One DP serves all three configurations;
+    an infeasible one is None.  Exact objective ties resolve to the
+    lexicographically smallest sorted player-id tuple.  The DP is exact on
+    any pool; it does not prune, so callers that want a small pool pass
+    only the ``undominated`` players.
     """
-    pool = sorted(candidates, key=lambda c: c.player_id)
-    for prev, cand in zip(pool, pool[1:]):
-        if prev.player_id == cand.player_id:
-            raise ValueError(f"duplicate candidate id {cand.player_id!r}")
+    columns = (ids, position, salary, fpts)
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"pool columns differ in length: {[len(c) for c in columns]}")
+    for pid, pos, s in zip(ids, position, salary):
+        if pos not in POSITIONS:
+            raise ValueError(f"unknown position {pos!r} for {pid}")
+        if isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer)) or s <= 0:
+            raise ValueError(f"salary must be a positive integer, got {s!r} for {pid}")
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if ids[a] == ids[b]:
+            raise ValueError(f"duplicate candidate id {ids[b]!r}")
+    # From here on, plain lists in id order.
+    kinds = (str, str, int, float)
+    ids, position, salary, fpts = ([kind(c[j]) for j in order] for kind, c in zip(kinds, columns))
     # Far above the rounding of a nine-term sum (about 2**-50 of its size)
     # and far below any real FPTS gap.  Not a config key: every margin in
     # that range gives the same lineups and only sets how often the
     # id-order solve runs.
-    tol = 2.0**-40 * (1 + LINEUP_SIZE * max((abs(c.predicted_fpts) for c in pool), default=0.0))
-    grouped = sorted(pool, key=lambda c: _GROUP_RANK[c.position])  # stable: id order within
-    solutions, tied = _dp_solve(grouped, salary_cap, tol)
+    tol = 2.0**-40 * (1 + LINEUP_SIZE * max(map(abs, fpts), default=0.0))
+    id_order = range(len(ids))
+    grouped = sorted(id_order, key=lambda j: _GROUP_RANK[position[j]])  # stable: id order within
+    solutions, tied = _dp_solve(grouped, position, salary, fpts, salary_cap, tol)
     if tied:
-        solutions, _ = _dp_solve(pool, salary_cap, 0.0)
-    # Re-sorted so predicted_fpts is summed in id order whichever solve ran:
-    # it decides the cross-configuration choice down to its last bit.
+        solutions, _ = _dp_solve(id_order, position, salary, fpts, salary_cap, 0.0)
+    # Chosen indices are in id order whichever solve ran, so predicted_fpts is
+    # summed in id order: it decides the cross-configuration choice down to
+    # its last bit.
     return [
-        None if chosen is None else _build_lineup(sorted(chosen, key=lambda c: c.player_id), config)
+        None if chosen is None
+        else Lineup(tuple(ids[j] for j in chosen), config, sum(fpts[j] for j in chosen))
         for config, chosen in zip(FLEX_CONFIGS, solutions)
     ]
 
 
-def optimize_all_flex(candidates: list[Candidate], salary_cap: int) -> Lineup:
-    """Best lineup over the three flex configurations.
+def optimize_all_flex(ids, position, salary, fpts, salary_cap: int) -> Lineup:
+    """Best lineup over the three flex configurations of the pool's columns.
 
     Exact objective ties resolve to the lexicographically smallest sorted
     player-id tuple.
     """
-    results = [lu for lu in solve_flex_configs(candidates, salary_cap) if lu is not None]
+    results = [lu for lu in solve_flex_configs(ids, position, salary, fpts, salary_cap) if lu]
     if results:
         return min(results, key=lambda lu: (-lu.predicted_fpts, lu.players))
-    available = Counter(c.position for c in candidates)
+    available = Counter(position)
     reasons = []
     for config, counts in zip(FLEX_CONFIGS, POSITION_COUNTS):
         short = [

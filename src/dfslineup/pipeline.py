@@ -25,7 +25,7 @@ from .ensemble import (
     sample_matrix,
     train_ensemble,
 )
-from .optimizer import Candidate, Lineup, modal_lineup, optimize_all_flex, undominated
+from .optimizer import Lineup, assign_slots, modal_lineup, optimize_all_flex, undominated
 from .report import (  # noqa: F401  cmd_report: re-exported
     BOXPLOT,
     ELIGIBILITY,
@@ -169,25 +169,19 @@ def _load_samples(cfg: RunConfig):
 def solve_per_model(ids, samples, salary, position, salary_cap: int) -> list[Lineup]:
     """One exact solve per model row of the sample matrix.
 
-    Each row is pruned on arrays first, so only the players that can be in
-    its optimum become candidates.
+    Each row is pruned on arrays first, and only the kept players' columns
+    go to the solver.
     """
     order = sorted(range(len(ids)), key=ids.__getitem__)  # the pruner's id order
-    ids = [ids[j] for j in order]
+    ids = np.asarray(ids)[order]
     position = np.asarray(position)[order]
     salary = np.asarray(salary)[order]
     lineups = []
     for row in samples[:, order]:
-        candidates = [
-            Candidate(
-                player_id=ids[j],
-                position=str(position[j]),
-                salary=int(salary[j]),
-                predicted_fpts=float(row[j]),
-            )
-            for j in np.flatnonzero(undominated(position, salary, row))
-        ]
-        lineups.append(optimize_all_flex(candidates, salary_cap))
+        keep = undominated(position, salary, row)
+        lineups.append(
+            optimize_all_flex(ids[keep], position[keep], salary[keep], row[keep], salary_cap)
+        )
     return lineups
 
 
@@ -199,13 +193,18 @@ def cmd_optimize(cfg: RunConfig) -> None:
     modal_count = sum(1 for lu in lineups if lu.players == modal.players)
 
     by_id = {pid: j for j, pid in enumerate(ids)}
+    cols = [by_id[pid] for pid in modal.players]
     mean_total, ci_low, ci_high = lineup_prediction_interval(
-        samples[:, [by_id[pid] for pid in modal.players]], level=cfg.report.ci_level
+        samples[:, cols], level=cfg.report.ci_level
     )
+    # Slots follow the FPTS row of the first model whose optimum is the
+    # modal lineup: modal_lineup returns that model's Lineup.
+    fpts = samples[lineups.index(modal), cols]
+    slots = assign_slots(modal.players, [position[j] for j in cols], fpts, modal.flex_config)
 
     lines = ["slot,player_id,position,salary,predicted_fpts,actual_fpts"]
     total_salary = 0
-    for slot, pid in modal.slots:
+    for slot, pid in slots:
         j = by_id[pid]
         total_salary += int(salary[j])
         lines.append(
@@ -218,7 +217,7 @@ def cmd_optimize(cfg: RunConfig) -> None:
         _out(cfg, LINEUP_JSON),
         {
             "players": list(modal.players),
-            "slots": [list(s) for s in modal.slots],
+            "slots": [list(s) for s in slots],
             "flex_config": list(modal.flex_config),
             "total_salary": total_salary,
             "modal_count": modal_count,
@@ -256,9 +255,8 @@ def cmd_validate(cfg: RunConfig) -> None:
     ids, samples, _, _ = _load_samples(cfg)
     week = cfg.target_week
     target = table.at_week(week)
-    season_ids = table.player_ids()
 
-    fpts_by_id = dict(zip(season_ids, target["fpts"].tolist()))
+    fpts_by_id = dict(zip(table.player_ids(), target["fpts"].tolist()))
     actuals = {
         pid: fpts_by_id[pid]
         for pid in lineup_info["players"]
@@ -285,13 +283,10 @@ def cmd_validate(cfg: RunConfig) -> None:
 
     pool_rows = np.flatnonzero(target["draftable"] & (target["fpts"] > 0))
     fpts = target["fpts"][pool_rows]
-    pool = [
-        Candidate(season_ids[j], target["position"][j], int(target["salary"][j]), float(f))
-        for j, f in zip(pool_rows, fpts)
-    ]
     rb = cfg.random_baseline
     draws = stats.random_population(
-        pool, cfg.salary_cap, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT)
+        np.array(target["position"])[pool_rows], target["salary"][pool_rows],
+        cfg.salary_cap, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT),
     )
     random_pop = stats.PopulationStats(samples=fpts[draws].sum(axis=1), label="random")
 

@@ -179,28 +179,23 @@ def _draw_block(rng, groups, keep, config_ok, salary, band):
 
 
 def random_population(
-    pool, salary_cap: int, count: int, min_salary: int, seed: int
+    position, salary, salary_cap: int, count: int, min_salary: int, seed: int
 ) -> np.ndarray:
     """`count` uniform slot-wise random lineups with salary in [min_salary, cap].
 
-    Returns a (count, 9) array of indices into `pool`.  Per attempt: a flex
-    configuration uniformly among the three, then per position uniform
-    picks without replacement from that position's players in player_id
-    order.  Attempts run in blocks of _BLOCK; block b draws from
+    The pool is two parallel columns, each player's position and salary;
+    the result is a (count, 9) array of indices into them.  Per attempt: a
+    flex configuration uniformly among the three, then per position uniform
+    picks without replacement from that position's players in array order.
+    Attempts run in blocks of _BLOCK; block b draws from
     default_rng(mix64(seed, b)) and in-band attempts are kept in order, so
     a smaller count gives a prefix of a larger one.  MAX_REJECTIONS
     consecutive misses raise NoFeasibleSampleError.
     """
     if min_salary > salary_cap:
         raise ValueError("min_salary exceeds the salary cap")
-    bad = [c.player_id for c in pool if c.predicted_fpts <= 0.0]
-    if bad:
-        raise ValueError(f"pool contains zero-FPTS players: {bad[:5]}")
-    order = sorted(range(len(pool)), key=lambda i: pool[i].player_id)
-    groups = {
-        p: np.array([i for i in order if pool[i].position == p], dtype=np.intp)
-        for p in POSITIONS
-    }
+    position = np.asarray(position)
+    groups = {p: np.flatnonzero(position == p) for p in POSITIONS}
     config_ok = np.array(
         [all(len(groups[p]) >= k for p, k in counts.items()) for counts in POSITION_COUNTS]
     )
@@ -214,7 +209,7 @@ def random_population(
         [[j < counts[p] for p in POSITIONS for j in range(_MAX_COUNTS[p])]
          for counts in POSITION_COUNTS]
     )
-    salary = np.array([c.salary for c in pool], dtype=np.int64)
+    salary = np.asarray(salary, dtype=np.int64)
     band = (min_salary, salary_cap)
 
     chunks, misses, need = [], 0, count

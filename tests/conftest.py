@@ -3,12 +3,33 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from dfslineup.data import POSITIONS, load_player_weeks
-from dfslineup.optimizer import Candidate
+
+
+class Player(NamedTuple):
+    """One pool entry; the oracles read exactly these four attributes."""
+
+    player_id: str
+    position: str
+    salary: int
+    predicted_fpts: float
+
+
+def columns(pool):
+    """The pool as the solver's and sampler's parallel columns: (ids,
+    positions, salaries, predicted FPTS)."""
+    return (
+        [c.player_id for c in pool],
+        [c.position for c in pool],
+        [c.salary for c in pool],
+        [c.predicted_fpts for c in pool],
+    )
+
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,10 +60,10 @@ def season_table(season_csv):
 
 @pytest.fixture(scope="session")
 def week8_pool(season_table):
-    """Week-8 draftable players with positive actual FPTS, as candidates."""
+    """Week-8 draftable players with positive actual FPTS, in id order."""
     week = season_table.at_week(8)
     return [
-        Candidate(pid, week["position"][j], int(week["salary"][j]), float(week["fpts"][j]))
+        Player(pid, week["position"][j], int(week["salary"][j]), float(week["fpts"][j]))
         for j, pid in enumerate(season_table.player_ids())
         if week["draftable"][j] and week["fpts"][j] > 0
     ]
@@ -53,14 +74,14 @@ def salary_cap() -> int:
     return 50_000
 
 
-def _candidate(rng: np.random.Generator, i: int, pos: str, tie_heavy: bool) -> Candidate:
+def _candidate(rng: np.random.Generator, i: int, pos: str, tie_heavy: bool) -> Player:
     if tie_heavy:
         fpts = float(rng.integers(5, 12))
         salary = int(rng.integers(20, 60)) * 100
     else:
         fpts = float(rng.uniform(1.0, 30.0))
         salary = int(rng.integers(20, 96)) * 100
-    return Candidate(f"P{i:03d}", pos, salary, fpts)
+    return Player(f"P{i:03d}", pos, salary, fpts)
 
 
 def make_pool(rng: np.random.Generator, n: int, tie_heavy: bool = False):
@@ -77,7 +98,7 @@ def make_shuffled_pool(rng: np.random.Generator, n: int, tie_heavy: bool = False
     position-grouped order disagree."""
     pool = make_pool(rng, n, tie_heavy)
     ids = [pool[i].player_id for i in rng.permutation(n)]
-    return [Candidate(pid, c.position, c.salary, c.predicted_fpts) for pid, c in zip(ids, pool)]
+    return [c._replace(player_id=pid) for pid, c in zip(ids, pool)]
 
 
 def make_pool_with(rng: np.random.Generator, shape: dict, tie_heavy: bool = False):

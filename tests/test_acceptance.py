@@ -32,7 +32,7 @@ from dfslineup.pipeline import solve_per_model
 from dfslineup.stats import PopulationStats, bootstrap_ci, cohens_d, ks_normality, percentile
 from dfslineup.stats import random_population, welch_t_test
 
-from .conftest import FIXTURES, make_pool
+from .conftest import FIXTURES, columns, make_pool
 from .oracles import FLEX_COUNTS, brute_force_all_flex, brute_force_config, random_rows_ok
 from .test_network import flat_params, make_dataset, random_net, random_norm, set_flat
 
@@ -58,12 +58,12 @@ class TestSolverExactness:
             oracle = brute_force_config(pool, FLEX_COUNTS[trial % 3], cap)
             if oracle is None:
                 continue
-            got = solve_flex_configs(pool, cap)[trial % 3]
+            got = solve_flex_configs(*columns(pool), cap)[trial % 3]
             assert got.predicted_fpts == pytest.approx(oracle[0], abs=1e-9)
             assert got.players == oracle[1]
 
             best_value, best_ids = brute_force_all_flex(pool, cap)
-            flexed = optimize_all_flex(pool, cap)
+            flexed = optimize_all_flex(*columns(pool), cap)
             assert flexed.predicted_fpts == pytest.approx(best_value, abs=1e-9)
             assert flexed.players == best_ids
         assert time.perf_counter() - start < 10.0
@@ -78,7 +78,7 @@ class TestLineupValidity:
         for trial in range(100):
             pool = make_pool(rng, int(rng.integers(13, 30)), tie_heavy=trial % 5 == 0)
             try:
-                lineup = optimize_all_flex(pool, salary_cap)
+                lineup = optimize_all_flex(*columns(pool), salary_cap)
             except InfeasibleLineupError:  # small pools can price out of the cap
                 continue
             salary, position = _maps(pool)
@@ -86,7 +86,8 @@ class TestLineupValidity:
 
     def test_35000_random_draws_all_validate(self, week8_pool):
         salary_cap = 50_000
-        draws = random_population(week8_pool, salary_cap, 35_000, 45_000, seed=MASTER_SEED)
+        _, position, salary, _ = columns(week8_pool)
+        draws = random_population(position, salary, salary_cap, 35_000, 45_000, seed=MASTER_SEED)
         assert draws.shape == (35_000, 9)
         assert all(random_rows_ok(week8_pool, draws, 45_000, salary_cap))
 

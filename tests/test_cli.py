@@ -86,9 +86,7 @@ class TestPipelineArtifacts:
         assert info["ci_low"] <= info["predicted_mean"] <= info["ci_high"]
         lineup = Lineup(
             players=tuple(info["players"]),
-            slots=[tuple(s) for s in info["slots"]],
             flex_config=tuple(info["flex_config"]),
-            total_salary=info["total_salary"],
             predicted_fpts=info["predicted_mean"],
         )
         ids, week = season_table.player_ids(), season_table.at_week(8)
@@ -97,6 +95,7 @@ class TestPipelineArtifacts:
         position = {ids[j]: week["position"][j] for j in rows}
         assert validate_lineup(lineup, 50_000, salary, position) == []
         assert info["total_salary"] == sum(salary[p] for p in info["players"])
+        assert sorted(pid for _, pid in info["slots"]) == sorted(info["players"])
 
     def test_validation_report_fields(self, full_run):
         out, _ = full_run
@@ -130,6 +129,33 @@ class TestPipelineArtifacts:
             )
         for name in ("train_window.npz", "predictions.csv", "samples.npz", "lineup.json"):
             assert (other / name).read_bytes() == (out / name).read_bytes()
+
+    def test_validate_and_report_without_contest_file(self, full_run, tmp_path, capsys):
+        # Only the random population: no real-world summary and no comparison.
+        out, _ = full_run
+        for name in ("lineup.json", "samples.npz"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        config = write_config(tmp_path, contest_results_csv=None, output_dir=str(tmp_path))
+        written = ("validation_report.json", "percentiles.csv", "boxplot.csv",
+                   "histograms.csv", "report.txt")
+        runs = []
+        for _ in range(2):
+            for command in ("validate", "report"):
+                assert main([command, "--config", str(config)]) == EXIT_OK
+            runs.append({name: (tmp_path / name).read_bytes() for name in written})
+        assert runs[0] == runs[1]
+
+        report = json.loads(runs[0]["validation_report.json"])
+        assert report["status"] == "valid"
+        assert report["random"]["n"] == 300
+        assert {"real_world", "welch_t", "cohens_d"}.isdisjoint(report)
+        for name in ("percentiles.csv", "boxplot.csv"):
+            rows = runs[0][name].decode().strip().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == ["random"]
+        text = runs[0]["report.txt"].decode()
+        assert "Random lineups" in text
+        assert "Real-world users" not in text and "real vs random" not in text
+        assert capsys.readouterr().out == text + text
 
     @pytest.mark.parametrize("command", ["config-init", "report"])
     def test_light_commands_do_not_load_numpy(self, full_run, tmp_path, command):

@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfslineup.config import RunConfig
 from dfslineup.data import (
@@ -29,6 +31,7 @@ from dfslineup.data import (
     load_exclusions,
     load_player_weeks,
     lookback_weeks,
+    parse_row,
 )
 from dfslineup.errors import ConfigError, DuplicateKeyError, SchemaError, WindowRangeError
 
@@ -172,6 +175,43 @@ class TestParsing:
         path = tmp_path / "exclude.txt"
         path.write_text("QB001\n\n# comment\n  WR005  \n", encoding="utf-8")
         assert load_exclusions(path) == {"QB001", "WR005"}
+
+
+# Junk for any field: blanks, non-finite and unparsable numbers, ranks and
+# weeks out of range, a bool out of {0, 1}, coordinates off the globe.
+_JUNK = ["", " ", "nan", "inf", "-inf", "1e999", "abc", "1.5", "-1", "0", "2", "18",
+         "33", "99999", "-190.0", "95.0", "K", "QB"]
+
+
+@st.composite
+def csv_rows(draw):
+    """GOOD_ROW's sixteen fields with up to four of them replaced by junk or
+    arbitrary text."""
+    fields = GOOD_ROW.split(",")
+    for i in draw(st.sets(st.integers(0, len(fields) - 1), max_size=4)):
+        fields[i] = draw(st.one_of(st.sampled_from(_JUNK), st.text(max_size=6)))
+    return fields
+
+
+def test_any_row_parses_or_names_its_line_and_column():
+    outcomes = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(csv_rows())
+    def check(fields):
+        try:
+            parsed = parse_row(dict(zip(CSV_COLUMNS, fields)), line=7)
+        except SchemaError as exc:
+            assert exc.line == 7
+            assert exc.column in CSV_COLUMNS
+            outcomes.append("rejected")
+        else:
+            assert isinstance(parsed, tuple) and len(parsed) == len(CSV_COLUMNS) == 16
+            outcomes.append("parsed")
+
+    check()
+    # Both branches are exercised, so neither half of the property is vacuous.
+    assert min(outcomes.count("parsed"), outcomes.count("rejected")) >= 10
 
 
 class TestEligibility:

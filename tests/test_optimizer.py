@@ -15,9 +15,9 @@ from dfslineup.errors import InfeasibleLineupError
 from dfslineup.optimizer import (
     _GROUP_RANK,
     LINEUP_SIZE,
-    Candidate,
     Lineup,
     _dp_solve,
+    assign_slots,
     modal_lineup,
     optimize_all_flex,
     solve_flex_configs,
@@ -25,7 +25,7 @@ from dfslineup.optimizer import (
     validate_lineup,
 )
 
-from .conftest import make_pool, make_pool_with, make_shuffled_pool
+from .conftest import Player, columns, make_pool, make_pool_with, make_shuffled_pool
 from .oracles import FLEX_COUNTS, brute_force_all_flex, brute_force_config, prune_keep_ids
 
 
@@ -41,19 +41,46 @@ def lineup_positions(lineup, pool):
 
 
 class TestCandidates:
-    def test_rejects_bad_position_and_salary(self):
-        with pytest.raises(ValueError):
-            Candidate("A", "K", 5000, 10.0)
-        with pytest.raises(ValueError):
-            Candidate("A", "QB", 0, 10.0)
-        with pytest.raises(ValueError):
-            Candidate("A", "QB", -100, 10.0)
-        with pytest.raises(ValueError):
-            Candidate("A", "QB", True, 1.0)
+    def test_rejects_bad_position_and_salary(self, salary_cap):
+        pool = make_pool(np.random.default_rng(0), 14)
+        bad_entries = [
+            pool[3]._replace(position="K"),
+            pool[3]._replace(salary=0),
+            pool[3]._replace(salary=-100),
+            pool[3]._replace(salary=True),
+            pool[3]._replace(salary=5000.0),
+        ]
+        for bad in bad_entries:
+            for solve in (solve_flex_configs, optimize_all_flex):
+                with pytest.raises(ValueError, match="position|salary"):
+                    solve(*columns(pool[:3] + [bad] + pool[4:]), salary_cap)
+        ids, position, salary, fpts = columns(pool)
+        with pytest.raises(ValueError, match="salary"):
+            solve_flex_configs(ids, position, np.ones(len(pool), dtype=bool), fpts, salary_cap)
+
+    def test_rejects_columns_of_different_lengths(self, salary_cap):
+        ids, position, salary, fpts = columns(make_pool(np.random.default_rng(0), 14))
+        for cols in (
+            (ids[:-1], position, salary, fpts),
+            (ids, position, salary[:-1], fpts),
+            (ids, position, salary, fpts + [1.0]),
+        ):
+            with pytest.raises(ValueError, match="differ in length"):
+                optimize_all_flex(*cols, salary_cap)
+
+    def test_array_columns_match_list_columns(self, salary_cap):
+        rng = np.random.default_rng(59)
+        for trial in range(10):
+            pool = make_shuffled_pool(rng, 20, tie_heavy=trial % 2 == 0)
+            want = solve_flex_configs(*columns(pool), salary_cap)
+            got = solve_flex_configs(*map(np.asarray, columns(pool)), salary_cap)
+            assert got == want
+            for lineup in got:
+                assert lineup is None or all(type(p) is str for p in lineup.players)
 
     def test_rules_reject_unknown_flex_config(self, salary_cap):
         pool = make_pool(np.random.default_rng(56), 16)
-        lineup = optimize_all_flex(pool, salary_cap)
+        lineup = optimize_all_flex(*columns(pool), salary_cap)
         lineup.flex_config = (3, 4, 1)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
@@ -64,7 +91,7 @@ class TestCandidates:
         pool = make_pool(np.random.default_rng(0), 14)
         pool.append(pool[0])
         with pytest.raises(ValueError, match="duplicate"):
-            solve_flex_configs(pool, salary_cap)
+            solve_flex_configs(*columns(pool), salary_cap)
 
 
 class TestBruteForceAgreement:
@@ -73,7 +100,7 @@ class TestBruteForceAgreement:
         rng = np.random.default_rng(42 if tie_heavy else 43)
         for trial in range(40):
             pool = make_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
-            lineups = solve_flex_configs(pool, salary_cap)
+            lineups = solve_flex_configs(*columns(pool), salary_cap)
             assert len(lineups) == len(FLEX_COUNTS)
             for counts, lineup in zip(FLEX_COUNTS, lineups):
                 want = brute_force_config(pool, counts, salary_cap)
@@ -90,7 +117,7 @@ class TestBruteForceAgreement:
             pool = make_pool(rng, 15, tie_heavy=(trial % 2 == 0))
             want = brute_force_all_flex(pool, salary_cap)
             try:
-                lineup = optimize_all_flex(pool, salary_cap)
+                lineup = optimize_all_flex(*columns(pool), salary_cap)
                 got = (lineup.predicted_fpts, lineup.players)
             except InfeasibleLineupError:
                 got = None
@@ -108,7 +135,7 @@ class TestBruteForceAgreement:
         for trial in range(200):
             pool = make_shuffled_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
             salary_cap = int(rng.integers(250, 480)) * 100
-            for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(pool, salary_cap)):
+            for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(*columns(pool), salary_cap)):
                 want = brute_force_config(pool, counts, salary_cap)
                 if want is None:
                     assert lineup is None
@@ -117,7 +144,7 @@ class TestBruteForceAgreement:
                     assert lineup.players == want[1]
             want = brute_force_all_flex(pool, salary_cap)
             if want is not None:
-                lineup = optimize_all_flex(pool, salary_cap)
+                lineup = optimize_all_flex(*columns(pool), salary_cap)
                 assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
                 assert lineup.players == want[1]
 
@@ -127,24 +154,25 @@ class TestBruteForceAgreement:
         # The grouped order meets the RBs first and keeps B; the lexicographic
         # minimum holds A, which only the id-order solve finds.
         pool = [
-            Candidate("A", "WR", 9000, 20.0),
-            Candidate("B", "RB", 9000, 20.0),
-            Candidate("C", "WR", 6000, 10.0),
-            Candidate("D", "RB", 6000, 10.0),
-            Candidate("QB1", "QB", 5000, 30.0),
-            Candidate("DST1", "DST", 5000, 30.0),
-            Candidate("TE1", "TE", 5000, 30.0),
-            Candidate("TE2", "TE", 5000, 30.0),
-            Candidate("RB1", "RB", 5000, 30.0),
-            Candidate("WR1", "WR", 5000, 30.0),
-            Candidate("WR2", "WR", 5000, 30.0),
+            Player("A", "WR", 9000, 20.0),
+            Player("B", "RB", 9000, 20.0),
+            Player("C", "WR", 6000, 10.0),
+            Player("D", "RB", 6000, 10.0),
+            Player("QB1", "QB", 5000, 30.0),
+            Player("DST1", "DST", 5000, 30.0),
+            Player("TE1", "TE", 5000, 30.0),
+            Player("TE2", "TE", 5000, 30.0),
+            Player("RB1", "RB", 5000, 30.0),
+            Player("WR1", "WR", 5000, 30.0),
+            Player("WR2", "WR", 5000, 30.0),
         ]
-        grouped = sorted(pool, key=lambda c: (_GROUP_RANK[c.position], c.player_id))
-        (fast, _, _), tied = _dp_solve(grouped, salary_cap, 1e-9)
-        assert tied and {"B", "C"} <= {c.player_id for c in fast}
+        ids, position, salary, fpts = columns(pool)
+        grouped = sorted(range(len(pool)), key=lambda j: (_GROUP_RANK[position[j]], ids[j]))
+        (fast, _, _), tied = _dp_solve(grouped, position, salary, fpts, salary_cap, 1e-9)
+        assert tied and {"B", "C"} <= {ids[j] for j in fast}
         want = brute_force_config(pool, FLEX_COUNTS[0], salary_cap)
         assert {"A", "D"} <= set(want[1])
-        assert solve_flex_configs(pool, salary_cap)[0].players == want[1]
+        assert solve_flex_configs(*columns(pool), salary_cap)[0].players == want[1]
 
     def test_pruning_never_changes_the_answer(self, salary_cap):
         rng = np.random.default_rng(45)
@@ -156,14 +184,16 @@ class TestBruteForceAgreement:
             keep = keep_mask(pool)
             pruned = [c for c, kept in zip(pool, keep) if kept]
             assert len(pruned) <= len(pool)
-            full, _ = _dp_solve(pool, salary_cap, 0.0)
-            slim, _ = _dp_solve(pruned, salary_cap, 0.0)
+            _, *cols = columns(pool)
+            full, _ = _dp_solve(range(len(pool)), *cols, salary_cap, 0.0)
+            _, *cols = columns(pruned)
+            slim, _ = _dp_solve(range(len(pruned)), *cols, salary_cap, 0.0)
             assert len(full) == len(slim) == len(FLEX_COUNTS)
             for a, b in zip(full, slim):
                 if a is None:
                     assert b is None
                 else:
-                    assert [c.player_id for c in a] == [c.player_id for c in b]
+                    assert [pool[j].player_id for j in a] == [pruned[j].player_id for j in b]
 
     @pytest.mark.parametrize("tie_heavy", [False, True])
     def test_prune_mask_matches_pairwise_oracle(self, tie_heavy):
@@ -182,11 +212,11 @@ class TestBruteForceAgreement:
         shape = {"QB": 2, "RB": 4, "WR": 3, "TE": 3, "DST": 2}
         for trial in range(20):
             pool = make_pool_with(rng, shape, tie_heavy=(trial % 2 == 0))
-            lineups = solve_flex_configs(pool, salary_cap)
+            lineups = solve_flex_configs(*columns(pool), salary_cap)
             assert lineups[1] is None
             want = brute_force_all_flex(pool, salary_cap)
             try:
-                lineup = optimize_all_flex(pool, salary_cap)
+                lineup = optimize_all_flex(*columns(pool), salary_cap)
                 got = (lineup.predicted_fpts, lineup.players)
             except InfeasibleLineupError:
                 got = None
@@ -201,9 +231,9 @@ class TestBruteForceAgreement:
         pool = make_pool_with(
             np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
         )
-        assert solve_flex_configs(pool, salary_cap) == [None, None, None]
+        assert solve_flex_configs(*columns(pool), salary_cap) == [None, None, None]
         with pytest.raises(InfeasibleLineupError) as exc:
-            optimize_all_flex(pool, salary_cap)
+            optimize_all_flex(*columns(pool), salary_cap)
         message = str(exc.value)
         assert "position TE: need 2 candidates, have 1" in message
         assert "position WR: need 4 candidates, have 3" in message
@@ -212,7 +242,7 @@ class TestBruteForceAgreement:
 
 def assert_matches_oracle(pool, salary_cap):
     """Every configuration's optimum, and the best over them, equal brute force."""
-    for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(pool, salary_cap)):
+    for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(*columns(pool), salary_cap)):
         want = brute_force_config(pool, counts, salary_cap)
         if want is None:
             assert lineup is None
@@ -222,9 +252,9 @@ def assert_matches_oracle(pool, salary_cap):
     want = brute_force_all_flex(pool, salary_cap)
     if want is None:
         with pytest.raises(InfeasibleLineupError):
-            optimize_all_flex(pool, salary_cap)
+            optimize_all_flex(*columns(pool), salary_cap)
     else:
-        lineup = optimize_all_flex(pool, salary_cap)
+        lineup = optimize_all_flex(*columns(pool), salary_cap)
         assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
         assert lineup.players == want[1]
 
@@ -233,22 +263,22 @@ def assert_matches_oracle(pool, salary_cap):
 # all; the other two configurations need a $5,000 WR or RB in place of the
 # $4,000 TE, so their cheapest lineup costs $44,000.
 _FLOOR_POOL = [
-    Candidate("QB1", "QB", 5000, 20.0),
-    Candidate("QB2", "QB", 7100, 25.0),
-    Candidate("RB1", "RB", 5000, 14.0),
-    Candidate("RB2", "RB", 5000, 13.0),
-    Candidate("RB3", "RB", 5000, 12.0),
-    Candidate("RB4", "RB", 6300, 19.0),
-    Candidate("WR1", "WR", 5000, 11.0),
-    Candidate("WR2", "WR", 5000, 10.0),
-    Candidate("WR3", "WR", 5000, 9.0),
-    Candidate("WR4", "WR", 5000, 8.0),
-    Candidate("WR5", "WR", 8800, 22.0),
-    Candidate("TE1", "TE", 4000, 7.0),
-    Candidate("TE2", "TE", 4000, 6.0),
-    Candidate("TE3", "TE", 6100, 9.5),
-    Candidate("DST1", "DST", 5000, 5.0),
-    Candidate("DST2", "DST", 5500, 7.5),
+    Player("QB1", "QB", 5000, 20.0),
+    Player("QB2", "QB", 7100, 25.0),
+    Player("RB1", "RB", 5000, 14.0),
+    Player("RB2", "RB", 5000, 13.0),
+    Player("RB3", "RB", 5000, 12.0),
+    Player("RB4", "RB", 6300, 19.0),
+    Player("WR1", "WR", 5000, 11.0),
+    Player("WR2", "WR", 5000, 10.0),
+    Player("WR3", "WR", 5000, 9.0),
+    Player("WR4", "WR", 5000, 8.0),
+    Player("WR5", "WR", 8800, 22.0),
+    Player("TE1", "TE", 4000, 7.0),
+    Player("TE2", "TE", 4000, 6.0),
+    Player("TE3", "TE", 6100, 9.5),
+    Player("DST1", "DST", 5000, 5.0),
+    Player("DST2", "DST", 5500, 7.5),
 ]
 
 
@@ -257,9 +287,10 @@ class TestFloorShift:
 
     def test_cheapest_lineup_at_exactly_the_cap(self):
         # Root u = 0 for 2-3-2: feasible, and the only lineup is the floors.
-        lineups = solve_flex_configs(_FLOOR_POOL, 43_000)
+        lineups = solve_flex_configs(*columns(_FLOOR_POOL), 43_000)
         assert lineups[1] is None and lineups[2] is None
-        assert lineups[0].total_salary == 43_000
+        salary = {c.player_id: c.salary for c in _FLOOR_POOL}
+        assert sum(salary[p] for p in lineups[0].players) == 43_000
         assert lineups[0].players == tuple(
             sorted(["QB1", "RB1", "RB2", "WR1", "WR2", "WR3", "TE1", "TE2", "DST1"])
         )
@@ -270,9 +301,9 @@ class TestFloorShift:
     def test_floors_above_the_cap(self):
         # Every root is negative: the floors alone exceed the cap.
         salary_cap = 42_900
-        assert solve_flex_configs(_FLOOR_POOL, salary_cap) == [None, None, None]
+        assert solve_flex_configs(*columns(_FLOOR_POOL), salary_cap) == [None, None, None]
         with pytest.raises(InfeasibleLineupError) as exc:
-            optimize_all_flex(_FLOOR_POOL, salary_cap)
+            optimize_all_flex(*columns(_FLOOR_POOL), salary_cap)
         assert str(exc.value) == "all flex configurations infeasible: " + "; ".join(
             f"{config}: no lineup fits the $42,900 salary cap"
             for config in ((2, 3, 2), (2, 4, 1), (3, 3, 1))
@@ -288,7 +319,7 @@ class TestFloorShift:
             base = make_shuffled_pool(rng, int(rng.integers(13, 16)), tie_heavy=(trial % 2 == 0))
             salaries = rng.integers(40, 192, size=len(base)) * unit
             pool = [
-                Candidate(c.player_id, c.position, int(s), c.predicted_fpts)
+                Player(c.player_id, c.position, int(s), c.predicted_fpts)
                 for c, s in zip(base, salaries)
             ]
             assert gcd(*(c.salary for c in pool)) == unit
@@ -301,7 +332,7 @@ class TestFloorShift:
         shape = {"QB": 1, "RB": 5, "WR": 6, "TE": 1, "DST": 1}
         for trial in range(20):
             pool = make_pool_with(rng, shape, tie_heavy=(trial % 2 == 0))
-            assert solve_flex_configs(pool, salary_cap)[0] is None
+            assert solve_flex_configs(*columns(pool), salary_cap)[0] is None
             assert_matches_oracle(pool, salary_cap)
 
     def test_player_beyond_every_root_is_never_taken(self):
@@ -309,13 +340,13 @@ class TestFloorShift:
         # exceeds every root ($3,900 at most): no lineup can hold the player,
         # however many points it projects.
         salary_cap = 46_900
-        pool = _FLOOR_POOL + [Candidate("WR9", "WR", 9000, 500.0)]
-        for lineup in solve_flex_configs(pool, salary_cap):
+        pool = _FLOOR_POOL + [Player("WR9", "WR", 9000, 500.0)]
+        for lineup in solve_flex_configs(*columns(pool), salary_cap):
             assert lineup is None or "WR9" not in lineup.players
-        assert "WR9" not in optimize_all_flex(pool, salary_cap).players
+        assert "WR9" not in optimize_all_flex(*columns(pool), salary_cap).players
         assert_matches_oracle(pool, salary_cap)
         # One unit more and it fits the 2-3-2 root exactly.
-        assert "WR9" in optimize_all_flex(pool, salary_cap + 100).players
+        assert "WR9" in optimize_all_flex(*columns(pool), salary_cap + 100).players
 
 
 # Each position's largest count over the flex configurations: a pool holding
@@ -341,7 +372,7 @@ def pools_and_caps(draw):
     salary = st.integers(40, 80 if tie_heavy else 191).map(lambda k: k * unit)
     fpts = st.integers(5, 8).map(float) if tie_heavy else st.floats(1.0, 30.0)
     ids = draw(st.permutations([f"P{i:02d}" for i in range(len(positions))]))
-    pool = [Candidate(pid, pos, draw(salary), draw(fpts)) for pid, pos in zip(ids, positions)]
+    pool = [Player(pid, pos, draw(salary), draw(fpts)) for pid, pos in zip(ids, positions)]
     return pool, draw(st.integers(550, 1300)) * unit
 
 
@@ -354,86 +385,87 @@ def test_random_pools_match_oracle(pool_and_cap):
 class TestStructure:
     def test_lineup_shape_and_slots(self, salary_cap):
         rng = np.random.default_rng(46)
-        lineup = solve_flex_configs(make_pool(rng, 16), salary_cap)[0]
+        pool = make_pool(rng, 16)
+        lineup = solve_flex_configs(*columns(pool), salary_cap)[0]
         assert lineup.flex_config == (2, 3, 2)
         assert len(lineup.players) == LINEUP_SIZE
         assert lineup.players == tuple(sorted(lineup.players))
-        labels = [slot for slot, _ in lineup.slots]
+        by_id = {c.player_id: c for c in pool}
+        ids, position, salary, fpts = columns([by_id[p] for p in lineup.players])
+        slots = assign_slots(ids, position, fpts, lineup.flex_config)
+        labels = [slot for slot, _ in slots]
         assert labels.count("QB") == 1 and labels.count("DST") == 1
         assert labels.count("FLEX") == 1
-        assert sorted(pid for _, pid in lineup.slots) == sorted(lineup.players)
-        assert lineup.total_salary <= salary_cap
+        assert sorted(pid for _, pid in slots) == sorted(lineup.players)
+        assert sum(salary) <= salary_cap
 
     def test_flex_slot_gets_lowest_projection_of_its_position(self, salary_cap):
         pool = [
-            Candidate("QB1", "QB", 5000, 20.0),
-            Candidate("RB1", "RB", 5000, 15.0),
-            Candidate("RB2", "RB", 5000, 14.0),
-            Candidate("WR1", "WR", 5000, 13.0),
-            Candidate("WR2", "WR", 5000, 12.0),
-            Candidate("WR3", "WR", 5000, 11.0),
-            Candidate("TE1", "TE", 5000, 10.0),
-            Candidate("TE2", "TE", 5000, 9.0),
-            Candidate("DST1", "DST", 5000, 8.0),
+            Player("QB1", "QB", 5000, 20.0),
+            Player("RB1", "RB", 5000, 15.0),
+            Player("RB2", "RB", 5000, 14.0),
+            Player("WR1", "WR", 5000, 13.0),
+            Player("WR2", "WR", 5000, 12.0),
+            Player("WR3", "WR", 5000, 11.0),
+            Player("TE1", "TE", 5000, 10.0),
+            Player("TE2", "TE", 5000, 9.0),
+            Player("DST1", "DST", 5000, 8.0),
         ]
-        lineup = optimize_all_flex(pool, salary_cap)  # only 2-3-2 fits this pool
+        lineup = optimize_all_flex(*columns(pool), salary_cap)  # only 2-3-2 fits this pool
         assert lineup.flex_config == (2, 3, 2)
-        slots = dict((label, pid) for label, pid in lineup.slots)
-        assert slots["FLEX"] == "TE2"  # second TE is the flex
-        assert slots["TE"] == "TE1"
+        ids, position, _, fpts = columns(pool)
+        slots = assign_slots(ids, position, fpts, lineup.flex_config)
+        assert dict(slots)["FLEX"] == "TE2"  # second TE is the flex
+        assert dict(slots)["TE"] == "TE1"
+        # Input order does not matter.
+        assert assign_slots(ids[::-1], position[::-1], fpts[::-1], lineup.flex_config) == slots
 
     def test_position_shortfall(self, salary_cap):
         pool = [c for c in make_pool(np.random.default_rng(47), 16) if c.position != "DST"]
         with pytest.raises(InfeasibleLineupError, match="position DST: need 1 candidates, have 0"):
-            optimize_all_flex(pool, salary_cap)
+            optimize_all_flex(*columns(pool), salary_cap)
 
     def test_infeasible_when_cap_too_tight(self):
         pool = make_pool(np.random.default_rng(48), 16)
         with pytest.raises(InfeasibleLineupError):
-            optimize_all_flex(pool, 10_000)
+            optimize_all_flex(*columns(pool), 10_000)
 
     def test_monotone_in_cap(self, salary_cap):
         rng = np.random.default_rng(49)
         for _ in range(10):
             pool = make_pool(rng, 15)
             try:
-                tight = optimize_all_flex(pool, 50_000)
+                tight = optimize_all_flex(*columns(pool), 50_000)
             except InfeasibleLineupError:
                 continue
-            loose = optimize_all_flex(pool, 60_000)
+            loose = optimize_all_flex(*columns(pool), 60_000)
             assert loose.predicted_fpts >= tight.predicted_fpts - 1e-12
 
     def test_adding_a_candidate_never_hurts(self, salary_cap):
         rng = np.random.default_rng(50)
         for _ in range(10):
             pool = make_pool(rng, 15)
-            base = optimize_all_flex(pool, salary_cap)
-            bigger = pool + [Candidate("ZZZ", "WR", 3000, float(rng.uniform(1, 30)))]
-            again = optimize_all_flex(bigger, salary_cap)
+            base = optimize_all_flex(*columns(pool), salary_cap)
+            bigger = pool + [Player("ZZZ", "WR", 3000, float(rng.uniform(1, 30)))]
+            again = optimize_all_flex(*columns(bigger), salary_cap)
             assert again.predicted_fpts >= base.predicted_fpts - 1e-12
 
     def test_scaling_projections_preserves_identity(self, salary_cap):
         rng = np.random.default_rng(51)
         pool = make_pool(rng, 16)
-        base = optimize_all_flex(pool, salary_cap)
+        base = optimize_all_flex(*columns(pool), salary_cap)
         scaled = [
-            Candidate(c.player_id, c.position, c.salary, 2.0 * c.predicted_fpts)
+            Player(c.player_id, c.position, c.salary, 2.0 * c.predicted_fpts)
             for c in pool
         ]
-        again = optimize_all_flex(scaled, salary_cap)
+        again = optimize_all_flex(*columns(scaled), salary_cap)
         assert again.players == base.players
 
 
 class TestModalAndScoring:
     def lineup(self, ids, fpts=100.0):
         players = tuple(sorted(ids))
-        return Lineup(
-            players=players,
-            slots=[("S", p) for p in players],
-            flex_config=(2, 3, 2),
-            total_salary=45_000,
-            predicted_fpts=fpts,
-        )
+        return Lineup(players=players, flex_config=(2, 3, 2), predicted_fpts=fpts)
 
     def test_modal_picks_most_frequent(self):
         a, b = self.lineup("ABCDEFGHI"), self.lineup("ABCDEFGHJ")
@@ -451,14 +483,14 @@ class TestModalAndScoring:
 class TestValidator:
     def test_accepts_solver_output(self, salary_cap):
         pool = make_pool(np.random.default_rng(52), 16)
-        lineup = optimize_all_flex(pool, salary_cap)
+        lineup = optimize_all_flex(*columns(pool), salary_cap)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
         assert validate_lineup(lineup, salary_cap, salary, position) == []
 
     def test_flags_violations(self, salary_cap):
         pool = make_pool(np.random.default_rng(53), 16)
-        lineup = optimize_all_flex(pool, salary_cap)
+        lineup = optimize_all_flex(*columns(pool), salary_cap)
         position = {c.player_id: c.position for c in pool}
         # Inflated salaries push the honest total over the cap.
         salary = {c.player_id: 40_000 for c in pool}
@@ -472,7 +504,7 @@ class TestValidator:
 
     def test_flags_min_salary(self, salary_cap):
         pool = make_pool(np.random.default_rng(54), 16)
-        lineup = optimize_all_flex(pool, salary_cap)
+        lineup = optimize_all_flex(*columns(pool), salary_cap)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
         problems = validate_lineup(lineup, salary_cap, salary, position, min_salary=60_000)

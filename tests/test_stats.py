@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfslineup.data import POSITIONS
 from dfslineup.errors import (
     NoFeasibleSampleError,
     PositionShortfallError,
@@ -16,7 +19,6 @@ from dfslineup.errors import (
     ZeroVarianceError,
 )
 from dfslineup import stats
-from dfslineup.optimizer import Candidate
 from dfslineup.special import betainc, kolmogorov_sf, normal_cdf, student_t_sf2
 from dfslineup.stats import (
     PopulationStats,
@@ -32,7 +34,7 @@ from dfslineup.stats import (
     welch_t_test,
 )
 
-from .conftest import make_pool, make_pool_with
+from .conftest import Player, columns, make_pool, make_pool_with
 from .oracles import FLEX_COUNTS, random_rows_ok
 
 
@@ -195,37 +197,30 @@ class TestPercentile:
             bootstrap_ci(2.0, pop, level=1.0)
 
 
+def sample(pool, *args, **kwargs):
+    """``random_population`` on the pool's position and salary columns."""
+    _, position, salary, _ = columns(pool)
+    return random_population(position, salary, *args, **kwargs)
+
+
 class TestRandomLineups:
     def test_draws_are_valid_and_deterministic(self, salary_cap):
         pool = make_pool(np.random.default_rng(9), 60)
-        draws = random_population(pool, salary_cap, 50, 40_000, seed=3)
+        draws = sample(pool, salary_cap, 50, 40_000, seed=3)
         assert draws.shape == (50, 9)
         assert all(random_rows_ok(pool, draws, 40_000, salary_cap))
-        assert np.array_equal(random_population(pool, salary_cap, 50, 40_000, seed=3), draws)
+        assert np.array_equal(sample(pool, salary_cap, 50, 40_000, seed=3), draws)
 
     def test_smaller_count_is_a_prefix(self, salary_cap):
         # 9,000 draws span more than one block of attempts.
         pool = make_pool(np.random.default_rng(9), 60)
-        many = random_population(pool, salary_cap, 9_000, 40_000, seed=3)
+        many = sample(pool, salary_cap, 9_000, 40_000, seed=3)
         for n in (1, 50, 4_000):
-            assert np.array_equal(random_population(pool, salary_cap, n, 40_000, seed=3), many[:n])
-
-    def test_pool_order_does_not_matter(self, salary_cap):
-        pool = make_pool(np.random.default_rng(15), 60)
-        shuffled = [pool[i] for i in np.random.default_rng(16).permutation(len(pool))]
-        ids = [
-            [pool[i].player_id for i in row]
-            for row in random_population(pool, salary_cap, 200, 40_000, 5)
-        ]
-        again = [
-            [shuffled[i].player_id for i in row]
-            for row in random_population(shuffled, salary_cap, 200, 40_000, 5)
-        ]
-        assert again == ids
+            assert np.array_equal(sample(pool, salary_cap, n, 40_000, seed=3), many[:n])
 
     def test_rows_are_not_all_alike(self, salary_cap):
         pool = make_pool(np.random.default_rng(10), 60)
-        draws = random_population(pool, salary_cap, 30, 40_000, seed=4)
+        draws = sample(pool, salary_cap, 30, 40_000, seed=4)
         assert len({tuple(sorted(row)) for row in draws.tolist()}) > 1
 
     def test_distribution_matches_enumeration(self):
@@ -251,7 +246,7 @@ class TestRandomLineups:
                     rejected += 1
         assert len(weight) + rejected == 390 and rejected > 0
         n = 60_000
-        draws = random_population(pool, salary_cap, n, min_salary, seed=17)
+        draws = sample(pool, salary_cap, n, min_salary, seed=17)
         seen = {}
         for row in draws.tolist():
             key = frozenset(row)
@@ -292,20 +287,14 @@ class TestRandomLineups:
         pool = make_pool(np.random.default_rng(9), 60)
         if fails:
             with pytest.raises(NoFeasibleSampleError):
-                random_population(pool, salary_cap, 2, 40_000, seed=1)
+                sample(pool, salary_cap, 2, 40_000, seed=1)
         else:
-            assert random_population(pool, salary_cap, 2, 40_000, seed=1).shape == (2, 9)
-
-    def test_rejects_nonpositive_fpts(self, salary_cap):
-        pool = make_pool(np.random.default_rng(11), 30)
-        pool[5] = Candidate(pool[5].player_id, pool[5].position, pool[5].salary, 0.0)
-        with pytest.raises(ValueError, match="zero-FPTS"):
-            random_population(pool, salary_cap, 1, 0, seed=1)
+            assert sample(pool, salary_cap, 2, 40_000, seed=1).shape == (2, 9)
 
     def test_position_shortfall(self, salary_cap):
         pool = [c for c in make_pool(np.random.default_rng(12), 40) if c.position != "QB"]
         with pytest.raises(PositionShortfallError):
-            random_population(pool, salary_cap, 1, 0, seed=1)
+            sample(pool, salary_cap, 1, 0, seed=1)
 
     def test_shortfall_names_first_short_position(self, salary_cap):
         # No flex configuration is coverable; the first shortfall of the
@@ -314,22 +303,70 @@ class TestRandomLineups:
             np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
         )
         with pytest.raises(PositionShortfallError, match="need 2 candidates, have 1") as exc:
-            random_population(pool, salary_cap, 1, 0, seed=1)
+            sample(pool, salary_cap, 1, 0, seed=1)
         assert exc.value.position == "TE"
 
     def test_min_salary_above_cap_rejected(self, salary_cap):
         pool = make_pool(np.random.default_rng(13), 30)
         with pytest.raises(ValueError):
-            random_population(pool, salary_cap, 1, 50_001, seed=1)
+            sample(pool, salary_cap, 1, 50_001, seed=1)
 
     def test_unreachable_band_raises(self, salary_cap):
         # Every salary is 2000, so any lineup totals 18,000 < 45,000.
         pool = [
-            Candidate(c.player_id, c.position, 2000, c.predicted_fpts)
+            Player(c.player_id, c.position, 2000, c.predicted_fpts)
             for c in make_pool(np.random.default_rng(14), 30)
         ]
         with pytest.raises(NoFeasibleSampleError):
-            random_population(pool, salary_cap, 1, 45_000, seed=1)
+            sample(pool, salary_cap, 1, 45_000, seed=1)
+
+
+@st.composite
+def pools_and_bands(draw):
+    """A shuffled pool covering every position, and a salary band around
+    one of its lineups.
+
+    The pool holds one flex configuration's counts plus up to twelve players
+    of any position, so the other configurations may go short.  Salaries
+    step by $1, $50 or $100; the band reaches up to 200 steps either side of
+    the total of the configuration's first players.
+    """
+    counts = draw(st.sampled_from(FLEX_COUNTS))
+    positions = [p for p, k in counts.items() for _ in range(k)]
+    positions += draw(st.lists(st.sampled_from(POSITIONS), max_size=12))
+    positions = draw(st.permutations(positions))
+    unit = draw(st.sampled_from([1, 50, 100]))
+    salary = [draw(st.integers(20, 100)) * unit for _ in positions]
+    pool = [Player(f"P{i:02d}", p, s, 1.0) for i, (p, s) in enumerate(zip(positions, salary))]
+    total = sum(
+        sum(sorted(c.salary for c in pool if c.position == p)[:k]) for p, k in counts.items()
+    )
+    low = total - draw(st.integers(0, 200)) * unit
+    high = total + draw(st.integers(0, 200)) * unit
+    return pool, max(low, 0), high, draw(st.integers(1, 300)), draw(st.integers(0, 2**32))
+
+
+def test_random_rows_always_pass_the_recount():
+    """On any pool and band, every drawn row recounts as a legal in-band
+    lineup.  A band the sampler cannot hit is a NoFeasibleSampleError, and
+    it may not happen often enough to make the check vacuous."""
+    drawn = []
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(pools_and_bands())
+    def check(case):
+        pool, min_salary, cap, count, seed = case
+        try:
+            rows = sample(pool, cap, count, min_salary, seed)
+        except NoFeasibleSampleError:
+            drawn.append(0)
+            return
+        assert rows.shape == (count, 9)
+        assert all(random_rows_ok(pool, rows, min_salary, cap))
+        drawn.append(count)
+
+    check()
+    assert sum(n > 0 for n in drawn) >= 0.9 * len(drawn)
 
 
 class TestDescriptive:
