@@ -134,31 +134,35 @@ class PlayerWeekTable:
         return out
 
 
-def _parse_field(raw, column, line, kind, optional=False):
+def parse_field(raw, column, line, kind, optional=False):
+    """One CSV field as ``kind`` (int, float or bool); None for an empty
+    optional field.  SchemaError names the line and column otherwise."""
     raw = raw.strip()
     if raw == "":
         if optional:
             return None
         raise SchemaError(f"empty value for required field", line=line, column=column)
+    if kind is bool:
+        if raw not in ("0", "1"):
+            raise SchemaError(f"cannot parse {raw!r}", line=line, column=column)
+        return raw == "1"
+    # A number is ASCII: a sign, digits, at most one dot and an exponent.
+    # On ASCII text without "_", that is exactly what int() and float()
+    # read, besides "nan" and "inf", which fail the finite check; outside
+    # it they also take digit-group underscores and non-ASCII digits.
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise SchemaError(f"non-finite value {raw!r}", line=line, column=column)
-            return value
-        if kind is bool:
-            if raw not in ("0", "1"):
-                raise ValueError
-            return raw == "1"
+        if not raw.isascii() or "_" in raw:
+            raise ValueError
+        value = kind(raw)
     except ValueError:
         raise SchemaError(f"cannot parse {raw!r}", line=line, column=column) from None
-    raise AssertionError(kind)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite value {raw!r}", line=line, column=column)
+    return value
 
 
 def _parse_rank(raw, column, line):
-    rank = _parse_field(raw, column, line, int, optional=True)
+    rank = parse_field(raw, column, line, int, optional=True)
     if rank is not None and not 1 <= rank <= 32:
         raise SchemaError(f"rank {rank} outside [1, 32]", line=line, column=column)
     return rank
@@ -170,7 +174,7 @@ def parse_row(row: dict, line: int) -> tuple:
     player_id = row["player_id"].strip()
     if not player_id:
         raise SchemaError("empty player_id", line=line, column="player_id")
-    week = _parse_field(row["week"], "week", line, int)
+    week = parse_field(row["week"], "week", line, int)
     if not FIRST_WEEK <= week <= LAST_WEEK:
         raise SchemaError(f"week {week} outside [1, 17]", line=line, column="week")
     position = row["position"].strip()
@@ -178,16 +182,16 @@ def parse_row(row: dict, line: int) -> tuple:
         raise SchemaError(
             f"position {position!r} not one of {POSITIONS}", line=line, column="position"
         )
-    salary = _parse_field(row["salary"], "salary", line, int)
+    salary = parse_field(row["salary"], "salary", line, int)
     if salary < 0:
         raise SchemaError(f"negative salary {salary}", line=line, column="salary")
-    draftable = _parse_field(row["draftable"], "draftable", line, bool)
+    draftable = parse_field(row["draftable"], "draftable", line, bool)
     if draftable and salary <= 0:
         raise SchemaError("draftable player with salary 0", line=line, column="salary")
-    latitude = _parse_field(row["latitude"], "latitude", line, float, optional=True)
+    latitude = parse_field(row["latitude"], "latitude", line, float, optional=True)
     if latitude is not None and not -90.0 <= latitude <= 90.0:
         raise SchemaError(f"latitude {latitude} out of range", line=line, column="latitude")
-    longitude = _parse_field(row["longitude"], "longitude", line, float, optional=True)
+    longitude = parse_field(row["longitude"], "longitude", line, float, optional=True)
     if longitude is not None and not -180.0 <= longitude <= 180.0:
         raise SchemaError(f"longitude {longitude} out of range", line=line, column="longitude")
 
@@ -196,15 +200,15 @@ def parse_row(row: dict, line: int) -> tuple:
         week,
         position,
         salary,
-        _parse_field(row["fpts"], "fpts", line, float, optional=True),
-        _parse_field(row["point_diff"], "point_diff", line, int, optional=True),
+        parse_field(row["fpts"], "fpts", line, float, optional=True),
+        parse_field(row["point_diff"], "point_diff", line, int, optional=True),
         _parse_rank(row["team_off_rank"], "team_off_rank", line),
         _parse_rank(row["team_def_rank"], "team_def_rank", line),
         _parse_rank(row["opp_off_rank"], "opp_off_rank", line),
         _parse_rank(row["opp_def_rank"], "opp_def_rank", line),
-        _parse_field(row["home"], "home", line, bool),
-        _parse_field(row["spread"], "spread", line, float, optional=True),
-        _parse_field(row["over_under"], "over_under", line, float, optional=True),
+        parse_field(row["home"], "home", line, bool),
+        parse_field(row["spread"], "spread", line, float, optional=True),
+        parse_field(row["over_under"], "over_under", line, float, optional=True),
         latitude,
         longitude,
         draftable,

@@ -301,35 +301,3 @@ def modal_lineup(lineups: list[Lineup]) -> Lineup:
     winner = min(counts, key=lambda ident: (-counts[ident], ident))
     return next(lu for lu in lineups if lu.players == winner)
 
-
-def validate_lineup(
-    lineup: Lineup,
-    salary_cap: int,
-    salary_by_id: dict[str, int],
-    position_by_id: dict[str, str],
-    min_salary: int = 0,
-) -> list[str]:
-    """Independent constraint check; returns a list of violations (empty = valid).
-
-    Deliberately recounts everything from the raw player data rather than
-    trusting any field the solver filled in; the required position counts
-    are those of the lineup's flex configuration.
-    """
-    problems = []
-    if len(set(lineup.players)) != LINEUP_SIZE:
-        problems.append(f"expected {LINEUP_SIZE} distinct players, got {lineup.players}")
-        return problems
-    required = _COUNTS_BY_CONFIG.get(tuple(lineup.flex_config))
-    if required is None:
-        problems.append(f"unknown flex configuration {tuple(lineup.flex_config)}")
-    else:
-        counts = Counter(position_by_id[pid] for pid in lineup.players)
-        for pos, needed in required.items():
-            if counts[pos] != needed:
-                problems.append(f"position {pos}: have {counts[pos]}, need {needed}")
-    total = sum(salary_by_id[pid] for pid in lineup.players)
-    if total > salary_cap:
-        problems.append(f"salary {total} exceeds cap {salary_cap}")
-    if total < min_salary:
-        problems.append(f"salary {total} below minimum {min_salary}")
-    return problems

@@ -233,19 +233,6 @@ def cmd_optimize(cfg: RunConfig) -> None:
 # -------------------------------------------------------------- validate
 
 
-def _summary_dict(summary: stats.PopulationSummary) -> dict:
-    return {
-        "label": summary.label,
-        "n": summary.n,
-        "mean_fpts": summary.mean,
-        "percentile": summary.percentile,
-        "percentile_ci": [summary.ci_low, summary.ci_high],
-        "ks_statistic": summary.ks.statistic,
-        "ks_p_value": summary.ks.p_value,
-        "boxplot": summary.boxplot,
-    }
-
-
 def cmd_validate(cfg: RunConfig) -> None:
     """Compare the generated lineup to random (and real-world) populations."""
     # Parsed again, not taken from ingest: actual FPTS may arrive after it.
@@ -288,7 +275,7 @@ def cmd_validate(cfg: RunConfig) -> None:
         np.array(target["position"])[pool_rows], target["salary"][pool_rows],
         cfg.salary_cap, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT),
     )
-    random_pop = stats.PopulationStats(samples=fpts[draws].sum(axis=1), label="random")
+    populations = {"random": fpts[draws].sum(axis=1)}
 
     level = cfg.report.ci_level
     resamples = cfg.report.bootstrap_resamples
@@ -301,44 +288,27 @@ def cmd_validate(cfg: RunConfig) -> None:
         "predicted_ci": [lineup_info["ci_low"], lineup_info["ci_high"]],
         "ci_level": level,
     }
-
-    real_pop = None
     if cfg.contest_results_csv:
-        real_pop = stats.load_contest_results(cfg.contest_results_csv)
-        comparison = stats.compare_populations(
-            random_pop,
-            real_pop,
-            score,
-            resamples=resamples,
-            level=level,
-            seed=mix64(cfg.master_seed, BOOTSTRAP_SALT),
-        )
-        report["random"] = _summary_dict(comparison.random)
-        report["real_world"] = _summary_dict(comparison.real)
-        report["welch_t"] = {
-            "statistic": comparison.welch.statistic,
-            "p_value": comparison.welch.p_value,
-            "df": comparison.welch.df,
-        }
-        report["cohens_d"] = comparison.cohens_d
-        summaries = [comparison.random, comparison.real]
-    else:
-        summary = stats.summarize_population(
-            random_pop, score, resamples, level, mix64(cfg.master_seed, BOOTSTRAP_SALT)
-        )
-        report["random"] = _summary_dict(summary)
-        summaries = [summary]
+        real = stats.load_contest_results(cfg.contest_results_csv)
+        populations["real_world"] = real
+        report.update(stats.compare_populations(populations["random"], real))
 
+    # Population k (random 1, real_world 2) bootstraps from its own stream.
+    bootstrap_seed = mix64(cfg.master_seed, BOOTSTRAP_SALT)
     perc_lines = ["population,n,mean_fpts,generated_fpts,percentile,ci_low,ci_high"]
     box_lines = ["population,q1,median,q3,whisker_low,whisker_high,mean,n"]
-    for s in summaries:
-        perc_lines.append(
-            f"{s.label},{s.n},{_fmt(s.mean)},{_fmt(score)},"
-            f"{_fmt(s.percentile)},{_fmt(s.ci_low)},{_fmt(s.ci_high)}"
+    for k, (label, scores) in enumerate(populations.items(), start=1):
+        summary = report[label] = stats.summarize_population(
+            scores, score, resamples, level, mix64(bootstrap_seed, k), label
         )
-        b = s.boxplot
+        lo, hi = summary["percentile_ci"]
+        perc_lines.append(
+            f"{label},{summary['n']},{_fmt(summary['mean_fpts'])},{_fmt(score)},"
+            f"{_fmt(summary['percentile'])},{_fmt(lo)},{_fmt(hi)}"
+        )
+        b = summary["boxplot"]
         box_lines.append(
-            f"{s.label},{_fmt(b['q1'])},{_fmt(b['median'])},{_fmt(b['q3'])},"
+            f"{label},{_fmt(b['q1'])},{_fmt(b['median'])},{_fmt(b['q3'])},"
             f"{_fmt(b['whisker_low'])},{_fmt(b['whisker_high'])},"
             f"{_fmt(b['mean'])},{b['n']}"
         )

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import POSITIONS
+from .data import POSITIONS, parse_field
 from .errors import (
     NoFeasibleSampleError,
     PositionShortfallError,
@@ -28,23 +28,8 @@ from .seeds import mix64
 from .special import kolmogorov_sf, normal_cdf, student_t_sf2
 
 MAX_REJECTIONS = 10_000
-
-
-@dataclass
-class PopulationStats:
-    """An FPTS sample from either random lineups or real-world users."""
-
-    samples: np.ndarray
-    label: str  # "random" or "real_world"
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("population contains non-finite values")
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
+# Fewest observations the KS normality test takes.
+KS_MIN_SAMPLES = 5
 
 
 @dataclass
@@ -96,8 +81,8 @@ def ks_normality(sample) -> TestResult:
     """
     x = np.sort(np.asarray(sample, dtype=np.float64))
     n = len(x)
-    if n < 5:
-        raise ValueError(f"need at least 5 observations, got {n}")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} observations, got {n}")
     sd = math.sqrt(_sample_var(x))
     if sd == 0.0:
         raise ZeroVarianceError("sample has zero variance")
@@ -110,19 +95,23 @@ def ks_normality(sample) -> TestResult:
     return TestResult(statistic=d, p_value=kolmogorov_sf(math.sqrt(n) * d))
 
 
-def percentile(score: float, population: PopulationStats) -> float:
-    """Mid-rank percentile of score within the population, in [0, 100]."""
-    samples = population.samples
-    if population.n < 1:
+def _ranks(score: float, samples) -> tuple[int, int, int]:
+    """(below, equal, n): how many samples fall below and tie the score."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if len(samples) < 1:
         raise ValueError("population is empty")
-    below = int(np.sum(samples < score))
-    equal = int(np.sum(samples == score))
-    return 100.0 * (below + 0.5 * equal) / population.n
+    return int(np.sum(samples < score)), int(np.sum(samples == score)), len(samples)
+
+
+def percentile(score: float, samples) -> float:
+    """Mid-rank percentile of score within the samples, in [0, 100]."""
+    below, equal, n = _ranks(score, samples)
+    return 100.0 * (below + 0.5 * equal) / n
 
 
 def bootstrap_ci(
     score: float,
-    population: PopulationStats,
+    samples,
     resamples: int = 10_000,
     level: float = 0.95,
     seed: int = 0,
@@ -138,9 +127,7 @@ def bootstrap_ci(
         raise ValueError("resamples must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level {level} outside (0, 1)")
-    n = population.n
-    below = int(np.sum(population.samples < score))
-    equal = int(np.sum(population.samples == score))
+    below, equal, n = _ranks(score, samples)
     pvals = np.array([below, equal, n - below - equal], dtype=np.float64) / n
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, pvals, size=resamples)
@@ -262,63 +249,42 @@ def histogram_bins(samples, bin_width: float = 2.0) -> tuple[np.ndarray, np.ndar
     return edges, counts
 
 
-@dataclass
-class PopulationSummary:
-    label: str
-    n: int
-    mean: float
-    percentile: float
-    ci_low: float
-    ci_high: float
-    ks: TestResult
-    boxplot: dict
-
-
-@dataclass
-class ComparisonReport:
-    generated_score: float
-    random: PopulationSummary
-    real: PopulationSummary
-    welch: TestResult  # real vs random
-    cohens_d: float
-
-
 def summarize_population(
-    pop: PopulationStats, score: float, resamples: int, level: float, seed: int
-) -> PopulationSummary:
-    lo, hi = bootstrap_ci(score, pop, resamples=resamples, level=level, seed=seed)
-    return PopulationSummary(
-        label=pop.label,
-        n=pop.n,
-        mean=float(pop.samples.mean()),
-        percentile=percentile(score, pop),
-        ci_low=lo,
-        ci_high=hi,
-        ks=ks_normality(pop.samples),
-        boxplot=boxplot_stats(pop.samples),
-    )
+    samples, score: float, resamples: int, level: float, seed: int, label: str
+) -> dict:
+    """The validation battery for one population, as its report entry: the
+    score's mid-rank percentile with a bootstrap CI drawn from ``seed``, the
+    KS normality test and the boxplot."""
+    samples = np.asarray(samples, dtype=np.float64)
+    lo, hi = bootstrap_ci(score, samples, resamples=resamples, level=level, seed=seed)
+    ks = ks_normality(samples)
+    return {
+        "label": label,
+        "n": len(samples),
+        "mean_fpts": float(samples.mean()),
+        "percentile": percentile(score, samples),
+        "percentile_ci": [lo, hi],
+        "ks_statistic": ks.statistic,
+        "ks_p_value": ks.p_value,
+        "boxplot": boxplot_stats(samples),
+    }
 
 
-def compare_populations(
-    random_pop: PopulationStats,
-    real_pop: PopulationStats,
-    generated_score: float,
-    resamples: int = 10_000,
-    level: float = 0.95,
-    seed: int = 0,
-) -> ComparisonReport:
-    """Full validation battery for one week's generated lineup score."""
-    return ComparisonReport(
-        generated_score=generated_score,
-        random=summarize_population(random_pop, generated_score, resamples, level, mix64(seed, 1)),
-        real=summarize_population(real_pop, generated_score, resamples, level, mix64(seed, 2)),
-        welch=welch_t_test(real_pop.samples, random_pop.samples),
-        cohens_d=cohens_d(real_pop.samples, random_pop.samples),
-    )
+def compare_populations(random, real) -> dict:
+    """Real-world against random scores: Welch's t-test and Cohen's d."""
+    welch = welch_t_test(real, random)
+    return {
+        "welch_t": {"statistic": welch.statistic, "p_value": welch.p_value, "df": welch.df},
+        "cohens_d": cohens_d(real, random),
+    }
 
 
-def load_contest_results(path) -> PopulationStats:
-    """Read `user_rank,fpts` rows; zero-score users are dropped."""
+def load_contest_results(path) -> np.ndarray:
+    """Read `user_rank,fpts` rows; the nonzero scores, in file order.
+
+    Zero-score users are dropped.  A file with fewer than
+    KS_MIN_SAMPLES nonzero scores raises SchemaError naming it.
+    """
     scores = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -330,12 +296,12 @@ def load_contest_results(path) -> PopulationStats:
                 continue
             if len(row) != 2:
                 raise SchemaError(f"expected 2 fields, got {len(row)}", line=line)
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise SchemaError("cannot parse fpts", line=line, column="fpts") from None
-            if not math.isfinite(value):
-                raise SchemaError(f"non-finite fpts {row[1]!r}", line=line, column="fpts")
+            value = parse_field(row[1], "fpts", line, float)
             if value != 0.0:
                 scores.append(value)
-    return PopulationStats(samples=np.array(scores), label="real_world")
+    if len(scores) < KS_MIN_SAMPLES:
+        raise SchemaError(
+            f"{path}: {len(scores)} nonzero fpts score(s); the real-world population "
+            f"needs at least {KS_MIN_SAMPLES}"
+        )
+    return np.array(scores)

@@ -1,6 +1,7 @@
 """Independent test oracles: brute-force lineup enumeration, a pair-by-pair
-dominance pruner, a reference forward pass, a one-network training loop and
-a per-player window builder.
+dominance pruner, a lineup constraint check, the number grammar of the input
+files, a reference forward pass, a one-network training loop and a
+per-player window builder.
 Deliberately written in the most literal style possible so a bug in the
 production code cannot hide in a shared helper.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 
 import numpy as np
 
@@ -20,6 +22,11 @@ FLEX_COUNTS = (
     {"QB": 1, "RB": 2, "WR": 4, "TE": 1, "DST": 1},
     {"QB": 1, "RB": 3, "WR": 3, "TE": 1, "DST": 1},
 )
+
+
+# A number in the season or contest CSV: an optional sign, ASCII digits with
+# at most one dot, and an optional exponent.
+NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def brute_force_config(pool, counts: dict, cap: int):
@@ -78,6 +85,41 @@ def prune_keep_ids(pool) -> set:
         if dominators < k:
             keep.add(c.player_id)
     return keep
+
+
+def validate_lineup(lineup, salary_cap: int, salary_by_id: dict, position_by_id: dict,
+                    min_salary: int = 0) -> list:
+    """Constraint check of a solved lineup; returns its violations (empty =
+    valid).  Recounts from the raw player data, trusting no field the solver
+    filled in but the flex configuration, which names the FLEX_COUNTS row
+    by its (RB, WR, TE) counts."""
+    problems = []
+    if len(set(lineup.players)) != 9:
+        problems.append(f"expected 9 distinct players, got {lineup.players}")
+        return problems
+    config = tuple(lineup.flex_config)
+    required = None
+    for counts in FLEX_COUNTS:
+        if (counts["RB"], counts["WR"], counts["TE"]) == config:
+            required = counts
+    if required is None:
+        problems.append(f"unknown flex configuration {config}")
+    else:
+        for pos, needed in required.items():
+            have = 0
+            for pid in lineup.players:
+                if position_by_id[pid] == pos:
+                    have += 1
+            if have != needed:
+                problems.append(f"position {pos}: have {have}, need {needed}")
+    total = 0
+    for pid in lineup.players:
+        total += salary_by_id[pid]
+    if total > salary_cap:
+        problems.append(f"salary {total} exceeds cap {salary_cap}")
+    if total < min_salary:
+        problems.append(f"salary {total} below minimum {min_salary}")
+    return problems
 
 
 def random_rows_ok(pool, rows, min_salary: int, cap: int) -> list[bool]:

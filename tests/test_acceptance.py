@@ -22,18 +22,19 @@ from dfslineup.data import build_window
 from dfslineup.ensemble import sample_matrix, train_ensemble
 from dfslineup.config import TrainingConfig
 from dfslineup.network import loss_and_gradient, train
-from dfslineup.optimizer import (
-    modal_lineup,
-    optimize_all_flex,
-    solve_flex_configs,
-    validate_lineup,
-)
+from dfslineup.optimizer import modal_lineup, optimize_all_flex, solve_flex_configs
 from dfslineup.pipeline import solve_per_model
-from dfslineup.stats import PopulationStats, bootstrap_ci, cohens_d, ks_normality, percentile
+from dfslineup.stats import bootstrap_ci, cohens_d, ks_normality, percentile
 from dfslineup.stats import random_population, welch_t_test
 
 from .conftest import FIXTURES, columns, make_pool
-from .oracles import FLEX_COUNTS, brute_force_all_flex, brute_force_config, random_rows_ok
+from .oracles import (
+    FLEX_COUNTS,
+    brute_force_all_flex,
+    brute_force_config,
+    random_rows_ok,
+    validate_lineup,
+)
 from .test_network import flat_params, make_dataset, random_net, random_norm, set_flat
 
 MASTER_SEED = 20180901
@@ -206,15 +207,14 @@ class TestPercentilesAndBootstrap:
             n = int(rng.integers(1, 60))
             values = np.round(rng.normal(120, 30, n), 1)  # rounding forces ties
             score = float(rng.choice(np.append(values, rng.normal(120, 30))))
-            pop = PopulationStats(samples=values, label="x")
             below = sum(1 for v in values if v < score)
             equal = sum(1 for v in values if v == score)
             expected = 100.0 * (below + 0.5 * equal) / n
-            assert percentile(score, pop) == pytest.approx(expected, abs=1e-12)
+            assert percentile(score, values) == pytest.approx(expected, abs=1e-12)
 
     def test_bootstrap_ci_width_at_contest_scale(self):
         rng = np.random.default_rng(0xACC8)
-        pop = PopulationStats(samples=rng.normal(120, 25, 35_000), label="random")
+        pop = rng.normal(120, 25, 35_000)
         score = 150.0
         lo, hi = bootstrap_ci(score, pop, resamples=10_000, level=0.95, seed=3)
         point = percentile(score, pop)

@@ -17,9 +17,10 @@ import yaml
 from dfslineup import ensemble, pipeline, stats
 from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from dfslineup.data import load_player_weeks
-from dfslineup.optimizer import Lineup, validate_lineup
+from dfslineup.optimizer import Lineup
 
 from .conftest import FIXTURES
+from .oracles import validate_lineup
 
 N_MODELS = 4
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -156,6 +157,52 @@ class TestPipelineArtifacts:
         assert "Random lineups" in text
         assert "Real-world users" not in text and "real vs random" not in text
         assert capsys.readouterr().out == text + text
+
+    def test_random_summary_ignores_the_contest_file(self, full_run, season_table, tmp_path):
+        # A lineup scoring inside the random population, so its percentile CI
+        # is not pinned at [100, 100]: per slot, a week-8 player near the 40th
+        # percentile of that position's actual FPTS.
+        out, _ = full_run
+        with np.load(out / "samples.npz") as blob:
+            ids = [str(p) for p in blob["player_ids"]]
+        week = season_table.at_week(8)
+        row = {pid: j for j, pid in enumerate(season_table.player_ids())}
+        players = []
+        for pos, k in (("QB", 1), ("RB", 2), ("WR", 3), ("TE", 2), ("DST", 1)):
+            pool = sorted(
+                (week["fpts"][row[pid]], pid) for pid in ids
+                if week["position"][row[pid]] == pos and week["fpts"][row[pid]] > 0
+            )
+            middle = int(0.4 * len(pool))
+            players += [pid for _, pid in pool[middle : middle + k]]
+        lineup = json.loads((out / "lineup.json").read_text())
+        lineup.update(players=sorted(players), flex_config=[2, 3, 2])
+
+        rows = {}
+        for contest in (str(FIXTURES / "contest_results.csv"), None):
+            run = tmp_path / str(contest is None)
+            run.mkdir()
+            (run / "samples.npz").write_bytes((out / "samples.npz").read_bytes())
+            (run / "lineup.json").write_text(json.dumps(lineup), encoding="utf-8")
+            # Enough lineups and resamples that a CI bound is rarely shared
+            # by two bootstrap streams.
+            config = write_config(
+                run, contest_results_csv=contest, output_dir=str(run),
+                random_baseline={"count": 4000, "min_salary": 45_000},
+                report={"bootstrap_resamples": 1000},
+            )
+            assert main(["validate", "--config", str(config)]) == EXIT_OK
+            report = json.loads((run / "validation_report.json").read_text())
+            rows[contest] = [json.dumps(report["random"], sort_keys=True)] + [
+                line for name in ("percentiles.csv", "boxplot.csv")
+                for line in (run / name).read_text().splitlines()
+                if line.startswith("random,")
+            ]
+        with_contest, without = rows.values()
+        assert len(with_contest) == 3
+        assert with_contest == without
+        lo, hi = json.loads(without[0])["percentile_ci"]
+        assert 0.0 < lo < hi < 100.0
 
     @pytest.mark.parametrize("command", ["config-init", "report"])
     def test_light_commands_do_not_load_numpy(self, full_run, tmp_path, command):
@@ -358,6 +405,24 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
         assert main(["predict", "--config", str(config)]) == EXIT_NUMERIC
         assert "error: model 0 diverged twice; giving up\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, nonzero",
+        [([], 0), (["1,130.5", "2,120.0", "3,0", "4,101.25"], 3)],
+        ids=["header-only", "three-scores"],
+    )
+    def test_contest_file_with_too_few_scores(self, full_run, tmp_path, capsys, rows, nonzero):
+        out, _ = full_run
+        for name in ("lineup.json", "samples.npz"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        contest = tmp_path / "tiny_contest.csv"
+        contest.write_text("\n".join(["user_rank,fpts", *rows]) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, contest_results_csv=str(contest), output_dir=str(tmp_path))
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{contest}: {nonzero} nonzero fpts score" in err
+        assert "real-world population needs at least 5" in err
+        assert "Warning" not in err and "pvals" not in err
 
     def test_unreachable_salary_band_exits_three(self, tmp_path):
         # Salaries are multiples of 100, so no lineup total lands in this band.

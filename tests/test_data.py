@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import logging
+import math
 import random
 
 import numpy as np
@@ -31,11 +32,12 @@ from dfslineup.data import (
     load_exclusions,
     load_player_weeks,
     lookback_weeks,
+    parse_field,
     parse_row,
 )
 from dfslineup.errors import ConfigError, DuplicateKeyError, SchemaError, WindowRangeError
 
-from .oracles import reference_window
+from .oracles import NUMBER, reference_window
 
 HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = "QB001,1,QB,5000,18.2,7,3,10,22,15,1,-3.5,47.0,40.0,-75.0,1"
@@ -156,6 +158,33 @@ class TestParsing:
         assert exc.value.line == 2
         assert exc.value.column == column
 
+    @pytest.mark.parametrize(
+        "column, raw",
+        [
+            ("week", "1_0"),  # int() reads 10
+            ("week", "\u0668"),  # Arabic-Indic eight: int() reads 8
+            ("salary", "5_000"),  # int() reads 5000
+            ("fpts", "1_8.2"),  # float() reads 18.2
+            ("spread", "\uff13.5"),  # fullwidth three: float() reads 3.5
+        ],
+        ids=["week-underscore", "week-arabic-indic", "salary-underscore",
+             "fpts-underscore", "spread-fullwidth"],
+    )
+    def test_number_outside_ascii_grammar_rejected(self, tmp_path, column, raw):
+        fields = dict(zip(CSV_COLUMNS, GOOD_ROW.split(",")))
+        fields[column] = raw
+        with pytest.raises(SchemaError, match="cannot parse") as exc:
+            load_player_weeks(write_csv(tmp_path, ",".join(fields.values())))
+        assert exc.value.line == 2
+        assert exc.value.column == column
+
+    @pytest.mark.parametrize("raw", ["+7", "-3", "007", "7.", ".5", "-.5", "1e1", "2.5E+1"])
+    def test_ascii_number_forms_accepted(self, tmp_path, raw):
+        fields = dict(zip(CSV_COLUMNS, GOOD_ROW.split(",")))
+        fields["spread"] = raw
+        rec = week_fields(load(tmp_path, ",".join(fields.values())), "QB001", 1)
+        assert rec["spread"] == float(raw)
+
     def test_wrong_field_count(self, tmp_path):
         with pytest.raises(SchemaError) as exc:
             load_player_weeks(write_csv(tmp_path, GOOD_ROW + ",9"))
@@ -178,9 +207,11 @@ class TestParsing:
 
 
 # Junk for any field: blanks, non-finite and unparsable numbers, ranks and
-# weeks out of range, a bool out of {0, 1}, coordinates off the globe.
+# weeks out of range, a bool out of {0, 1}, coordinates off the globe, and
+# numbers int()/float() take but the ASCII grammar does not.
 _JUNK = ["", " ", "nan", "inf", "-inf", "1e999", "abc", "1.5", "-1", "0", "2", "18",
-         "33", "99999", "-190.0", "95.0", "K", "QB"]
+         "33", "99999", "-190.0", "95.0", "K", "QB", "1_0", "\u0668", "5_000", "1_8.2",
+         "\u0661\u0662"]
 
 
 @st.composite
@@ -212,6 +243,43 @@ def test_any_row_parses_or_names_its_line_and_column():
     check()
     # Both branches are exercised, so neither half of the property is vacuous.
     assert min(outcomes.count("parsed"), outcomes.count("rejected")) >= 10
+
+
+def test_number_fields_read_exactly_the_ascii_grammar():
+    """An int or float field parses exactly the stripped text that
+    oracles.NUMBER matches (ints without dot or exponent) and that is
+    finite, and to the value int()/float() gives it."""
+    outcomes = []
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        st.one_of(
+            st.from_regex(NUMBER, fullmatch=True),
+            st.text(alphabet="0123456789+-.eE_ nafiINx\u0668\uff13\u00b2", min_size=1,
+                    max_size=7),
+        ),
+        st.sampled_from([int, float]),
+    )
+    def check(raw, kind):
+        text = raw.strip()
+        grammar = NUMBER.fullmatch(text) is not None and (
+            kind is float or not any(c in text for c in ".eE")
+        )
+        try:
+            value = parse_field(raw, "spread", 7, kind, optional=True)
+        except SchemaError as exc:
+            assert (exc.line, exc.column) == (7, "spread")
+            assert not grammar or not math.isfinite(kind(text))
+            outcomes.append("rejected")
+        else:
+            if text == "":
+                assert value is None
+                return
+            assert grammar and type(value) is kind and value == kind(text)
+            outcomes.append("parsed")
+
+    check()
+    assert min(outcomes.count("parsed"), outcomes.count("rejected")) >= 50
 
 
 class TestEligibility:

@@ -22,11 +22,16 @@ from dfslineup.optimizer import (
     optimize_all_flex,
     solve_flex_configs,
     undominated,
-    validate_lineup,
 )
 
 from .conftest import Player, columns, make_pool, make_pool_with, make_shuffled_pool
-from .oracles import FLEX_COUNTS, brute_force_all_flex, brute_force_config, prune_keep_ids
+from .oracles import (
+    FLEX_COUNTS,
+    brute_force_all_flex,
+    brute_force_config,
+    prune_keep_ids,
+    validate_lineup,
+)
 
 
 def keep_mask(pool):

@@ -21,7 +21,6 @@ from dfslineup.errors import (
 from dfslineup import stats
 from dfslineup.special import betainc, kolmogorov_sf, normal_cdf, student_t_sf2
 from dfslineup.stats import (
-    PopulationStats,
     boxplot_stats,
     bootstrap_ci,
     cohens_d,
@@ -134,7 +133,7 @@ class TestHypothesisTests:
 
 class TestPercentile:
     def pop(self, values):
-        return PopulationStats(samples=np.array(values, dtype=float), label="random")
+        return np.array(values, dtype=float)
 
     def test_hand_examples(self):
         p = self.pop([1, 2, 3, 4])
@@ -150,8 +149,8 @@ class TestPercentile:
             pop = self.pop(rng.integers(0, 40, int(rng.integers(3, 200))))
             score = float(rng.integers(0, 40))
             direct = 100.0 * (
-                np.sum(pop.samples < score) + 0.5 * np.sum(pop.samples == score)
-            ) / pop.n
+                np.sum(pop < score) + 0.5 * np.sum(pop == score)
+            ) / len(pop)
             assert percentile(score, pop) == pytest.approx(direct, abs=1e-12)
 
     def test_bootstrap_properties(self):
@@ -173,10 +172,10 @@ class TestPercentile:
         naive = np.empty(6000)
         oracle_rng = np.random.default_rng(999)
         for i in range(6000):
-            draw = oracle_rng.choice(pop.samples, size=pop.n, replace=True)
+            draw = oracle_rng.choice(pop, size=len(pop), replace=True)
             naive[i] = 100.0 * (
                 np.sum(draw < score) + 0.5 * np.sum(draw == score)
-            ) / pop.n
+            ) / len(pop)
         nlo, nhi = np.quantile(naive, [0.05, 0.95])
         assert lo == pytest.approx(nlo, abs=1.5)
         assert hi == pytest.approx(nhi, abs=1.5)
@@ -195,6 +194,13 @@ class TestPercentile:
             bootstrap_ci(2.0, pop, resamples=0)
         with pytest.raises(ValueError):
             bootstrap_ci(2.0, pop, level=1.0)
+
+    @pytest.mark.parametrize("values", [[], np.empty(0)])
+    def test_empty_population_rejected_before_dividing(self, values):
+        with pytest.raises(ValueError, match="population is empty"):
+            percentile(2.0, values)
+        with pytest.raises(ValueError, match="population is empty"):
+            bootstrap_ci(2.0, values, resamples=10)
 
 
 def sample(pool, *args, **kwargs):
@@ -395,25 +401,45 @@ class TestDescriptive:
 
 
 class TestReportingPipeline:
+    def test_summarize_population_is_the_report_entry(self):
+        rng = np.random.default_rng(16)
+        scores = rng.normal(100, 12, 4000)
+        summary = stats.summarize_population(scores, 130.0, 2000, 0.95, 5, "random")
+        lo, hi = bootstrap_ci(130.0, scores, resamples=2000, level=0.95, seed=5)
+        ks = ks_normality(scores)
+        assert summary == {
+            "label": "random",
+            "n": 4000,
+            "mean_fpts": float(scores.mean()),
+            "percentile": percentile(130.0, scores),
+            "percentile_ci": [lo, hi],
+            "ks_statistic": ks.statistic,
+            "ks_p_value": ks.p_value,
+            "boxplot": boxplot_stats(scores),
+        }
+        assert summary["percentile"] > 97.0
+        assert type(summary["n"]) is int
+
     def test_compare_populations_battery(self):
         rng = np.random.default_rng(16)
-        random_pop = PopulationStats(rng.normal(100, 12, 4000), label="random")
-        real_pop = PopulationStats(rng.normal(120, 18, 1500), label="real_world")
-        report = compare_populations(random_pop, real_pop, 130.0, resamples=2000, seed=5)
-        assert report.random.label == "random" and report.real.label == "real_world"
-        assert report.random.percentile > 97.0
-        assert report.welch.statistic > 0  # real scores higher than random
-        assert report.welch.p_value < 1e-6
-        assert report.cohens_d > 1.0
-        assert report.random.ci_low <= report.random.percentile <= report.random.ci_high
-        want = welch_t_test(real_pop.samples, random_pop.samples)
-        assert report.welch.statistic == want.statistic
+        random_scores = rng.normal(100, 12, 4000)
+        real_scores = rng.normal(120, 18, 1500)
+        report = compare_populations(random_scores, real_scores)
+        assert set(report) == {"welch_t", "cohens_d"}
+        assert report["welch_t"]["statistic"] > 0  # real scores higher than random
+        assert report["welch_t"]["p_value"] < 1e-6
+        assert report["cohens_d"] > 1.0
+        want = welch_t_test(real_scores, random_scores)
+        assert report["welch_t"] == {
+            "statistic": want.statistic, "p_value": want.p_value, "df": want.df
+        }
+        assert report["cohens_d"] == cohens_d(real_scores, random_scores)
 
     def test_load_contest_results(self, tmp_path, contest_csv):
-        pop = load_contest_results(contest_csv)
-        assert pop.label == "real_world"
-        assert pop.n > 2000
-        assert np.all(pop.samples != 0.0)  # zero scores dropped
+        scores = load_contest_results(contest_csv)
+        assert scores.dtype == np.float64
+        assert len(scores) > 2000
+        assert np.all(scores != 0.0)  # zero scores dropped
         bad = tmp_path / "bad.csv"
         bad.write_text("rank,points\n1,100\n", encoding="utf-8")
         with pytest.raises(SchemaError):
@@ -437,3 +463,27 @@ class TestReportingPipeline:
             load_contest_results(path)
         assert exc.value.line == 3
         assert exc.value.column == "fpts"
+
+    @pytest.mark.parametrize("raw", ["1_0", "\u0661\u0662"])
+    def test_load_contest_results_rejects_non_ascii_number(self, tmp_path, raw):
+        # float() takes "1_0" as 10.0 and Arabic-Indic "\u0661\u0662" as 12.0.
+        path = tmp_path / "contest.csv"
+        path.write_text(f"user_rank,fpts\n1,120.5\n2,{raw}\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            load_contest_results(path)
+        assert exc.value.line == 3
+        assert exc.value.column == "fpts"
+
+    @pytest.mark.parametrize("nonzero", [0, 3, 4])
+    def test_load_contest_results_needs_five_nonzero_scores(self, tmp_path, nonzero):
+        path = tmp_path / "short.csv"
+        rows = [f"{r},{100.0 + r}" for r in range(1, nonzero + 1)] + ["9,0", "10,0.0"]
+        path.write_text("\n".join(["user_rank,fpts", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="short.csv") as exc:
+            load_contest_results(path)
+        assert f"{nonzero} nonzero" in str(exc.value)
+        assert "real-world population" in str(exc.value)
+        # Topped up to exactly five nonzero scores, the file loads.
+        rows += [f"{r},1.5" for r in range(11, 16 - nonzero)]
+        path.write_text("\n".join(["user_rank,fpts", *rows]) + "\n", encoding="utf-8")
+        assert len(load_contest_results(path)) == 5
