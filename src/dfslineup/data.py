@@ -215,6 +215,25 @@ def parse_row(row: dict, line: int) -> tuple:
     )
 
 
+def read_csv(path):
+    """The rows of a UTF-8 CSV file, each a list of fields.
+
+    A row the csv module refuses (a field over its size limit, say) raises
+    SchemaError naming the file and line; bytes that are not UTF-8 raise
+    SchemaError naming the file.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: {exc}", line=reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
+            ) from None
+
+
 def load_player_weeks(csv_path) -> PlayerWeekTable:
     """Load a season table from ``players.csv``.
 
@@ -222,31 +241,29 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
     Raises SchemaError with file position on malformed rows and
     DuplicateKeyError naming both lines of a repeated (player_id, week).
     """
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("file is empty", line=1) from None
-        if header != CSV_COLUMNS:
+    reader = read_csv(csv_path)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("file is empty", line=1)
+    if header != CSV_COLUMNS:
+        raise SchemaError(
+            f"header {header} does not match expected schema {CSV_COLUMNS}", line=1
+        )
+    rows, lines = [], {}
+    for line, raw in enumerate(reader, start=2):
+        if not raw:
+            continue
+        if len(raw) != len(CSV_COLUMNS):
             raise SchemaError(
-                f"header {header} does not match expected schema {CSV_COLUMNS}", line=1
+                f"expected {len(CSV_COLUMNS)} fields, got {len(raw)}", line=line
             )
-        rows, lines = [], {}
-        for line, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(CSV_COLUMNS):
-                raise SchemaError(
-                    f"expected {len(CSV_COLUMNS)} fields, got {len(raw)}", line=line
-                )
-            row = parse_row(dict(zip(CSV_COLUMNS, raw)), line)
-            first = lines.setdefault(row[:2], line)
-            if first != line:
-                raise DuplicateKeyError(
-                    f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line {first}"
-                )
-            rows.append(row)
+        row = parse_row(dict(zip(CSV_COLUMNS, raw)), line)
+        first = lines.setdefault(row[:2], line)
+        if first != line:
+            raise DuplicateKeyError(
+                f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line {first}"
+            )
+        rows.append(row)
     return PlayerWeekTable(rows)
 
 

@@ -18,19 +18,16 @@ position's salary floor, its cheapest player in the pool: a cell that needs
 cells this drops are those below the floors, which no set of players can
 fill, and those above every configuration's root, which no read-back
 reaches.  Every kept cell holds the same sum of the same floats as on an
-axis from zero, so the take and tie bits, and with them every lineup, are
+axis from zero, so the take bits, and with them every lineup, are
 unchanged.  On fixture week 8 ($100 units) the axis is 240 units long, not
 501.
 
 Ties among equal-objective lineups resolve to the lexicographically
-smallest sorted player-id tuple.  The DP meets that rule when it reads the
-candidates in player-id order, but it is cheapest with them grouped by
-position, WR last, so the suffix fills WR while the other needed counts
-are still zero.  Each solve therefore runs grouped first.  If its read-back
-takes a player whose take and skip values lie within a tie margin (derived
-from the pool's FPTS, far above the rounding of a nine-term sum), the same
-DP runs again in player-id order and its answer stands.  Without such a
-near tie the grouped optimum is the only optimum, and both orders agree.
+smallest sorted player-id tuple.  The DP reads the candidates in player-id
+order and its read-back takes a candidate whenever taking is at least as
+good as skipping, so among all optimal lineups it picks the one whose
+smallest differing id is smallest.  The comparison is exact: a lineup
+better by any margin, however small, wins over a smaller id tuple.
 """
 
 from __future__ import annotations
@@ -61,9 +58,6 @@ LINEUP_SIZE = sum(POSITION_COUNTS[0].values())
 _FIXED_SLOTS = {p: min(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 _MAX_COUNTS = {p: max(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 _POS_INDEX = {p: i for i, p in enumerate(POSITIONS)}
-# Forward order of the grouped solve.  The suffix DP meets WR first, while
-# the other need axes are still capped at zero.
-_GROUP_RANK = {p: i for i, p in enumerate(("QB", "DST", "TE", "RB", "WR"))}
 
 
 @dataclass
@@ -120,15 +114,13 @@ def undominated(position, salary, fpts) -> np.ndarray:
     return keep
 
 
-def _dp_solve(
-    order: list[int], position, salary, fpts, cap: int, tol: float
-) -> tuple[list[Optional[list[int]]], bool]:
+def _dp_solve(position, salary, fpts, cap: int) -> list[Optional[list[int]]]:
     """Suffix DP over (needed counts, budget above the floors); one chosen set per config.
 
-    The DP reads the pool columns in ``order``, a list of indices into them;
-    a chosen set is a sorted list of those indices.  The needed counts run
-    up to the largest count of each position over the flex configurations,
-    so every configuration is a root of the same grid.
+    The columns are in player_id order, and the DP reads the candidates in
+    that order; a chosen set is a sorted list of indices into the columns.
+    The needed counts run up to the largest count of each position over the
+    flex configurations, so every configuration is a root of the same grid.
     The budget axis is floor-indexed: a cell with needed counts ``n`` and
     budget ``b`` salary units sits at ``u = b - sum(n[p] * floor[p])``, where
     ``floor[p]`` is the cheapest unit salary of position ``p`` in the pool,
@@ -138,23 +130,19 @@ def _dp_solve(
     largest root.  A negative root, or one whose value is not finite (pool
     short a position, or nothing fits the cap), yields None.  A take still
     reads the cell it read on an axis from zero, so every kept cell, and its
-    take and tie bits, equal those of that axis.
+    take bit, equal those of that axis.
 
     Each step touches only the needed counts its suffix can fill: the rest
     of the grid stays -inf.  Per candidate, over the cells it can fill, a
-    take bit (take - skip >= -tol) and a tie bit (take - skip <= tol) are
-    stored; the value grid rolls.  Reconstruction walks the candidates in
-    the given order preferring to take, and also returns whether any step it
-    took was within tol of skipping.  With tol 0 and candidates in player_id
-    order, the chosen set is the lexicographically smallest sorted id tuple
-    among all optimal lineups.
+    take bit (take >= skip) is stored; the value grid rolls.
+    Reconstruction walks the candidates in id order and takes each one
+    whose take bit is set, so the chosen set is the lexicographically
+    smallest sorted id tuple among all optimal lineups.
     """
-    unit = 0
-    for j in order:
-        unit = gcd(unit, salary[j])
+    unit = gcd(*salary)
     budget_max = cap // unit if unit else 0
-    axes = [_POS_INDEX[position[j]] for j in order]
-    units = [salary[j] // unit for j in order]
+    axes = [_POS_INDEX[p] for p in position]
+    units = [s // unit for s in salary]
     # Cheapest unit salary per position axis; 0 for a position the pool lacks.
     floor = [min((w for a, w in zip(axes, units) if a == i), default=0) for i in _POS_INDEX.values()]
     weights = [w - floor[a] for a, w in zip(axes, units)]
@@ -164,38 +152,32 @@ def _dp_solve(
     ]
     top = max(roots)
     if top < 0:  # the floors alone exceed the cap
-        return [None] * len(POSITION_COUNTS), False
+        return [None] * len(POSITION_COUNTS)
     shape = tuple(_MAX_COUNTS[p] + 1 for p in POSITIONS) + (top + 1,)
 
     # value[needed counts, budget above the floors]: best completion from the suffix.
     value = np.full(shape, -np.inf)
     value[(0,) * len(POSITIONS)] = 0.0
     live = [0] * len(POSITIONS)  # largest needed count the suffix can fill
-    take_bits = [None] * len(order)
-    tie_bits = [None] * len(order)
-
-    with np.errstate(invalid="ignore"):  # -inf - -inf: neither bit
-        for j in range(len(order) - 1, -1, -1):
-            axis, w = axes[j], weights[j]
-            if w > top:
-                continue
-            live[axis] = min(live[axis] + 1, shape[axis] - 1)
-            grid = value[tuple(slice(0, k + 1) for k in live)]
-            take_view = [slice(None)] * len(shape)
-            take_view[axis] = slice(1, None)
-            take_view[-1] = slice(w, None)
-            src_view = [slice(None)] * len(shape)
-            src_view[axis] = slice(0, -1)
-            src_view[-1] = slice(0, top + 1 - w)
-            take_vals = fpts[order[j]] + grid[tuple(src_view)]
-            dest = grid[tuple(take_view)]
-            diff = take_vals - dest
-            take_bits[j] = diff >= -tol
-            tie_bits[j] = diff <= tol
-            np.maximum(dest, take_vals, out=dest)
+    take_bits = [None] * len(axes)
+    for j in range(len(axes) - 1, -1, -1):
+        axis, w = axes[j], weights[j]
+        if w > top:
+            continue
+        live[axis] = min(live[axis] + 1, shape[axis] - 1)
+        grid = value[tuple(slice(0, k + 1) for k in live)]
+        take_view = [slice(None)] * len(shape)
+        take_view[axis] = slice(1, None)
+        take_view[-1] = slice(w, None)
+        src_view = [slice(None)] * len(shape)
+        src_view[axis] = slice(0, -1)
+        src_view[-1] = slice(0, top + 1 - w)
+        take_vals = fpts[j] + grid[tuple(src_view)]
+        dest = grid[tuple(take_view)]
+        take_bits[j] = take_vals >= dest
+        np.maximum(dest, take_vals, out=dest)
 
     solutions = []
-    tied = False
     for counts, root in zip(POSITION_COUNTS, roots):
         need = [counts[p] for p in POSITIONS]
         if root < 0 or not np.isfinite(value[tuple(need) + (root,)]):
@@ -203,22 +185,19 @@ def _dp_solve(
             continue
         chosen = []
         budget = root
-        for j, player in enumerate(order):
-            axis, w = axes[j], weights[j]
+        for j, (axis, w) in enumerate(zip(axes, weights)):
             if need[axis] == 0 or w > budget:
                 continue
             cell = list(need) + [budget - w]
             cell[axis] -= 1
-            cell = tuple(cell)
-            if take_bits[j][cell]:
-                tied = tied or bool(tie_bits[j][cell])
-                chosen.append(player)
+            if take_bits[j][tuple(cell)]:
+                chosen.append(j)
                 need[axis] -= 1
                 budget -= w
                 if not any(need):
                     break
-        solutions.append(sorted(chosen))
-    return solutions, tied
+        solutions.append(chosen)
+    return solutions
 
 
 def solve_flex_configs(ids, position, salary, fpts, salary_cap: int) -> list[Optional[Lineup]]:
@@ -248,19 +227,9 @@ def solve_flex_configs(ids, position, salary, fpts, salary_cap: int) -> list[Opt
     # From here on, plain lists in id order.
     kinds = (str, str, int, float)
     ids, position, salary, fpts = ([kind(c[j]) for j in order] for kind, c in zip(kinds, columns))
-    # Far above the rounding of a nine-term sum (about 2**-50 of its size)
-    # and far below any real FPTS gap.  Not a config key: every margin in
-    # that range gives the same lineups and only sets how often the
-    # id-order solve runs.
-    tol = 2.0**-40 * (1 + LINEUP_SIZE * max(map(abs, fpts), default=0.0))
-    id_order = range(len(ids))
-    grouped = sorted(id_order, key=lambda j: _GROUP_RANK[position[j]])  # stable: id order within
-    solutions, tied = _dp_solve(grouped, position, salary, fpts, salary_cap, tol)
-    if tied:
-        solutions, _ = _dp_solve(id_order, position, salary, fpts, salary_cap, 0.0)
-    # Chosen indices are in id order whichever solve ran, so predicted_fpts is
-    # summed in id order: it decides the cross-configuration choice down to
-    # its last bit.
+    # Chosen indices are in id order, so predicted_fpts is summed in id
+    # order: it decides the cross-configuration choice down to its last bit.
+    solutions = _dp_solve(position, salary, fpts, salary_cap)
     return [
         None if chosen is None
         else Lineup(tuple(ids[j] for j in chosen), config, sum(fpts[j] for j in chosen))

@@ -8,7 +8,6 @@ definition: ties count at half weight.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import POSITIONS, parse_field
+from .data import POSITIONS, parse_field, read_csv
 from .errors import (
     NoFeasibleSampleError,
     PositionShortfallError,
@@ -283,25 +282,30 @@ def load_contest_results(path) -> np.ndarray:
     """Read `user_rank,fpts` rows; the nonzero scores, in file order.
 
     Zero-score users are dropped.  A file with fewer than
-    KS_MIN_SAMPLES nonzero scores raises SchemaError naming it.
+    KS_MIN_SAMPLES nonzero scores, or whose nonzero scores are all equal,
+    raises SchemaError naming it.
     """
     scores = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_rank", "fpts"]:
-            raise SchemaError(f"unexpected header {header}", line=1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"expected 2 fields, got {len(row)}", line=line)
-            value = parse_field(row[1], "fpts", line, float)
-            if value != 0.0:
-                scores.append(value)
+    reader = read_csv(path)
+    header = next(reader, None)
+    if header != ["user_rank", "fpts"]:
+        raise SchemaError(f"unexpected header {header}", line=1)
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise SchemaError(f"expected 2 fields, got {len(row)}", line=line)
+        value = parse_field(row[1], "fpts", line, float)
+        if value != 0.0:
+            scores.append(value)
     if len(scores) < KS_MIN_SAMPLES:
         raise SchemaError(
             f"{path}: {len(scores)} nonzero fpts score(s); the real-world population "
             f"needs at least {KS_MIN_SAMPLES}"
+        )
+    if len(set(scores)) == 1:
+        raise SchemaError(
+            f"{path}: all {len(scores)} nonzero fpts scores are {scores[0]!r}; the "
+            f"real-world population needs at least two distinct scores"
         )
     return np.array(scores)

@@ -95,7 +95,7 @@ def make_pool(rng: np.random.Generator, n: int, tie_heavy: bool = False):
 
 def make_shuffled_pool(rng: np.random.Generator, n: int, tie_heavy: bool = False):
     """``make_pool`` with its ids permuted across positions, so id order and
-    position-grouped order disagree."""
+    position order disagree."""
     pool = make_pool(rng, n, tie_heavy)
     ids = [pool[i].player_id for i in rng.permutation(n)]
     return [c._replace(player_id=pid) for pid, c in zip(ids, pool)]

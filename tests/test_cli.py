@@ -424,6 +424,57 @@ class TestExitCodes:
         assert "real-world population needs at least 5" in err
         assert "Warning" not in err and "pvals" not in err
 
+    def test_contest_file_with_equal_scores(self, full_run, tmp_path, capsys):
+        out, _ = full_run
+        for name in ("lineup.json", "samples.npz"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        contest = tmp_path / "flat_contest.csv"
+        rows = [f"{r},100" for r in range(1, 7)]
+        contest.write_text("\n".join(["user_rank,fpts", *rows]) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, contest_results_csv=str(contest), output_dir=str(tmp_path))
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{contest}: all 6 nonzero fpts scores are 100.0" in err
+        assert "real-world population" in err and "zero variance" not in err
+
+    @staticmethod
+    def _spoiled_input(full_run, tmp_path, which, spoil):
+        """Config whose season or contest file has ``spoil(line 2 bytes)`` as its
+        line 2, and the stage that reads that file first."""
+        source = FIXTURES / ("season.csv" if which == "season" else "contest_results.csv")
+        lines = source.read_bytes().splitlines()
+        lines[1] = spoil(lines[1])
+        target = tmp_path / f"spoiled_{which}.csv"
+        target.write_bytes(b"\n".join(lines) + b"\n")
+        if which == "season":
+            return target, write_config(tmp_path, players_csv=str(target)), "ingest"
+        out, _ = full_run
+        for name in ("lineup.json", "samples.npz"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        config = write_config(tmp_path, contest_results_csv=str(target), output_dir=str(tmp_path))
+        return target, config, "validate"
+
+    @pytest.mark.parametrize("which", ["season", "contest"])
+    def test_oversized_csv_field(self, full_run, tmp_path, capsys, which):
+        # The csv module refuses a field over 131,072 characters.
+        target, config, stage = self._spoiled_input(
+            full_run, tmp_path, which, lambda line: b"9" * 140_000 + line
+        )
+        assert main([stage, "--config", str(config)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: field larger than field limit")
+        assert err.endswith("(line 2)\n")
+
+    @pytest.mark.parametrize("which", ["season", "contest"])
+    def test_non_utf8_csv_byte(self, full_run, tmp_path, capsys, which):
+        target, config, stage = self._spoiled_input(
+            full_run, tmp_path, which, lambda line: line[:3] + b"\xe9" + line[3:]
+        )
+        assert main([stage, "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {target}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
+        )
+
     def test_unreachable_salary_band_exits_three(self, tmp_path):
         # Salaries are multiples of 100, so no lineup total lands in this band.
         config = write_config(

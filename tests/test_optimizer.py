@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from dfslineup.data import POSITIONS
 from dfslineup.errors import InfeasibleLineupError
 from dfslineup.optimizer import (
-    _GROUP_RANK,
     LINEUP_SIZE,
     Lineup,
     _dp_solve,
@@ -134,8 +133,8 @@ class TestBruteForceAgreement:
 
     @pytest.mark.parametrize("tie_heavy", [False, True])
     def test_shuffled_ids_match_oracle(self, tie_heavy):
-        # Ids permuted across positions, so the grouped order is far from id
-        # order; a binding cap makes cross-position ties.
+        # Ids permuted across positions, so id order interleaves the
+        # positions; a binding cap makes cross-position ties.
         rng = np.random.default_rng(60 if tie_heavy else 61)
         for trial in range(200):
             pool = make_shuffled_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
@@ -153,13 +152,13 @@ class TestBruteForceAgreement:
                 assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
                 assert lineup.players == want[1]
 
-    def test_exact_tie_reaches_the_id_order_solve(self, salary_cap):
-        # Seven $5,000 starters leave $15,000 for one RB and one WR.  Two pairs
-        # tie at 30: (RB B $9,000, WR C $6,000) and (RB D $6,000, WR A $9,000).
-        # The grouped order meets the RBs first and keeps B; the lexicographic
-        # minimum holds A, which only the id-order solve finds.
-        pool = [
-            Player("A", "WR", 9000, 20.0),
+    @staticmethod
+    def _two_pair_pool(a_fpts):
+        # Seven $5,000 starters leave $15,000 for one RB and one WR: either
+        # (RB B $9,000, WR C $6,000) or (RB D $6,000, WR A $9,000), each
+        # worth 30 when A scores 20.
+        return [
+            Player("A", "WR", 9000, a_fpts),
             Player("B", "RB", 9000, 20.0),
             Player("C", "WR", 6000, 10.0),
             Player("D", "RB", 6000, 10.0),
@@ -171,13 +170,27 @@ class TestBruteForceAgreement:
             Player("WR1", "WR", 5000, 30.0),
             Player("WR2", "WR", 5000, 30.0),
         ]
-        ids, position, salary, fpts = columns(pool)
-        grouped = sorted(range(len(pool)), key=lambda j: (_GROUP_RANK[position[j]], ids[j]))
-        (fast, _, _), tied = _dp_solve(grouped, position, salary, fpts, salary_cap, 1e-9)
-        assert tied and {"B", "C"} <= {ids[j] for j in fast}
+
+    def test_exact_tie_reaches_the_id_order_solve(self, salary_cap):
+        # The two pairs tie exactly; the lexicographic minimum holds A, which
+        # the id-order read-back takes first.
+        pool = self._two_pair_pool(20.0)
         want = brute_force_config(pool, FLEX_COUNTS[0], salary_cap)
         assert {"A", "D"} <= set(want[1])
         assert solve_flex_configs(*columns(pool), salary_cap)[0].players == want[1]
+
+    def test_near_tie_goes_to_the_better_lineup(self, salary_cap):
+        # A scores a hair under 20, so (B, C) is strictly better than the
+        # lexicographically smaller (A, D): the take test has no tolerance.
+        pool = self._two_pair_pool(20.0 - 1e-10)
+        want = brute_force_config(pool, FLEX_COUNTS[0], salary_cap)
+        assert {"B", "C"} <= set(want[1]) and "A" not in want[1]
+        for lineup in (
+            solve_flex_configs(*columns(pool), salary_cap)[0],
+            optimize_all_flex(*columns(pool), salary_cap),
+        ):
+            assert lineup.players == want[1]
+            assert lineup.predicted_fpts == want[0]
 
     def test_pruning_never_changes_the_answer(self, salary_cap):
         rng = np.random.default_rng(45)
@@ -190,9 +203,9 @@ class TestBruteForceAgreement:
             pruned = [c for c, kept in zip(pool, keep) if kept]
             assert len(pruned) <= len(pool)
             _, *cols = columns(pool)
-            full, _ = _dp_solve(range(len(pool)), *cols, salary_cap, 0.0)
+            full = _dp_solve(*cols, salary_cap)
             _, *cols = columns(pruned)
-            slim, _ = _dp_solve(range(len(pruned)), *cols, salary_cap, 0.0)
+            slim = _dp_solve(*cols, salary_cap)
             assert len(full) == len(slim) == len(FLEX_COUNTS)
             for a, b in zip(full, slim):
                 if a is None:

@@ -484,6 +484,17 @@ class TestReportingPipeline:
         assert f"{nonzero} nonzero" in str(exc.value)
         assert "real-world population" in str(exc.value)
         # Topped up to exactly five nonzero scores, the file loads.
-        rows += [f"{r},1.5" for r in range(11, 16 - nonzero)]
+        rows += [f"{r},{r + 0.5}" for r in range(11, 16 - nonzero)]
         path.write_text("\n".join(["user_rank,fpts", *rows]) + "\n", encoding="utf-8")
         assert len(load_contest_results(path)) == 5
+
+    @pytest.mark.parametrize("score", ["100", "0.1"])
+    def test_load_contest_results_rejects_equal_scores(self, tmp_path, score):
+        # Six equal 0.1s have a sample variance of about 1e-34, not zero.
+        path = tmp_path / "flat.csv"
+        rows = [f"{r},{score}" for r in range(1, 7)] + ["7,0"]
+        path.write_text("\n".join(["user_rank,fpts", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="flat.csv") as exc:
+            load_contest_results(path)
+        assert f"all 6 nonzero fpts scores are {float(score)!r}" in str(exc.value)
+        assert "real-world population needs at least two distinct scores" in str(exc.value)
