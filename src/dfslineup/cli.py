@@ -21,6 +21,7 @@ from .errors import (
     PositionShortfallError,
     SchemaError,
     TrainingDivergedError,
+    UnservableWeekError,
     WindowRangeError,
     ZeroVarianceError,
 )
@@ -36,6 +37,7 @@ _INPUT_ERRORS = (
     SchemaError,
     DuplicateKeyError,
     WindowRangeError,
+    UnservableWeekError,
     FileNotFoundError,
     ValueError,
 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -87,30 +88,28 @@ class PlayerWeekTable:
     missing row is NaN there.
     """
 
-    def __init__(self, rows):
-        """``rows``: parsed rows, fields in CSV_COLUMNS order and None for an
-        empty optional field, at most one per (player_id, week)."""
-        pids, weeks, position, salary, *values, draftable = (
-            list(zip(*rows)) or [()] * len(CSV_COLUMNS)
-        )
-        self._ids = sorted(set(pids))
+    def __init__(self, ids, week, position, salary, values, draftable):
+        """One entry per CSV row, at most one per (player_id, week): ``ids``
+        a list of str, ``position`` indices into POSITIONS and ``values`` a
+        (len(VALUE_COLUMNS), n_rows) float array."""
+        self._ids = sorted(set(ids))
         self._index = {pid: i for i, pid in enumerate(self._ids)}
         shape = (len(self._ids), LAST_WEEK + 1)
         at = (
-            np.array([self._index[pid] for pid in pids], dtype=np.intp),
-            np.array(weeks, dtype=np.intp),
+            np.array([self._index[pid] for pid in ids], dtype=np.intp),
+            np.asarray(week, dtype=np.intp),
         )
         self.present = np.zeros(shape, dtype=bool)
         self.present[at] = True
         self.position = np.zeros(shape, dtype=np.int8)
-        self.position[at] = [POSITIONS.index(p) for p in position]
+        self.position[at] = position
         self.salary = np.zeros(shape, dtype=np.int64)
         self.salary[at] = salary
         self.draftable = np.zeros(shape, dtype=bool)
         self.draftable[at] = draftable
         self.values = np.full((len(VALUE_COLUMNS), *shape), np.nan)
-        self.values[(slice(None), *at)] = np.array(values, dtype=np.float64)
-        self._n_rows = len(pids)
+        self.values[(slice(None), *at)] = values
+        self._n_rows = len(ids)
 
     def __len__(self):
         return self._n_rows
@@ -215,6 +214,20 @@ def parse_row(row: dict, line: int) -> tuple:
     )
 
 
+def names_file(load):
+    """Decorate a loader of one CSV so a SchemaError it raises names the file."""
+
+    @functools.wraps(load)
+    def loader(path):
+        try:
+            return load(path)
+        except SchemaError as exc:
+            exc.path = path
+            raise
+
+    return loader
+
+
 def read_csv(path):
     """The rows of a UTF-8 CSV file, each a list of fields.
 
@@ -227,19 +240,143 @@ def read_csv(path):
         try:
             yield from reader
         except csv.Error as exc:
-            raise SchemaError(f"{path}: {exc}", line=reader.line_num) from None
+            raise SchemaError(str(exc), line=reader.line_num, path=path) from None
         except UnicodeDecodeError as exc:
             raise SchemaError(
-                f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
+                f"not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})", path=path
             ) from None
 
 
+# Records per parse block.  Only one block of text is held at a time.
+BLOCK_ROWS = 2048
+
+_POSITION_INDEX = {p: i for i, p in enumerate(POSITIONS)}
+_RANK_COLUMNS = CSV_COLUMNS[6:10]
+_KINDS = dict.fromkeys(VALUE_COLUMNS, float) | dict.fromkeys(("point_diff", *_RANK_COLUMNS), int)
+
+
+def _blocks(records, size):
+    """Lists of up to ``size`` records.  A read error comes after the block
+    of the records before it, so an earlier bad row is still found first."""
+    block = []
+    try:
+        for record in records:
+            block.append(record)
+            if len(block) == size:
+                yield block
+                block = []
+    except SchemaError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _numbers(column, kind):
+    """A number column as floats, NaN for an empty field.
+
+    ValueError, which sends the block to parse_row, unless the column's
+    text is ASCII without "_" (for an int column, also without a dot or an
+    exponent) and every non-empty field converts to a finite float.  Fields
+    float() reads are exactly those parse_field reads, to the same value;
+    it strips only some of the whitespace parse_field strips, and the rest
+    goes to parse_row.
+    """
+    text = "".join(column)
+    if not text.isascii() or "_" in text or kind is int and any(c in text for c in ".eE"):
+        raise ValueError
+    blanks = column.count("")
+    values = np.array(
+        [float(x) if x else math.nan for x in column] if blanks else list(map(float, column))
+    )
+    if np.isinf(values).any() or np.isnan(values).sum() != blanks:
+        raise ValueError
+    # int("-0") is 0, float("-0") is -0.0; adding 0.0 gives +0.0.
+    return values + 0.0 if kind is int else values
+
+
+def _flags(column):
+    """A 0/1 column as bools; ValueError on any other text."""
+    if not set(column) <= {"0", "1"}:
+        raise ValueError
+    return np.array(column) == "1"
+
+
+def _columnar(records):
+    """A block's columns, each converted and checked at once: (ids, week,
+    position, salary, values, draftable).  ValueError where any field needs
+    parse_row, which then reads the block row by row."""
+    if set(map(len, records)) != {len(CSV_COLUMNS)}:
+        raise ValueError
+    ids, week, position, salary, *values, draftable = zip(*records)
+    ids = list(map(str.strip, ids))
+    if "" in ids or not set(position) <= _POSITION_INDEX.keys():
+        raise ValueError
+    week, salary = _numbers(week, int), _numbers(salary, int)
+    draftable = _flags(draftable)
+    values = np.stack([
+        _flags(col) if name == "home" else _numbers(col, _KINDS[name])
+        for name, col in zip(VALUE_COLUMNS, values)
+    ])
+    value = dict(zip(VALUE_COLUMNS, values))
+    # A NaN fails the required week and salary tests and passes the
+    # optional-field tests, which are written as "not outside".
+    ok = (week >= FIRST_WEEK) & (week <= LAST_WEEK) & (salary >= 0) & (salary < 2**53)
+    ok &= ~draftable | (salary > 0)
+    for name in _RANK_COLUMNS:
+        ok &= ~((value[name] < 1) | (value[name] > 32))
+    ok &= ~((value["latitude"] < -90.0) | (value["latitude"] > 90.0))
+    ok &= ~((value["longitude"] < -180.0) | (value["longitude"] > 180.0))
+    if not ok.all():
+        raise ValueError
+    position = list(map(_POSITION_INDEX.__getitem__, position))
+    return ids, week.astype(np.int64), position, salary.astype(np.int64), values, draftable
+
+
+def _check_keys(first_lines, keys, lines):
+    """Record each (player_id, week) key's first line; DuplicateKeyError
+    names the first key that repeats, in file order."""
+    block = dict(zip(keys, lines))
+    if len(block) == len(lines) and block.keys().isdisjoint(first_lines):
+        first_lines.update(block)
+        return
+    for key, line in zip(keys, lines):
+        first = first_lines.setdefault(key, line)
+        if first != line:
+            raise DuplicateKeyError(
+                f"duplicate (player_id, week) = {key}: line {line} repeats line {first}"
+            )
+
+
+def _row_by_row(lines, records, first_lines):
+    """parse_row and the key check over a block, row by row, so the first
+    bad row raises; the block's columns otherwise."""
+    rows = []
+    for line, record in zip(lines, records):
+        if len(record) != len(CSV_COLUMNS):
+            raise SchemaError(
+                f"expected {len(CSV_COLUMNS)} fields, got {len(record)}", line=line
+            )
+        row = parse_row(dict(zip(CSV_COLUMNS, record)), line)
+        _check_keys(first_lines, [row[:2]], [line])
+        rows.append(row)
+    ids, week, position, salary, *values, draftable = zip(*rows)
+    position = [_POSITION_INDEX[p] for p in position]
+    # An empty optional field is None, which float64 reads as NaN.
+    return list(ids), week, position, salary, np.array(values, dtype=np.float64), draftable
+
+
+@names_file
 def load_player_weeks(csv_path) -> PlayerWeekTable:
     """Load a season table from ``players.csv``.
 
     Rows with an empty ``fpts`` field are retained as did-not-play weeks.
-    Raises SchemaError with file position on malformed rows and
-    DuplicateKeyError naming both lines of a repeated (player_id, week).
+    The file is read in blocks of BLOCK_ROWS records, each checked and
+    converted column by column; a block the column checks refuse goes
+    through parse_row, so errors name the file, line and column of the
+    first bad row.  A repeated (player_id, week) raises DuplicateKeyError
+    naming both lines.
     """
     reader = read_csv(csv_path)
     header = next(reader, None)
@@ -249,22 +386,33 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
         raise SchemaError(
             f"header {header} does not match expected schema {CSV_COLUMNS}", line=1
         )
-    rows, lines = [], {}
-    for line, raw in enumerate(reader, start=2):
-        if not raw:
-            continue
-        if len(raw) != len(CSV_COLUMNS):
-            raise SchemaError(
-                f"expected {len(CSV_COLUMNS)} fields, got {len(raw)}", line=line
-            )
-        row = parse_row(dict(zip(CSV_COLUMNS, raw)), line)
-        first = lines.setdefault(row[:2], line)
-        if first != line:
-            raise DuplicateKeyError(
-                f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line {first}"
-            )
-        rows.append(row)
-    return PlayerWeekTable(rows)
+    columns, first_lines, start = [], {}, 2
+    for block in _blocks(reader, BLOCK_ROWS):
+        lines = range(start, start + len(block))
+        start += len(block)
+        if not all(block):  # blank records are skipped
+            lines = [n for n, record in zip(lines, block) if record]
+            block = [record for record in block if record]
+            if not block:
+                continue
+        try:
+            cols = _columnar(block)
+        except ValueError:
+            cols = _row_by_row(lines, block, first_lines)
+        else:
+            _check_keys(first_lines, list(zip(cols[0], cols[1].tolist())), lines)
+        columns.append(cols)
+    if not columns:
+        return PlayerWeekTable([], [], [], [], np.empty((len(VALUE_COLUMNS), 0)), [])
+    ids, week, position, salary, values, draftable = zip(*columns)
+    return PlayerWeekTable(
+        [pid for part in ids for pid in part],
+        np.concatenate(week),
+        np.concatenate(position),
+        np.concatenate(salary),
+        np.concatenate(values, axis=1),
+        np.concatenate(draftable),
+    )
 
 
 def load_exclusions(path) -> set[str]:

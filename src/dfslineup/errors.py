@@ -6,18 +6,25 @@ class DFSLineupError(Exception):
 
 
 class SchemaError(DFSLineupError):
-    """A CSV row or header failed validation."""
+    """A CSV row or header failed validation.  The loaders set ``path`` to
+    the file, which the message then names first."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None, column=None, path=None):
+        super().__init__(message)
         self.line = line
         self.column = column
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}"
-            if column is not None:
-                loc += f", column {column!r}"
-            loc += ")"
-        super().__init__(message + loc)
+        self.path = path
+
+    def __str__(self):
+        text = self.args[0]
+        if self.path is not None:
+            text = f"{self.path}: {text}"
+        if self.line is not None:
+            text += f" (line {self.line}"
+            if self.column is not None:
+                text += f", column {self.column!r}"
+            text += ")"
+        return text
 
 
 class DuplicateKeyError(DFSLineupError):
@@ -26,6 +33,11 @@ class DuplicateKeyError(DFSLineupError):
 
 class WindowRangeError(DFSLineupError):
     """Window index outside the 14 windows a season supports."""
+
+
+class UnservableWeekError(DFSLineupError):
+    """The season cannot serve the target week: a window without rows, or a
+    draftable pool short of a position."""
 
 
 class TrainingDivergedError(DFSLineupError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,15 @@ from .ensemble import (
     sample_matrix,
     train_ensemble,
 )
-from .optimizer import Lineup, assign_slots, modal_lineup, optimize_all_flex, undominated
+from .errors import UnservableWeekError
+from .optimizer import (
+    _MAX_COUNTS,
+    Lineup,
+    assign_slots,
+    modal_lineup,
+    optimize_all_flex,
+    undominated,
+)
 from .report import (  # noqa: F401  cmd_report: re-exported
     BOXPLOT,
     ELIGIBILITY,
@@ -36,6 +45,7 @@ from .report import (  # noqa: F401  cmd_report: re-exported
     PREDICT_WINDOW,
     PREDICTIONS,
     SAMPLES,
+    SEASON,
     TRAIN_WINDOW,
     VALIDATION_JSON,
     _out,
@@ -45,6 +55,16 @@ from .report import (  # noqa: F401  cmd_report: re-exported
     cmd_report,
 )
 from .seeds import mix64
+
+# CPython's own sha256: importing hashlib loads OpenSSL, which adds 3.5 MB to
+# the peak RSS of ingest and validate.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Salts that derive the validate stage's seeds from master_seed.
 RANDOM_SALT = 0xBA5E
@@ -62,11 +82,40 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _sha256(path) -> str:
+    return sha256(Path(path).read_bytes()).hexdigest()
+
+
 # ---------------------------------------------------------------- ingest
 
 
+def _check_servable(week: int, train_w: WindowDataset, pred_w: WindowDataset, pool) -> None:
+    """UnservableWeekError naming the week unless training has at least 2
+    rows and the prediction pool (``pool``: its positions) is non-empty and
+    covers every position's largest slot count."""
+    if len(train_w) < 2:
+        raise UnservableWeekError(
+            f"week {week}: training window {train_w.window_index} has "
+            f"{len(train_w)} eligible player(s); training needs at least 2"
+        )
+    if not pool:
+        raise UnservableWeekError(
+            f"week {week}: prediction window {pred_w.window_index} has no "
+            f"eligible player that is not excluded"
+        )
+    have = Counter(pool)
+    short = [f"{pos} {have[pos]} of {k}" for pos, k in _MAX_COUNTS.items() if have[pos] < k]
+    if short:
+        raise UnservableWeekError(
+            f"week {week}: the draftable pool is short at " + ", ".join(short)
+        )
+
+
 def cmd_ingest(cfg: RunConfig) -> None:
-    """Build the training and prediction windows for the target week."""
+    """Build the training and prediction windows for the target week, and
+    keep the week's columns that validate reads in season.npz."""
+    # Hashed before the parse, so a later edit of the file misses the cache.
+    season_sha256 = _sha256(cfg.players_csv)
     table = load_player_weeks(cfg.players_csv)
     excluded = (
         load_exclusions(cfg.exclusions_file) if cfg.exclusions_file else set()
@@ -78,6 +127,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     pred_ids = [pred_w.player_ids[i] for i in keep]
     pred_feats = pred_w.features[keep]
     target = table.at_week(cfg.target_week, pred_ids)
+    _check_servable(cfg.target_week, train_w, pred_w, target["position"])
 
     lines = ["player_id,eligible_train,eligible_predict,excluded"]
     train_ids = set(train_w.player_ids)
@@ -104,6 +154,17 @@ def cmd_ingest(cfg: RunConfig) -> None:
         position=np.array(target["position"]),
     )
     _write_text(_out(cfg, ELIGIBILITY), "\n".join(lines) + "\n")
+    week = table.at_week(cfg.target_week)
+    _write_npz(
+        _out(cfg, SEASON),
+        sha256=np.array(season_sha256),
+        target_week=np.array(cfg.target_week),
+        player_ids=np.array(table.player_ids()),
+        position=np.array(week["position"]),
+        salary=week["salary"],
+        fpts=week["fpts"],
+        draftable=week["draftable"],
+    )
 
 
 def _load_train_window(cfg: RunConfig) -> WindowDataset:
@@ -233,17 +294,33 @@ def cmd_optimize(cfg: RunConfig) -> None:
 # -------------------------------------------------------------- validate
 
 
+def _target_week(cfg: RunConfig):
+    """(player ids, the target week's columns) of the season CSV.  They come
+    from ingest's season.npz when its sha256 and target week still match;
+    otherwise the CSV is parsed again, since actual FPTS may arrive after
+    ingest."""
+    path = _out(cfg, SEASON)
+    if path.exists():
+        with np.load(path) as blob:
+            if (
+                int(blob["target_week"]) == cfg.target_week
+                and str(blob["sha256"]) == _sha256(cfg.players_csv)
+            ):
+                columns = ("position", "salary", "fpts", "draftable")
+                return blob["player_ids"].tolist(), {name: blob[name] for name in columns}
+    table = load_player_weeks(cfg.players_csv)
+    return table.player_ids(), table.at_week(cfg.target_week)
+
+
 def cmd_validate(cfg: RunConfig) -> None:
     """Compare the generated lineup to random (and real-world) populations."""
-    # Parsed again, not taken from ingest: actual FPTS may arrive after it.
-    table = load_player_weeks(cfg.players_csv)
     with open(_require(_out(cfg, LINEUP_JSON), "optimize"), encoding="utf-8") as fh:
         lineup_info = json.load(fh)
     ids, samples, _, _ = _load_samples(cfg)
     week = cfg.target_week
-    target = table.at_week(week)
+    player_ids, target = _target_week(cfg)
 
-    fpts_by_id = dict(zip(table.player_ids(), target["fpts"].tolist()))
+    fpts_by_id = dict(zip(player_ids, target["fpts"].tolist()))
     actuals = {
         pid: fpts_by_id[pid]
         for pid in lineup_info["players"]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .config import RunConfig
 
+SEASON = "season.npz"
 TRAIN_WINDOW = "train_window.npz"
 PREDICT_WINDOW = "predict_window.npz"
 ELIGIBILITY = "eligibility.csv"

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import POSITIONS, parse_field, read_csv
+from .data import POSITIONS, names_file, parse_field, read_csv
 from .errors import (
     NoFeasibleSampleError,
     PositionShortfallError,
@@ -278,12 +278,13 @@ def compare_populations(random, real) -> dict:
     }
 
 
+@names_file
 def load_contest_results(path) -> np.ndarray:
     """Read `user_rank,fpts` rows; the nonzero scores, in file order.
 
-    Zero-score users are dropped.  A file with fewer than
-    KS_MIN_SAMPLES nonzero scores, or whose nonzero scores are all equal,
-    raises SchemaError naming it.
+    Zero-score users are dropped.  Every SchemaError names the file: a bad
+    header or row, fewer than KS_MIN_SAMPLES nonzero scores, or nonzero
+    scores that are all equal.
     """
     scores = []
     reader = read_csv(path)
@@ -300,12 +301,12 @@ def load_contest_results(path) -> np.ndarray:
             scores.append(value)
     if len(scores) < KS_MIN_SAMPLES:
         raise SchemaError(
-            f"{path}: {len(scores)} nonzero fpts score(s); the real-world population "
+            f"{len(scores)} nonzero fpts score(s); the real-world population "
             f"needs at least {KS_MIN_SAMPLES}"
         )
     if len(set(scores)) == 1:
         raise SchemaError(
-            f"{path}: all {len(scores)} nonzero fpts scores are {scores[0]!r}; the "
+            f"all {len(scores)} nonzero fpts scores are {scores[0]!r}; the "
             f"real-world population needs at least two distinct scores"
         )
     return np.array(scores)

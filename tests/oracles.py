@@ -271,3 +271,56 @@ def reference_window(csv_path, window_index: int, mode: str):
             targets.append(float(target["fpts"]))
     matrix = np.array(features, dtype=np.float64).reshape(len(ids), 43)
     return ids, matrix, (np.array(targets, dtype=np.float64) if mode == "train" else None)
+
+
+def reference_season(csv_path):
+    """The season grids as a row-by-row parse builds them.
+
+    Every record goes through ``data.parse_row`` in file order, the
+    row-level rules the columnar loader must match; the first bad row or
+    repeated (player_id, week) raises, with the file named as the loader
+    names it.  The grids are then filled one cell at a time.  Returns
+    (ids, {"present", "position", "salary", "draftable", "values"}).
+    """
+    from dfslineup.data import CSV_COLUMNS, POSITIONS, parse_row, read_csv
+    from dfslineup.errors import DuplicateKeyError, SchemaError
+
+    rows, first = [], {}
+    try:
+        reader = read_csv(csv_path)
+        assert next(reader) == CSV_COLUMNS
+        for line, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(CSV_COLUMNS):
+                raise SchemaError(f"expected {len(CSV_COLUMNS)} fields, got {len(raw)}", line=line)
+            row = parse_row(dict(zip(CSV_COLUMNS, raw)), line)
+            if row[:2] in first:
+                raise DuplicateKeyError(
+                    f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line "
+                    f"{first[row[:2]]}"
+                )
+            first[row[:2]] = line
+            rows.append(row)
+    except SchemaError as exc:
+        exc.path = csv_path
+        raise
+    ids = sorted({row[0] for row in rows})
+    shape = (len(ids), 18)
+    grids = {
+        "present": np.zeros(shape, dtype=bool),
+        "position": np.zeros(shape, dtype=np.int8),
+        "salary": np.zeros(shape, dtype=np.int64),
+        "draftable": np.zeros(shape, dtype=bool),
+        "values": np.full((11, *shape), np.nan),
+    }
+    for row in rows:
+        i, week = ids.index(row[0]), row[1]
+        grids["present"][i, week] = True
+        grids["position"][i, week] = POSITIONS.index(row[2])
+        grids["salary"][i, week] = row[3]
+        grids["draftable"][i, week] = row[15]
+        for k, value in enumerate(row[4:15]):
+            if value is not None:
+                grids["values"][k, i, week] = float(value)
+    return ids, grids

@@ -240,6 +240,7 @@ def _write_config(tmp_path, out_name):
 
 
 ARTIFACTS = (
+    "season.npz",
     "train_window.npz",
     "predict_window.npz",
     "eligibility.csv",

@@ -487,6 +487,126 @@ class TestExitCodes:
         assert main(["validate", "--config", str(config)]) == EXIT_INFEASIBLE
 
 
+def _copy_upstream(full_run, out):
+    """Put the shared run's lineup.json and samples.npz into ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("lineup.json", "samples.npz"):
+        (out / name).write_bytes((full_run[0] / name).read_bytes())
+
+
+def _edited_season(tmp_path, keep=lambda row: True, edit=lambda row: row):
+    """A copy of the fixture season holding ``edit(row)`` for each body row
+    that ``keep`` accepts; rows are dicts of CSV fields."""
+    with open(FIXTURES / "season.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, [edit(r) for r in reader if keep(r)]
+    target = tmp_path / "season_edited.csv"
+    with open(target, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return target
+
+
+class TestInputChecks:
+    def test_contest_row_error_names_the_file(self, full_run, tmp_path, capsys):
+        _copy_upstream(full_run, tmp_path)
+        contest = tmp_path / "bad_contest.csv"
+        contest.write_text("user_rank,fpts\n1,130.5\n2,abc\n", encoding="utf-8")
+        config = write_config(tmp_path, contest_results_csv=str(contest), output_dir=str(tmp_path))
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {contest}: cannot parse 'abc' (line 3, column 'fpts')\n"
+        )
+
+    @pytest.mark.parametrize(
+        "present, missing, stage",
+        [((), "lineup.json", "optimize"), (("lineup.json",), "samples.npz", "predict")],
+    )
+    def test_validate_checks_upstream_artifacts_before_the_season(
+        self, full_run, tmp_path, capsys, present, missing, stage
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in present:
+            (out / name).write_bytes((full_run[0] / name).read_bytes())
+        # A season the parse would refuse: reaching it first would say so.
+        config = write_config(tmp_path, players_csv=str(tmp_path / "no_season.csv"))
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {out / missing} not found; run `{stage}` first\n"
+        )
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            (lambda r: r["week"] != "8",
+             "week 8: prediction window 5 has no eligible player that is not excluded"),
+            (lambda r: int(r["week"]) > 3,
+             "week 8: training window 4 has 0 eligible player(s); training needs at least 2"),
+            (lambda r: r["week"] != "8" or r["position"] != "TE",
+             "week 8: the draftable pool is short at TE 0 of 2"),
+        ],
+        ids=["week-8-absent", "weeks-1-3-absent", "no-week-8-te"],
+    )
+    def test_ingest_refuses_a_week_it_cannot_serve(self, tmp_path, capsys, keep, message):
+        config = write_config(tmp_path, players_csv=str(_edited_season(tmp_path, keep)))
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "train_window.npz").exists()
+
+
+class TestSeasonCache:
+    """validate reads ingest's season.npz while the CSV and target week
+    match, and parses the CSV again otherwise."""
+
+    @staticmethod
+    def _counted_parse(monkeypatch):
+        calls = []
+        parse = pipeline.load_player_weeks
+
+        def counted(path):
+            calls.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(pipeline, "load_player_weeks", counted)
+        return calls
+
+    def test_unchanged_season_is_not_parsed_again(self, full_run, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        _copy_upstream(full_run, tmp_path / "out")
+        calls = self._counted_parse(monkeypatch)
+        assert main(["validate", "--config", str(config)]) == EXIT_OK
+        assert calls == []
+        for name in ("validation_report.json", "percentiles.csv", "histograms.csv", "boxplot.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (full_run[0] / name).read_bytes()
+
+    def test_season_rewritten_after_ingest_is_read_again(self, full_run, tmp_path, monkeypatch):
+        season = _edited_season(tmp_path)
+        config = write_config(tmp_path, players_csv=str(season))
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        _copy_upstream(full_run, tmp_path / "out")
+        # Week 8's actuals change after ingest: every one of them is blanked.
+        _edited_season(tmp_path, edit=lambda r: {**r, "fpts": ""} if r["week"] == "8" else r)
+        calls = self._counted_parse(monkeypatch)
+        assert main(["validate", "--config", str(config)]) == EXIT_OK
+        assert calls == [str(season)]
+        report = json.loads((tmp_path / "out" / "validation_report.json").read_text())
+        assert report["status"] == "invalid_week"
+        assert len(report["missing_actuals"]) == 9
+
+    def test_changed_target_week_parses_again(self, full_run, tmp_path, monkeypatch):
+        assert main(["ingest", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        _copy_upstream(full_run, tmp_path / "out")
+        calls = self._counted_parse(monkeypatch)
+        config = write_config(tmp_path, target_week=9)
+        assert main(["validate", "--config", str(config)]) == EXIT_OK
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "out" / "validation_report.json").read_text())
+        assert report["week"] == 9
+
+
 class TestInvalidWeek:
     def test_missing_actuals_reported(self, tmp_path, capsys):
         target = tmp_path / "season_blank8.csv"

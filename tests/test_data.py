@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfslineup import data
 from dfslineup.config import RunConfig
 from dfslineup.data import (
     CSV_COLUMNS,
@@ -37,7 +39,7 @@ from dfslineup.data import (
 )
 from dfslineup.errors import ConfigError, DuplicateKeyError, SchemaError, WindowRangeError
 
-from .oracles import NUMBER, reference_window
+from .oracles import NUMBER, reference_season, reference_window
 
 HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = "QB001,1,QB,5000,18.2,7,3,10,22,15,1,-3.5,47.0,40.0,-75.0,1"
@@ -280,6 +282,105 @@ def test_number_fields_read_exactly_the_ascii_grammar():
 
     check()
     assert min(outcomes.count("parsed"), outcomes.count("rejected")) >= 50
+
+
+@st.composite
+def season_files(draw):
+    """Records of a season file: GOOD_ROW, one in four from csv_rows(),
+    under a few player ids and weeks, some fields padded with spaces, and
+    some blank records."""
+    records = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            records.append([])
+            continue
+        fields = draw(csv_rows()) if kind < 4 else GOOD_ROW.split(",")
+        if fields[0] == "QB001":
+            fields[0] = draw(st.sampled_from(["QB001", "RB002", "WR003"]))
+        if fields[1] == "1":
+            fields[1] = str(draw(st.integers(1, 3)))
+        for i in draw(st.sets(st.integers(0, len(fields) - 1), max_size=2)):
+            fields[i] = f" {fields[i]} "
+        records.append(fields)
+    return records
+
+
+def test_columnar_parse_matches_row_by_row(tmp_path, monkeypatch):
+    """load_player_weeks accepts exactly the files the row-by-row reference
+    accepts, raises its error (type, text, line and column) on the others,
+    and fills byte-equal grids.  Blocks of 3 records put block edges inside
+    the files."""
+    monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+    row_parse, row_calls = data.parse_row, []
+
+    def counted(*args):
+        row_calls.append(args)
+        return row_parse(*args)
+
+    monkeypatch.setattr(data, "parse_row", counted)
+    path = tmp_path / "season.csv"
+    outcomes = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(season_files())
+    def check(records):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(records)
+        row_calls.clear()
+        try:
+            table = load_player_weeks(path)
+        except (SchemaError, DuplicateKeyError) as exc:
+            with pytest.raises(type(exc)) as ref:
+                reference_season(path)
+            assert str(ref.value) == str(exc)
+            if isinstance(exc, SchemaError):
+                assert (ref.value.line, ref.value.column) == (exc.line, exc.column)
+            outcomes.append("rejected")
+            return
+        outcomes.append("row by row" if row_calls else "columnar")
+        ids, grids = reference_season(path)
+        assert table.player_ids() == ids
+        for name, grid in grids.items():
+            assert getattr(table, name).tobytes() == grid.tobytes(), name
+
+    check()
+    # Each path is taken often enough that no part of the property is vacuous.
+    assert min(outcomes.count(k) for k in ("rejected", "row by row", "columnar")) >= 10
+
+
+class TestColumnarParse:
+    def test_clean_season_never_calls_parse_row(self, season_csv, season_table, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parse_row called on a clean season")
+
+        monkeypatch.setattr(data, "parse_row", refuse)
+        table = load_player_weeks(season_csv)
+        assert len(table) == len(season_table) == 5100
+        assert table.values.tobytes() == season_table.values.tobytes()
+
+    def test_negative_zero_int_reads_as_zero(self, tmp_path):
+        table = load(tmp_path, row(point_diff="-0"))
+        assert week_fields(table, "X1", 1)["point_diff"].tobytes() == np.float64(0.0).tobytes()
+
+    def test_bad_row_before_a_read_error_is_named(self, tmp_path):
+        # Line 3 is a field the csv module refuses; line 2's week comes first.
+        path = write_csv(tmp_path, GOOD_ROW.replace("QB001,1,", "QB001,0,", 1), "9" * 140_000)
+        with pytest.raises(SchemaError) as exc:
+            load_player_weeks(path)
+        assert (exc.value.line, exc.value.column) == (2, "week")
+
+    def test_errors_name_the_file(self, tmp_path):
+        path = write_csv(tmp_path, GOOD_ROW.replace(",QB,", ",K,"))
+        with pytest.raises(SchemaError) as exc:
+            load_player_weeks(path)
+        assert str(exc.value).startswith(f"{path}: position 'K' not one of")
+        path.write_text("a,b\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            load_player_weeks(path)
+        assert str(exc.value).startswith(f"{path}: header ['a', 'b'] does not match")
 
 
 class TestEligibility:
