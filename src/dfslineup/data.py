@@ -147,15 +147,17 @@ def parse_field(raw, column, line, kind, optional=False):
         return raw == "1"
     # A number is ASCII: a sign, digits, at most one dot and an exponent.
     # On ASCII text without "_", that is exactly what int() and float()
-    # read, besides "nan" and "inf", which fail the finite check; outside
-    # it they also take digit-group underscores and non-ASCII digits.
+    # read, besides "nan" and "inf", which fail the finite check, and ints
+    # beyond the float range, which cannot be checked; outside it they also
+    # take digit-group underscores and non-ASCII digits.
     try:
         if not raw.isascii() or "_" in raw:
             raise ValueError
         value = kind(raw)
-    except ValueError:
+        finite = math.isfinite(value)
+    except (ValueError, OverflowError):
         raise SchemaError(f"cannot parse {raw!r}", line=line, column=column) from None
-    if not math.isfinite(value):
+    if not finite:
         raise SchemaError(f"non-finite value {raw!r}", line=line, column=column)
     return value
 
@@ -184,6 +186,8 @@ def parse_row(row: dict, line: int) -> tuple:
     salary = parse_field(row["salary"], "salary", line, int)
     if salary < 0:
         raise SchemaError(f"negative salary {salary}", line=line, column="salary")
+    if salary >= 2**63:  # the table's salary grid is int64
+        raise SchemaError(f"salary {salary} beyond the int64 range", line=line, column="salary")
     draftable = parse_field(row["draftable"], "draftable", line, bool)
     if draftable and salary <= 0:
         raise SchemaError("draftable player with salary 0", line=line, column="salary")

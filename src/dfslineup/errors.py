@@ -36,8 +36,9 @@ class WindowRangeError(DFSLineupError):
 
 
 class UnservableWeekError(DFSLineupError):
-    """The season cannot serve the target week: a window without rows, or a
-    draftable pool short of a position."""
+    """The season cannot serve the target week: a window without rows, a
+    draftable pool short of a position, or a random population whose
+    lineups all score the same."""
 
 
 class TrainingDivergedError(DFSLineupError):

@@ -6,21 +6,9 @@ needed counts run up to each position's largest count, serves all three.
 Salaries are reduced by their gcd so the DP runs over a small grid of
 salary units, and the optimum has a zero optimality gap by construction.
 
-The pool is four parallel columns: player ids, positions, salaries and
-predicted FPTS.  The solver checks them and sorts them by id once per call,
-then works on index lists.  A ``Lineup`` is its sorted ids, flex
-configuration and predicted total; ``assign_slots`` labels one lineup.
-
-Every lineup has exactly nine players, so the budget axis starts above each
-position's salary floor, its cheapest player in the pool: a cell that needs
-``n[p]`` more players of each position is stored at its budget less
-``sum(n[p] * floor[p])``, and a player takes ``salary - floor[p]`` units.  The
-cells this drops are those below the floors, which no set of players can
-fill, and those above every configuration's root, which no read-back
-reaches.  Every kept cell holds the same sum of the same floats as on an
-axis from zero, so the take bits, and with them every lineup, are
-unchanged.  On fixture week 8 ($100 units) the axis is 240 units long, not
-501.
+A ``Pool`` holds the candidates, checked and scaled once for every FPTS row
+solved over it.  A ``Lineup`` is its sorted ids, flex configuration and
+predicted total; ``assign_slots`` labels one lineup.
 
 Ties among equal-objective lineups resolve to the lexicographically
 smallest sorted player-id tuple.  The DP reads the candidates in player-id
@@ -56,7 +44,7 @@ LINEUP_SIZE = sum(POSITION_COUNTS[0].values())
 
 # Slots every configuration has, and the most any configuration needs.
 _FIXED_SLOTS = {p: min(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
-_MAX_COUNTS = {p: max(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
+MAX_COUNTS = {p: max(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 _POS_INDEX = {p: i for i, p in enumerate(POSITIONS)}
 
 
@@ -91,22 +79,20 @@ def assign_slots(players, position, fpts, config) -> list[tuple[str, str]]:
     return slots
 
 
-def undominated(position, salary, fpts) -> np.ndarray:
-    """Mask of the players that can appear in the lex-min optimal lineup.
+def undominated(pool: Pool, fpts: np.ndarray) -> np.ndarray:
+    """Mask of the pool's players that can appear in the lex-min optimal lineup.
 
-    The arrays are in player_id order.  A rival of the same position that
-    costs no more and has higher FPTS, or equal FPTS and a smaller id, is a
-    dominator.  With at least as many dominators as the position's largest
-    count, any lineup using the player can swap one in, so the player is
-    safe to drop.  Equal-FPTS rivals with larger ids are not dominators:
-    swapping them in could break the lexicographic tie rule.
+    ``fpts`` is a float array in the pool's player-id order.  A rival of the
+    same position that costs no more and has higher FPTS, or equal FPTS and
+    a smaller id, is a dominator.  With at least as many dominators as the
+    position's largest count, any lineup using the player can swap one in,
+    so the player is safe to drop.  Equal-FPTS rivals with larger ids are
+    not dominators: swapping them in could break the lexicographic tie rule.
     """
-    position, salary = np.asarray(position), np.asarray(salary)
-    fpts = np.asarray(fpts, dtype=float)
     keep = np.zeros(len(fpts), dtype=bool)
-    for pos, k in _MAX_COUNTS.items():
-        g = np.flatnonzero(position == pos)
-        s, f = salary[g], fpts[g]
+    for pos, k in MAX_COUNTS.items():
+        g = np.flatnonzero(pool.position == pos)
+        s, f = pool.salary[g], fpts[g]
         # dominates[i, o]: player o dominates player i; index order is id order.
         better = (f > f[:, None]) | ((f == f[:, None]) & np.tri(len(g), k=-1, dtype=bool))
         dominates = (s <= s[:, None]) & better
@@ -114,23 +100,75 @@ def undominated(position, salary, fpts) -> np.ndarray:
     return keep
 
 
-def _dp_solve(position, salary, fpts, cap: int) -> list[Optional[list[int]]]:
+class Pool:
+    """The candidates that every FPTS row of one optimize run is solved over.
+
+    ``ids``, ``position`` and ``salary`` are parallel columns in any order;
+    columns of different lengths, an unknown position, a salary that is not
+    a positive integer (a bool included) or a repeated id raise ValueError.
+    The pool keeps them in player-id order (``order[k]`` is the caller's
+    index of the k-th) with what the DP needs besides the row: the salary
+    ``unit``, each player's position ``axes`` and ``weights`` above its
+    position's floor, and each flex configuration's ``roots``.
+    """
+
+    def __init__(self, ids, position, salary, salary_cap: int):
+        columns = (ids, position, salary)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"pool columns differ in length: {[len(c) for c in columns]}")
+        for pid, pos, s in zip(ids, position, salary):
+            if pos not in POSITIONS:
+                raise ValueError(f"unknown position {pos!r} for {pid}")
+            if isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer)) or s <= 0:
+                raise ValueError(f"salary must be a positive integer, got {s!r} for {pid}")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if ids[a] == ids[b]:
+                raise ValueError(f"duplicate candidate id {ids[b]!r}")
+        self.order = np.array(order, dtype=np.intp)
+        self.ids = [str(ids[j]) for j in order]
+        self.position = np.array([str(position[j]) for j in order], dtype=str)
+        self.salary = np.array([int(salary[j]) for j in order], dtype=np.int64)
+        self.salary_cap = salary_cap
+        self.unit = gcd(*self.salary.tolist())
+        self.axes = [_POS_INDEX[p] for p in self.position.tolist()]
+        units = [s // self.unit for s in self.salary.tolist()]
+        # Cheapest unit salary per position axis; 0 for a position the pool lacks.
+        floor = [
+            min((w for a, w in zip(self.axes, units) if a == i), default=0)
+            for i in _POS_INDEX.values()
+        ]
+        self.weights = [w - floor[a] for a, w in zip(self.axes, units)]
+        budget_max = salary_cap // self.unit if self.unit else 0
+        self.roots = [
+            budget_max - sum(k * floor[_POS_INDEX[p]] for p, k in counts.items())
+            for counts in POSITION_COUNTS
+        ]
+
+
+def _dp_solve(pool: Pool, kept, fpts) -> list[Optional[list[int]]]:
     """Suffix DP over (needed counts, budget above the floors); one chosen set per config.
 
-    The columns are in player_id order, and the DP reads the candidates in
-    that order; a chosen set is a sorted list of indices into the columns.
-    The needed counts run up to the largest count of each position over the
-    flex configurations, so every configuration is a root of the same grid.
-    The budget axis is floor-indexed: a cell with needed counts ``n`` and
-    budget ``b`` salary units sits at ``u = b - sum(n[p] * floor[p])``, where
-    ``floor[p]`` is the cheapest unit salary of position ``p`` in the pool,
-    and a take moves ``u`` down by the candidate's salary less its floor,
-    which is never negative.  Configuration ``c`` is read back from the root
+    ``kept`` lists the pool indices the DP may take, ascending, and ``fpts``
+    is the FPTS row in the pool's id order; a chosen set is a sorted list
+    of pool indices.  The needed counts run up to the largest count of each
+    position over the flex configurations, so every configuration is a
+    root of the same grid.  The budget axis is floor-indexed: a cell with
+    needed counts ``n`` and budget ``b`` salary units sits at
+    ``u = b - sum(n[p] * floor[p])``, where ``floor[p]`` is the cheapest
+    unit salary of position ``p`` in the pool, and a take moves ``u`` down
+    by the candidate's salary less its floor, which is never negative.
+    Configuration ``c`` is read back from the root
     ``cap // unit - sum(counts_c[p] * floor[p])``; the axis runs to the
     largest root.  A negative root, or one whose value is not finite (pool
     short a position, or nothing fits the cap), yields None.  A take still
     reads the cell it read on an axis from zero, so every kept cell, and its
     take bit, equal those of that axis.
+
+    The unit and floors are the whole pool's.  ``undominated`` keeps each
+    position's best cheapest player, so the kept players have the same
+    floors; a unit finer than their gcd leaves the sets that fit the cap,
+    and so every value read back, unchanged.
 
     Each step touches only the needed counts its suffix can fill: the rest
     of the grid stays -inf.  Per candidate, over the cells it can fill, a
@@ -139,29 +177,20 @@ def _dp_solve(position, salary, fpts, cap: int) -> list[Optional[list[int]]]:
     whose take bit is set, so the chosen set is the lexicographically
     smallest sorted id tuple among all optimal lineups.
     """
-    unit = gcd(*salary)
-    budget_max = cap // unit if unit else 0
-    axes = [_POS_INDEX[p] for p in position]
-    units = [s // unit for s in salary]
-    # Cheapest unit salary per position axis; 0 for a position the pool lacks.
-    floor = [min((w for a, w in zip(axes, units) if a == i), default=0) for i in _POS_INDEX.values()]
-    weights = [w - floor[a] for a, w in zip(axes, units)]
-    roots = [
-        budget_max - sum(k * floor[_POS_INDEX[p]] for p, k in counts.items())
-        for counts in POSITION_COUNTS
-    ]
-    top = max(roots)
+    top = max(pool.roots)
     if top < 0:  # the floors alone exceed the cap
         return [None] * len(POSITION_COUNTS)
-    shape = tuple(_MAX_COUNTS[p] + 1 for p in POSITIONS) + (top + 1,)
+    axes = [pool.axes[j] for j in kept]
+    weights = [pool.weights[j] for j in kept]
+    shape = tuple(MAX_COUNTS[p] + 1 for p in POSITIONS) + (top + 1,)
 
     # value[needed counts, budget above the floors]: best completion from the suffix.
     value = np.full(shape, -np.inf)
     value[(0,) * len(POSITIONS)] = 0.0
     live = [0] * len(POSITIONS)  # largest needed count the suffix can fill
     take_bits = [None] * len(axes)
-    for j in range(len(axes) - 1, -1, -1):
-        axis, w = axes[j], weights[j]
+    for i in range(len(axes) - 1, -1, -1):
+        axis, w = axes[i], weights[i]
         if w > top:
             continue
         live[axis] = min(live[axis] + 1, shape[axis] - 1)
@@ -172,26 +201,26 @@ def _dp_solve(position, salary, fpts, cap: int) -> list[Optional[list[int]]]:
         src_view = [slice(None)] * len(shape)
         src_view[axis] = slice(0, -1)
         src_view[-1] = slice(0, top + 1 - w)
-        take_vals = fpts[j] + grid[tuple(src_view)]
+        take_vals = fpts[kept[i]] + grid[tuple(src_view)]
         dest = grid[tuple(take_view)]
-        take_bits[j] = take_vals >= dest
+        take_bits[i] = take_vals >= dest
         np.maximum(dest, take_vals, out=dest)
 
     solutions = []
-    for counts, root in zip(POSITION_COUNTS, roots):
+    for counts, root in zip(POSITION_COUNTS, pool.roots):
         need = [counts[p] for p in POSITIONS]
         if root < 0 or not np.isfinite(value[tuple(need) + (root,)]):
             solutions.append(None)
             continue
         chosen = []
         budget = root
-        for j, (axis, w) in enumerate(zip(axes, weights)):
+        for i, (axis, w) in enumerate(zip(axes, weights)):
             if need[axis] == 0 or w > budget:
                 continue
             cell = list(need) + [budget - w]
             cell[axis] -= 1
-            if take_bits[j][tuple(cell)]:
-                chosen.append(j)
+            if take_bits[i][tuple(cell)]:
+                chosen.append(kept[i])
                 need[axis] -= 1
                 budget -= w
                 if not any(need):
@@ -200,53 +229,36 @@ def _dp_solve(position, salary, fpts, cap: int) -> list[Optional[list[int]]]:
     return solutions
 
 
-def solve_flex_configs(ids, position, salary, fpts, salary_cap: int) -> list[Optional[Lineup]]:
+def solve_flex_configs(pool: Pool, fpts) -> list[Optional[Lineup]]:
     """Provably optimal lineup of each flex configuration, in FLEX_CONFIGS order.
 
-    The pool is four parallel columns in any order: player ids, positions,
-    salaries and predicted FPTS.  Columns of different lengths, an unknown
-    position, a salary that is not a positive integer (a bool included) or
-    a repeated id raise ValueError.  One DP serves all three configurations;
-    an infeasible one is None.  Exact objective ties resolve to the
-    lexicographically smallest sorted player-id tuple.  The DP is exact on
-    any pool; it does not prune, so callers that want a small pool pass
-    only the ``undominated`` players.
+    ``fpts`` is one FPTS row in the order of the columns the pool was built
+    from; a row of another length raises ValueError.  Only the
+    ``undominated`` players of the row go to the DP, which serves all three
+    configurations; an infeasible one is None.  Exact objective ties
+    resolve to the lexicographically smallest sorted player-id tuple.
     """
-    columns = (ids, position, salary, fpts)
-    if len(set(map(len, columns))) > 1:
-        raise ValueError(f"pool columns differ in length: {[len(c) for c in columns]}")
-    for pid, pos, s in zip(ids, position, salary):
-        if pos not in POSITIONS:
-            raise ValueError(f"unknown position {pos!r} for {pid}")
-        if isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer)) or s <= 0:
-            raise ValueError(f"salary must be a positive integer, got {s!r} for {pid}")
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if ids[a] == ids[b]:
-            raise ValueError(f"duplicate candidate id {ids[b]!r}")
-    # From here on, plain lists in id order.
-    kinds = (str, str, int, float)
-    ids, position, salary, fpts = ([kind(c[j]) for j in order] for kind, c in zip(kinds, columns))
+    if len(fpts) != len(pool.ids):
+        raise ValueError(f"FPTS row has {len(fpts)} entries for a pool of {len(pool.ids)}")
+    row = np.asarray(fpts, dtype=float)[pool.order]
+    kept = np.flatnonzero(undominated(pool, row)).tolist()
+    fpts = row.tolist()
     # Chosen indices are in id order, so predicted_fpts is summed in id
     # order: it decides the cross-configuration choice down to its last bit.
-    solutions = _dp_solve(position, salary, fpts, salary_cap)
     return [
         None if chosen is None
-        else Lineup(tuple(ids[j] for j in chosen), config, sum(fpts[j] for j in chosen))
-        for config, chosen in zip(FLEX_CONFIGS, solutions)
+        else Lineup(tuple(pool.ids[j] for j in chosen), config, sum(fpts[j] for j in chosen))
+        for config, chosen in zip(FLEX_CONFIGS, _dp_solve(pool, kept, fpts))
     ]
 
 
-def optimize_all_flex(ids, position, salary, fpts, salary_cap: int) -> Lineup:
-    """Best lineup over the three flex configurations of the pool's columns.
-
-    Exact objective ties resolve to the lexicographically smallest sorted
-    player-id tuple.
-    """
-    results = [lu for lu in solve_flex_configs(ids, position, salary, fpts, salary_cap) if lu]
+def optimize_all_flex(pool: Pool, fpts) -> Lineup:
+    """The best of ``solve_flex_configs(pool, fpts)``; exact objective ties
+    resolve to the lexicographically smallest sorted player-id tuple."""
+    results = [lu for lu in solve_flex_configs(pool, fpts) if lu]
     if results:
         return min(results, key=lambda lu: (-lu.predicted_fpts, lu.players))
-    available = Counter(position)
+    available = Counter(pool.position.tolist())
     reasons = []
     for config, counts in zip(FLEX_CONFIGS, POSITION_COUNTS):
         short = [
@@ -254,7 +266,7 @@ def optimize_all_flex(ids, position, salary, fpts, salary_cap: int) -> Lineup:
             for p, k in counts.items()
             if available[p] < k
         ]
-        reason = ", ".join(short) or f"no lineup fits the ${salary_cap:,} salary cap"
+        reason = ", ".join(short) or f"no lineup fits the ${pool.salary_cap:,} salary cap"
         reasons.append(f"{config}: {reason}")
     raise InfeasibleLineupError("all flex configurations infeasible: " + "; ".join(reasons))
 

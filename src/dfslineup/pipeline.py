@@ -27,14 +27,7 @@ from .ensemble import (
     train_ensemble,
 )
 from .errors import UnservableWeekError
-from .optimizer import (
-    _MAX_COUNTS,
-    Lineup,
-    assign_slots,
-    modal_lineup,
-    optimize_all_flex,
-    undominated,
-)
+from .optimizer import MAX_COUNTS, Pool, assign_slots, modal_lineup, optimize_all_flex
 from .report import (  # noqa: F401  cmd_report: re-exported
     BOXPLOT,
     ELIGIBILITY,
@@ -104,7 +97,7 @@ def _check_servable(week: int, train_w: WindowDataset, pred_w: WindowDataset, po
             f"eligible player that is not excluded"
         )
     have = Counter(pool)
-    short = [f"{pos} {have[pos]} of {k}" for pos, k in _MAX_COUNTS.items() if have[pos] < k]
+    short = [f"{pos} {have[pos]} of {k}" for pos, k in MAX_COUNTS.items() if have[pos] < k]
     if short:
         raise UnservableWeekError(
             f"week {week}: the draftable pool is short at " + ", ".join(short)
@@ -227,29 +220,11 @@ def _load_samples(cfg: RunConfig):
 # -------------------------------------------------------------- optimize
 
 
-def solve_per_model(ids, samples, salary, position, salary_cap: int) -> list[Lineup]:
-    """One exact solve per model row of the sample matrix.
-
-    Each row is pruned on arrays first, and only the kept players' columns
-    go to the solver.
-    """
-    order = sorted(range(len(ids)), key=ids.__getitem__)  # the pruner's id order
-    ids = np.asarray(ids)[order]
-    position = np.asarray(position)[order]
-    salary = np.asarray(salary)[order]
-    lineups = []
-    for row in samples[:, order]:
-        keep = undominated(position, salary, row)
-        lineups.append(
-            optimize_all_flex(ids[keep], position[keep], salary[keep], row[keep], salary_cap)
-        )
-    return lineups
-
-
 def cmd_optimize(cfg: RunConfig) -> None:
     """Solve every model's lineup and export the modal lineup with its interval."""
     ids, samples, salary, position = _load_samples(cfg)
-    lineups = solve_per_model(ids, samples, salary, position, cfg.salary_cap)
+    pool = Pool(ids, position, salary, cfg.salary_cap)
+    lineups = [optimize_all_flex(pool, row) for row in samples]
     modal = modal_lineup(lineups)
     modal_count = sum(1 for lu in lineups if lu.players == modal.players)
 
@@ -353,6 +328,11 @@ def cmd_validate(cfg: RunConfig) -> None:
         cfg.salary_cap, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT),
     )
     populations = {"random": fpts[draws].sum(axis=1)}
+    if np.ptp(populations["random"]) == 0:  # no percentile spread, no KS test
+        raise UnservableWeekError(
+            f"week {week}: the random population's {rb.count} lineups all score "
+            f"{float(populations['random'][0])!r}"
+        )
 
     level = cfg.report.ci_level
     resamples = cfg.report.bootstrap_resamples

@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     ZeroVarianceError,
 )
-from .optimizer import _MAX_COUNTS, POSITION_COUNTS
+from .optimizer import MAX_COUNTS, POSITION_COUNTS
 from .seeds import mix64
 from .special import kolmogorov_sf, normal_cdf, student_t_sf2
 
@@ -147,7 +147,7 @@ def _draw_block(rng, groups, keep, config_ok, salary, band):
     cols = []
     for pos in POSITIONS:
         ids = groups[pos]
-        k = min(_MAX_COUNTS[pos], len(ids))
+        k = min(MAX_COUNTS[pos], len(ids))
         # Pick j is uniform over the players not picked yet: a draw below
         # len(ids) - j, shifted past each earlier pick in ascending order.
         picks = np.empty((_BLOCK, k), dtype=np.intp)
@@ -158,7 +158,7 @@ def _draw_block(rng, groups, keep, config_ok, salary, band):
             picks[:, j] = u
         # Pad a short position with its first pick; the configurations
         # needing the padding are never in band.
-        cols.append(np.pad(ids[picks], ((0, 0), (0, _MAX_COUNTS[pos] - k)), mode="edge"))
+        cols.append(np.pad(ids[picks], ((0, 0), (0, MAX_COUNTS[pos] - k)), mode="edge"))
     rows = np.concatenate(cols, axis=1)[keep[config]].reshape(_BLOCK, -1)
     total = salary[rows].sum(axis=1)
     return rows, config_ok[config] & (total >= band[0]) & (total <= band[1])
@@ -192,7 +192,7 @@ def random_population(
     # A column per slot a position can need; each configuration keeps the
     # first counts[pos] columns of each position.
     keep = np.array(
-        [[j < counts[p] for p in POSITIONS for j in range(_MAX_COUNTS[p])]
+        [[j < counts[p] for p in POSITIONS for j in range(MAX_COUNTS[p])]
          for counts in POSITION_COUNTS]
     )
     salary = np.asarray(salary, dtype=np.int64)

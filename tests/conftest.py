@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dfslineup.data import POSITIONS, load_player_weeks
+from dfslineup.optimizer import Pool
 
 
 class Player(NamedTuple):
@@ -29,6 +30,12 @@ def columns(pool):
         [c.salary for c in pool],
         [c.predicted_fpts for c in pool],
     )
+
+
+def pool_and_row(pool, salary_cap):
+    """The pool as the solver's ``Pool`` and its FPTS row, in pool order."""
+    ids, position, salary, fpts = columns(pool)
+    return Pool(ids, position, salary, salary_cap), fpts
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -22,12 +22,11 @@ from dfslineup.data import build_window
 from dfslineup.ensemble import sample_matrix, train_ensemble
 from dfslineup.config import TrainingConfig
 from dfslineup.network import loss_and_gradient, train
-from dfslineup.optimizer import modal_lineup, optimize_all_flex, solve_flex_configs
-from dfslineup.pipeline import solve_per_model
+from dfslineup.optimizer import Pool, modal_lineup, optimize_all_flex, solve_flex_configs
 from dfslineup.stats import bootstrap_ci, cohens_d, ks_normality, percentile
 from dfslineup.stats import random_population, welch_t_test
 
-from .conftest import FIXTURES, columns, make_pool
+from .conftest import FIXTURES, columns, make_pool, pool_and_row
 from .oracles import (
     FLEX_COUNTS,
     brute_force_all_flex,
@@ -59,12 +58,12 @@ class TestSolverExactness:
             oracle = brute_force_config(pool, FLEX_COUNTS[trial % 3], cap)
             if oracle is None:
                 continue
-            got = solve_flex_configs(*columns(pool), cap)[trial % 3]
+            got = solve_flex_configs(*pool_and_row(pool, cap))[trial % 3]
             assert got.predicted_fpts == pytest.approx(oracle[0], abs=1e-9)
             assert got.players == oracle[1]
 
             best_value, best_ids = brute_force_all_flex(pool, cap)
-            flexed = optimize_all_flex(*columns(pool), cap)
+            flexed = optimize_all_flex(*pool_and_row(pool, cap))
             assert flexed.predicted_fpts == pytest.approx(best_value, abs=1e-9)
             assert flexed.players == best_ids
         assert time.perf_counter() - start < 10.0
@@ -79,7 +78,7 @@ class TestLineupValidity:
         for trial in range(100):
             pool = make_pool(rng, int(rng.integers(13, 30)), tie_heavy=trial % 5 == 0)
             try:
-                lineup = optimize_all_flex(*columns(pool), salary_cap)
+                lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
             except InfeasibleLineupError:  # small pools can price out of the cap
                 continue
             salary, position = _maps(pool)
@@ -160,7 +159,8 @@ class TestModalConvergence:
         week8 = season_table.at_week(8, ids)
         salary = week8["salary"]
         position = week8["position"]
-        lineups = solve_per_model(ids, samples, salary, position, 50_000)
+        pool = Pool(ids, position, salary, 50_000)
+        lineups = [optimize_all_flex(pool, row) for row in samples]
 
         first_100 = modal_lineup(lineups[:100])
         full = modal_lineup(lineups)

@@ -371,6 +371,27 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert "(line 2, column 'spread')" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "column, raw, message",
+        [
+            ("salary", "9" * 20, f"salary {'9' * 20} beyond the int64 range"),
+            ("point_diff", "9" * 401, f"cannot parse '{'9' * 401}'"),
+        ],
+        ids=["salary", "point_diff"],
+    )
+    def test_season_integer_out_of_range(self, tmp_path, capsys, column, raw, message):
+        target = tmp_path / "season_huge.csv"
+        lines = (FIXTURES / "season.csv").read_text(encoding="utf-8").splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index(column)] = raw
+        lines[1] = ",".join(row)
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, players_csv=str(target))
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {target}: {message} (line 2, column {column!r})\n"
+        )
+
     def test_malformed_season_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n1\n", encoding="utf-8")
@@ -554,6 +575,19 @@ class TestInputChecks:
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out" / "train_window.npz").exists()
+
+
+    def test_random_population_with_equal_scores(self, tmp_path, capsys):
+        # Every FPTS is 10.0, so every random lineup scores 90.0.
+        season = _edited_season(tmp_path, edit=lambda r: {**r, "fpts": r["fpts"] and "10.0"})
+        config = write_config(tmp_path, players_csv=str(season))
+        for command in ("ingest", "predict", "optimize"):
+            assert main([command, "--config", str(config)]) == EXIT_OK
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: week 8: the random population's 300 lineups all score 90.0\n"
+        )
+        assert not (tmp_path / "out" / "validation_report.json").exists()
 
 
 class TestSeasonCache:

@@ -187,6 +187,28 @@ class TestParsing:
         rec = week_fields(load(tmp_path, ",".join(fields.values())), "QB001", 1)
         assert rec["spread"] == float(raw)
 
+    @pytest.mark.parametrize(
+        "column, raw, message",
+        [
+            ("salary", "99999999999999999999", "salary 99999999999999999999 beyond the int64"),
+            ("salary", str(2**63), f"salary {2**63} beyond the int64"),
+            ("point_diff", "9" * 401, "cannot parse '9{401}'"),
+            ("team_off_rank", "-" + "9" * 401, "cannot parse '-9{401}'"),
+        ],
+        ids=["salary-20-digits", "salary-2**63", "point-diff-401-digits", "rank-401-digits"],
+    )
+    def test_integer_out_of_range_rejected(self, tmp_path, column, raw, message):
+        fields = dict(zip(CSV_COLUMNS, GOOD_ROW.split(",")))
+        fields[column] = raw
+        with pytest.raises(SchemaError, match=message) as exc:
+            load_player_weeks(write_csv(tmp_path, ",".join(fields.values())))
+        assert exc.value.line == 2
+        assert exc.value.column == column
+
+    def test_salary_at_the_int64_limit_loads(self, tmp_path):
+        row = GOOD_ROW.replace(",5000,", f",{2**63 - 1},")
+        assert week_fields(load(tmp_path, row), "QB001", 1)["salary"] == 2**63 - 1
+
     def test_wrong_field_count(self, tmp_path):
         with pytest.raises(SchemaError) as exc:
             load_player_weeks(write_csv(tmp_path, GOOD_ROW + ",9"))

@@ -14,7 +14,9 @@ from dfslineup.data import POSITIONS
 from dfslineup.errors import InfeasibleLineupError
 from dfslineup.optimizer import (
     LINEUP_SIZE,
+    MAX_COUNTS,
     Lineup,
+    Pool,
     _dp_solve,
     assign_slots,
     modal_lineup,
@@ -23,7 +25,14 @@ from dfslineup.optimizer import (
     undominated,
 )
 
-from .conftest import Player, columns, make_pool, make_pool_with, make_shuffled_pool
+from .conftest import (
+    Player,
+    columns,
+    make_pool,
+    make_pool_with,
+    make_shuffled_pool,
+    pool_and_row,
+)
 from .oracles import (
     FLEX_COUNTS,
     brute_force_all_flex,
@@ -34,9 +43,9 @@ from .oracles import (
 
 
 def keep_mask(pool):
-    return undominated(
-        [c.position for c in pool], [c.salary for c in pool], [c.predicted_fpts for c in pool]
-    )
+    """``undominated`` over a pool given in id order."""
+    solver_pool, fpts = pool_and_row(pool, 50_000)
+    return undominated(solver_pool, np.asarray(fpts))
 
 
 def lineup_positions(lineup, pool):
@@ -55,36 +64,43 @@ class TestCandidates:
             pool[3]._replace(salary=5000.0),
         ]
         for bad in bad_entries:
-            for solve in (solve_flex_configs, optimize_all_flex):
-                with pytest.raises(ValueError, match="position|salary"):
-                    solve(*columns(pool[:3] + [bad] + pool[4:]), salary_cap)
-        ids, position, salary, fpts = columns(pool)
+            with pytest.raises(ValueError, match="position|salary"):
+                pool_and_row(pool[:3] + [bad] + pool[4:], salary_cap)
+        ids, position, _, _ = columns(pool)
         with pytest.raises(ValueError, match="salary"):
-            solve_flex_configs(ids, position, np.ones(len(pool), dtype=bool), fpts, salary_cap)
+            Pool(ids, position, np.ones(len(pool), dtype=bool), salary_cap)
 
     def test_rejects_columns_of_different_lengths(self, salary_cap):
-        ids, position, salary, fpts = columns(make_pool(np.random.default_rng(0), 14))
+        ids, position, salary, _ = columns(make_pool(np.random.default_rng(0), 14))
         for cols in (
-            (ids[:-1], position, salary, fpts),
-            (ids, position, salary[:-1], fpts),
-            (ids, position, salary, fpts + [1.0]),
+            (ids[:-1], position, salary),
+            (ids, position[:-1], salary),
+            (ids, position, salary[:-1]),
         ):
             with pytest.raises(ValueError, match="differ in length"):
-                optimize_all_flex(*cols, salary_cap)
+                Pool(*cols, salary_cap)
+
+    def test_rejects_a_row_of_the_wrong_length(self, salary_cap):
+        pool, fpts = pool_and_row(make_pool(np.random.default_rng(0), 14), salary_cap)
+        for row in (fpts[:-1], fpts + [1.0], []):
+            for solve in (solve_flex_configs, optimize_all_flex):
+                with pytest.raises(ValueError, match=f"has {len(row)} entries for a pool of 14"):
+                    solve(pool, row)
 
     def test_array_columns_match_list_columns(self, salary_cap):
         rng = np.random.default_rng(59)
         for trial in range(10):
             pool = make_shuffled_pool(rng, 20, tie_heavy=trial % 2 == 0)
-            want = solve_flex_configs(*columns(pool), salary_cap)
-            got = solve_flex_configs(*map(np.asarray, columns(pool)), salary_cap)
+            want = solve_flex_configs(*pool_and_row(pool, salary_cap))
+            ids, position, salary, fpts = map(np.asarray, columns(pool))
+            got = solve_flex_configs(Pool(ids, position, salary, salary_cap), fpts)
             assert got == want
             for lineup in got:
                 assert lineup is None or all(type(p) is str for p in lineup.players)
 
     def test_rules_reject_unknown_flex_config(self, salary_cap):
         pool = make_pool(np.random.default_rng(56), 16)
-        lineup = optimize_all_flex(*columns(pool), salary_cap)
+        lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
         lineup.flex_config = (3, 4, 1)
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
@@ -95,7 +111,7 @@ class TestCandidates:
         pool = make_pool(np.random.default_rng(0), 14)
         pool.append(pool[0])
         with pytest.raises(ValueError, match="duplicate"):
-            solve_flex_configs(*columns(pool), salary_cap)
+            pool_and_row(pool, salary_cap)
 
 
 class TestBruteForceAgreement:
@@ -104,7 +120,7 @@ class TestBruteForceAgreement:
         rng = np.random.default_rng(42 if tie_heavy else 43)
         for trial in range(40):
             pool = make_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
-            lineups = solve_flex_configs(*columns(pool), salary_cap)
+            lineups = solve_flex_configs(*pool_and_row(pool, salary_cap))
             assert len(lineups) == len(FLEX_COUNTS)
             for counts, lineup in zip(FLEX_COUNTS, lineups):
                 want = brute_force_config(pool, counts, salary_cap)
@@ -121,7 +137,7 @@ class TestBruteForceAgreement:
             pool = make_pool(rng, 15, tie_heavy=(trial % 2 == 0))
             want = brute_force_all_flex(pool, salary_cap)
             try:
-                lineup = optimize_all_flex(*columns(pool), salary_cap)
+                lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
                 got = (lineup.predicted_fpts, lineup.players)
             except InfeasibleLineupError:
                 got = None
@@ -139,7 +155,8 @@ class TestBruteForceAgreement:
         for trial in range(200):
             pool = make_shuffled_pool(rng, int(rng.integers(13, 17)), tie_heavy=tie_heavy)
             salary_cap = int(rng.integers(250, 480)) * 100
-            for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(*columns(pool), salary_cap)):
+            lineups = solve_flex_configs(*pool_and_row(pool, salary_cap))
+            for counts, lineup in zip(FLEX_COUNTS, lineups):
                 want = brute_force_config(pool, counts, salary_cap)
                 if want is None:
                     assert lineup is None
@@ -148,7 +165,7 @@ class TestBruteForceAgreement:
                     assert lineup.players == want[1]
             want = brute_force_all_flex(pool, salary_cap)
             if want is not None:
-                lineup = optimize_all_flex(*columns(pool), salary_cap)
+                lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
                 assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
                 assert lineup.players == want[1]
 
@@ -177,7 +194,7 @@ class TestBruteForceAgreement:
         pool = self._two_pair_pool(20.0)
         want = brute_force_config(pool, FLEX_COUNTS[0], salary_cap)
         assert {"A", "D"} <= set(want[1])
-        assert solve_flex_configs(*columns(pool), salary_cap)[0].players == want[1]
+        assert solve_flex_configs(*pool_and_row(pool, salary_cap))[0].players == want[1]
 
     def test_near_tie_goes_to_the_better_lineup(self, salary_cap):
         # A scores a hair under 20, so (B, C) is strictly better than the
@@ -186,8 +203,8 @@ class TestBruteForceAgreement:
         want = brute_force_config(pool, FLEX_COUNTS[0], salary_cap)
         assert {"B", "C"} <= set(want[1]) and "A" not in want[1]
         for lineup in (
-            solve_flex_configs(*columns(pool), salary_cap)[0],
-            optimize_all_flex(*columns(pool), salary_cap),
+            solve_flex_configs(*pool_and_row(pool, salary_cap))[0],
+            optimize_all_flex(*pool_and_row(pool, salary_cap)),
         ):
             assert lineup.players == want[1]
             assert lineup.predicted_fpts == want[0]
@@ -199,19 +216,12 @@ class TestBruteForceAgreement:
                 make_pool(rng, 20, tie_heavy=(trial % 2 == 0)),
                 key=lambda c: c.player_id,
             )
-            keep = keep_mask(pool)
-            pruned = [c for c, kept in zip(pool, keep) if kept]
-            assert len(pruned) <= len(pool)
-            _, *cols = columns(pool)
-            full = _dp_solve(*cols, salary_cap)
-            _, *cols = columns(pruned)
-            slim = _dp_solve(*cols, salary_cap)
+            kept = np.flatnonzero(keep_mask(pool)).tolist()
+            solver_pool, fpts = pool_and_row(pool, salary_cap)
+            full = _dp_solve(solver_pool, range(len(pool)), fpts)
+            slim = _dp_solve(solver_pool, kept, fpts)
             assert len(full) == len(slim) == len(FLEX_COUNTS)
-            for a, b in zip(full, slim):
-                if a is None:
-                    assert b is None
-                else:
-                    assert [pool[j].player_id for j in a] == [pruned[j].player_id for j in b]
+            assert full == slim
 
     @pytest.mark.parametrize("tie_heavy", [False, True])
     def test_prune_mask_matches_pairwise_oracle(self, tie_heavy):
@@ -230,11 +240,11 @@ class TestBruteForceAgreement:
         shape = {"QB": 2, "RB": 4, "WR": 3, "TE": 3, "DST": 2}
         for trial in range(20):
             pool = make_pool_with(rng, shape, tie_heavy=(trial % 2 == 0))
-            lineups = solve_flex_configs(*columns(pool), salary_cap)
+            lineups = solve_flex_configs(*pool_and_row(pool, salary_cap))
             assert lineups[1] is None
             want = brute_force_all_flex(pool, salary_cap)
             try:
-                lineup = optimize_all_flex(*columns(pool), salary_cap)
+                lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
                 got = (lineup.predicted_fpts, lineup.players)
             except InfeasibleLineupError:
                 got = None
@@ -249,9 +259,9 @@ class TestBruteForceAgreement:
         pool = make_pool_with(
             np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
         )
-        assert solve_flex_configs(*columns(pool), salary_cap) == [None, None, None]
+        assert solve_flex_configs(*pool_and_row(pool, salary_cap)) == [None, None, None]
         with pytest.raises(InfeasibleLineupError) as exc:
-            optimize_all_flex(*columns(pool), salary_cap)
+            optimize_all_flex(*pool_and_row(pool, salary_cap))
         message = str(exc.value)
         assert "position TE: need 2 candidates, have 1" in message
         assert "position WR: need 4 candidates, have 3" in message
@@ -260,7 +270,7 @@ class TestBruteForceAgreement:
 
 def assert_matches_oracle(pool, salary_cap):
     """Every configuration's optimum, and the best over them, equal brute force."""
-    for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(*columns(pool), salary_cap)):
+    for counts, lineup in zip(FLEX_COUNTS, solve_flex_configs(*pool_and_row(pool, salary_cap))):
         want = brute_force_config(pool, counts, salary_cap)
         if want is None:
             assert lineup is None
@@ -270,9 +280,9 @@ def assert_matches_oracle(pool, salary_cap):
     want = brute_force_all_flex(pool, salary_cap)
     if want is None:
         with pytest.raises(InfeasibleLineupError):
-            optimize_all_flex(*columns(pool), salary_cap)
+            optimize_all_flex(*pool_and_row(pool, salary_cap))
     else:
-        lineup = optimize_all_flex(*columns(pool), salary_cap)
+        lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
         assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
         assert lineup.players == want[1]
 
@@ -305,7 +315,7 @@ class TestFloorShift:
 
     def test_cheapest_lineup_at_exactly_the_cap(self):
         # Root u = 0 for 2-3-2: feasible, and the only lineup is the floors.
-        lineups = solve_flex_configs(*columns(_FLOOR_POOL), 43_000)
+        lineups = solve_flex_configs(*pool_and_row(_FLOOR_POOL, 43_000))
         assert lineups[1] is None and lineups[2] is None
         salary = {c.player_id: c.salary for c in _FLOOR_POOL}
         assert sum(salary[p] for p in lineups[0].players) == 43_000
@@ -319,9 +329,9 @@ class TestFloorShift:
     def test_floors_above_the_cap(self):
         # Every root is negative: the floors alone exceed the cap.
         salary_cap = 42_900
-        assert solve_flex_configs(*columns(_FLOOR_POOL), salary_cap) == [None, None, None]
+        assert solve_flex_configs(*pool_and_row(_FLOOR_POOL, salary_cap)) == [None, None, None]
         with pytest.raises(InfeasibleLineupError) as exc:
-            optimize_all_flex(*columns(_FLOOR_POOL), salary_cap)
+            optimize_all_flex(*pool_and_row(_FLOOR_POOL, salary_cap))
         assert str(exc.value) == "all flex configurations infeasible: " + "; ".join(
             f"{config}: no lineup fits the $42,900 salary cap"
             for config in ((2, 3, 2), (2, 4, 1), (3, 3, 1))
@@ -343,6 +353,20 @@ class TestFloorShift:
             assert gcd(*(c.salary for c in pool)) == unit
             assert_matches_oracle(pool, int(rng.integers(500, 1040)) * unit)
 
+    def test_dominated_player_off_the_unit(self):
+        # TE9 at $6,150 is dominated by all three TEs, so the pruner drops
+        # it, yet it halves the pool's unit: the DP reads the $100-step
+        # players on a $50 axis and returns the same lineups, bit for bit.
+        pool = _FLOOR_POOL + [Player("TE9", "TE", 6150, 1.0)]
+        assert "TE9" not in prune_keep_ids(pool)
+        for cap in (43_000, 44_000, 46_950, 50_000):
+            solver_pool, fpts = pool_and_row(pool, cap)
+            assert solver_pool.unit == 50
+            assert solve_flex_configs(solver_pool, fpts) == solve_flex_configs(
+                *pool_and_row(_FLOOR_POOL, cap)
+            )
+            assert_matches_oracle(pool, cap)
+
     def test_position_with_a_single_player(self, salary_cap):
         # One QB, one DST and one TE: each floor is that player's salary, its
         # shifted weight 0, and 2-3-2 cannot be filled.
@@ -350,7 +374,7 @@ class TestFloorShift:
         shape = {"QB": 1, "RB": 5, "WR": 6, "TE": 1, "DST": 1}
         for trial in range(20):
             pool = make_pool_with(rng, shape, tie_heavy=(trial % 2 == 0))
-            assert solve_flex_configs(*columns(pool), salary_cap)[0] is None
+            assert solve_flex_configs(*pool_and_row(pool, salary_cap))[0] is None
             assert_matches_oracle(pool, salary_cap)
 
     def test_player_beyond_every_root_is_never_taken(self):
@@ -359,12 +383,12 @@ class TestFloorShift:
         # however many points it projects.
         salary_cap = 46_900
         pool = _FLOOR_POOL + [Player("WR9", "WR", 9000, 500.0)]
-        for lineup in solve_flex_configs(*columns(pool), salary_cap):
+        for lineup in solve_flex_configs(*pool_and_row(pool, salary_cap)):
             assert lineup is None or "WR9" not in lineup.players
-        assert "WR9" not in optimize_all_flex(*columns(pool), salary_cap).players
+        assert "WR9" not in optimize_all_flex(*pool_and_row(pool, salary_cap)).players
         assert_matches_oracle(pool, salary_cap)
         # One unit more and it fits the 2-3-2 root exactly.
-        assert "WR9" in optimize_all_flex(*columns(pool), salary_cap + 100).players
+        assert "WR9" in optimize_all_flex(*pool_and_row(pool, salary_cap + 100)).players
 
 
 # Each position's largest count over the flex configurations: a pool holding
@@ -374,12 +398,16 @@ _FULL_SHAPE = ["QB", "RB", "RB", "RB", "WR", "WR", "WR", "WR", "TE", "TE", "DST"
 
 @st.composite
 def pools_and_caps(draw):
-    """A small pool with ids shuffled across positions, and a cap.
+    """A small pool with ids shuffled across positions, a cap, and the pool
+    less its dominated extra player (None when it has none).
 
     The pool is ``_FULL_SHAPE`` less up to two players (so a configuration
     can go short) plus up to four of any position.  Salaries step by $1, $50
     or $100, so the DP's unit varies; a tie-heavy pool draws FPTS from four
-    values and salaries from a narrow band.
+    values and salaries from a narrow band.  On a $50 or $100 step the pool
+    may also hold an extra player that every rival of its position
+    dominates, priced half a step above the dearest of them: the whole
+    pool's salary unit is then finer than the kept players' gcd.
     """
     positions = list(_FULL_SHAPE)
     for i in sorted(draw(st.sets(st.integers(0, len(positions) - 1), max_size=2)), reverse=True):
@@ -389,22 +417,39 @@ def pools_and_caps(draw):
     unit = draw(st.sampled_from([1, 50, 100]))
     salary = st.integers(40, 80 if tie_heavy else 191).map(lambda k: k * unit)
     fpts = st.integers(5, 8).map(float) if tie_heavy else st.floats(1.0, 30.0)
-    ids = draw(st.permutations([f"P{i:02d}" for i in range(len(positions))]))
-    pool = [Player(pid, pos, draw(salary), draw(fpts)) for pid, pos in zip(ids, positions)]
-    return pool, draw(st.integers(550, 1300)) * unit
+    rows = [(pos, draw(salary), draw(fpts)) for pos in positions]
+    extra = False
+    if unit > 1 and draw(st.booleans()):
+        pos = draw(st.sampled_from(sorted(set(positions))))
+        rivals = [s for p, s, _ in rows if p == pos]
+        if len(rivals) >= MAX_COUNTS[pos]:
+            rows.append((pos, max(rivals) + unit // 2, min(f for *_, f in rows) - 1.0))
+            extra = True
+    ids = draw(st.permutations([f"P{i:02d}" for i in range(len(rows))]))
+    pool = [Player(pid, *row) for pid, row in zip(ids, rows)]
+    return pool, draw(st.integers(550, 1300)) * unit, pool[:-1] if extra else None
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(pools_and_caps())
-def test_random_pools_match_oracle(pool_and_cap):
-    assert_matches_oracle(*pool_and_cap)
+@given(pools_and_caps(), st.data())
+def test_random_pools_match_oracle(case, data):
+    pool, salary_cap, without_extra = case
+    assert_matches_oracle(pool, salary_cap)
+    want = solve_flex_configs(*pool_and_row(pool, salary_cap))
+    # Any joint permutation of the columns and the row: the same lineups.
+    shuffled = data.draw(st.permutations(pool))
+    assert solve_flex_configs(*pool_and_row(shuffled, salary_cap)) == want
+    if without_extra is not None:
+        solver_pool = pool_and_row(pool, salary_cap)[0]
+        assert solver_pool.unit < gcd(*(c.salary for c in without_extra))
+        assert solve_flex_configs(*pool_and_row(without_extra, salary_cap)) == want
 
 
 class TestStructure:
     def test_lineup_shape_and_slots(self, salary_cap):
         rng = np.random.default_rng(46)
         pool = make_pool(rng, 16)
-        lineup = solve_flex_configs(*columns(pool), salary_cap)[0]
+        lineup = solve_flex_configs(*pool_and_row(pool, salary_cap))[0]
         assert lineup.flex_config == (2, 3, 2)
         assert len(lineup.players) == LINEUP_SIZE
         assert lineup.players == tuple(sorted(lineup.players))
@@ -429,7 +474,7 @@ class TestStructure:
             Player("TE2", "TE", 5000, 9.0),
             Player("DST1", "DST", 5000, 8.0),
         ]
-        lineup = optimize_all_flex(*columns(pool), salary_cap)  # only 2-3-2 fits this pool
+        lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))  # only 2-3-2 fits this pool
         assert lineup.flex_config == (2, 3, 2)
         ids, position, _, fpts = columns(pool)
         slots = assign_slots(ids, position, fpts, lineup.flex_config)
@@ -441,42 +486,42 @@ class TestStructure:
     def test_position_shortfall(self, salary_cap):
         pool = [c for c in make_pool(np.random.default_rng(47), 16) if c.position != "DST"]
         with pytest.raises(InfeasibleLineupError, match="position DST: need 1 candidates, have 0"):
-            optimize_all_flex(*columns(pool), salary_cap)
+            optimize_all_flex(*pool_and_row(pool, salary_cap))
 
     def test_infeasible_when_cap_too_tight(self):
         pool = make_pool(np.random.default_rng(48), 16)
         with pytest.raises(InfeasibleLineupError):
-            optimize_all_flex(*columns(pool), 10_000)
+            optimize_all_flex(*pool_and_row(pool, 10_000))
 
     def test_monotone_in_cap(self, salary_cap):
         rng = np.random.default_rng(49)
         for _ in range(10):
             pool = make_pool(rng, 15)
             try:
-                tight = optimize_all_flex(*columns(pool), 50_000)
+                tight = optimize_all_flex(*pool_and_row(pool, 50_000))
             except InfeasibleLineupError:
                 continue
-            loose = optimize_all_flex(*columns(pool), 60_000)
+            loose = optimize_all_flex(*pool_and_row(pool, 60_000))
             assert loose.predicted_fpts >= tight.predicted_fpts - 1e-12
 
     def test_adding_a_candidate_never_hurts(self, salary_cap):
         rng = np.random.default_rng(50)
         for _ in range(10):
             pool = make_pool(rng, 15)
-            base = optimize_all_flex(*columns(pool), salary_cap)
+            base = optimize_all_flex(*pool_and_row(pool, salary_cap))
             bigger = pool + [Player("ZZZ", "WR", 3000, float(rng.uniform(1, 30)))]
-            again = optimize_all_flex(*columns(bigger), salary_cap)
+            again = optimize_all_flex(*pool_and_row(bigger, salary_cap))
             assert again.predicted_fpts >= base.predicted_fpts - 1e-12
 
     def test_scaling_projections_preserves_identity(self, salary_cap):
         rng = np.random.default_rng(51)
         pool = make_pool(rng, 16)
-        base = optimize_all_flex(*columns(pool), salary_cap)
+        base = optimize_all_flex(*pool_and_row(pool, salary_cap))
         scaled = [
             Player(c.player_id, c.position, c.salary, 2.0 * c.predicted_fpts)
             for c in pool
         ]
-        again = optimize_all_flex(*columns(scaled), salary_cap)
+        again = optimize_all_flex(*pool_and_row(scaled, salary_cap))
         assert again.players == base.players
 
 
@@ -501,14 +546,14 @@ class TestModalAndScoring:
 class TestValidator:
     def test_accepts_solver_output(self, salary_cap):
         pool = make_pool(np.random.default_rng(52), 16)
-        lineup = optimize_all_flex(*columns(pool), salary_cap)
+        lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
         assert validate_lineup(lineup, salary_cap, salary, position) == []
 
     def test_flags_violations(self, salary_cap):
         pool = make_pool(np.random.default_rng(53), 16)
-        lineup = optimize_all_flex(*columns(pool), salary_cap)
+        lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
         position = {c.player_id: c.position for c in pool}
         # Inflated salaries push the honest total over the cap.
         salary = {c.player_id: 40_000 for c in pool}
@@ -522,7 +567,7 @@ class TestValidator:
 
     def test_flags_min_salary(self, salary_cap):
         pool = make_pool(np.random.default_rng(54), 16)
-        lineup = optimize_all_flex(*columns(pool), salary_cap)
+        lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
         salary = {c.player_id: c.salary for c in pool}
         position = {c.player_id: c.position for c in pool}
         problems = validate_lineup(lineup, salary_cap, salary, position, min_salary=60_000)
