@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 input/schema error, 3 infeasible lineup,
-4 numeric failure.
+Exit codes: 0 success; for a toolkit error, its family's ``exit_code``
+(2 bad input, 3 infeasible, 4 numeric failure); 2 for a file the OS
+refuses (missing, a directory, unreadable).  Any other exception is a
+program fault: it propagates with its traceback, and Python exits 1.
 """
 
 from __future__ import annotations
@@ -12,42 +14,13 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config, save_config
-from .errors import (
-    ConfigError,
-    DuplicateKeyError,
-    EnsembleTrainingError,
-    InfeasibleLineupError,
-    NoFeasibleSampleError,
-    PositionShortfallError,
-    SchemaError,
-    TrainingDivergedError,
-    UnservableWeekError,
-    WindowRangeError,
-    ZeroVarianceError,
-)
+from .errors import DFSLineupError, InfeasibleError, InputError, NumericError
 from .report import cmd_report
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_INFEASIBLE = 3
-EXIT_NUMERIC = 4
-
-_INPUT_ERRORS = (
-    ConfigError,
-    SchemaError,
-    DuplicateKeyError,
-    WindowRangeError,
-    UnservableWeekError,
-    FileNotFoundError,
-    ValueError,
-)
-_INFEASIBLE_ERRORS = (InfeasibleLineupError, PositionShortfallError, NoFeasibleSampleError)
-_NUMERIC_ERRORS = (
-    TrainingDivergedError,
-    EnsembleTrainingError,
-    ZeroVarianceError,
-    ArithmeticError,
-)
+EXIT_INPUT = InputError.exit_code
+EXIT_INFEASIBLE = InfeasibleError.exit_code
+EXIT_NUMERIC = NumericError.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +74,7 @@ def main(argv=None) -> int:
         if args.command == "config-init":
             path = Path(args.config)
             if path.exists() and not args.force:
-                raise ConfigError(f"{path} already exists (use --force to overwrite)")
+                raise FileExistsError(f"{path} already exists (use --force to overwrite)")
             save_config(RunConfig(), path)
             print(f"wrote {path}")
             return EXIT_OK
@@ -121,13 +94,10 @@ def main(argv=None) -> int:
         elif args.command == "validate":
             pipeline.cmd_validate(cfg)
         return EXIT_OK
-    except _INFEASIBLE_ERRORS as exc:
+    except DFSLineupError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
+        return exc.exit_code
+    except OSError as exc:  # a missing, unreadable or misplaced file or directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,7 +9,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, not_utf8
 
 
 class _Loader(yaml.SafeLoader):
@@ -181,6 +181,8 @@ def load_config(path) -> RunConfig:
             data = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot parse {path}: {not_utf8(exc)}") from None
     return config_from_dict(data or {})
 
 

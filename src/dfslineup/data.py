@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DuplicateKeyError, SchemaError, WindowRangeError
+from .errors import DuplicateKeyError, SchemaError, WindowRangeError, not_utf8
 
 log = logging.getLogger(__name__)
 
@@ -246,9 +246,7 @@ def read_csv(path):
         except csv.Error as exc:
             raise SchemaError(str(exc), line=reader.line_num, path=path) from None
         except UnicodeDecodeError as exc:
-            raise SchemaError(
-                f"not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})", path=path
-            ) from None
+            raise SchemaError(not_utf8(exc), path=path) from None
 
 
 # Records per parse block.  Only one block of text is held at a time.
@@ -420,13 +418,17 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
 
 
 def load_exclusions(path) -> set[str]:
-    """One player_id per line; blank lines and '#' comments ignored."""
+    """One player_id per line; blank lines and '#' comments ignored.  Bytes
+    that are not UTF-8 raise SchemaError naming the file."""
     out = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            pid = line.strip()
-            if pid and not pid.startswith("#"):
-                out.add(pid)
+        try:
+            for line in fh:
+                pid = line.strip()
+                if pid and not pid.startswith("#"):
+                    out.add(pid)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(not_utf8(exc), path=path) from None
     return out
 
 

@@ -1,11 +1,29 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+Every concrete error derives from exactly one family, and the family's
+``exit_code`` is what the CLI returns for it: ``InputError`` 2 (a bad
+config, file or season), ``InfeasibleError`` 3 (no lineup or random
+sample fits), ``NumericError`` 4 (training or a statistic failed).
+"""
 
 
 class DFSLineupError(Exception):
     """Base class for all toolkit errors."""
 
 
-class SchemaError(DFSLineupError):
+class InputError(DFSLineupError):
+    exit_code = 2
+
+
+class InfeasibleError(DFSLineupError):
+    exit_code = 3
+
+
+class NumericError(DFSLineupError):
+    exit_code = 4
+
+
+class SchemaError(InputError):
     """A CSV row or header failed validation.  The loaders set ``path`` to
     the file, which the message then names first."""
 
@@ -27,21 +45,21 @@ class SchemaError(DFSLineupError):
         return text
 
 
-class DuplicateKeyError(DFSLineupError):
+class DuplicateKeyError(InputError):
     """Two rows carry the same (player_id, week) key."""
 
 
-class WindowRangeError(DFSLineupError):
+class WindowRangeError(InputError):
     """Window index outside the 14 windows a season supports."""
 
 
-class UnservableWeekError(DFSLineupError):
+class UnservableWeekError(InputError):
     """The season cannot serve the target week: a window without rows, a
     draftable pool short of a position, or a random population whose
     lineups all score the same."""
 
 
-class TrainingDivergedError(DFSLineupError):
+class TrainingDivergedError(NumericError):
     """Training loss became non-finite."""
 
     def __init__(self, epoch):
@@ -52,7 +70,7 @@ class TrainingDivergedError(DFSLineupError):
         return f"training diverged at epoch {self.epoch}"
 
 
-class EnsembleTrainingError(DFSLineupError):
+class EnsembleTrainingError(NumericError):
     """A member model failed to train even after a seed perturbation."""
 
     def __init__(self, index):
@@ -60,7 +78,7 @@ class EnsembleTrainingError(DFSLineupError):
         super().__init__(f"model {index} diverged twice; giving up")
 
 
-class PositionShortfallError(DFSLineupError):
+class PositionShortfallError(InfeasibleError):
     """Not enough candidates at a position to fill its slots."""
 
     def __init__(self, position, needed, available):
@@ -70,17 +88,22 @@ class PositionShortfallError(DFSLineupError):
         )
 
 
-class InfeasibleLineupError(DFSLineupError):
+class InfeasibleLineupError(InfeasibleError):
     """No lineup satisfies the salary cap and position counts."""
 
 
-class NoFeasibleSampleError(DFSLineupError):
+class NoFeasibleSampleError(InfeasibleError):
     """Random-lineup rejection sampling exhausted its attempt budget."""
 
 
-class ZeroVarianceError(DFSLineupError):
+class ZeroVarianceError(NumericError):
     """A statistic is undefined because the samples carry no variance."""
 
 
-class ConfigError(DFSLineupError):
+class ConfigError(InputError):
     """Run configuration failed validation."""
+
+
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """What a SchemaError or ConfigError says of bytes that are not UTF-8."""
+    return f"not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"

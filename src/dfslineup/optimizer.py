@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .data import POSITIONS
-from .errors import InfeasibleLineupError, PositionShortfallError
+from .errors import InfeasibleLineupError
 
 # Slots per position of the three flex configurations: the one place the
 # lineup's shape is written down.  A lineup names its configuration by the
@@ -90,13 +90,11 @@ def undominated(pool: Pool, fpts: np.ndarray) -> np.ndarray:
     not dominators: swapping them in could break the lexicographic tie rule.
     """
     keep = np.zeros(len(fpts), dtype=bool)
-    for pos, k in MAX_COUNTS.items():
-        g = np.flatnonzero(pool.position == pos)
-        s, f = pool.salary[g], fpts[g]
-        # dominates[i, o]: player o dominates player i; index order is id order.
-        better = (f > f[:, None]) | ((f == f[:, None]) & np.tri(len(g), k=-1, dtype=bool))
-        dominates = (s <= s[:, None]) & better
-        keep[g[dominates.sum(axis=1) < k]] = True
+    for g, k, cheaper, earlier in pool.rivals:
+        f = fpts[g]
+        # [i, o]: player o dominates player i; index order is id order.
+        better = (f > f[:, None]) | ((f == f[:, None]) & earlier)
+        keep[g[(cheaper & better).sum(axis=1) < k]] = True
     return keep
 
 
@@ -109,7 +107,8 @@ class Pool:
     The pool keeps them in player-id order (``order[k]`` is the caller's
     index of the k-th) with what the DP needs besides the row: the salary
     ``unit``, each player's position ``axes`` and ``weights`` above its
-    position's floor, and each flex configuration's ``roots``.
+    position's floor, and each flex configuration's ``roots``; and, per
+    position, the masks ``undominated`` reads besides the row (``rivals``).
     """
 
     def __init__(self, ids, position, salary, salary_cap: int):
@@ -140,10 +139,27 @@ class Pool:
         ]
         self.weights = [w - floor[a] for a, w in zip(self.axes, units)]
         budget_max = salary_cap // self.unit if self.unit else 0
+        # A root stops at what its counts can spend, the counts[p] largest
+        # weights of each position: from there on the cap cannot bind, and
+        # any larger root reads back the same lineup.
+        dearest = [
+            sorted((w for a, w in zip(self.axes, self.weights) if a == i), reverse=True)
+            for i in _POS_INDEX.values()
+        ]
         self.roots = [
-            budget_max - sum(k * floor[_POS_INDEX[p]] for p, k in counts.items())
+            min(
+                budget_max - sum(k * floor[_POS_INDEX[p]] for p, k in counts.items()),
+                sum(sum(dearest[_POS_INDEX[p]][:k]) for p, k in counts.items()),
+            )
             for counts in POSITION_COUNTS
         ]
+        # Per position for ``undominated``: its pool indices, its largest
+        # count, and which rivals cost no more or have a smaller id.
+        self.rivals = []
+        for pos, k in MAX_COUNTS.items():
+            g = np.flatnonzero(self.position == pos)
+            s = self.salary[g]
+            self.rivals.append((g, k, s <= s[:, None], np.tri(len(g), k=-1, dtype=bool)))
 
 
 def _dp_solve(pool: Pool, kept, fpts) -> list[Optional[list[int]]]:
@@ -159,9 +175,13 @@ def _dp_solve(pool: Pool, kept, fpts) -> list[Optional[list[int]]]:
     unit salary of position ``p`` in the pool, and a take moves ``u`` down
     by the candidate's salary less its floor, which is never negative.
     Configuration ``c`` is read back from the root
-    ``cap // unit - sum(counts_c[p] * floor[p])``; the axis runs to the
-    largest root.  A negative root, or one whose value is not finite (pool
-    short a position, or nothing fits the cap), yields None.  A take still
+    ``cap // unit - sum(counts_c[p] * floor[p])``, or from the most its
+    counts can spend above the floors where that is less; the axis runs to
+    the largest root.  Every cell a read-back from the smaller root reaches
+    has at least the budget its remaining picks can spend, so its take bit
+    is that of the cell the larger root would reach.  A negative root, or
+    one whose value is not finite (pool short a position, or nothing fits
+    the cap), yields None.  A take still
     reads the cell it read on an axis from zero, so every kept cell, and its
     take bit, equal those of that axis.
 
@@ -262,7 +282,7 @@ def optimize_all_flex(pool: Pool, fpts) -> Lineup:
     reasons = []
     for config, counts in zip(FLEX_CONFIGS, POSITION_COUNTS):
         short = [
-            str(PositionShortfallError(p, k, available[p]))
+            f"position {p}: need {k} candidates, have {available[p]}"
             for p, k in counts.items()
             if available[p] < k
         ]

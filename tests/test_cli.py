@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -13,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dfslineup import ensemble, pipeline, stats
+from dfslineup import ensemble, errors, pipeline, stats
 from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from dfslineup.data import load_player_weeks
+from dfslineup.data import POSITIONS, VALUE_COLUMNS, load_player_weeks
 from dfslineup.optimizer import Lineup
 
 from .conftest import FIXTURES
@@ -496,6 +500,56 @@ class TestExitCodes:
             f"error: {target}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
         )
 
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        config = tmp_path / "latin1.yaml"
+        config.write_bytes(write_config(tmp_path).read_bytes() + b"# caf\xe9\n")
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: cannot parse {config}: not UTF-8 text (byte 0xe9: invalid "
+            "continuation byte)\n"
+        )
+
+    def test_non_utf8_exclusions_file(self, tmp_path, capsys):
+        exclusions = tmp_path / "exclusions.txt"
+        exclusions.write_bytes(b"QB001\nRB\xff01\n")
+        config = write_config(tmp_path, exclusions_file=str(exclusions))
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {exclusions}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, stage",
+        [
+            ("players_csv", "ingest"),
+            ("exclusions_file", "ingest"),
+            ("contest_results_csv", "validate"),
+            ("output_dir", "ingest"),
+        ],
+    )
+    def test_misplaced_path(self, full_run, tmp_path, capsys, key, stage):
+        # Each file setting names a directory, and output_dir names a file.
+        misplaced = tmp_path / "misplaced"
+        if key == "output_dir":
+            misplaced.write_text("", encoding="utf-8")
+        else:
+            misplaced.mkdir()
+        if stage == "validate":
+            _copy_upstream(full_run, tmp_path / "out")
+        config = write_config(tmp_path, **{key: str(misplaced)})
+        assert main([stage, "--config", str(config)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(misplaced) in err
+
+    def test_program_fault_is_not_an_exit_code(self, tmp_path, monkeypatch):
+        # Only toolkit and OS errors become exit codes: a bug keeps its traceback.
+        def broken(cfg):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(pipeline, "cmd_ingest", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["ingest", "--config", str(write_config(tmp_path))])
+
     def test_unreachable_salary_band_exits_three(self, tmp_path):
         # Salaries are multiples of 100, so no lineup total lands in this band.
         config = write_config(
@@ -506,6 +560,28 @@ class TestExitCodes:
         for command in ("ingest", "predict", "optimize"):
             assert main([command, "--config", str(config)]) == EXIT_OK
         assert main(["validate", "--config", str(config)]) == EXIT_INFEASIBLE
+
+    def test_cap_beyond_any_lineup(self, tmp_path):
+        # The DP's budget axis stops at what the pool can spend, not at the cap.
+        config = write_config(tmp_path, salary_cap=10**30)
+        for command in ("ingest", "predict", "optimize", "validate"):
+            assert main([command, "--config", str(config)]) == EXIT_OK
+
+
+def test_every_error_has_one_family():
+    """Each toolkit error derives from exactly one family, which sets its
+    exit code."""
+    families = (errors.InputError, errors.InfeasibleError, errors.NumericError)
+    concrete = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.DFSLineupError)
+        and cls is not errors.DFSLineupError and cls not in families
+    ]
+    assert concrete
+    for cls in concrete:
+        assert sum(issubclass(cls, f) for f in families) == 1, cls
+        assert cls.exit_code in {EXIT_INPUT, EXIT_INFEASIBLE, EXIT_NUMERIC}, cls
+    assert [f.exit_code for f in families] == [2, 3, 4]
 
 
 def _copy_upstream(full_run, out):
@@ -588,6 +664,88 @@ class TestInputChecks:
             "error: week 8: the random population's 300 lineups all score 90.0\n"
         )
         assert not (tmp_path / "out" / "validation_report.json").exists()
+
+
+# Season mutations, each a tuple whose first item names it; weeks stop at 9,
+# past which no row feeds target week 8.
+_WEEKS = st.integers(1, 9)
+_SHARES = st.sampled_from([0.05, 0.3, 0.9])
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop-week"), _WEEKS),
+    st.tuples(st.just("drop-position-from"), st.sampled_from(POSITIONS), _WEEKS),
+    st.tuples(st.just("drop-rows"), _SHARES, st.integers(0, 2**16)),
+    st.tuples(
+        st.just("blank"),
+        st.sampled_from([c for c in VALUE_COLUMNS if c != "home"]),
+        _SHARES,
+        st.integers(0, 2**16),
+    ),
+    st.tuples(st.just("undraftable-players"), _SHARES, st.integers(0, 2**16)),
+    st.tuples(st.just("undraftable-week"), _WEEKS),
+    st.tuples(st.just("zero-fpts"), _WEEKS),
+)
+
+
+def _mutate(rows, mutation):
+    """The season rows (dicts of CSV fields) after one mutation."""
+    kind, *args = mutation
+    if kind == "drop-week":
+        return [r for r in rows if int(r["week"]) != args[0]]
+    if kind == "drop-position-from":
+        pos, week = args
+        return [r for r in rows if r["position"] != pos or int(r["week"]) < week]
+    if kind == "undraftable-week":
+        return [{**r, "draftable": "0"} if int(r["week"]) == args[0] else r for r in rows]
+    if kind == "zero-fpts":
+        return [{**r, "fpts": "0"} if int(r["week"]) == args[0] else r for r in rows]
+    *args, seed = args
+    rng = np.random.default_rng(seed)
+    if kind == "drop-rows":
+        return [r for r in rows if rng.random() >= args[0]]
+    if kind == "blank":
+        column, share = args
+        return [{**r, column: ""} if rng.random() < share else r for r in rows]
+    ids = sorted({r["player_id"] for r in rows})
+    chosen = {pid for pid in ids if rng.random() < args[0]}
+    return [{**r, "draftable": "0"} if r["player_id"] in chosen else r for r in rows]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.lists(_MUTATIONS, min_size=1, max_size=3))
+@example([("zero-fpts", 8)])  # no random pool: validate exits 3
+def test_mutated_season_exits_cleanly(tmp_path_factory, mutations):
+    """A season with weeks, positions or rows missing, optional fields blank,
+    players or weeks undraftable, or a week's FPTS zeroed either runs clean
+    or stops with exit 2 (ingest, or validate naming the week) or exit 3;
+    no exception escapes."""
+    tmp_path = tmp_path_factory.mktemp("mutated")
+    with open(FIXTURES / "season.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    for mutation in mutations:
+        rows = _mutate(rows, mutation)
+    season = tmp_path / "season.csv"
+    with open(season, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    config = write_config(
+        tmp_path,
+        players_csv=str(season),
+        n_models=2,
+        training={"max_epochs": 30, "patience": 5},
+        report={"bootstrap_resamples": 100},
+    )
+    for stage in ("ingest", "predict", "optimize", "validate", "report"):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([stage, "--config", str(config)])
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE), (stage, err.getvalue())
+        if code == EXIT_INPUT:
+            assert stage == "ingest" or (
+                stage == "validate" and err.getvalue().startswith("error: week 8: ")
+            ), err.getvalue()
+        if code != EXIT_OK:
+            break
 
 
 class TestSeasonCache:

@@ -435,6 +435,9 @@ def pools_and_caps(draw):
 def test_random_pools_match_oracle(case, data):
     pool, salary_cap, without_extra = case
     assert_matches_oracle(pool, salary_cap)
+    # Caps no lineup reaches, the second one far beyond any budget axis.
+    for cap in (sum(c.salary for c in pool), 10**30):
+        assert_matches_oracle(pool, cap)
     want = solve_flex_configs(*pool_and_row(pool, salary_cap))
     # Any joint permutation of the columns and the row: the same lineups.
     shuffled = data.draw(st.permutations(pool))
