@@ -85,14 +85,7 @@ def main(argv=None) -> int:
         # Only the computing stages load numpy and the model stack.
         from . import pipeline
 
-        if args.command == "ingest":
-            pipeline.cmd_ingest(cfg)
-        elif args.command == "predict":
-            pipeline.cmd_predict(cfg)
-        elif args.command == "optimize":
-            pipeline.cmd_optimize(cfg)
-        elif args.command == "validate":
-            pipeline.cmd_validate(cfg)
+        getattr(pipeline, f"cmd_{args.command}")(cfg)
         return EXIT_OK
     except DFSLineupError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -116,9 +117,10 @@ class RunConfig:
 def _check_types(cls, raw: dict, prefix: str = "") -> None:
     """Reject values whose type does not match the field's default.
 
-    An int field takes only int; a float field takes int or float; a str
-    field takes str, or None where the default is None.  bool is never a
-    number here, although Python counts it as an int.
+    An int field takes only int; a float field takes a finite int or
+    float (no NaN, no infinity, no int beyond the float range); a str field
+    takes str, or None where the default is None.  bool is never a number
+    here, although Python counts it as an int.
     """
     for f in fields(cls):
         if f.name not in raw or f.default is MISSING:
@@ -128,6 +130,8 @@ def _check_types(cls, raw: dict, prefix: str = "") -> None:
             ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
         elif isinstance(default, float):
             ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+            if ok and not abs(value) <= sys.float_info.max:
+                ok, kind = False, "finite"
         else:
             ok, kind = isinstance(value, str) or (default is None and value is None), "a string"
         if not ok:

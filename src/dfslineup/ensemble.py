@@ -8,7 +8,6 @@ index.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
@@ -65,7 +64,13 @@ def train_ensemble(
     # A process pool forks all its workers up front, so it gets no more
     # than there are batches.
     n_workers = min(workers, -(-n_models // B))
-    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    pool = None
+    if n_workers > 1:
+        # Imported only here: it loads multiprocessing, which a serial run
+        # never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=n_workers)
     with pool or nullcontext():
         run = pool.map if pool else map
         models = _train_in_batches(run, dataset, hyper, seeds)

@@ -1,18 +1,19 @@
 """File-based pipeline stages: ingest -> predict -> optimize -> validate -> report.
 
 Each stage reads the previous stage's artifacts from the output directory
-and writes its own, through the temp-file-then-rename helpers of
-``report``.  Every float written to a text artifact uses repr(), which
+(``_read_npz``, ``report._read_json``) and writes its own through the
+temp-file-then-rename helpers.  Every CSV artifact goes through
+``_write_csv``, the one place that turns a float into text: repr(), which
 keeps reruns byte-identical.  ``report`` holds the last stage, which needs
 no numpy; it is re-exported here so every stage is ``pipeline.cmd_<stage>``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .report import (  # noqa: F401  cmd_report: re-exported
     TRAIN_WINDOW,
     VALIDATION_JSON,
     _out,
+    _read_json,
     _require,
     _write_json,
     _write_text,
@@ -59,6 +61,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+BOXPLOT_COLUMNS = ("q1", "median", "q3", "whisker_low", "whisker_high", "mean", "n")
+
 # Salts that derive the validate stage's seeds from master_seed.
 RANDOM_SALT = 0xBA5E
 BOOTSTRAP_SALT = 0xB007
@@ -71,8 +75,20 @@ def _write_npz(path: Path, **arrays) -> None:
     os.replace(tmp, path)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _read_npz(cfg: RunConfig, name: str, stage: str) -> dict:
+    """The arrays of artifact ``name`` by name; ``stage`` writes it."""
+    with np.load(_require(_out(cfg, name), stage)) as blob:
+        return {key: blob[key] for key in blob.files}
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then one comma-joined line per row.  A float cell
+    (Python or numpy) is written as repr(float(x)), any other as str(x)."""
+    lines = [header]
+    for row in rows:
+        cells = (repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row)
+        lines.append(",".join(cells))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _sha256(path) -> str:
@@ -122,15 +138,6 @@ def cmd_ingest(cfg: RunConfig) -> None:
     target = table.at_week(cfg.target_week, pred_ids)
     _check_servable(cfg.target_week, train_w, pred_w, target["position"])
 
-    lines = ["player_id,eligible_train,eligible_predict,excluded"]
-    train_ids = set(train_w.player_ids)
-    predict_eligible = set(pred_w.player_ids)
-    for pid in table.player_ids():
-        lines.append(
-            f"{pid},{int(pid in train_ids)},{int(pid in predict_eligible)},"
-            f"{int(pid in excluded)}"
-        )
-
     _write_npz(
         _out(cfg, TRAIN_WINDOW),
         window_index=np.array([train_w.window_index]),
@@ -146,7 +153,12 @@ def cmd_ingest(cfg: RunConfig) -> None:
         salary=target["salary"],
         position=np.array(target["position"]),
     )
-    _write_text(_out(cfg, ELIGIBILITY), "\n".join(lines) + "\n")
+    flags = (set(train_w.player_ids), set(pred_w.player_ids), excluded)
+    _write_csv(
+        _out(cfg, ELIGIBILITY),
+        "player_id,eligible_train,eligible_predict,excluded",
+        ((pid, *(int(pid in ids) for ids in flags)) for pid in table.player_ids()),
+    )
     week = table.at_week(cfg.target_week)
     _write_npz(
         _out(cfg, SEASON),
@@ -160,34 +172,18 @@ def cmd_ingest(cfg: RunConfig) -> None:
     )
 
 
-def _load_train_window(cfg: RunConfig) -> WindowDataset:
-    with np.load(_require(_out(cfg, TRAIN_WINDOW), "ingest")) as blob:
-        return WindowDataset(
-            window_index=int(blob["window_index"][0]),
-            player_ids=[str(p) for p in blob["player_ids"]],
-            features=blob["features"],
-            targets=blob["targets"],
-        )
-
-
-def _load_predict_window(cfg: RunConfig):
-    with np.load(_require(_out(cfg, PREDICT_WINDOW), "ingest")) as blob:
-        window = WindowDataset(
-            window_index=int(blob["window_index"][0]),
-            player_ids=[str(p) for p in blob["player_ids"]],
-            features=blob["features"],
-            targets=None,
-        )
-        return window, blob["salary"], blob["position"]
-
-
 # --------------------------------------------------------------- predict
 
 
 def cmd_predict(cfg: RunConfig) -> None:
     """Train the ensemble and export per-player prediction distributions."""
-    train_w = _load_train_window(cfg)
-    pred_w, salary, position = _load_predict_window(cfg)
+    train = _read_npz(cfg, TRAIN_WINDOW, "ingest")
+    pred = _read_npz(cfg, PREDICT_WINDOW, "ingest")
+    train_w, pred_w = (  # the prediction window has no targets
+        WindowDataset(int(w["window_index"][0]), w["player_ids"].tolist(),
+                      w["features"], w.get("targets"))
+        for w in (train, pred)
+    )
 
     ensemble = train_ensemble(
         train_w, cfg.n_models, cfg.master_seed, cfg.training, workers=cfg.workers
@@ -195,26 +191,18 @@ def cmd_predict(cfg: RunConfig) -> None:
     samples = sample_matrix(ensemble, pred_w)
     mean, ci_low, ci_high = predict_distribution(samples, level=cfg.report.ci_level)
 
-    lines = ["player_id,position,salary,mean_fpts,ci_low,ci_high"]
-    for j, pid in enumerate(pred_w.player_ids):
-        lines.append(
-            f"{pid},{position[j]},{salary[j]},{_fmt(mean[j])},"
-            f"{_fmt(ci_low[j])},{_fmt(ci_high[j])}"
-        )
-    _write_text(_out(cfg, PREDICTIONS), "\n".join(lines) + "\n")
+    _write_csv(
+        _out(cfg, PREDICTIONS),
+        "player_id,position,salary,mean_fpts,ci_low,ci_high",
+        zip(pred_w.player_ids, pred["position"], pred["salary"], mean, ci_low, ci_high),
+    )
     _write_npz(
         _out(cfg, SAMPLES),
         player_ids=np.array(pred_w.player_ids),
         samples=samples,
-        salary=salary,
-        position=position,
+        salary=pred["salary"],
+        position=pred["position"],
     )
-
-
-def _load_samples(cfg: RunConfig):
-    with np.load(_require(_out(cfg, SAMPLES), "predict")) as blob:
-        ids = [str(p) for p in blob["player_ids"]]
-        return ids, blob["samples"], blob["salary"], [str(p) for p in blob["position"]]
 
 
 # -------------------------------------------------------------- optimize
@@ -222,7 +210,9 @@ def _load_samples(cfg: RunConfig):
 
 def cmd_optimize(cfg: RunConfig) -> None:
     """Solve every model's lineup and export the modal lineup with its interval."""
-    ids, samples, salary, position = _load_samples(cfg)
+    blob = _read_npz(cfg, SAMPLES, "predict")
+    ids, samples, salary = blob["player_ids"].tolist(), blob["samples"], blob["salary"]
+    position = blob["position"].tolist()
     pool = Pool(ids, position, salary, cfg.salary_cap)
     lineups = [optimize_all_flex(pool, row) for row in samples]
     modal = modal_lineup(lineups)
@@ -238,17 +228,17 @@ def cmd_optimize(cfg: RunConfig) -> None:
     fpts = samples[lineups.index(modal), cols]
     slots = assign_slots(modal.players, [position[j] for j in cols], fpts, modal.flex_config)
 
-    lines = ["slot,player_id,position,salary,predicted_fpts,actual_fpts"]
-    total_salary = 0
+    rows, total_salary = [], 0
     for slot, pid in slots:
         j = by_id[pid]
         total_salary += int(salary[j])
-        lines.append(
-            f"{slot},{pid},{position[j]},{int(salary[j])},"
-            f"{_fmt(samples[:, j].mean())},"
-        )
-    lines.append(f"TOTAL,,,{total_salary},{_fmt(mean_total)},")
-    _write_text(_out(cfg, LINEUP_CSV), "\n".join(lines) + "\n")
+        rows.append((slot, pid, position[j], int(salary[j]), samples[:, j].mean(), ""))
+    rows.append(("TOTAL", "", "", total_salary, mean_total, ""))
+    _write_csv(
+        _out(cfg, LINEUP_CSV),
+        "slot,player_id,position,salary,predicted_fpts,actual_fpts",
+        rows,
+    )
     _write_json(
         _out(cfg, LINEUP_JSON),
         {
@@ -274,24 +264,21 @@ def _target_week(cfg: RunConfig):
     from ingest's season.npz when its sha256 and target week still match;
     otherwise the CSV is parsed again, since actual FPTS may arrive after
     ingest."""
-    path = _out(cfg, SEASON)
-    if path.exists():
-        with np.load(path) as blob:
-            if (
-                int(blob["target_week"]) == cfg.target_week
-                and str(blob["sha256"]) == _sha256(cfg.players_csv)
-            ):
-                columns = ("position", "salary", "fpts", "draftable")
-                return blob["player_ids"].tolist(), {name: blob[name] for name in columns}
+    if _out(cfg, SEASON).exists():
+        blob = _read_npz(cfg, SEASON, "ingest")
+        if (
+            int(blob["target_week"]) == cfg.target_week
+            and str(blob["sha256"]) == _sha256(cfg.players_csv)
+        ):
+            return blob["player_ids"].tolist(), blob
     table = load_player_weeks(cfg.players_csv)
     return table.player_ids(), table.at_week(cfg.target_week)
 
 
 def cmd_validate(cfg: RunConfig) -> None:
     """Compare the generated lineup to random (and real-world) populations."""
-    with open(_require(_out(cfg, LINEUP_JSON), "optimize"), encoding="utf-8") as fh:
-        lineup_info = json.load(fh)
-    ids, samples, _, _ = _load_samples(cfg)
+    lineup_info = _read_json(cfg, LINEUP_JSON, "optimize")
+    blob = _read_npz(cfg, SAMPLES, "predict")
     week = cfg.target_week
     player_ids, target = _target_week(cfg)
 
@@ -319,6 +306,16 @@ def cmd_validate(cfg: RunConfig) -> None:
     score = 0.0
     for pid in lineup_info["players"]:
         score += actuals[pid]
+
+    # The histograms come first: a bin width that would give a player too
+    # many bins stops the stage before the random population is drawn.
+    column = {pid: j for j, pid in enumerate(blob["player_ids"].tolist())}
+    hist_rows = []
+    for pid in lineup_info["players"]:
+        edges, counts = stats.histogram_bins(
+            blob["samples"][:, column[pid]], cfg.report.histogram_bin_width
+        )
+        hist_rows += zip(repeat(pid), edges[:-1], edges[1:], counts, repeat(actuals[pid]))
 
     pool_rows = np.flatnonzero(target["draftable"] & (target["fpts"] > 0))
     fpts = target["fpts"][pool_rows]
@@ -352,37 +349,22 @@ def cmd_validate(cfg: RunConfig) -> None:
 
     # Population k (random 1, real_world 2) bootstraps from its own stream.
     bootstrap_seed = mix64(cfg.master_seed, BOOTSTRAP_SALT)
-    perc_lines = ["population,n,mean_fpts,generated_fpts,percentile,ci_low,ci_high"]
-    box_lines = ["population,q1,median,q3,whisker_low,whisker_high,mean,n"]
+    perc_rows, box_rows = [], []
     for k, (label, scores) in enumerate(populations.items(), start=1):
         summary = report[label] = stats.summarize_population(
             scores, score, resamples, level, mix64(bootstrap_seed, k), label
         )
-        lo, hi = summary["percentile_ci"]
-        perc_lines.append(
-            f"{label},{summary['n']},{_fmt(summary['mean_fpts'])},{_fmt(score)},"
-            f"{_fmt(summary['percentile'])},{_fmt(lo)},{_fmt(hi)}"
-        )
-        b = summary["boxplot"]
-        box_lines.append(
-            f"{label},{_fmt(b['q1'])},{_fmt(b['median'])},{_fmt(b['q3'])},"
-            f"{_fmt(b['whisker_low'])},{_fmt(b['whisker_high'])},"
-            f"{_fmt(b['mean'])},{b['n']}"
-        )
-
-    hist_lines = ["player_id,bin_low,bin_high,count,actual_fpts"]
-    by_id = {pid: j for j, pid in enumerate(ids)}
-    for pid in lineup_info["players"]:
-        edges, counts = stats.histogram_bins(
-            samples[:, by_id[pid]], cfg.report.histogram_bin_width
-        )
-        for k in range(len(counts)):
-            hist_lines.append(
-                f"{pid},{_fmt(edges[k])},{_fmt(edges[k + 1])},"
-                f"{int(counts[k])},{_fmt(actuals[pid])}"
-            )
+        perc_rows.append((label, summary["n"], summary["mean_fpts"], score,
+                          summary["percentile"], *summary["percentile_ci"]))
+        box_rows.append((label, *map(summary["boxplot"].get, BOXPLOT_COLUMNS)))
 
     _write_json(_out(cfg, VALIDATION_JSON), report)
-    _write_text(_out(cfg, PERCENTILES), "\n".join(perc_lines) + "\n")
-    _write_text(_out(cfg, BOXPLOT), "\n".join(box_lines) + "\n")
-    _write_text(_out(cfg, HISTOGRAMS), "\n".join(hist_lines) + "\n")
+    _write_csv(
+        _out(cfg, PERCENTILES),
+        "population,n,mean_fpts,generated_fpts,percentile,ci_low,ci_high",
+        perc_rows,
+    )
+    _write_csv(_out(cfg, BOXPLOT), ",".join(("population", *BOXPLOT_COLUMNS)), box_rows)
+    _write_csv(
+        _out(cfg, HISTOGRAMS), "player_id,bin_low,bin_high,count,actual_fpts", hist_rows
+    )

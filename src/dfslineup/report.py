@@ -50,12 +50,15 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
+def _read_json(cfg: RunConfig, name: str, stage: str):
+    """The parsed JSON artifact ``name``; ``stage`` writes it."""
+    return json.loads(_require(_out(cfg, name), stage).read_text(encoding="utf-8"))
+
+
 def cmd_report(cfg: RunConfig) -> str:
     """Render the validation bundle as plain text; returns the text."""
-    with open(_require(_out(cfg, VALIDATION_JSON), "validate"), encoding="utf-8") as fh:
-        report = json.load(fh)
-    with open(_require(_out(cfg, LINEUP_JSON), "optimize"), encoding="utf-8") as fh:
-        lineup = json.load(fh)
+    report = _read_json(cfg, VALIDATION_JSON, "validate")
+    lineup = _read_json(cfg, LINEUP_JSON, "optimize")
 
     lines = [
         f"Week {report['week']} lineup validation",

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import POSITIONS, names_file, parse_field, read_csv
 from .errors import (
+    ConfigError,
     NoFeasibleSampleError,
     PositionShortfallError,
     SchemaError,
@@ -29,6 +30,8 @@ from .special import kolmogorov_sf, normal_cdf, student_t_sf2
 MAX_REJECTIONS = 10_000
 # Fewest observations the KS normality test takes.
 KS_MIN_SAMPLES = 5
+# Most bin widths one player's samples may span in their histogram.
+MAX_HISTOGRAM_BINS = 10_000
 
 
 @dataclass
@@ -237,10 +240,23 @@ def boxplot_stats(samples) -> dict:
 
 
 def histogram_bins(samples, bin_width: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-width bins aligned to multiples of bin_width; returns (edges, counts)."""
+    """Fixed-width bins aligned to multiples of bin_width; returns (edges, counts).
+
+    ConfigError, before any division by the width (a tiny one overflows),
+    when the samples span more than MAX_HISTOGRAM_BINS widths, or when the
+    width is below 2**-52 of their magnitude (or of 1): edges would merge.
+    """
     x = np.asarray(samples, dtype=np.float64)
-    lo = math.floor(x.min() / bin_width) * bin_width
-    hi = math.ceil(x.max() / bin_width) * bin_width
+    lo_x, hi_x = float(x.min()), float(x.max())
+    span, magnitude = hi_x - lo_x, max(-lo_x, hi_x, 1.0)
+    if span > MAX_HISTOGRAM_BINS * bin_width or magnitude > 2.0**52 * bin_width:
+        raise ConfigError(
+            f"report.histogram_bin_width {bin_width!r} is too small for samples in "
+            f"[{lo_x!r}, {hi_x!r}]: they may span at most {MAX_HISTOGRAM_BINS} widths, "
+            "and a width must be at least 2**-52 of their magnitude (or of 1)"
+        )
+    lo = math.floor(lo_x / bin_width) * bin_width
+    hi = math.ceil(hi_x / bin_width) * bin_width
     if hi <= lo:
         hi = lo + bin_width
     edges = np.arange(lo, hi + bin_width / 2, bin_width)

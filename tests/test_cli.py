@@ -135,6 +135,39 @@ class TestPipelineArtifacts:
         for name in ("train_window.npz", "predictions.csv", "samples.npz", "lineup.json"):
             assert (other / name).read_bytes() == (out / name).read_bytes()
 
+    def test_csv_numbers_are_ints_or_float_reprs(self, full_run):
+        """Every numeric cell of every CSV artifact is an int or the repr()
+        of its float, so a reader gets back the very float that was written."""
+        out, _ = full_run
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == [
+            "boxplot.csv", "eligibility.csv", "histograms.csv", "lineup.csv",
+            "percentiles.csv", "predictions.csv",
+        ]
+        floats = 0
+        for name in names:
+            for row in list(csv.reader((out / name).read_text().splitlines()))[1:]:
+                for cell in row:
+                    if cell.lstrip("-").isdigit():
+                        continue  # an int
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # an id, a position or a label
+                    assert cell == repr(value), (name, row)
+                    floats += 1
+        assert floats > 100
+
+    def test_write_csv_cells(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        row = (np.float64(0.1), np.float32(0.1), -0.0, np.int64(7), np.str_("QB"), "")
+        pipeline._write_csv(path, "a,b,c,d,e,f", [row, (1.5, 2, True, None, "x", 1e300)])
+        assert path.read_text(encoding="utf-8") == (
+            "a,b,c,d,e,f\n"
+            f"0.1,{float(np.float32(0.1))!r},-0.0,7,QB,\n"
+            "1.5,2,True,None,x,1e+300\n"
+        )
+
     def test_validate_and_report_without_contest_file(self, full_run, tmp_path, capsys):
         # Only the random population: no real-world summary and no comparison.
         out, _ = full_run
@@ -229,6 +262,27 @@ class TestPipelineArtifacts:
         )
         assert result.returncode == EXIT_OK, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
+
+    def test_serial_stages_do_not_load_multiprocessing(self, tmp_path):
+        """At ``workers: 1`` no stage imports the process pool's machinery."""
+        config = write_config(tmp_path, workers=1)
+        code = (
+            "import sys\n"
+            "from dfslineup.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "sys.exit(status)\n"
+        )
+        for command in ("ingest", "predict", "optimize", "validate"):
+            result = subprocess.run(
+                [sys.executable, "-c", code, command, "--config", str(config)],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == EXIT_OK, result.stderr
+            assert result.stdout.splitlines()[-1] == "False", command
 
 
 class TestOptions:
@@ -337,6 +391,12 @@ class TestExitCodes:
             ("training.patience", 0),
             ("training.max_epochs", 0),
             ("training.train_fraction", 1.0),
+            ("training.learning_rate", float("inf")),
+            ("training.l2_penalty", float("inf")),
+            ("training.momentum", float("-inf")),
+            ("report.histogram_bin_width", float("nan")),
+            ("report.histogram_bin_width", float("inf")),
+            pytest.param("report.ci_level", 10**400, id="report.ci_level-10**400"),
         ],
     )
     def test_mistyped_or_out_of_range_value(self, tmp_path, capsys, key, value):
@@ -349,6 +409,27 @@ class TestExitCodes:
         config = write_config(tmp_path, **base)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["ingest", "predict", "optimize", "validate", "report"])
+    def test_infinite_learning_rate_stops_every_stage(self, tmp_path, capsys, stage):
+        # Without the finiteness check, predict took it and exited 4 ("diverged").
+        config = write_config(tmp_path, training={"learning_rate": float("inf")})
+        assert "learning_rate: .inf" in config.read_text(encoding="utf-8")
+        assert main([stage, "--config", str(config)]) == EXIT_INPUT
+        assert "training.learning_rate must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", [1e-300, 1e-320])
+    def test_tiny_histogram_bin_width(self, full_run, tmp_path, capsys, monkeypatch, width):
+        _copy_upstream(full_run, tmp_path / "out")
+        config = write_config(
+            tmp_path, report={"bootstrap_resamples": 500, "histogram_bin_width": width}
+        )
+        drawn, draw = [], stats.random_population
+        monkeypatch.setattr(stats, "random_population", lambda *a: drawn.append(a) or draw(*a))
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        assert "report.histogram_bin_width" in capsys.readouterr().err
+        assert drawn == []  # refused before the random population is drawn
+        assert not (tmp_path / "out" / "validation_report.json").exists()
 
     def test_removed_two_team_key_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, require_two_teams=False)

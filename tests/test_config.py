@@ -62,6 +62,11 @@ def test_unknown_keys_rejected():
         {"salary_cap": 40_000},  # default min_salary 45,000 exceeds it
         {"report": {"ci_level": 1.5}},
         {"report": {"histogram_bin_width": 0}},
+        {"report": {"histogram_bin_width": float("nan")}},
+        {"report": {"histogram_bin_width": float("inf")}},
+        {"training": {"learning_rate": float("inf")}},
+        {"training": {"l2_penalty": float("inf")}},
+        {"training": {"learning_rate": 10**400}},
     ],
 )
 def test_invalid_values_rejected(overrides):

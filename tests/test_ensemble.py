@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ class TestTraining:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         ds = make_dataset(np.random.default_rng(8), n=30)
         hyper = TrainingConfig(max_epochs=3)
         ensemble = train_ensemble(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dfslineup.data import POSITIONS
 from dfslineup.errors import (
+    ConfigError,
     NoFeasibleSampleError,
     PositionShortfallError,
     SchemaError,
@@ -21,6 +22,7 @@ from dfslineup.errors import (
 from dfslineup import stats
 from dfslineup.special import betainc, kolmogorov_sf, normal_cdf, student_t_sf2
 from dfslineup.stats import (
+    MAX_HISTOGRAM_BINS,
     boxplot_stats,
     bootstrap_ci,
     cohens_d,
@@ -398,6 +400,25 @@ class TestDescriptive:
     def test_histogram_degenerate_sample(self):
         edges, counts = histogram_bins([6.0, 6.0], bin_width=2.0)
         assert counts.sum() == 2
+
+    @pytest.mark.parametrize(
+        "samples, width",
+        [
+            ([3.0, 25.0], 1e-300),  # numpy refused the array's size
+            ([3.0, 25.0], 1e-320),  # the division overflowed
+            ([25.0, 25.0], 1e-300),  # edges not distinct: an empty histogram
+            ([0.0], 5e-324),  # half a width underflows to 0: one edge
+        ],
+    )
+    def test_histogram_refuses_a_tiny_width(self, samples, width):
+        with pytest.raises(ConfigError, match=r"report\.histogram_bin_width"):
+            histogram_bins(samples, bin_width=width)
+
+    def test_histogram_bin_cap_is_on_the_sample_range(self):
+        edges, counts = histogram_bins([3.0, 25.0], bin_width=22.0 / MAX_HISTOGRAM_BINS)
+        assert counts.sum() == 2 and len(counts) <= MAX_HISTOGRAM_BINS + 2
+        with pytest.raises(ConfigError):
+            histogram_bins([3.0, 25.0], bin_width=22.0 / (MAX_HISTOGRAM_BINS + 1))
 
 
 class TestReportingPipeline:
