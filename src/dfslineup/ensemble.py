@@ -15,7 +15,6 @@ from itertools import repeat
 import numpy as np
 
 from .config import TrainingConfig
-from .data import WindowDataset
 from .errors import EnsembleTrainingError, TrainingDivergedError
 from .network import TrainedModel, predict_batch, train_batch
 from .seeds import mix64
@@ -37,21 +36,23 @@ def model_seed(master_seed: int, index: int) -> int:
     return mix64(master_seed, index)
 
 
-def _train_in_batches(run, dataset, hyper, seeds):
+def _train_in_batches(run, x, y, hyper, seeds):
     """One result per seed, in order, from fixed batches of B consecutive seeds."""
     batches = [seeds[i : i + B] for i in range(0, len(seeds), B)]
-    results = run(train_batch, repeat(dataset), repeat(hyper), batches)
+    results = run(train_batch, repeat(x), repeat(y), repeat(hyper), batches)
     return [r for batch in results for r in batch]
 
 
 def train_ensemble(
-    dataset: WindowDataset,
+    x: np.ndarray,
+    y: np.ndarray,
     n_models: int,
     master_seed: int,
     hyper: TrainingConfig,
     workers: int = 1,
 ) -> Ensemble:
-    """Train n_models independently seeded/split models on one window.
+    """Train n_models independently seeded/split models on a window's
+    feature rows x and targets y.
 
     Members train in batches of B by index, whole batches spread over at
     most ``workers`` processes.  The models that diverge are retrained once,
@@ -73,12 +74,12 @@ def train_ensemble(
         pool = ProcessPoolExecutor(max_workers=n_workers)
     with pool or nullcontext():
         run = pool.map if pool else map
-        models = _train_in_batches(run, dataset, hyper, seeds)
+        models = _train_in_batches(run, x, y, hyper, seeds)
         diverged = [
             i for i, m in enumerate(models) if isinstance(m, TrainingDivergedError)
         ]
         retry = [mix64(seeds[i], RETRY_SALT) for i in diverged]
-        retried = _train_in_batches(run, dataset, hyper, retry)
+        retried = _train_in_batches(run, x, y, hyper, retry)
     for i, m in zip(diverged, retried):
         if isinstance(m, TrainingDivergedError):
             raise EnsembleTrainingError(i)
@@ -86,19 +87,15 @@ def train_ensemble(
     return Ensemble(models=models, master_seed=master_seed)
 
 
-def sample_matrix(ensemble: Ensemble, window: WindowDataset) -> np.ndarray:
-    """Per-model forward outputs for a prediction window, shape (n_models, n_players).
+def sample_matrix(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
+    """Per-model forward outputs for feature rows x, shape (n_models, n_players).
 
     Each seeded member yields one sample per player, so this matrix is the
     whole predictive distribution; every summary is a reduction over it.
     """
-    if window.targets is not None:
-        raise ValueError("sample_matrix expects a prediction window")
-    if window.features.shape[1] != ensemble.models[0].network.w1.shape[1]:
+    if x.shape[1] != ensemble.models[0].network.w1.shape[1]:
         raise ValueError("feature length does not match ensemble input size")
-    return np.vstack(
-        [predict_batch(m.network, m.norm, window.features) for m in ensemble.models]
-    )
+    return np.vstack([predict_batch(m.network, m.norm, x) for m in ensemble.models])
 
 
 def _central_interval(samples: np.ndarray, level: float):

@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import TrainingConfig
-from .data import WindowDataset
 from .errors import TrainingDivergedError
 from .seeds import mix64
 
@@ -95,30 +94,16 @@ def norm_stats(x: np.ndarray) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def split_data(dataset: WindowDataset, train_fraction: float, seed: int):
-    """Disjoint shuffled train/validation partition, deterministic per seed."""
+def split_data(n: int, train_fraction: float, seed: int):
+    """Ascending (train, validation) row indices of a disjoint shuffled
+    partition of n rows, deterministic per seed."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction {train_fraction} outside (0, 1)")
-    if dataset.targets is None:
-        raise ValueError("cannot split a dataset without targets")
-    n = len(dataset)
     if n < 2:
         raise ValueError(f"need at least 2 rows to split, got {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_train = int(round(n * train_fraction))
-    n_train = min(max(n_train, 1), n - 1)
-    train_idx, val_idx = np.sort(perm[:n_train]), np.sort(perm[n_train:])
-
-    def take(idx):
-        return WindowDataset(
-            window_index=dataset.window_index,
-            player_ids=[dataset.player_ids[i] for i in idx],
-            features=dataset.features[idx],
-            targets=dataset.targets[idx],
-        )
-
-    return take(train_idx), take(val_idx)
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = min(max(int(round(n * train_fraction)), 1), n - 1)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
 def _forward(net: Network, z: np.ndarray):
@@ -215,24 +200,23 @@ def _per_member(values: np.ndarray, like: np.ndarray) -> np.ndarray:
     return values.reshape((-1,) + (1,) * (like.ndim - 1))
 
 
-def _start(dataset: WindowDataset, hyper: TrainingConfig, seeds: list[int]):
+def _start(x: np.ndarray, y: np.ndarray, hyper: TrainingConfig, seeds: list[int]):
     """A batch's starting state, and each member's norm stats.
 
-    Each member's split is normalized once, straight into its slot of the
-    stack.  Only the returned state holds the stacked inputs, so the rows of
-    members that leave it are freed.
+    Each member's split of the window's rows x (targets y) is normalized
+    once, straight into its slot of the stack.  Only the returned state
+    holds the stacked inputs, so the rows of members that leave it are
+    freed.
     """
     m = len(seeds)
     norms, nets, stacks = [], [], None
     for k, seed in enumerate(seeds):
-        train_set, val_set = split_data(dataset, hyper.train_fraction, mix64(seed, 1))
-        norm = norm_stats(train_set.features)
+        tr, val = split_data(len(x), hyper.train_fraction, mix64(seed, 1))
+        x_tr = x[tr]
+        norm = norm_stats(x_tr)
         norms.append(norm)
-        nets.append(
-            init_network(dataset.features.shape[1], hyper.hidden_units, mix64(seed, 2))
-        )
-        member = (norm.apply(train_set.features), train_set.targets,
-                  norm.apply(val_set.features), val_set.targets)
+        nets.append(init_network(x.shape[1], hyper.hidden_units, mix64(seed, 2)))
+        member = (norm.apply(x_tr), y[tr], norm.apply(x[val]), y[val])
         if stacks is None:
             stacks = [np.empty((m,) + a.shape) for a in member]
         for stack, a in zip(stacks, member):
@@ -254,9 +238,10 @@ def _start(dataset: WindowDataset, hyper: TrainingConfig, seeds: list[int]):
 
 
 def train_batch(
-    dataset: WindowDataset, hyper: TrainingConfig, seeds: list[int]
+    x: np.ndarray, y: np.ndarray, hyper: TrainingConfig, seeds: list[int]
 ) -> list[TrainedModel | TrainingDivergedError]:
-    """Fit one model per seed, the members stacked into one array program.
+    """Fit one model per seed on feature rows x and targets y, the members
+    stacked into one array program.
 
     Returns, per seed in order, the parameters from its best-validation
     epoch, or the TrainingDivergedError that stopped it.  The split seed and
@@ -265,7 +250,7 @@ def train_batch(
     A member that stops or diverges leaves the stack, so its state never
     changes again.
     """
-    s, norms = _start(dataset, hyper, seeds)
+    s, norms = _start(x, y, hyper, seeds)
     results: list = [None] * len(seeds)
 
     def stop(s, rows, epochs_run):
@@ -319,9 +304,9 @@ def train_batch(
     return results
 
 
-def train(dataset: WindowDataset, hyper: TrainingConfig, seed: int) -> TrainedModel:
+def train(x: np.ndarray, y: np.ndarray, hyper: TrainingConfig, seed: int) -> TrainedModel:
     """Fit one model: the one-member case of ``train_batch``."""
-    (result,) = train_batch(dataset, hyper, [seed])
+    (result,) = train_batch(x, y, hyper, [seed])
     if isinstance(result, TrainingDivergedError):
         raise result
     return result

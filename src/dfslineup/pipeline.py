@@ -10,6 +10,8 @@ no numpy; it is re-exported here so every stage is ``pipeline.cmd_<stage>``.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from collections import Counter
@@ -82,13 +84,16 @@ def _read_npz(cfg: RunConfig, name: str, stage: str) -> dict:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """A header line, then one comma-joined line per row.  A float cell
-    (Python or numpy) is written as repr(float(x)), any other as str(x)."""
-    lines = [header]
-    for row in rows:
-        cells = (repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row)
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    """A header line, then one CSV line per row, a cell quoted when it holds
+    a comma or a quote.  A float cell (Python or numpy) is written as
+    repr(float(x)), any other as str(x)."""
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(
+        [repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row]
+        for row in rows
+    )
+    _write_text(path, buf.getvalue())
 
 
 def _sha256(path) -> str:
@@ -179,26 +184,21 @@ def cmd_predict(cfg: RunConfig) -> None:
     """Train the ensemble and export per-player prediction distributions."""
     train = _read_npz(cfg, TRAIN_WINDOW, "ingest")
     pred = _read_npz(cfg, PREDICT_WINDOW, "ingest")
-    train_w, pred_w = (  # the prediction window has no targets
-        WindowDataset(int(w["window_index"][0]), w["player_ids"].tolist(),
-                      w["features"], w.get("targets"))
-        for w in (train, pred)
-    )
-
     ensemble = train_ensemble(
-        train_w, cfg.n_models, cfg.master_seed, cfg.training, workers=cfg.workers
+        train["features"], train["targets"], cfg.n_models, cfg.master_seed,
+        cfg.training, workers=cfg.workers,
     )
-    samples = sample_matrix(ensemble, pred_w)
+    samples = sample_matrix(ensemble, pred["features"])
     mean, ci_low, ci_high = predict_distribution(samples, level=cfg.report.ci_level)
 
     _write_csv(
         _out(cfg, PREDICTIONS),
         "player_id,position,salary,mean_fpts,ci_low,ci_high",
-        zip(pred_w.player_ids, pred["position"], pred["salary"], mean, ci_low, ci_high),
+        zip(pred["player_ids"], pred["position"], pred["salary"], mean, ci_low, ci_high),
     )
     _write_npz(
         _out(cfg, SAMPLES),
-        player_ids=np.array(pred_w.player_ids),
+        player_ids=pred["player_ids"],
         samples=samples,
         salary=pred["salary"],
         position=pred["position"],

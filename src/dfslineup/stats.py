@@ -245,6 +245,8 @@ def histogram_bins(samples, bin_width: float = 2.0) -> tuple[np.ndarray, np.ndar
     ConfigError, before any division by the width (a tiny one overflows),
     when the samples span more than MAX_HISTOGRAM_BINS widths, or when the
     width is below 2**-52 of their magnitude (or of 1): edges would merge.
+    Also ConfigError, before the edges are built, when a huge width puts
+    the edges' reach beyond the float range.
     """
     x = np.asarray(samples, dtype=np.float64)
     lo_x, hi_x = float(x.min()), float(x.max())
@@ -259,7 +261,13 @@ def histogram_bins(samples, bin_width: float = 2.0) -> tuple[np.ndarray, np.ndar
     hi = math.ceil(hi_x / bin_width) * bin_width
     if hi <= lo:
         hi = lo + bin_width
-    edges = np.arange(lo, hi + bin_width / 2, bin_width)
+    stop = hi + bin_width / 2
+    if not math.isfinite(stop - lo):
+        raise ConfigError(
+            f"report.histogram_bin_width {bin_width!r} is too large for samples in "
+            f"[{lo_x!r}, {hi_x!r}]: their bin edges would overflow the float range"
+        )
+    edges = np.arange(lo, stop, bin_width)
     counts, _ = np.histogram(x, bins=edges)
     return edges, counts
 

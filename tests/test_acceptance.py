@@ -131,14 +131,14 @@ class TestTrainingImproves:
     """Training reliably beats the untrained network on a learnable target."""
 
     def test_95_of_100_seeds_halve_initial_val_mse(self):
-        ds = make_dataset(np.random.default_rng(0xACC4), n=120)
+        x, y = make_dataset(np.random.default_rng(0xACC4), n=120)
         hyper = TrainingConfig(max_epochs=400, patience=20)
         frozen = TrainingConfig(max_epochs=150, patience=0)
         wins = 0
         for seed in range(100):
-            epoch0 = train(ds, frozen, seed)  # patience 0: no update steps
+            epoch0 = train(x, y, frozen, seed)  # patience 0: no update steps
             assert epoch0.epochs_run == 0
-            fitted = train(ds, hyper, seed)
+            fitted = train(x, y, hyper, seed)
             if fitted.val_mse <= 0.5 * epoch0.val_mse:
                 wins += 1
         assert wins >= 95
@@ -151,9 +151,10 @@ class TestModalConvergence:
         train_w = build_window(season_table, 4, "train")
         predict_w = build_window(season_table, 5, "predict")
         ensemble = train_ensemble(
-            train_w, 200, MASTER_SEED, TrainingConfig(), workers=8
+            train_w.features, train_w.targets, 200, MASTER_SEED, TrainingConfig(),
+            workers=8,
         )
-        samples = sample_matrix(ensemble, predict_w)
+        samples = sample_matrix(ensemble, predict_w.features)
 
         ids = predict_w.player_ids
         week8 = season_table.at_week(8, ids)
@@ -282,11 +283,11 @@ class TestReproducibility:
         predict_w = build_window(season_table, 5, "predict")
         hyper = TrainingConfig(max_epochs=60, patience=5)
         # 11 models: a full batch and a partial one, on 2 of the 3 workers.
-        serial = train_ensemble(train_w, 11, MASTER_SEED, hyper, workers=1)
-        parallel = train_ensemble(train_w, 11, MASTER_SEED, hyper, workers=3)
-        assert np.array_equal(
-            sample_matrix(serial, predict_w), sample_matrix(parallel, predict_w)
-        )
+        x, y = train_w.features, train_w.targets
+        serial = train_ensemble(x, y, 11, MASTER_SEED, hyper, workers=1)
+        parallel = train_ensemble(x, y, 11, MASTER_SEED, hyper, workers=3)
+        rows = predict_w.features
+        assert np.array_equal(sample_matrix(serial, rows), sample_matrix(parallel, rows))
 
 
 class TestValidationReportShape:

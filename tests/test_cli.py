@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,30 @@ class TestPipelineArtifacts:
                     assert cell == repr(value), (name, row)
                     floats += 1
         assert floats > 100
+
+    def test_ids_with_comma_and_quote_round_trip(self, full_run, tmp_path):
+        """An id holding a comma and a quote stays one cell in every CSV
+        artifact.  The suffix keeps the id order, and so the lineup."""
+        suffix = ', "x"'
+        season = _edited_season(
+            tmp_path, edit=lambda row: {**row, "player_id": row["player_id"] + suffix}
+        )
+        config = write_config(tmp_path, players_csv=str(season))
+        for command in ("ingest", "predict", "optimize", "validate"):
+            assert main([command, "--config", str(config)]) == EXIT_OK
+        out = tmp_path / "out"
+        tables = {
+            path.name: list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+            for path in out.glob("*.csv")
+        }
+        assert len(tables) == 6
+        for name, (header, *rows) in tables.items():
+            assert rows and all(len(row) == len(header) for row in rows), name
+        ids = [row[0] for row in tables["eligibility.csv"][1:]]
+        assert len(ids) == 300 and all(pid.endswith(suffix) for pid in ids)
+        plain = json.loads((full_run[0] / "lineup.json").read_text())["players"]
+        players = json.loads((out / "lineup.json").read_text())["players"]
+        assert players == [pid + suffix for pid in plain]
 
     def test_write_csv_cells(self, tmp_path):
         path = tmp_path / "cells.csv"
@@ -418,7 +443,7 @@ class TestExitCodes:
         assert main([stage, "--config", str(config)]) == EXIT_INPUT
         assert "training.learning_rate must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("width", [1e-300, 1e-320])
+    @pytest.mark.parametrize("width", [1e-300, 1e-320, 1.2e308])
     def test_tiny_histogram_bin_width(self, full_run, tmp_path, capsys, monkeypatch, width):
         _copy_upstream(full_run, tmp_path / "out")
         config = write_config(
@@ -905,12 +930,37 @@ class TestInvalidWeek:
         assert "invalid_week" in capsys.readouterr().out
 
 
-def test_traced_names_exist():
-    """Every name the benchmark's tracer patches is still on its module, so a
-    rename cannot silently break a traced run."""
+def test_traced_names_exist(tmp_path, capsys):
+    """Every name the benchmark's tracer patches is still on its module, and
+    the stages still call each one through it: a traced run of the five
+    stages records a span in every layer and one solve per model."""
     path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
     spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert [n for n in tracing.PIPELINE_NAMES if not hasattr(pipeline, n)] == []
     assert [n for n in tracing.STATS_NAMES if not hasattr(stats, n)] == []
+
+    config = write_config(tmp_path)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for stage in tracing.STAGES:
+            assert main([stage, "--config", str(config)]) == EXIT_OK
+    capsys.readouterr()
+    layers = {*tracing.PIPELINE_NAMES.values(), *tracing.STATS_NAMES.values()}
+    spans = Counter(name for name, *_ in tracer.spans)
+    assert layers - set(spans) == set()
+    # One span per wrapped call.  No exclusions file: load_exclusions is not
+    # called, and validate reuses ingest's season.npz instead of parsing.
+    assert spans == {
+        "data.parse": 1,  # load_player_weeks
+        "data.window": 2,  # build_window: train, predict
+        "ensemble.train": 1,
+        "ensemble.forward": 2,  # sample_matrix, predict_distribution
+        "optimizer.solve": N_MODELS,
+        "optimizer.select": 2,  # modal_lineup, lineup_prediction_interval
+        "stats.sample": 1,
+        "stats.summary": 4,  # contest file, comparison, two populations
+    }
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["optimizer.solves"] == N_MODELS and metrics["network.epochs"] > 0

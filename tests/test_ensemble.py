@@ -9,7 +9,7 @@ import pytest
 
 from dfslineup import ensemble as ensemble_module
 from dfslineup.config import TrainingConfig
-from dfslineup.data import N_FEATURES, WindowDataset
+from dfslineup.data import N_FEATURES
 from dfslineup.ensemble import (
     RETRY_SALT,
     lineup_prediction_interval,
@@ -26,13 +26,8 @@ from .test_network import make_dataset
 FAST = TrainingConfig(max_epochs=40, patience=5)
 
 
-def make_predict_window(rng, n=12):
-    return WindowDataset(
-        window_index=5,
-        player_ids=[f"P{i:03d}" for i in range(n)],
-        features=rng.normal(0, 1, (n, N_FEATURES)),
-        targets=None,
-    )
+def make_predict_rows(rng, n=12):
+    return rng.normal(0, 1, (n, N_FEATURES))
 
 
 class TestTraining:
@@ -42,18 +37,18 @@ class TestTraining:
         assert len(seeds) == 100
 
     def test_deterministic_and_order_independent(self):
-        ds = make_dataset(np.random.default_rng(0), n=60)
-        e1 = train_ensemble(ds, 6, master_seed=11, hyper=FAST)
-        e2 = train_ensemble(ds, 6, master_seed=11, hyper=FAST)
+        x, y = make_dataset(np.random.default_rng(0), n=60)
+        e1 = train_ensemble(x, y, 6, master_seed=11, hyper=FAST)
+        e2 = train_ensemble(x, y, 6, master_seed=11, hyper=FAST)
         for m1, m2 in zip(e1.models, e2.models):
             assert np.array_equal(m1.network.w1, m2.network.w1)
             assert m1.val_mse == m2.val_mse
 
     def test_parallel_equals_serial(self):
         """11 models make batches of 8 and 3, spread over 2 of 3 workers."""
-        ds = make_dataset(np.random.default_rng(1), n=60)
-        serial = train_ensemble(ds, 11, master_seed=5, hyper=FAST, workers=1)
-        parallel = train_ensemble(ds, 11, master_seed=5, hyper=FAST, workers=3)
+        x, y = make_dataset(np.random.default_rng(1), n=60)
+        serial = train_ensemble(x, y, 11, master_seed=5, hyper=FAST, workers=1)
+        parallel = train_ensemble(x, y, 11, master_seed=5, hyper=FAST, workers=3)
         assert len(serial) == len(parallel) == 11
         for ms, mp in zip(serial.models, parallel.models):
             assert ms.seed == mp.seed
@@ -85,29 +80,28 @@ class TestTraining:
             map = staticmethod(map)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        ds = make_dataset(np.random.default_rng(8), n=30)
+        x, y = make_dataset(np.random.default_rng(8), n=30)
         hyper = TrainingConfig(max_epochs=3)
-        ensemble = train_ensemble(
-            ds, n_models, master_seed=3, hyper=hyper, workers=workers
+        ensemble = train_ensemble(x, y, n_models, master_seed=3, hyper=hyper, workers=workers
         )
         assert len(ensemble) == n_models
         assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_diverged_member_is_retrained_with_the_retry_seed(self, monkeypatch):
-        ds = make_dataset(np.random.default_rng(9), n=40)
+        x, y = make_dataset(np.random.default_rng(9), n=40)
         master, k = 17, 9
         first_seed = model_seed(master, k)
         real = ensemble_module.train_batch
 
-        def first_seed_of_k_diverges(dataset, hyper, seeds):
-            results = real(dataset, hyper, seeds)
+        def first_seed_of_k_diverges(x, y, hyper, seeds):
+            results = real(x, y, hyper, seeds)
             return [
                 TrainingDivergedError(3) if s == first_seed else r
                 for s, r in zip(seeds, results)
             ]
 
         monkeypatch.setattr(ensemble_module, "train_batch", first_seed_of_k_diverges)
-        ensemble = train_ensemble(ds, 11, master_seed=master, hyper=FAST)
+        ensemble = train_ensemble(x, y, 11, master_seed=master, hyper=FAST)
         seeds = [m.seed for m in ensemble.models]
         assert seeds[k] == mix64(first_seed, RETRY_SALT)
         assert seeds[:k] + seeds[k + 1 :] == [
@@ -115,50 +109,47 @@ class TestTraining:
         ]
         # The tracer counts a retry as a seed that is not model_seed(master, i).
         assert sum(s != model_seed(master, i) for i, s in enumerate(seeds)) == 1
-        alone = real(ds, FAST, [seeds[k]])[0]
+        alone = real(x, y, FAST, [seeds[k]])[0]
         assert np.array_equal(ensemble.models[k].network.w1, alone.network.w1)
 
     def test_prefix_property(self):
         """The first k models of a larger ensemble equal a smaller ensemble."""
-        ds = make_dataset(np.random.default_rng(2), n=60)
-        small = train_ensemble(ds, 3, master_seed=21, hyper=FAST)
-        large = train_ensemble(ds, 6, master_seed=21, hyper=FAST)
+        x, y = make_dataset(np.random.default_rng(2), n=60)
+        small = train_ensemble(x, y, 3, master_seed=21, hyper=FAST)
+        large = train_ensemble(x, y, 6, master_seed=21, hyper=FAST)
         for ms, ml in zip(small.models, large.models[:3]):
             assert np.array_equal(ms.network.w1, ml.network.w1)
 
     def test_rejects_zero_models(self):
-        ds = make_dataset(np.random.default_rng(3), n=30)
+        x, y = make_dataset(np.random.default_rng(3), n=30)
         with pytest.raises(ValueError):
-            train_ensemble(ds, 0, master_seed=1, hyper=FAST)
+            train_ensemble(x, y, 0, master_seed=1, hyper=FAST)
 
 
 @pytest.fixture(scope="module")
 def trained():
     rng = np.random.default_rng(4)
-    ds = make_dataset(rng, n=80)
-    ensemble = train_ensemble(ds, 10, master_seed=9, hyper=FAST)
-    window = make_predict_window(rng)
-    return ensemble, window
+    x, y = make_dataset(rng, n=80)
+    ensemble = train_ensemble(x, y, 10, master_seed=9, hyper=FAST)
+    return ensemble, make_predict_rows(rng)
 
 
 class TestDistributions:
     def test_sample_matrix_shape_and_columns(self, trained):
-        ensemble, window = trained
-        samples = sample_matrix(ensemble, window)
-        assert samples.shape == (10, len(window))
+        ensemble, rows = trained
+        samples = sample_matrix(ensemble, rows)
+        assert samples.shape == (10, len(rows))
         from dfslineup.network import predict_batch
 
-        row0 = predict_batch(
-            ensemble.models[0].network, ensemble.models[0].norm, window.features
-        )
+        row0 = predict_batch(ensemble.models[0].network, ensemble.models[0].norm, rows)
         assert np.array_equal(samples[0], row0)
 
     def test_distribution_quantiles_match_numpy(self, trained):
-        ensemble, window = trained
-        samples = sample_matrix(ensemble, window)
+        ensemble, rows = trained
+        samples = sample_matrix(ensemble, rows)
         mean, ci_low, ci_high = predict_distribution(samples, level=0.90)
-        assert mean.shape == ci_low.shape == ci_high.shape == (len(window),)
-        cols = [samples[:, j] for j in range(len(window))]
+        assert mean.shape == ci_low.shape == ci_high.shape == (len(rows),)
+        cols = [samples[:, j] for j in range(len(rows))]
         assert np.array_equal(mean, [col.mean() for col in cols])
         np.testing.assert_allclose(
             np.column_stack([ci_low, ci_high]),
@@ -167,17 +158,12 @@ class TestDistributions:
         )
         assert np.all((ci_low <= mean) & (mean <= ci_high))
 
-    def test_rejects_training_window_and_bad_level(self, trained):
-        ensemble, window = trained
-        ds = make_dataset(np.random.default_rng(5), n=20)
+    def test_rejects_bad_feature_width_and_level(self, trained):
+        ensemble, rows = trained
         with pytest.raises(ValueError):
-            sample_matrix(ensemble, ds)
+            predict_distribution(sample_matrix(ensemble, rows), level=1.0)
         with pytest.raises(ValueError):
-            predict_distribution(sample_matrix(ensemble, window), level=1.0)
-        bad = make_predict_window(np.random.default_rng(6))
-        bad.features = bad.features[:, :10]
-        with pytest.raises(ValueError):
-            sample_matrix(ensemble, bad)
+            sample_matrix(ensemble, rows[:, :10])
 
 
 class TestLineupInterval:

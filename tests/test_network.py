@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dfslineup.config import TrainingConfig
-from dfslineup.data import N_FEATURES, WindowDataset
+from dfslineup.data import N_FEATURES
 from dfslineup.errors import TrainingDivergedError
 from dfslineup.network import (
     Network,
@@ -45,16 +45,11 @@ def random_norm(rng, n_inputs=7):
 
 
 def make_dataset(rng, n=80, n_features=N_FEATURES, noise=0.5):
-    """Linear-target regression data; learnable by construction."""
+    """Linear-target regression rows (x, y); learnable by construction."""
     x = rng.normal(0, 1, (n, n_features))
     coef = rng.normal(0, 1, n_features)
     y = x @ coef + noise * rng.normal(0, 1, n)
-    return WindowDataset(
-        window_index=1,
-        player_ids=[f"P{i:03d}" for i in range(n)],
-        features=x,
-        targets=y,
-    )
+    return x, y
 
 
 def flat_params(net):
@@ -170,36 +165,33 @@ class TestGradient:
 
 class TestSplit:
     def test_partition_is_disjoint_and_complete(self):
-        ds = make_dataset(np.random.default_rng(6), n=53)
-        tr, va = split_data(ds, 0.8, seed=11)
+        tr, va = split_data(53, 0.8, seed=11)
         assert len(tr) == 42 and len(va) == 11
-        assert set(tr.player_ids) | set(va.player_ids) == set(ds.player_ids)
-        assert set(tr.player_ids) & set(va.player_ids) == set()
+        assert set(tr) | set(va) == set(range(53))
+        assert set(tr) & set(va) == set()
 
     def test_rows_stay_aligned(self):
-        ds = make_dataset(np.random.default_rng(7), n=20)
-        tr, _ = split_data(ds, 0.5, seed=3)
-        by_id = {pid: i for i, pid in enumerate(ds.player_ids)}
-        for i, pid in enumerate(tr.player_ids):
-            assert np.array_equal(tr.features[i], ds.features[by_id[pid]])
-            assert tr.targets[i] == ds.targets[by_id[pid]]
+        """Both sides are ascending row indices, so x[tr] and y[tr] pick the
+        same rows in window order."""
+        for tr in split_data(20, 0.5, seed=3):
+            assert tr.dtype.kind == "i" and np.all(np.diff(tr) > 0)
 
     def test_deterministic_per_seed(self):
-        ds = make_dataset(np.random.default_rng(8), n=30)
-        a1, _ = split_data(ds, 0.8, seed=5)
-        a2, _ = split_data(ds, 0.8, seed=5)
-        b1, _ = split_data(ds, 0.8, seed=6)
-        assert a1.player_ids == a2.player_ids
-        assert a1.player_ids != b1.player_ids
+        a1, _ = split_data(30, 0.8, seed=5)
+        a2, _ = split_data(30, 0.8, seed=5)
+        b1, _ = split_data(30, 0.8, seed=6)
+        assert np.array_equal(a1, a2)
+        assert not np.array_equal(a1, b1)
 
     def test_extreme_fractions_keep_both_sides_nonempty(self):
-        ds = make_dataset(np.random.default_rng(9), n=10)
-        tr, va = split_data(ds, 0.999, seed=0)
+        tr, va = split_data(10, 0.999, seed=0)
         assert len(tr) == 9 and len(va) == 1
-        tr, va = split_data(ds, 0.001, seed=0)
+        tr, va = split_data(10, 0.001, seed=0)
         assert len(tr) == 1 and len(va) == 9
         with pytest.raises(ValueError):
-            split_data(ds, 1.0, seed=0)
+            split_data(10, 1.0, seed=0)
+        with pytest.raises(ValueError):
+            split_data(1, 0.5, seed=0)
 
     def test_norm_stats_floor(self):
         x = np.ones((10, 3))
@@ -210,31 +202,31 @@ class TestSplit:
 
 class TestTraining:
     def test_deterministic_per_seed(self):
-        ds = make_dataset(np.random.default_rng(10), n=60)
+        x, y = make_dataset(np.random.default_rng(10), n=60)
         cfg = TrainingConfig(max_epochs=50)
-        m1 = train(ds, cfg, seed=123)
-        m2 = train(ds, cfg, seed=123)
+        m1 = train(x, y, cfg, seed=123)
+        m2 = train(x, y, cfg, seed=123)
         assert np.array_equal(m1.network.w1, m2.network.w1)
         assert m1.val_mse == m2.val_mse and m1.epochs_run == m2.epochs_run
-        m3 = train(ds, cfg, seed=124)
+        m3 = train(x, y, cfg, seed=124)
         assert not np.array_equal(m1.network.w1, m3.network.w1)
 
     def test_learns_linear_target(self):
-        ds = make_dataset(np.random.default_rng(11), n=150)
-        model = train(ds, TrainingConfig(max_epochs=400), seed=7)
-        assert model.val_mse < np.var(ds.targets)  # beats predicting the mean
+        x, y = make_dataset(np.random.default_rng(11), n=150)
+        model = train(x, y, TrainingConfig(max_epochs=400), seed=7)
+        assert model.val_mse < np.var(y)  # beats predicting the mean
 
     def test_zero_patience_returns_initial_network(self):
-        ds = make_dataset(np.random.default_rng(12), n=40)
-        model = train(ds, TrainingConfig(patience=0, max_epochs=100), seed=1)
+        x, y = make_dataset(np.random.default_rng(12), n=40)
+        model = train(x, y, TrainingConfig(patience=0, max_epochs=100), seed=1)
         assert model.epochs_run == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
-        ds = make_dataset(np.random.default_rng(13), n=40, noise=0.0)
+        x, y = make_dataset(np.random.default_rng(13), n=40, noise=0.0)
         cfg = TrainingConfig(learning_rate=1e12, momentum=0.99, max_epochs=50)
         with pytest.raises(TrainingDivergedError) as exc:
-            train(ds, cfg, seed=2)
+            train(x, y, cfg, seed=2)
         assert exc.value.epoch >= 1
 
     def test_divergence_error_pickles_whole(self):
@@ -244,21 +236,20 @@ class TestTraining:
         assert str(back) == "training diverged at epoch 14"
 
     def test_returns_best_validation_parameters(self):
-        ds = make_dataset(np.random.default_rng(14), n=80)
-        model = train(ds, TrainingConfig(max_epochs=200), seed=9)
+        x, y = make_dataset(np.random.default_rng(14), n=80)
+        model = train(x, y, TrainingConfig(max_epochs=200), seed=9)
         # Retraining with more epochs can only improve or match best-val MSE.
-        longer = train(ds, TrainingConfig(max_epochs=400), seed=9)
+        longer = train(x, y, TrainingConfig(max_epochs=400), seed=9)
         assert longer.val_mse <= model.val_mse + 1e-12
 
 
-def reference_outcome(ds, hyper, seed):
+def reference_outcome(x, y, hyper, seed):
     """The one-network reference loop, fed the split and init a seed derives."""
-    tr, va = split_data(ds, hyper.train_fraction, mix64(seed, 1))
-    norm = norm_stats(tr.features)
-    net = init_network(ds.features.shape[1], hyper.hidden_units, mix64(seed, 2))
+    tr, va = split_data(len(x), hyper.train_fraction, mix64(seed, 1))
+    norm = norm_stats(x[tr])
+    net = init_network(x.shape[1], hyper.hidden_units, mix64(seed, 2))
     out = reference_train(
-        *net.params(), norm.apply(tr.features), tr.targets,
-        norm.apply(va.features), va.targets, hyper,
+        *net.params(), norm.apply(x[tr]), y[tr], norm.apply(x[va]), y[va], hyper
     )
     if out[0] == "diverged":
         return out
@@ -313,25 +304,25 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_batches_equal_the_reference_loop(self, case):
         ds_seed, n, hyper, exhibits = self.CASES[case]
-        ds = make_dataset(np.random.default_rng(ds_seed), n=n)
-        expected = [reference_outcome(ds, hyper, s) for s in self.SEEDS]
+        x, y = make_dataset(np.random.default_rng(ds_seed), n=n)
+        expected = [reference_outcome(x, y, hyper, s) for s in self.SEEDS]
         assert exhibits(expected)
         for size in (1, 3, 4, 10):
             got = [
                 outcome(r)
                 for i in range(0, len(self.SEEDS), size)
-                for r in train_batch(ds, hyper, self.SEEDS[i : i + size])
+                for r in train_batch(x, y, hyper, self.SEEDS[i : i + size])
             ]
             assert got == expected, f"batches of {size}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_is_the_one_member_batch(self):
         ds_seed, n, hyper, _ = self.CASES["some_diverge_beside_healthy"]
-        ds = make_dataset(np.random.default_rng(ds_seed), n=n)
-        for seed, result in zip(self.SEEDS, train_batch(ds, hyper, self.SEEDS)):
+        x, y = make_dataset(np.random.default_rng(ds_seed), n=n)
+        for seed, result in zip(self.SEEDS, train_batch(x, y, hyper, self.SEEDS)):
             if isinstance(result, TrainingDivergedError):
                 with pytest.raises(TrainingDivergedError) as exc:
-                    train(ds, hyper, seed)
+                    train(x, y, hyper, seed)
                 assert exc.value.epoch == result.epoch
             else:
-                assert outcome(train(ds, hyper, seed)) == outcome(result)
+                assert outcome(train(x, y, hyper, seed)) == outcome(result)

@@ -408,6 +408,8 @@ class TestDescriptive:
             ([3.0, 25.0], 1e-320),  # the division overflowed
             ([25.0, 25.0], 1e-300),  # edges not distinct: an empty histogram
             ([0.0], 5e-324),  # half a width underflows to 0: one edge
+            ([3.0, 25.0], 1.2e308),  # the last edge plus half a width overflowed
+            ([-3.0, 25.0], 8e307),  # the edges' reach overflowed
         ],
     )
     def test_histogram_refuses_a_tiny_width(self, samples, width):
@@ -419,6 +421,9 @@ class TestDescriptive:
         assert counts.sum() == 2 and len(counts) <= MAX_HISTOGRAM_BINS + 2
         with pytest.raises(ConfigError):
             histogram_bins([3.0, 25.0], bin_width=22.0 / (MAX_HISTOGRAM_BINS + 1))
+        # One bin is fine as long as its edges fit in the float range.
+        edges, counts = histogram_bins([3.0, 25.0], bin_width=1e308)
+        assert edges.tolist() == [0.0, 1e308] and counts.tolist() == [2]
 
 
 class TestReportingPipeline:
