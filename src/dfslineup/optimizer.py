@@ -1,20 +1,34 @@
-"""Exact salary-capped lineup optimization via dynamic programming.
+"""Exact salary-capped lineup optimization over per-position knapsack tables.
 
 The solver maximizes predicted FPTS subject to the salary cap and the exact
-position counts of each of the three flex configurations; one DP, whose
-needed counts run up to each position's largest count, serves all three.
-Salaries are reduced by their gcd so the DP runs over a small grid of
-salary units, and the optimum has a zero optimality gap by construction.
+position counts of each of the three flex configurations.  Salaries are
+reduced by their gcd, and a player's weight is its salary in those units
+above its position's floor, the cheapest salary of that position in the
+pool.  The optimum has a zero optimality gap by construction.
 
 A ``Pool`` holds the candidates, checked and scaled once for every FPTS row
-solved over it.  A ``Lineup`` is its sorted ids, flex configuration and
-predicted total; ``assign_slots`` labels one lineup.
+solved over it.  ``Tables`` solves a block of FPTS rows over a pool at once.
+Per position, a suffix DP over its players in id order gives, for every
+row, the best total of exactly ``k`` players (``k`` up to the position's
+largest count) whose weights sum to exactly ``b``, and a take bit per
+player and cell.  Exact-weight (max,+)-convolution then builds
+``X = QB ⊕ DST``, ``F_t = X ⊕ TE_t`` and ``G_rw = RB_r ⊕ WR_w``, and a
+configuration's optimum is the best ``F[bF] + G[bG]`` with ``bF + bG`` at
+most its root.  ``blocks`` cuts the rows into blocks whose take bits fit
+``TAKE_BYTES``; ``solve_flex_configs`` and ``optimize_all_flex`` read one
+row's lineups back from its block.  A ``Lineup`` is its sorted ids, flex
+configuration and predicted total; ``assign_slots`` labels one lineup.
 
-Ties among equal-objective lineups resolve to the lexicographically
-smallest sorted player-id tuple.  The DP reads the candidates in player-id
-order and its read-back takes a candidate whenever taking is at least as
-good as skipping, so among all optimal lineups it picks the one whose
-smallest differing id is smallest.  The comparison is exact: a lineup
+Tie rule.  A split of a configuration's budget over its five positions is
+tied when every sum on the way down equals its table entry bit for bit:
+``F[bF] + G[bG]`` the optimum, ``X[bX] + TE_t[bF - bX] == F[bF]``,
+``QB[bQ] + DST[bX - bQ] == X[bX]`` and ``RB_r[bR] + WR_w[bG - bR] ==
+G[bG]``.  In each position's cell the read-back walks the players in id
+order and takes each whose take bit (take >= skip) is set, which gives the
+cell's lexicographically smallest set.  The lineup is the smallest sorted
+id tuple over all tied splits.  In exact arithmetic every optimal lineup
+lies on a tied split, so exact ties resolve to the lexicographically
+smallest sorted id tuple; the comparison has no tolerance, so a lineup
 better by any margin, however small, wins over a smaller id tuple.
 """
 
@@ -79,25 +93,6 @@ def assign_slots(players, position, fpts, config) -> list[tuple[str, str]]:
     return slots
 
 
-def undominated(pool: Pool, fpts: np.ndarray) -> np.ndarray:
-    """Mask of the pool's players that can appear in the lex-min optimal lineup.
-
-    ``fpts`` is a float array in the pool's player-id order.  A rival of the
-    same position that costs no more and has higher FPTS, or equal FPTS and
-    a smaller id, is a dominator.  With at least as many dominators as the
-    position's largest count, any lineup using the player can swap one in,
-    so the player is safe to drop.  Equal-FPTS rivals with larger ids are
-    not dominators: swapping them in could break the lexicographic tie rule.
-    """
-    keep = np.zeros(len(fpts), dtype=bool)
-    for g, k, cheaper, earlier in pool.rivals:
-        f = fpts[g]
-        # [i, o]: player o dominates player i; index order is id order.
-        better = (f > f[:, None]) | ((f == f[:, None]) & earlier)
-        keep[g[(cheaper & better).sum(axis=1) < k]] = True
-    return keep
-
-
 class Pool:
     """The candidates that every FPTS row of one optimize run is solved over.
 
@@ -105,10 +100,11 @@ class Pool:
     columns of different lengths, an unknown position, a salary that is not
     a positive integer (a bool included) or a repeated id raise ValueError.
     The pool keeps them in player-id order (``order[k]`` is the caller's
-    index of the k-th) with what the DP needs besides the row: the salary
-    ``unit``, each player's position ``axes`` and ``weights`` above its
-    position's floor, and each flex configuration's ``roots``; and, per
-    position, the masks ``undominated`` reads besides the row (``rivals``).
+    index of the k-th) with what the tables need besides the FPTS rows: the
+    salary ``unit``, each flex configuration's ``roots``, and per position,
+    in POSITIONS order, ``groups``: its players' indices, their weights and
+    the last cell of its budget axis.  ``row_bytes`` is the size of one
+    row's take bits.
     """
 
     def __init__(self, ids, position, salary, salary_cap: int):
@@ -130,20 +126,20 @@ class Pool:
         self.salary = np.array([int(salary[j]) for j in order], dtype=np.int64)
         self.salary_cap = salary_cap
         self.unit = gcd(*self.salary.tolist())
-        self.axes = [_POS_INDEX[p] for p in self.position.tolist()]
+        axes = [_POS_INDEX[p] for p in self.position.tolist()]
         units = [s // self.unit for s in self.salary.tolist()]
         # Cheapest unit salary per position axis; 0 for a position the pool lacks.
         floor = [
-            min((w for a, w in zip(self.axes, units) if a == i), default=0)
+            min((w for a, w in zip(axes, units) if a == i), default=0)
             for i in _POS_INDEX.values()
         ]
-        self.weights = [w - floor[a] for a, w in zip(self.axes, units)]
+        weights = [w - floor[a] for a, w in zip(axes, units)]
         budget_max = salary_cap // self.unit if self.unit else 0
         # A root stops at what its counts can spend, the counts[p] largest
         # weights of each position: from there on the cap cannot bind, and
         # any larger root reads back the same lineup.
         dearest = [
-            sorted((w for a, w in zip(self.axes, self.weights) if a == i), reverse=True)
+            sorted((w for a, w in zip(axes, weights) if a == i), reverse=True)
             for i in _POS_INDEX.values()
         ]
         self.roots = [
@@ -153,131 +149,197 @@ class Pool:
             )
             for counts in POSITION_COUNTS
         ]
-        # Per position for ``undominated``: its pool indices, its largest
-        # count, and which rivals cost no more or have a smaller id.
-        self.rivals = []
-        for pos, k in MAX_COUNTS.items():
-            g = np.flatnonzero(self.position == pos)
-            s = self.salary[g]
-            self.rivals.append((g, k, s <= s[:, None], np.tri(len(g), k=-1, dtype=bool)))
+        # A position's budget axis stops at what its largest count can spend
+        # or at the largest root, whichever is less: no root reads past it.
+        top = max(self.roots)
+        self.groups = []
+        for i, k in enumerate(MAX_COUNTS.values()):
+            members = [j for j, a in enumerate(axes) if a == i]
+            budget = max(0, min(top, sum(dearest[i][:k])))
+            self.groups.append((members, [weights[j] for j in members], budget))
+        self.row_bytes = sum(
+            len(members) * k * (budget + 1)
+            for (members, _, budget), k in zip(self.groups, MAX_COUNTS.values())
+        )
 
 
-def _dp_solve(pool: Pool, kept, fpts) -> list[Optional[list[int]]]:
-    """Suffix DP over (needed counts, budget above the floors); one chosen set per config.
+def _position_table(fpts, members, weights, count: int, budget: int):
+    """Suffix DP over one position's players, from the last id back, for
+    every row of ``fpts`` (rows, pool in id order).
 
-    ``kept`` lists the pool indices the DP may take, ascending, and ``fpts``
-    is the FPTS row in the pool's id order; a chosen set is a sorted list
-    of pool indices.  The needed counts run up to the largest count of each
-    position over the flex configurations, so every configuration is a
-    root of the same grid.  The budget axis is floor-indexed: a cell with
-    needed counts ``n`` and budget ``b`` salary units sits at
-    ``u = b - sum(n[p] * floor[p])``, where ``floor[p]`` is the cheapest
-    unit salary of position ``p`` in the pool, and a take moves ``u`` down
-    by the candidate's salary less its floor, which is never negative.
-    Configuration ``c`` is read back from the root
-    ``cap // unit - sum(counts_c[p] * floor[p])``, or from the most its
-    counts can spend above the floors where that is less; the axis runs to
-    the largest root.  Every cell a read-back from the smaller root reaches
-    has at least the budget its remaining picks can spend, so its take bit
-    is that of the cell the larger root would reach.  A negative root, or
-    one whose value is not finite (pool short a position, or nothing fits
-    the cap), yields None.  A take still
-    reads the cell it read on an axis from zero, so every kept cell, and its
-    take bit, equal those of that axis.
-
-    The unit and floors are the whole pool's.  ``undominated`` keeps each
-    position's best cheapest player, so the kept players have the same
-    floors; a unit finer than their gcd leaves the sets that fit the cap,
-    and so every value read back, unchanged.
-
-    Each step touches only the needed counts its suffix can fill: the rest
-    of the grid stays -inf.  Per candidate, over the cells it can fill, a
-    take bit (take >= skip) is stored; the value grid rolls.
-    Reconstruction walks the candidates in id order and takes each one
-    whose take bit is set, so the chosen set is the lexicographically
-    smallest sorted id tuple among all optimal lineups.
+    Returns ``(value, take)``.  ``value[row, k, b]`` is the best total of
+    exactly ``k`` of the players whose weights sum to exactly ``b``, -inf
+    where no set does.  ``take[i, row, k - 1, b]`` is set where, among the
+    players from the i-th on, taking the i-th into a set of ``k`` with
+    weight ``b`` is at least as good as skipping it; it is clear where the
+    player's weight exceeds ``b``.  A player heavier than the axis is never
+    taken.  Each step touches only the counts its suffix can fill.
     """
-    top = max(pool.roots)
-    if top < 0:  # the floors alone exceed the cap
-        return [None] * len(POSITION_COUNTS)
-    axes = [pool.axes[j] for j in kept]
-    weights = [pool.weights[j] for j in kept]
-    shape = tuple(MAX_COUNTS[p] + 1 for p in POSITIONS) + (top + 1,)
-
-    # value[needed counts, budget above the floors]: best completion from the suffix.
-    value = np.full(shape, -np.inf)
-    value[(0,) * len(POSITIONS)] = 0.0
-    live = [0] * len(POSITIONS)  # largest needed count the suffix can fill
-    take_bits = [None] * len(axes)
-    for i in range(len(axes) - 1, -1, -1):
-        axis, w = axes[i], weights[i]
-        if w > top:
+    value = np.full((len(fpts), count + 1, budget + 1), -np.inf)
+    value[:, 0, 0] = 0.0
+    take = np.zeros((len(members), len(fpts), count, budget + 1), dtype=bool)
+    live = 0  # largest count the suffix can fill
+    for i in range(len(members) - 1, -1, -1):
+        w = weights[i]
+        if w > budget:
             continue
-        live[axis] = min(live[axis] + 1, shape[axis] - 1)
-        grid = value[tuple(slice(0, k + 1) for k in live)]
-        take_view = [slice(None)] * len(shape)
-        take_view[axis] = slice(1, None)
-        take_view[-1] = slice(w, None)
-        src_view = [slice(None)] * len(shape)
-        src_view[axis] = slice(0, -1)
-        src_view[-1] = slice(0, top + 1 - w)
-        take_vals = fpts[kept[i]] + grid[tuple(src_view)]
-        dest = grid[tuple(take_view)]
-        take_bits[i] = take_vals >= dest
-        np.maximum(dest, take_vals, out=dest)
-
-    solutions = []
-    for counts, root in zip(POSITION_COUNTS, pool.roots):
-        need = [counts[p] for p in POSITIONS]
-        if root < 0 or not np.isfinite(value[tuple(need) + (root,)]):
-            solutions.append(None)
-            continue
-        chosen = []
-        budget = root
-        for i, (axis, w) in enumerate(zip(axes, weights)):
-            if need[axis] == 0 or w > budget:
-                continue
-            cell = list(need) + [budget - w]
-            cell[axis] -= 1
-            if take_bits[i][tuple(cell)]:
-                chosen.append(kept[i])
-                need[axis] -= 1
-                budget -= w
-                if not any(need):
-                    break
-        solutions.append(chosen)
-    return solutions
+        live = min(live + 1, count)
+        gain = fpts[:, members[i], None, None] + value[:, :live, : budget + 1 - w]
+        dest = value[:, 1 : live + 1, w:]
+        np.greater_equal(gain, dest, out=take[i, :, :live, w:])
+        np.maximum(dest, gain, out=dest)
+    return value, take
 
 
-def solve_flex_configs(pool: Pool, fpts) -> list[Optional[Lineup]]:
-    """Provably optimal lineup of each flex configuration, in FLEX_CONFIGS order.
+def _maxplus(a, b, length: int):
+    """Exact-weight (max,+)-convolution of two tables stacked on a row axis,
+    cut at ``length`` budget cells: ``out[:, s]`` is the best ``a[:, i] +
+    b[:, s - i]``.  The loop runs over the finite columns of the shorter."""
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    out = np.full((len(a), min(a.shape[1] + b.shape[1] - 1, length)), -np.inf)
+    for i in np.flatnonzero(np.isfinite(a[:, : out.shape[1]]).any(axis=0)).tolist():
+        part = out[:, i : i + b.shape[1]]
+        np.maximum(part, a[:, i, None] + b[:, : part.shape[1]], out=part)
+    return out
 
-    ``fpts`` is one FPTS row in the order of the columns the pool was built
-    from; a row of another length raises ValueError.  Only the
-    ``undominated`` players of the row go to the DP, which serves all three
-    configurations; an infeasible one is None.  Exact objective ties
-    resolve to the lexicographically smallest sorted player-id tuple.
+
+# Each configuration's two halves, (QB ⊕ DST) ⊕ TE and RB ⊕ WR, as trees
+# whose leaves are (position, count).
+_HALVES = [
+    (((("QB", c["QB"]), ("DST", c["DST"])), ("TE", c["TE"])), (("RB", c["RB"]), ("WR", c["WR"])))
+    for c in POSITION_COUNTS
+]
+
+# Take bits one block of rows may hold.  A block takes as many rows as fit,
+# at least one; on fixture week 8 a row's bits are about 0.1 MB.
+TAKE_BYTES = 4 << 20
+
+
+class Tables:
+    """The knapsack tables of a block of FPTS rows over one pool.
+
+    ``rows`` is 2-D, one FPTS row per model in the order of the columns the
+    pool was built from; a row of another length raises ValueError.
+    ``table`` maps a leaf (position, count) to that count's slice of the
+    position's value table, and an inner node (left, right) of ``_HALVES``
+    to the (max,+)-convolution of its children; every table is stacked on
+    the row axis.  ``take`` holds each position's take bits.
     """
-    if len(fpts) != len(pool.ids):
-        raise ValueError(f"FPTS row has {len(fpts)} entries for a pool of {len(pool.ids)}")
-    row = np.asarray(fpts, dtype=float)[pool.order]
-    kept = np.flatnonzero(undominated(pool, row)).tolist()
-    fpts = row.tolist()
-    # Chosen indices are in id order, so predicted_fpts is summed in id
-    # order: it decides the cross-configuration choice down to its last bit.
-    return [
-        None if chosen is None
-        else Lineup(tuple(pool.ids[j] for j in chosen), config, sum(fpts[j] for j in chosen))
-        for config, chosen in zip(FLEX_CONFIGS, _dp_solve(pool, kept, fpts))
-    ]
+
+    def __init__(self, pool: Pool, rows):
+        fpts = np.asarray(rows, dtype=float)
+        if fpts.ndim != 2 or fpts.shape[1] != len(pool.ids):
+            raise ValueError(
+                f"FPTS row has {fpts.shape[-1]} entries for a pool of {len(pool.ids)}"
+            )
+        self.pool = pool
+        self.fpts = fpts[:, pool.order]
+        self.table, self.take = {}, {}
+        for (pos, count), (members, weights, budget) in zip(MAX_COUNTS.items(), pool.groups):
+            value, self.take[pos] = _position_table(self.fpts, members, weights, count, budget)
+            for k in range(1, count + 1):
+                self.table[pos, k] = value[:, k]
+        length = max(0, *pool.roots) + 1
+        self.reach = {}  # prefix max of each right half: its best within a budget
+        for left, right in _HALVES:
+            self._build(left, length)
+            self.reach[right] = np.maximum.accumulate(self._build(right, length), axis=1)
+
+    def _build(self, node, length: int):
+        """The table of ``node``, convolved from its children's on first use."""
+        if node not in self.table:
+            self.table[node] = _maxplus(
+                self._build(node[0], length), self._build(node[1], length), length
+            )
+        return self.table[node]
+
+    def chosen(self, r: int, halves, root: int, memo: dict) -> Optional[tuple]:
+        """Row ``r``'s lineup of one configuration as sorted pool indices, or
+        None when no lineup fits: the smallest over the tied splits.
+        ``memo`` caches the row's cell read-backs across configurations."""
+        if root < 0:
+            return None
+        left, right = halves
+        f, g = self.table[left][r], self.table[right][r]
+        n = min(len(f), root + 1)
+        # Rounding is monotone, so every bF with a tied bG reaches the best.
+        totals = f[:n] + self.reach[right][r][np.minimum(root - np.arange(n), len(g) - 1)]
+        best = totals.max()
+        if not np.isfinite(best):
+            return None
+        return min(
+            tuple(sorted(self._read(r, left, bf, memo) + self._read(r, right, bg, memo)))
+            for bf in np.flatnonzero(totals == best).tolist()
+            for bg in np.flatnonzero(f[bf] + g[: root - bf + 1] == best).tolist()
+        )
+
+    def _read(self, r: int, node, b: int, memo: dict) -> tuple:
+        """Smallest sorted pool-index tuple over the tied splits of ``node``'s
+        cell ``b`` in row ``r``, whose value is finite."""
+        key = node, b
+        if key not in memo:
+            if isinstance(node[0], str):
+                memo[key] = self._walk(r, *node, b)
+            else:
+                left, right = node
+                lt, rt = self.table[left][r], self.table[right][r]
+                lo, hi = max(0, b - len(rt) + 1), min(b, len(lt) - 1)
+                sums = lt[lo : hi + 1] + rt[b - hi : b - lo + 1][::-1]
+                tied = lo + np.flatnonzero(sums == self.table[node][r][b])
+                memo[key] = min(
+                    tuple(sorted(self._read(r, left, i, memo) + self._read(r, right, b - i, memo)))
+                    for i in tied.tolist()
+                )
+        return memo[key]
+
+    def _walk(self, r: int, pos: str, k: int, b: int) -> tuple:
+        """The smallest set of cell (k, b) of ``pos`` in row ``r``: walk the
+        players in id order, jumping to the next set take bit."""
+        members, weights, _ = self.pool.groups[_POS_INDEX[pos]]
+        take = self.take[pos]
+        chosen, i = [], 0
+        while k:
+            i += int(np.argmax(take[i:, r, k - 1, b]))
+            chosen.append(members[i])
+            b, k, i = b - weights[i], k - 1, i + 1
+        return tuple(chosen)
 
 
-def optimize_all_flex(pool: Pool, fpts) -> Lineup:
-    """The best of ``solve_flex_configs(pool, fpts)``; exact objective ties
+def blocks(pool: Pool, rows):
+    """``Tables`` over consecutive blocks of ``rows`` (2-D, one FPTS row per
+    model), each of as many rows as ``TAKE_BYTES`` of take bits hold."""
+    step = max(1, TAKE_BYTES // max(1, pool.row_bytes))
+    for start in range(0, len(rows), step):
+        yield Tables(pool, rows[start : start + step])
+
+
+def solve_flex_configs(tables: Tables, r: int) -> list[Optional[Lineup]]:
+    """Provably optimal lineup of each flex configuration for row ``r`` of
+    ``tables``, in FLEX_CONFIGS order; an infeasible one is None.  Exact
+    objective ties resolve to the lexicographically smallest sorted
+    player-id tuple."""
+    pool, memo = tables.pool, {}
+    fpts = tables.fpts[r].tolist()
+    lineups = []
+    for config, halves, root in zip(FLEX_CONFIGS, _HALVES, pool.roots):
+        chosen = tables.chosen(r, halves, root, memo)
+        # Chosen indices are in id order, so predicted_fpts is summed in id
+        # order: it decides the cross-configuration choice down to its last bit.
+        lineups.append(
+            None if chosen is None
+            else Lineup(tuple(pool.ids[j] for j in chosen), config, sum(fpts[j] for j in chosen))
+        )
+    return lineups
+
+
+def optimize_all_flex(tables: Tables, r: int) -> Lineup:
+    """The best of ``solve_flex_configs(tables, r)``; exact objective ties
     resolve to the lexicographically smallest sorted player-id tuple."""
-    results = [lu for lu in solve_flex_configs(pool, fpts) if lu]
+    results = [lu for lu in solve_flex_configs(tables, r) if lu]
     if results:
         return min(results, key=lambda lu: (-lu.predicted_fpts, lu.players))
+    pool = tables.pool
     available = Counter(pool.position.tolist())
     reasons = []
     for config, counts in zip(FLEX_CONFIGS, POSITION_COUNTS):

@@ -30,7 +30,7 @@ from .ensemble import (
     train_ensemble,
 )
 from .errors import UnservableWeekError
-from .optimizer import MAX_COUNTS, Pool, assign_slots, modal_lineup, optimize_all_flex
+from .optimizer import MAX_COUNTS, Pool, assign_slots, blocks, modal_lineup, optimize_all_flex
 from .report import (  # noqa: F401  cmd_report: re-exported
     BOXPLOT,
     ELIGIBILITY,
@@ -77,10 +77,11 @@ def _write_npz(path: Path, **arrays) -> None:
     os.replace(tmp, path)
 
 
-def _read_npz(cfg: RunConfig, name: str, stage: str) -> dict:
-    """The arrays of artifact ``name`` by name; ``stage`` writes it."""
+def _read_npz(cfg: RunConfig, name: str, stage: str, *keys: str) -> dict:
+    """The named arrays of artifact ``name`` by name; ``stage`` writes it.
+    Only those arrays are read from the file."""
     with np.load(_require(_out(cfg, name), stage)) as blob:
-        return {key: blob[key] for key in blob.files}
+        return {key: blob[key] for key in keys}
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -182,8 +183,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 def cmd_predict(cfg: RunConfig) -> None:
     """Train the ensemble and export per-player prediction distributions."""
-    train = _read_npz(cfg, TRAIN_WINDOW, "ingest")
-    pred = _read_npz(cfg, PREDICT_WINDOW, "ingest")
+    train = _read_npz(cfg, TRAIN_WINDOW, "ingest", "features", "targets")
+    pred = _read_npz(cfg, PREDICT_WINDOW, "ingest", "player_ids", "features", "salary", "position")
     ensemble = train_ensemble(
         train["features"], train["targets"], cfg.n_models, cfg.master_seed,
         cfg.training, workers=cfg.workers,
@@ -210,11 +211,15 @@ def cmd_predict(cfg: RunConfig) -> None:
 
 def cmd_optimize(cfg: RunConfig) -> None:
     """Solve every model's lineup and export the modal lineup with its interval."""
-    blob = _read_npz(cfg, SAMPLES, "predict")
+    blob = _read_npz(cfg, SAMPLES, "predict", "player_ids", "samples", "salary", "position")
     ids, samples, salary = blob["player_ids"].tolist(), blob["samples"], blob["salary"]
     position = blob["position"].tolist()
     pool = Pool(ids, position, salary, cfg.salary_cap)
-    lineups = [optimize_all_flex(pool, row) for row in samples]
+    # Each block's tables are built once; optimize_all_flex reads one row back.
+    lineups = []
+    for tables in blocks(pool, samples):
+        lineups += [optimize_all_flex(tables, r) for r in range(len(tables.fpts))]
+        del tables  # so that the next block is built after this one is freed
     modal = modal_lineup(lineups)
     modal_count = sum(1 for lu in lineups if lu.players == modal.players)
 
@@ -265,7 +270,10 @@ def _target_week(cfg: RunConfig):
     otherwise the CSV is parsed again, since actual FPTS may arrive after
     ingest."""
     if _out(cfg, SEASON).exists():
-        blob = _read_npz(cfg, SEASON, "ingest")
+        blob = _read_npz(
+            cfg, SEASON, "ingest",
+            "target_week", "sha256", "player_ids", "position", "salary", "fpts", "draftable",
+        )
         if (
             int(blob["target_week"]) == cfg.target_week
             and str(blob["sha256"]) == _sha256(cfg.players_csv)
@@ -278,7 +286,7 @@ def _target_week(cfg: RunConfig):
 def cmd_validate(cfg: RunConfig) -> None:
     """Compare the generated lineup to random (and real-world) populations."""
     lineup_info = _read_json(cfg, LINEUP_JSON, "optimize")
-    blob = _read_npz(cfg, SAMPLES, "predict")
+    blob = _read_npz(cfg, SAMPLES, "predict", "player_ids", "samples")
     week = cfg.target_week
     player_ids, target = _target_week(cfg)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dfslineup.data import POSITIONS, load_player_weeks
-from dfslineup.optimizer import Pool
+from dfslineup.optimizer import Pool, Tables
 
 
 class Player(NamedTuple):
@@ -33,9 +33,10 @@ def columns(pool):
 
 
 def pool_and_row(pool, salary_cap):
-    """The pool as the solver's ``Pool`` and its FPTS row, in pool order."""
+    """The pool's FPTS row as a one-row block of the solver's ``Tables``,
+    and the row's index in it."""
     ids, position, salary, fpts = columns(pool)
-    return Pool(ids, position, salary, salary_cap), fpts
+    return Tables(Pool(ids, position, salary, salary_cap), [fpts]), 0
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -1,7 +1,6 @@
-"""Independent test oracles: brute-force lineup enumeration, a pair-by-pair
-dominance pruner, a lineup constraint check, the number grammar of the input
-files, a reference forward pass, a one-network training loop and a
-per-player window builder.
+"""Independent test oracles: brute-force lineup enumeration, a lineup
+constraint check, the number grammar of the input files, a reference
+forward pass, a one-network training loop and a per-player window builder.
 Deliberately written in the most literal style possible so a bug in the
 production code cannot hide in a shared helper.
 """
@@ -64,27 +63,6 @@ def brute_force_all_flex(pool, cap: int):
         if best is None or key < best[0]:
             best = (key, result[0], result[1])
     return None if best is None else (best[1], best[2])
-
-
-def prune_keep_ids(pool) -> set:
-    """Ids of the players the solver may keep: a player is dropped when at
-    least as many same-position rivals dominate it as the position's largest
-    count over FLEX_COUNTS.  A dominator costs no more and has more FPTS, or
-    equal FPTS and a smaller id.  Pair by pair."""
-    keep = set()
-    for c in pool:
-        k = max(counts[c.position] for counts in FLEX_COUNTS)
-        dominators = 0
-        for o in pool:
-            if o is c or o.position != c.position or o.salary > c.salary:
-                continue
-            if o.predicted_fpts > c.predicted_fpts or (
-                o.predicted_fpts == c.predicted_fpts and o.player_id < c.player_id
-            ):
-                dominators += 1
-        if dominators < k:
-            keep.add(c.player_id)
-    return keep
 
 
 def validate_lineup(lineup, salary_cap: int, salary_by_id: dict, position_by_id: dict,

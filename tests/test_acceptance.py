@@ -22,7 +22,7 @@ from dfslineup.data import build_window
 from dfslineup.ensemble import sample_matrix, train_ensemble
 from dfslineup.config import TrainingConfig
 from dfslineup.network import loss_and_gradient, train
-from dfslineup.optimizer import Pool, modal_lineup, optimize_all_flex, solve_flex_configs
+from dfslineup.optimizer import Pool, blocks, modal_lineup, optimize_all_flex, solve_flex_configs
 from dfslineup.stats import bootstrap_ci, cohens_d, ks_normality, percentile
 from dfslineup.stats import random_population, welch_t_test
 
@@ -46,7 +46,7 @@ def _maps(pool):
 
 
 class TestSolverExactness:
-    """The DP solver returns the brute-force optimum on every random pool."""
+    """The exact solver returns the brute-force optimum on every random pool."""
 
     def test_matches_brute_force_on_200_pools_under_10s(self):
         rng = np.random.default_rng(0xACC1)
@@ -161,7 +161,11 @@ class TestModalConvergence:
         salary = week8["salary"]
         position = week8["position"]
         pool = Pool(ids, position, salary, 50_000)
-        lineups = [optimize_all_flex(pool, row) for row in samples]
+        lineups = [
+            optimize_all_flex(tables, r)
+            for tables in blocks(pool, samples)
+            for r in range(len(tables.fpts))
+        ]
 
         first_100 = modal_lineup(lineups[:100])
         full = modal_lineup(lineups)

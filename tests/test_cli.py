@@ -668,7 +668,7 @@ class TestExitCodes:
         assert main(["validate", "--config", str(config)]) == EXIT_INFEASIBLE
 
     def test_cap_beyond_any_lineup(self, tmp_path):
-        # The DP's budget axis stops at what the pool can spend, not at the cap.
+        # The budget axes stop at what the pool can spend, not at the cap.
         config = write_config(tmp_path, salary_cap=10**30)
         for command in ("ingest", "predict", "optimize", "validate"):
             assert main([command, "--config", str(config)]) == EXIT_OK

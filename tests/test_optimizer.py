@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfslineup import optimizer
 from dfslineup.data import POSITIONS
 from dfslineup.errors import InfeasibleLineupError
 from dfslineup.optimizer import (
@@ -17,12 +18,12 @@ from dfslineup.optimizer import (
     MAX_COUNTS,
     Lineup,
     Pool,
-    _dp_solve,
+    Tables,
     assign_slots,
+    blocks,
     modal_lineup,
     optimize_all_flex,
     solve_flex_configs,
-    undominated,
 )
 
 from .conftest import (
@@ -37,15 +38,8 @@ from .oracles import (
     FLEX_COUNTS,
     brute_force_all_flex,
     brute_force_config,
-    prune_keep_ids,
     validate_lineup,
 )
-
-
-def keep_mask(pool):
-    """``undominated`` over a pool given in id order."""
-    solver_pool, fpts = pool_and_row(pool, 50_000)
-    return undominated(solver_pool, np.asarray(fpts))
 
 
 def lineup_positions(lineup, pool):
@@ -81,11 +75,11 @@ class TestCandidates:
                 Pool(*cols, salary_cap)
 
     def test_rejects_a_row_of_the_wrong_length(self, salary_cap):
-        pool, fpts = pool_and_row(make_pool(np.random.default_rng(0), 14), salary_cap)
+        ids, position, salary, fpts = columns(make_pool(np.random.default_rng(0), 14))
+        pool = Pool(ids, position, salary, salary_cap)
         for row in (fpts[:-1], fpts + [1.0], []):
-            for solve in (solve_flex_configs, optimize_all_flex):
-                with pytest.raises(ValueError, match=f"has {len(row)} entries for a pool of 14"):
-                    solve(pool, row)
+            with pytest.raises(ValueError, match=f"has {len(row)} entries for a pool of 14"):
+                Tables(pool, [row])
 
     def test_array_columns_match_list_columns(self, salary_cap):
         rng = np.random.default_rng(59)
@@ -93,7 +87,7 @@ class TestCandidates:
             pool = make_shuffled_pool(rng, 20, tie_heavy=trial % 2 == 0)
             want = solve_flex_configs(*pool_and_row(pool, salary_cap))
             ids, position, salary, fpts = map(np.asarray, columns(pool))
-            got = solve_flex_configs(Pool(ids, position, salary, salary_cap), fpts)
+            got = solve_flex_configs(Tables(Pool(ids, position, salary, salary_cap), [fpts]), 0)
             assert got == want
             for lineup in got:
                 assert lineup is None or all(type(p) is str for p in lineup.players)
@@ -209,31 +203,6 @@ class TestBruteForceAgreement:
             assert lineup.players == want[1]
             assert lineup.predicted_fpts == want[0]
 
-    def test_pruning_never_changes_the_answer(self, salary_cap):
-        rng = np.random.default_rng(45)
-        for trial in range(30):
-            pool = sorted(
-                make_pool(rng, 20, tie_heavy=(trial % 2 == 0)),
-                key=lambda c: c.player_id,
-            )
-            kept = np.flatnonzero(keep_mask(pool)).tolist()
-            solver_pool, fpts = pool_and_row(pool, salary_cap)
-            full = _dp_solve(solver_pool, range(len(pool)), fpts)
-            slim = _dp_solve(solver_pool, kept, fpts)
-            assert len(full) == len(slim) == len(FLEX_COUNTS)
-            assert full == slim
-
-    @pytest.mark.parametrize("tie_heavy", [False, True])
-    def test_prune_mask_matches_pairwise_oracle(self, tie_heavy):
-        rng = np.random.default_rng(62 if tie_heavy else 63)
-        for trial in range(40):
-            pool = sorted(
-                make_shuffled_pool(rng, int(rng.integers(13, 60)), tie_heavy=tie_heavy),
-                key=lambda c: c.player_id,
-            )
-            keep = keep_mask(pool)
-            assert {c.player_id for c, kept in zip(pool, keep) if kept} == prune_keep_ids(pool)
-
     def test_config_short_a_position_is_skipped(self, salary_cap):
         # Exactly three WR: 2-4-1 is infeasible, the other two still compete.
         rng = np.random.default_rng(57)
@@ -340,7 +309,7 @@ class TestFloorShift:
 
     @pytest.mark.parametrize("unit", [50, 1])
     def test_salary_gcd(self, unit):
-        # Salaries in steps of $50 or $1, so the DP's unit is 50 or 1.  Cap
+        # Salaries in steps of $50 or $1, so the salary unit is 50 or 1.  Cap
         # and salaries scale with the unit, which keeps the budget axis short.
         rng = np.random.default_rng(70 + unit)
         for trial in range(30):
@@ -354,15 +323,14 @@ class TestFloorShift:
             assert_matches_oracle(pool, int(rng.integers(500, 1040)) * unit)
 
     def test_dominated_player_off_the_unit(self):
-        # TE9 at $6,150 is dominated by all three TEs, so the pruner drops
-        # it, yet it halves the pool's unit: the DP reads the $100-step
-        # players on a $50 axis and returns the same lineups, bit for bit.
+        # TE9 at $6,150 is dominated by all three TEs, yet it halves the
+        # pool's unit: the tables read the $100-step players on a $50 axis
+        # and return the same lineups, bit for bit.
         pool = _FLOOR_POOL + [Player("TE9", "TE", 6150, 1.0)]
-        assert "TE9" not in prune_keep_ids(pool)
         for cap in (43_000, 44_000, 46_950, 50_000):
-            solver_pool, fpts = pool_and_row(pool, cap)
-            assert solver_pool.unit == 50
-            assert solve_flex_configs(solver_pool, fpts) == solve_flex_configs(
+            tables, r = pool_and_row(pool, cap)
+            assert tables.pool.unit == 50
+            assert solve_flex_configs(tables, r) == solve_flex_configs(
                 *pool_and_row(_FLOOR_POOL, cap)
             )
             assert_matches_oracle(pool, cap)
@@ -403,11 +371,11 @@ def pools_and_caps(draw):
 
     The pool is ``_FULL_SHAPE`` less up to two players (so a configuration
     can go short) plus up to four of any position.  Salaries step by $1, $50
-    or $100, so the DP's unit varies; a tie-heavy pool draws FPTS from four
+    or $100, so the salary unit varies; a tie-heavy pool draws FPTS from four
     values and salaries from a narrow band.  On a $50 or $100 step the pool
     may also hold an extra player that every rival of its position
     dominates, priced half a step above the dearest of them: the whole
-    pool's salary unit is then finer than the kept players' gcd.
+    pool's salary unit is then finer than the other players' gcd.
     """
     positions = list(_FULL_SHAPE)
     for i in sorted(draw(st.sets(st.integers(0, len(positions) - 1), max_size=2)), reverse=True):
@@ -430,22 +398,108 @@ def pools_and_caps(draw):
     return pool, draw(st.integers(550, 1300)) * unit, pool[:-1] if extra else None
 
 
+def assert_block_matches_oracle(pool, rows, salary_cap):
+    """Every FPTS row of one block over ``pool`` gives the lineups of its own
+    one-row block, and the best of them equals brute force."""
+    ids, position, salary, _ = columns(pool)
+    block = Tables(Pool(ids, position, salary, salary_cap), rows)
+    for r, row in enumerate(rows):
+        repriced = [c._replace(predicted_fpts=f) for c, f in zip(pool, row)]
+        assert solve_flex_configs(block, r) == solve_flex_configs(
+            *pool_and_row(repriced, salary_cap)
+        )
+        want = brute_force_all_flex(repriced, salary_cap)
+        if want is None:
+            with pytest.raises(InfeasibleLineupError):
+                optimize_all_flex(block, r)
+        else:
+            lineup = optimize_all_flex(block, r)
+            assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
+            assert lineup.players == want[1]
+
+
+def fpts_rows(n: int):
+    """One FPTS row of ``n`` entries, tie-heavy (four integer values, whose
+    sums are exact) or not; never both, since lineups of equal real value
+    can then round apart by summation order."""
+    return st.lists(st.integers(5, 8).map(float), min_size=n, max_size=n) | st.lists(
+        st.floats(1.0, 30.0), min_size=n, max_size=n
+    )
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(pools_and_caps(), st.data())
 def test_random_pools_match_oracle(case, data):
     pool, salary_cap, without_extra = case
     assert_matches_oracle(pool, salary_cap)
     # Caps no lineup reaches, the second one far beyond any budget axis.
-    for cap in (sum(c.salary for c in pool), 10**30):
+    caps = (salary_cap, sum(c.salary for c in pool), 10**30)
+    for cap in caps[1:]:
         assert_matches_oracle(pool, cap)
     want = solve_flex_configs(*pool_and_row(pool, salary_cap))
     # Any joint permutation of the columns and the row: the same lineups.
     shuffled = data.draw(st.permutations(pool))
     assert solve_flex_configs(*pool_and_row(shuffled, salary_cap)) == want
     if without_extra is not None:
-        solver_pool = pool_and_row(pool, salary_cap)[0]
-        assert solver_pool.unit < gcd(*(c.salary for c in without_extra))
+        assert pool_and_row(pool, salary_cap)[0].pool.unit < gcd(
+            *(c.salary for c in without_extra)
+        )
         assert solve_flex_configs(*pool_and_row(without_extra, salary_cap)) == want
+    # The pool's own row and more in one block, at every cap.
+    rows = [[c.predicted_fpts for c in pool]]
+    rows += data.draw(st.lists(fpts_rows(len(pool)), min_size=1, max_size=2))
+    for cap in caps:
+        assert_block_matches_oracle(pool, rows, cap)
+
+
+@pytest.fixture(scope="module")
+def week8_rows(week8_pool):
+    """200 FPTS rows over fixture week 8, one per model: the actual FPTS
+    plus noise, the even rows rounded to half points so that lineups tie."""
+    actual = np.array([c.predicted_fpts for c in week8_pool])
+    rows = actual + np.random.default_rng(8).normal(0.0, 4.0, (200, len(actual)))
+    rows[::2] = np.round(rows[::2] * 2) / 2
+    return rows
+
+
+class TestBlocks:
+    def test_block_size_never_changes_a_lineup(self, week8_pool, week8_rows, salary_cap,
+                                                monkeypatch):
+        ids, position, salary, _ = columns(week8_pool)
+        pool = Pool(ids, position, salary, salary_cap)
+        solved = []
+        for size in (1, 7, 200):
+            monkeypatch.setattr(optimizer, "TAKE_BYTES", size * pool.row_bytes)
+            sizes, lineups = [], []
+            for tables in blocks(pool, week8_rows):
+                sizes.append(len(tables.fpts))
+                lineups += [optimize_all_flex(tables, r) for r in range(len(tables.fpts))]
+            assert sizes == [size] * (200 // size) + [200 % size] * (200 % size > 0)
+            solved.append(lineups)
+        assert solved[0] == solved[1] == solved[2]
+
+    def test_id_order_never_changes_a_lineup(self, week8_pool, week8_rows, salary_cap):
+        # Every id renamed to P plus a shuffled number, so id order
+        # interleaves the positions.  The odd rows are not rounded, so no
+        # two lineups tie and the tie rule, which reads ids, never decides.
+        rows = week8_rows[1::2]
+        ids, position, salary, _ = columns(week8_pool)
+        renamed = [f"P{k:04d}" for k in np.random.default_rng(9).permutation(len(ids))]
+        original = dict(zip(renamed, ids))
+
+        def solve(names):
+            pool = Pool(names, position, salary, salary_cap)
+            return [
+                optimize_all_flex(tables, r)
+                for tables in blocks(pool, rows)
+                for r in range(len(tables.fpts))
+            ]
+
+        for want, got in zip(solve(ids), solve(renamed)):
+            assert tuple(sorted(original[p] for p in got.players)) == want.players
+            assert got.flex_config == want.flex_config
+            # Summed in the other id order: equal up to rounding.
+            assert got.predicted_fpts == pytest.approx(want.predicted_fpts, rel=1e-12)
 
 
 class TestStructure:
