@@ -52,18 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.n_models is not None:
-        cfg.n_models = args.n_models
-    cfg.validate()
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -78,7 +66,8 @@ def main(argv=None) -> int:
             save_config(RunConfig(), path)
             print(f"wrote {path}")
             return EXIT_OK
-        cfg = _load(args)
+        flags = dict(output_dir=args.output_dir, master_seed=args.seed, n_models=args.n_models)
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
         if args.command == "report":
             print(cmd_report(cfg), end="")
             return EXIT_OK

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -14,11 +15,31 @@ from .errors import ConfigError, not_utf8
 
 
 class _Loader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that also reads YAML 1.2 exponent floats.
+    """``yaml.SafeLoader`` that also reads YAML 1.2 exponent floats and
+    refuses a repeated key.
 
     YAML 1.1 wants a dot and a signed exponent, so ``1e-3`` and ``1.0e12``
-    would load as strings; YAML 1.2 reads both as floats.
+    would load as strings; YAML 1.2 reads both as floats.  PyYAML keeps the
+    last of two equal keys, so a second ``training:`` block would drop the
+    first one's keys without a word.
     """
+
+    def construct_mapping(self, node, deep=False):
+        first_nodes = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # a merge's keys may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                first = first_nodes.setdefault(key, key_node)
+            except TypeError:  # unhashable: PyYAML's own error names it
+                continue
+            if first is not key_node:
+                raise ConfigError(
+                    f"cannot parse {key_node.start_mark.name}: key {key!r} repeated "
+                    f"on lines {first.start_mark.line + 1} and {key_node.start_mark.line + 1}"
+                )
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver(
@@ -52,6 +73,28 @@ class ReportConfig:
     bootstrap_resamples: int = 10_000
 
 
+# (dotted key, test, rule): RunConfig.validate refuses a value that fails its test.
+RULES = (
+    ("output_dir", lambda v: v != "", "non-empty"),
+    # The training window is built from the four weeks before the target.
+    ("target_week", lambda v: 5 <= v <= 17, "in [5, 17]"),
+    ("n_models", lambda v: v >= 1, ">= 1"),
+    ("workers", lambda v: v >= 1, ">= 1"),
+    ("training.hidden_units", lambda v: v >= 1, ">= 1"),
+    ("training.learning_rate", lambda v: v > 0, "> 0"),
+    ("training.momentum", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("training.l2_penalty", lambda v: v >= 0, ">= 0"),
+    ("training.patience", lambda v: v >= 1, ">= 1"),
+    ("training.max_epochs", lambda v: v >= 1, ">= 1"),
+    ("training.train_fraction", lambda v: 0 < v < 1, "in (0, 1)"),
+    # The KS normality test needs at least 5 random lineups.
+    ("random_baseline.count", lambda v: v >= 5, ">= 5"),
+    ("report.ci_level", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("report.histogram_bin_width", lambda v: v > 0, "> 0"),
+    ("report.bootstrap_resamples", lambda v: v >= 1, ">= 1"),
+)
+
+
 @dataclass
 class RunConfig:
     players_csv: str = "players.csv"
@@ -68,115 +111,70 @@ class RunConfig:
     report: ReportConfig = field(default_factory=ReportConfig)
 
     def validate(self) -> None:
-        if self.target_week < 5:
+        for key, ok, rule in RULES:
+            value = attrgetter(key)(self)
+            if not ok(value):
+                raise ConfigError(f"{key} must be {rule}, got {value!r}")
+        cap, floor = self.salary_cap, self.random_baseline.min_salary
+        if floor > cap:
             raise ConfigError(
-                f"target_week {self.target_week} < 5: four prior weeks are required"
+                f"random_baseline.min_salary must be <= salary_cap {cap}, got {floor!r}"
             )
-        if self.target_week > 17:
-            raise ConfigError(f"target_week {self.target_week} > 17")
-        if self.n_models < 1:
-            raise ConfigError(f"n_models must be >= 1, got {self.n_models}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.random_baseline.min_salary > self.salary_cap:
-            raise ConfigError(
-                f"min_salary {self.random_baseline.min_salary} exceeds "
-                f"salary_cap {self.salary_cap}"
-            )
-        if self.random_baseline.count < 5:
-            # The KS normality test needs at least 5 random lineups.
-            raise ConfigError(
-                f"random_baseline.count must be >= 5, got {self.random_baseline.count}"
-            )
-        if self.report.bootstrap_resamples < 1:
-            raise ConfigError(
-                "report.bootstrap_resamples must be >= 1, "
-                f"got {self.report.bootstrap_resamples}"
-            )
-        if not 0.0 < self.report.ci_level < 1.0:
-            raise ConfigError(f"ci_level {self.report.ci_level} outside (0, 1)")
-        if self.report.histogram_bin_width <= 0:
-            raise ConfigError("histogram_bin_width must be positive")
-        t = self.training
-        for key, ok, rule in (
-            ("hidden_units", t.hidden_units >= 1, ">= 1"),
-            ("learning_rate", t.learning_rate > 0, "> 0"),
-            ("momentum", 0 <= t.momentum < 1, "in [0, 1)"),
-            ("l2_penalty", t.l2_penalty >= 0, ">= 0"),
-            ("patience", t.patience >= 1, ">= 1"),
-            ("max_epochs", t.max_epochs >= 1, ">= 1"),
-            ("train_fraction", 0 < t.train_fraction < 1, "in (0, 1)"),
-        ):
-            if not ok:
-                raise ConfigError(f"training.{key} must be {rule}, got {getattr(t, key)!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
-def _check_types(cls, raw: dict, prefix: str = "") -> None:
-    """Reject values whose type does not match the field's default.
+def _build(cls, raw: dict, section: str = ""):
+    """Build dataclass ``cls`` from the mapping ``raw``, refusing unknown keys
+    and values whose type does not match the field's default.
 
     An int field takes only int; a float field takes a finite int or
     float (no NaN, no infinity, no int beyond the float range); a str field
     takes str, or None where the default is None.  bool is never a number
-    here, although Python counts it as an int.
+    here, although Python counts it as an int.  A field whose default is a
+    factory is a section, built the same way from a nested mapping; null
+    there means every default.
     """
-    for f in fields(cls):
-        if f.name not in raw or f.default is MISSING:
-            continue
-        value, default = raw[f.name], f.default
-        if isinstance(default, int):
-            ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-        elif isinstance(default, float):
-            ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-            if ok and not abs(value) <= sys.float_info.max:
-                ok, kind = False, "finite"
-        else:
-            ok, kind = isinstance(value, str) or (default is None and value is None), "a string"
-        if not ok:
-            raise ConfigError(f"{prefix}{f.name} must be {kind}, got {value!r}")
-
-
-def _coerce_section(data: dict, key: str, cls):
-    raw = data.get(key, {})
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{key!r} section must be a mapping, got {raw!r}")
-    known = {f for f in cls.__dataclass_fields__}
-    extra = set(raw) - known
+    extra = set(raw) - {f.name for f in fields(cls)}
     if extra:
-        raise ConfigError(f"unknown keys in {key!r} section: {sorted(extra, key=str)}")
-    _check_types(cls, raw, f"{key}.")
-    return cls(**raw)
+        where = f"keys in {section!r} section" if section else "config keys"
+        raise ConfigError(f"unknown {where}: {sorted(extra, key=str)}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        key = f"{section}.{f.name}" if section else f.name
+        value, default = raw[f.name], f.default
+        if f.default_factory is not MISSING:
+            value = {} if value is None else value
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key!r} section must be a mapping, got {value!r}")
+            value = _build(f.default_factory, value, key)
+        elif isinstance(default, int):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        elif isinstance(default, float):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+        elif not (isinstance(value, str) or (default is None and value is None)):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
-def config_from_dict(data: dict) -> RunConfig:
+def config_from_dict(data: dict, overrides: Optional[dict] = None) -> RunConfig:
+    """Type-check and validate ``data``, with ``overrides`` (top-level keys)
+    merged over it first."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    data = dict(data)
-    sections = {
-        "training": TrainingConfig,
-        "random_baseline": RandomBaselineConfig,
-        "report": ReportConfig,
-    }
-    kwargs = {}
-    for key, cls in sections.items():
-        if key in data:
-            kwargs[key] = _coerce_section(data, key, cls)
-            data.pop(key)
-    known = {f for f in RunConfig.__dataclass_fields__}
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra, key=str)}")
-    _check_types(RunConfig, data)
-    cfg = RunConfig(**data, **kwargs)
+    cfg = _build(RunConfig, {**data, **(overrides or {})})
     cfg.validate()
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
+    """Read the YAML file at ``path`` and build its checked config, with
+    ``overrides`` (top-level keys) merged over the file's values."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -187,9 +185,9 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"cannot parse {path}: {not_utf8(exc)}") from None
-    return config_from_dict(data or {})
+    return config_from_dict({} if data is None else data, overrides)
 
 
 def save_config(cfg: RunConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=False)
+        yaml.safe_dump(asdict(cfg), fh, sort_keys=False)

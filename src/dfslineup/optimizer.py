@@ -29,7 +29,10 @@ cell's lexicographically smallest set.  The lineup is the smallest sorted
 id tuple over all tied splits.  In exact arithmetic every optimal lineup
 lies on a tied split, so exact ties resolve to the lexicographically
 smallest sorted id tuple; the comparison has no tolerance, so a lineup
-better by any margin, however small, wins over a smaller id tuple.
+better by any margin, however small, wins over a smaller id tuple.  Ties are
+decided on the computed float sums: where a row mixes integer FPTS with
+fractional ones, two lineups of equal real value can sum a last bit apart,
+and the larger float wins whatever its ids.
 """
 
 from __future__ import annotations

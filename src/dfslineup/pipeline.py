@@ -146,14 +146,11 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
     _write_npz(
         _out(cfg, TRAIN_WINDOW),
-        window_index=np.array([train_w.window_index]),
-        player_ids=np.array(train_w.player_ids),
         features=train_w.features,
         targets=train_w.targets,
     )
     _write_npz(
         _out(cfg, PREDICT_WINDOW),
-        window_index=np.array([pred_w.window_index]),
         player_ids=np.array(pred_ids),
         features=pred_feats,
         salary=target["salary"],

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from dfslineup import ensemble, errors, pipeline, stats
 from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from dfslineup.config import RULES, RunConfig
 from dfslineup.data import POSITIONS, VALUE_COLUMNS, load_player_weeks
 from dfslineup.optimizer import Lineup
 
@@ -47,6 +48,44 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "dfslineup.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     return path
+
+
+TOO_SMALL = [
+    ("random_baseline", "count", 0),
+    ("random_baseline", "count", 4),
+    ("report", "bootstrap_resamples", 0),
+]
+# Config values refused by type or by range; the error names the dotted key.
+BAD_VALUES = [
+    ("target_week", "8"),
+    ("n_models", True),
+    ("master_seed", 1.5),
+    ("output_dir", 5),
+    ("report.ci_level", "0.9"),
+    ("report.histogram_bin_width", True),
+    ("training", 5),
+    ("training.patience", "x"),
+    ("training.hidden_units", 0),
+    ("training.learning_rate", -1.0),
+    ("training.momentum", 1.0),
+    ("training.l2_penalty", -0.1),
+    ("training.patience", 0),
+    ("training.max_epochs", 0),
+    ("training.train_fraction", 1.0),
+    ("training.learning_rate", float("inf")),
+    ("training.l2_penalty", float("inf")),
+    ("training.momentum", float("-inf")),
+    ("report.histogram_bin_width", float("nan")),
+    ("report.histogram_bin_width", float("inf")),
+    pytest.param("report.ci_level", 10**400, id="report.ci_level-10**400"),
+    ("target_week", 18),
+    ("n_models", 0),
+    ("workers", 0),
+    ("output_dir", ""),
+    ("report.ci_level", 1.5),
+    ("report.histogram_bin_width", 0),
+    ("random_baseline.min_salary", 50_001),  # above the default salary_cap
+]
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +380,16 @@ class TestOptions:
         assert main(["predict", "--config", str(config)]) == EXIT_OK
         assert len(calls) == N_MODELS
 
+    def test_overrides_are_checked_once(self, tmp_path, monkeypatch):
+        checked, validate = [], RunConfig.validate
+        monkeypatch.setattr(RunConfig, "validate", lambda c: checked.append(c) or validate(c))
+        config = write_config(tmp_path)
+        argv = ["--config", str(config), "--seed", "3", "--n-models", "2"]
+        assert main(["ingest", *argv, "--output-dir", str(tmp_path / "other")]) == EXIT_OK
+        assert [(c.master_seed, c.n_models, c.output_dir) for c in checked] == [
+            (3, 2, str(tmp_path / "other"))
+        ]
+
     def test_seed_override_changes_random_population(self, full_run, tmp_path):
         out, config = full_run
         for name in ("lineup.json", "samples.npz"):
@@ -384,46 +433,14 @@ class TestExitCodes:
         config = write_config(tmp_path, target_week=3)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
 
-    @pytest.mark.parametrize(
-        "section, key, value",
-        [
-            ("random_baseline", "count", 0),
-            ("random_baseline", "count", 4),
-            ("report", "bootstrap_resamples", 0),
-        ],
-    )
+    @pytest.mark.parametrize("section, key, value", TOO_SMALL)
     def test_too_small_population_settings(self, tmp_path, capsys, section, key, value):
         base = yaml.safe_load(write_config(tmp_path).read_text(encoding="utf-8"))
         config = write_config(tmp_path, **{section: {**base[section], key: value}})
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert f"{section}.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("target_week", "8"),
-            ("n_models", True),
-            ("master_seed", 1.5),
-            ("output_dir", 5),
-            ("report.ci_level", "0.9"),
-            ("report.histogram_bin_width", True),
-            ("training", 5),
-            ("training.patience", "x"),
-            ("training.hidden_units", 0),
-            ("training.learning_rate", -1.0),
-            ("training.momentum", 1.0),
-            ("training.l2_penalty", -0.1),
-            ("training.patience", 0),
-            ("training.max_epochs", 0),
-            ("training.train_fraction", 1.0),
-            ("training.learning_rate", float("inf")),
-            ("training.l2_penalty", float("inf")),
-            ("training.momentum", float("-inf")),
-            ("report.histogram_bin_width", float("nan")),
-            ("report.histogram_bin_width", float("inf")),
-            pytest.param("report.ci_level", 10**400, id="report.ci_level-10**400"),
-        ],
-    )
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
     def test_mistyped_or_out_of_range_value(self, tmp_path, capsys, key, value):
         base = yaml.safe_load(write_config(tmp_path).read_text(encoding="utf-8"))
         section, _, name = key.rpartition(".")
@@ -434,6 +451,45 @@ class TestExitCodes:
         config = write_config(tmp_path, **base)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert key in capsys.readouterr().err
+
+    def test_every_rule_has_a_bad_value(self):
+        keys = {getattr(case, "values", case)[0] for case in BAD_VALUES}
+        keys |= {f"{section}.{key}" for section, key, _ in TOO_SMALL}
+        assert {key for key, _, _ in RULES} <= keys
+
+    @pytest.mark.parametrize(
+        "flag, value, key", [("--n-models", "0", "n_models"), ("--output-dir", "", "output_dir")]
+    )
+    def test_out_of_range_override(self, tmp_path, capsys, monkeypatch, flag, value, key):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config), flag, value]) == EXIT_INPUT
+        assert f"{key} must be" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dfslineup.yaml"]
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["n_models: 5", "n_models: 7"], "key 'n_models' repeated on lines 2 and 3"),
+            (
+                ["training: {patience: 3}", "n_models: 2", "training:", "  max_epochs: 9"],
+                "key 'training' repeated on lines 2 and 4",
+            ),
+            (
+                ["report: {ci_level: 0.9, ci_level: 0.8}"],
+                "key 'ci_level' repeated on lines 2 and 2",
+            ),
+        ],
+        ids=["top-level", "section", "flow-mapping"],
+    )
+    def test_repeated_key(self, tmp_path, capsys, lines, message):
+        config = tmp_path / "repeated.yaml"
+        config.write_text(
+            "\n".join([f"output_dir: {tmp_path / 'out'}", *lines]) + "\n", encoding="utf-8"
+        )
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert f"cannot parse {config}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage", ["ingest", "predict", "optimize", "validate", "report"])
     def test_infinite_learning_rate_stops_every_stage(self, tmp_path, capsys, stage):

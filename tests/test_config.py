@@ -82,9 +82,10 @@ def test_missing_file_and_bad_yaml(tmp_path):
     with pytest.raises(ConfigError, match="cannot parse"):
         load_config(bad)
     scalar = tmp_path / "scalar.yaml"
-    scalar.write_text("42\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="mapping"):
-        load_config(scalar)
+    for text in ("42\n", "0\n", "[]\n"):
+        scalar.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="config root must be a mapping"):
+            load_config(scalar)
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -122,3 +123,41 @@ def test_defaults_round_trip(tmp_path):
     path = tmp_path / "cfg.yaml"
     save_config(RunConfig(), path)
     assert load_config(path) == RunConfig()
+
+
+def test_merge_key_then_override_loads(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        "training:\n  <<: {patience: 3, max_epochs: 9}\n  patience: 4\n", encoding="utf-8"
+    )
+    training = load_config(path).training
+    assert (training.patience, training.max_epochs) == (4, 9)
+
+
+def test_unhashable_key_is_left_to_pyyaml(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("? [n_models]\n: 5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="(?s)cannot parse .*found unhashable key"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", [None, {}])
+def test_null_or_empty_section_gives_defaults(value):
+    assert config_from_dict({"training": value}) == RunConfig()
+
+
+def test_range_errors_name_the_dotted_key():
+    with pytest.raises(ConfigError, match=r"^report\.ci_level must be in \(0, 1\), got 1\.5$"):
+        config_from_dict({"report": {"ci_level": 1.5}})
+    with pytest.raises(
+        ConfigError, match="^random_baseline.min_salary must be <= salary_cap 40000, got 45000$"
+    ):
+        config_from_dict({"salary_cap": 40_000})
+
+
+def test_overrides_are_checked_like_file_values():
+    assert config_from_dict({"n_models": 5}, {"n_models": 7}).n_models == 7
+    with pytest.raises(ConfigError, match="n_models must be an integer, got '7'"):
+        config_from_dict({}, {"n_models": "7"})
+    with pytest.raises(ConfigError, match="output_dir must be non-empty, got ''"):
+        config_from_dict({}, {"output_dir": ""})

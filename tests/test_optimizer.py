@@ -452,6 +452,38 @@ def test_random_pools_match_oracle(case, data):
         assert_block_matches_oracle(pool, rows, cap)
 
 
+# A row over a ``_FULL_SHAPE`` pool that mixes repeated integer FPTS with
+# fractional ones.  P05 and P07 are both 5.0 WRs, and the best lineups with
+# either one are of equal real value, yet their float sums differ in the last
+# bit, so brute force, which adds in another order, may keep the other one.
+_MIXED_ROW = [
+    8.852021327466865, 26.0, 8.574258975581289, 8.989301565504915, 8.0, 5.0,
+    5.563236125747741, 5.0, 26.0, 8.0, 5.0,
+]
+
+
+def test_mixed_rows_match_the_oracle_value():
+    """Ties are decided on the computed float sums: on mixed rows each lineup
+    is valid and worth brute force's best within 1e-9, whichever ids it holds."""
+    rng = np.random.default_rng(37)
+    cap = 50_000
+    pool = [Player(f"P{i:02d}", pos, 40, 0.0) for i, pos in enumerate(_FULL_SHAPE)]
+    rows = [_MIXED_ROW]
+    for _ in range(300):
+        whole = rng.choice([5.0, 8.0, 26.0], size=len(pool))
+        rows.append(np.where(rng.random(len(pool)) < 0.5, whole, rng.uniform(5.0, 9.0, len(pool))))
+    ids, position, salary, _ = columns(pool)
+    block = Tables(Pool(ids, position, salary, cap), rows)
+    salary_by_id, position_by_id = dict(zip(ids, salary)), dict(zip(ids, position))
+    for r, row in enumerate(rows):
+        lineup = optimize_all_flex(block, r)
+        assert validate_lineup(lineup, cap, salary_by_id, position_by_id) == []
+        fpts = dict(zip(ids, row))
+        assert lineup.predicted_fpts == pytest.approx(sum(fpts[p] for p in lineup.players))
+        want = brute_force_all_flex([c._replace(predicted_fpts=f) for c, f in zip(pool, row)], cap)
+        assert lineup.predicted_fpts == pytest.approx(want[0], abs=1e-9)
+
+
 @pytest.fixture(scope="module")
 def week8_rows(week8_pool):
     """200 FPTS rows over fixture week 8, one per model: the actual FPTS
