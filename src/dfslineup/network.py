@@ -13,13 +13,26 @@ on a member's slice alone (a stacked ``matmul`` makes the 2-D product's
 BLAS call per slice; sums run along a contiguous last axis), so a member's
 bytes are the same in any batch as trained alone.
 
+Training runs in float32 (``DTYPE``): the members' normalized rows and
+targets, weights, velocities, best weights, best validation MSE, learning
+rates and last losses.  Normalization and the init draws run in float64
+and only their output is rounded, so the split and init streams are
+unchanged.  On the fixture's 200 members (2-core VM, one BLAS thread,
+batches of 8, 8 alternating runs) training took 0.67 s in float64 and
+0.52 s in float32, over the same 4,940 epochs.  float32's ``exp``
+overflows below about -88.7 (float64's below -709), so large learning
+rates diverge: on the fixture 1e2 trains and 1e3 diverges, where float64
+kept every member's initial weights.  ``predict_batch`` stays float64: the
+float64 norm stats upcast the weights, which keeps the ensemble's samples
+float64.
+
 The ensemble uses fixed index batches of ``ensemble.B`` = 8 members.  On
-the fixture's 200 members (2-core VM, one BLAS thread) the per-member loop
-took 1.03-1.07 s; batches of 8 took 0.55 s, of 16 0.50-0.53 s, of 32
-0.50-0.54 s and all 200 at once 0.59-0.63 s, for +1.4, +2.6, +5.6 and
-+36.5 MB of peak RSS over the loop's 43.1 MB.  Memory grows with a
-window's rows: at 8, predict on the 3x-deep season peaks at 44.3 MB,
-under the 46.4 MB of its ingest.
+the fixture's 200 members in float32 (medians and quartiles of 10
+alternating runs) batches of 8 took 0.50 s (0.43-0.54), of 16 0.45 s
+(0.42-0.48) and of 32 0.44 s (0.42-0.45); over 5 runs the per-member loop
+took 1.41 s and all 200 at once 0.43 s.  Peak RSS was +0.4, +1.1, +2.6 and
++19.0 MB over the loop's 37.5 MB.  A larger batch's gain is inside the
+spread of batches of 8, so B stays 8.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from .errors import TrainingDivergedError
 from .seeds import mix64
 
 STD_FLOOR = 1e-8
+DTYPE = np.float32  # of the training state; see the module docstring
 
 
 @dataclass
@@ -204,9 +218,9 @@ def _start(x: np.ndarray, y: np.ndarray, hyper: TrainingConfig, seeds: list[int]
     """A batch's starting state, and each member's norm stats.
 
     Each member's split of the window's rows x (targets y) is normalized
-    once, straight into its slot of the stack.  Only the returned state
-    holds the stacked inputs, so the rows of members that leave it are
-    freed.
+    in float64, once, and rounded straight into its float32 slot of the
+    stack.  Only the returned state holds the stacked inputs, so the rows
+    of members that leave it are freed.
     """
     m = len(seeds)
     norms, nets, stacks = [], [], None
@@ -218,25 +232,28 @@ def _start(x: np.ndarray, y: np.ndarray, hyper: TrainingConfig, seeds: list[int]
         nets.append(init_network(x.shape[1], hyper.hidden_units, mix64(seed, 2)))
         member = (norm.apply(x_tr), y[tr], norm.apply(x[val]), y[val])
         if stacks is None:
-            stacks = [np.empty((m,) + a.shape) for a in member]
+            stacks = [np.empty((m,) + a.shape, dtype=DTYPE) for a in member]
         for stack, a in zip(stacks, member):
             stack[k] = a
     z_tr, y_tr, z_val, y_val = stacks
-    net = Network(*(np.stack(p) for p in zip(*(n.params() for n in nets))))
+    net = Network(*(np.stack(p, dtype=DTYPE) for p in zip(*(n.params() for n in nets))))
     state = _Members(
         index=np.arange(m),
         net=net,
         velocity=Network(*(np.zeros_like(p) for p in net.params())),
         best=net.copy(),
         best_val=mse(net, z_val, y_val),
-        lr=np.full(m, hyper.learning_rate),
-        prev_loss=np.full(m, np.inf),
+        lr=np.full(m, hyper.learning_rate, dtype=DTYPE),
+        prev_loss=np.full(m, np.inf, dtype=DTYPE),
         stale=np.zeros(m, dtype=np.int64),
         z_tr=z_tr, y_tr=y_tr, z_val=z_val, y_val=y_val,
     )
     return state, norms
 
 
+# Divergence is caught from the non-finite loss or validation MSE it leaves,
+# not from the overflow warnings on the way there.
+@np.errstate(over="ignore", invalid="ignore")
 def train_batch(
     x: np.ndarray, y: np.ndarray, hyper: TrainingConfig, seeds: list[int]
 ) -> list[TrainedModel | TrainingDivergedError]:

@@ -141,17 +141,23 @@ def _reference_forward_2d(params, z):
 
 
 def reference_loss_and_gradient(params, z, y, lam):
-    """One network's loss and gradients, (w1, b1, w2, b2), on 2-D arrays."""
+    """One network's loss and gradients, (w1, b1, w2, b2), on 2-D arrays.
+
+    Runs in the dtype of z.  Every Python number is cast to that dtype
+    first, so no step widens to float64 on numpy 1.x or 2.
+    """
+    dt = z.dtype.type
     w1, _, w2, _ = params
     hidden, preds = _reference_forward_2d(params, z)
     err = preds - y
-    loss = float(np.mean(err**2)) + lam * float(np.sum(w1**2) + np.sum(w2**2))
-    dpred = 2.0 * err / len(y)
-    dact = dpred[:, None] * w2.ravel()[None, :] * hidden * (1.0 - hidden)
+    n = dt(len(y))
+    loss = np.sum(err**2) / n + dt(lam) * (np.sum(w1**2) + np.sum(w2**2))
+    dpred = dt(2.0) * err / n
+    dact = dpred[:, None] * w2.ravel()[None, :] * hidden * (dt(1.0) - hidden)
     grads = [
-        dact.T @ z + 2.0 * lam * w1,
+        dact.T @ z + dt(2.0 * lam) * w1,
         dact.sum(axis=0),
-        (dpred @ hidden)[None, :] + 2.0 * lam * w2,
+        (dpred @ hidden)[None, :] + dt(2.0 * lam) * w2,
         np.array([dpred.sum()]),
     ]
     return loss, grads
@@ -160,19 +166,22 @@ def reference_loss_and_gradient(params, z, y, lam):
 def reference_train(w1, b1, w2, b2, z_tr, y_tr, z_val, y_val, hyper):
     """One network's momentum descent, epoch by epoch, on 2-D arrays.
 
-    z_* are normalized rows.  Returns ("diverged", epoch) when the training
-    loss or then the validation MSE turns non-finite, else the parameters of
-    the best-validation epoch with their train MSE, best validation MSE and
-    the epochs run.  The lr halves whenever the training loss rises.
+    z_* are normalized rows; every step runs in their dtype, the
+    hyperparameters cast to it.  Returns ("diverged", epoch) when the
+    training loss or then the validation MSE turns non-finite, else the
+    parameters of the best-validation epoch with their train MSE, best
+    validation MSE and the epochs run.  The lr halves whenever the
+    training loss rises.
     """
+    dt = z_tr.dtype.type
     params = [w1.copy(), b1.copy(), w2.copy(), b2.copy()]
 
     def mse(p, z, y):
-        return float(np.mean((_reference_forward_2d(p, z)[1] - y) ** 2))
+        return np.sum((_reference_forward_2d(p, z)[1] - y) ** 2) / dt(len(y))
 
     best, best_val = [q.copy() for q in params], mse(params, z_val, y_val)
     velocity = [np.zeros_like(q) for q in params]
-    lr, prev_loss, stale, epochs_run = hyper.learning_rate, np.inf, 0, 0
+    lr, prev_loss, stale, epochs_run = dt(hyper.learning_rate), dt(np.inf), 0, 0
     for epoch in range(1, hyper.max_epochs + 1):
         if stale >= hyper.patience:
             break
@@ -180,10 +189,10 @@ def reference_train(w1, b1, w2, b2, z_tr, y_tr, z_val, y_val, hyper):
         if not np.isfinite(loss):
             return ("diverged", epoch)
         if loss > prev_loss:
-            lr *= 0.5
+            lr *= dt(0.5)
         prev_loss = loss
         for q, v, g in zip(params, velocity, grads):
-            v *= hyper.momentum
+            v *= dt(hyper.momentum)
             v -= lr * g
             q += v
         epochs_run = epoch
@@ -194,7 +203,7 @@ def reference_train(w1, b1, w2, b2, z_tr, y_tr, z_val, y_val, hyper):
             best, best_val, stale = [q.copy() for q in params], val, 0
         else:
             stale += 1
-    return (tuple(best), mse(best, z_tr, y_tr), best_val, epochs_run)
+    return (tuple(best), float(mse(best, z_tr, y_tr)), float(best_val), epochs_run)
 
 
 def reference_window(csv_path, window_index: int, mode: str):

@@ -121,6 +121,7 @@ class TestPipelineArtifacts:
             assert lo <= mid <= hi
         with np.load(out / "samples.npz") as blob:
             assert blob["samples"].shape == (N_MODELS, len(rows))
+            assert blob["samples"].dtype == np.float64
 
     def test_lineup_is_valid_against_raw_season(self, full_run, season_table):
         out, _ = full_run
@@ -578,11 +579,11 @@ class TestExitCodes:
         assert main(["predict", "--config", str(config)]) == EXIT_OK
         assert main(["optimize", "--config", str(config)]) == EXIT_INFEASIBLE
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("n_models, workers", [(N_MODELS, 1), (9, 2)])
     def test_divergence_twice_exits_four(self, tmp_path, capsys, n_models, workers):
         # Every member diverges, with its first seed and with its retry seed.
         # Nine models make two batches, which go to a pool of two processes.
+        # Training raises no RuntimeWarning, which this suite makes an error.
         config = write_config(
             tmp_path,
             n_models=n_models,
@@ -592,6 +593,33 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
         assert main(["predict", "--config", str(config)]) == EXIT_NUMERIC
         assert "error: model 0 diverged twice; giving up\n" == capsys.readouterr().err
+
+    def test_diverging_predict_prints_only_its_error(self, tmp_path):
+        """Overflow on the way to a divergence prints no numpy warning."""
+        config = write_config(tmp_path, n_models=8, training={"learning_rate": 1.0e9})
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        result = subprocess.run(
+            [sys.executable, "-m", "dfslineup.cli", "predict", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == EXIT_NUMERIC
+        assert result.stderr == "error: model 0 diverged twice; giving up\n"
+
+    @pytest.mark.parametrize(
+        "learning_rate, status, err",
+        [(1.0e2, EXIT_OK, ""), (1.0e3, EXIT_NUMERIC, "error: model 0 diverged twice; giving up\n")],
+        ids=["1e2-trains", "1e3-diverges"],
+    )
+    def test_float32_learning_rate_range(self, tmp_path, capsys, learning_rate, status, err):
+        # float64 kept every member at its initial weights from 1e3 to 1e9 and
+        # exited 0; float32 overflows to a non-finite loss there.
+        config = write_config(tmp_path, n_models=8, training={"learning_rate": learning_rate})
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        assert main(["predict", "--config", str(config)]) == status
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize(
         "rows, nonzero",

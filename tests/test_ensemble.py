@@ -144,6 +144,11 @@ class TestDistributions:
         row0 = predict_batch(ensemble.models[0].network, ensemble.models[0].norm, rows)
         assert np.array_equal(samples[0], row0)
 
+    def test_float32_members_give_float64_samples(self, trained):
+        ensemble, rows = trained
+        assert ensemble.models[0].network.w1.dtype == np.float32
+        assert sample_matrix(ensemble, rows).dtype == np.float64
+
     def test_distribution_quantiles_match_numpy(self, trained):
         ensemble, rows = trained
         samples = sample_matrix(ensemble, rows)

@@ -156,6 +156,18 @@ class TestGradient:
                 for g, ref in zip(grads, ref_grads):
                     assert g[k].tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_gradients_keep_the_input_dtype(self, dtype):
+        rng = np.random.default_rng(16)
+        nets = [random_net(rng, N_FEATURES, 19) for _ in range(3)]
+        stack = Network(*(np.stack(p, dtype=dtype) for p in zip(*(n.params() for n in nets))))
+        z = rng.normal(0, 1, (3, 31, N_FEATURES)).astype(dtype)
+        y = rng.normal(0, 5, (3, 31)).astype(dtype)
+        loss, grads = loss_and_gradient(stack, z, y, 1e-3)
+        assert loss.dtype == dtype
+        assert [g.dtype for g in grads] == [dtype] * 4
+        assert mse(stack, z, y).dtype == dtype
+
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(5)
         net, norm = random_net(rng), random_norm(rng)
@@ -211,6 +223,12 @@ class TestTraining:
         m3 = train(x, y, cfg, seed=124)
         assert not np.array_equal(m1.network.w1, m3.network.w1)
 
+    def test_trains_in_float32(self):
+        x, y = make_dataset(np.random.default_rng(10), n=60)
+        model = train(x, y, TrainingConfig(max_epochs=20), seed=3)
+        assert [p.dtype for p in model.network.params()] == [np.float32] * 4
+        assert model.norm.mean.dtype == model.norm.std.dtype == np.float64
+
     def test_learns_linear_target(self):
         x, y = make_dataset(np.random.default_rng(11), n=150)
         model = train(x, y, TrainingConfig(max_epochs=400), seed=7)
@@ -244,13 +262,13 @@ class TestTraining:
 
 
 def reference_outcome(x, y, hyper, seed):
-    """The one-network reference loop, fed the split and init a seed derives."""
+    """The one-network reference loop, fed the split and init a seed derives,
+    rounded to float32 as production rounds them."""
     tr, va = split_data(len(x), hyper.train_fraction, mix64(seed, 1))
     norm = norm_stats(x[tr])
     net = init_network(x.shape[1], hyper.hidden_units, mix64(seed, 2))
-    out = reference_train(
-        *net.params(), norm.apply(x[tr]), y[tr], norm.apply(x[va]), y[va], hyper
-    )
+    arrays = (*net.params(), norm.apply(x[tr]), y[tr], norm.apply(x[va]), y[va])
+    out = reference_train(*(a.astype(np.float32) for a in arrays), hyper)
     if out[0] == "diverged":
         return out
     params, train_mse, val_mse, epochs_run = out
@@ -286,15 +304,17 @@ class TestBatchIndependence:
             22, 50, TrainingConfig(max_epochs=7, patience=20),
             lambda out: epochs(out) == [7] * 10,
         ),
-        # Members diverge at the validation-MSE check, beside healthy ones.
+        # In float32, member 4 diverges at the validation-MSE check of epoch
+        # 9 while seven others train on; eight diverge at the training-loss
+        # check and member 2 stays healthy.
         "some_diverge_beside_healthy": (
-            13, 40, TrainingConfig(learning_rate=3e9, momentum=0.9, max_epochs=60),
+            13, 40, TrainingConfig(learning_rate=170.0, momentum=0.9, max_epochs=60),
             lambda out: 0 < sum(o[0] == "diverged" for o in out) < 10,
         ),
-        # Members 1 and 5 diverge at the training-loss check of epoch 20, the
-        # rest at the validation-MSE check of epoch 19 or 20.
+        # In float32, member 1 diverges at the validation-MSE check of epoch
+        # 8, the rest at the training-loss check of epochs 6 to 8.
         "diverges_at_both_checks": (
-            13, 40, TrainingConfig(learning_rate=5e9, momentum=0.9, max_epochs=60),
+            13, 40, TrainingConfig(learning_rate=300.0, momentum=0.9, max_epochs=60),
             lambda out: all(o[0] == "diverged" for o in out)
             and len({o[1] for o in out}) > 1,
         ),
