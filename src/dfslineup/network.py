@@ -13,7 +13,14 @@ on a member's slice alone (a stacked ``matmul`` makes the 2-D product's
 BLAS call per slice; sums run along a contiguous last axis), so a member's
 bytes are the same in any batch as trained alone.
 
-Training runs in float32 (``DTYPE``): the members' normalized rows and
+Training inputs are stored feature-major, (members, inputs, rows), once
+per batch.  The hidden layer is then (members, units, rows), so the bias
+add, the sigmoid, the backward products and the hidden-bias gradient sum
+all run along the contiguous row axis; row-major, their inner loops were
+only the 19 units long and their cost grew with the batch.
+``predict_batch`` still takes feature rows and transposes them itself.
+
+Training runs in float32 (``DTYPE``): the members' normalized inputs and
 targets, weights, velocities, best weights, best validation MSE, learning
 rates and last losses.  Normalization and the init draws run in float64
 and only their output is rounded, so the split and init streams are
@@ -26,13 +33,17 @@ kept every member's initial weights.  ``predict_batch`` stays float64: the
 float64 norm stats upcast the weights, which keeps the ensemble's samples
 float64.
 
-The ensemble uses fixed index batches of ``ensemble.B`` = 8 members.  On
-the fixture's 200 members in float32 (medians and quartiles of 10
-alternating runs) batches of 8 took 0.50 s (0.43-0.54), of 16 0.45 s
-(0.42-0.48) and of 32 0.44 s (0.42-0.45); over 5 runs the per-member loop
-took 1.41 s and all 200 at once 0.43 s.  Peak RSS was +0.4, +1.1, +2.6 and
-+19.0 MB over the loop's 37.5 MB.  A larger batch's gain is inside the
-spread of batches of 8, so B stays 8.
+The ensemble uses fixed index batches of ``ensemble.B`` = 32 members, a
+module constant and not a config key: it sets speed and memory, never a
+result.  On the ``week-default`` benchmark inputs (seed 1, week 8, 200
+members, 4,929 epochs; 2-core VM, one BLAS thread, medians of 6
+alternating blocks of 5 runs) the row-major layout at batches of 8 took
+465 ms, and the feature-major one 398 ms at 8, 339 ms at 16 and 326 ms
+at 32.  B must keep the predict process's peak RSS below the validate
+stage's: there predict peaks at 40.7 MB with batches of 16 and 41.7 MB
+with 32, against 41.3 MB before and validate's 44.1 MB.  Batches of 50
+trained no faster than 32 (348 against 346 ms, 4 blocks of 5 runs) and
+took predict's peak to 44.0 MB, level with validate's.
 """
 
 from __future__ import annotations
@@ -120,33 +131,37 @@ def split_data(n: int, train_fraction: float, seed: int):
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def _forward(net: Network, z: np.ndarray):
-    """Hidden activations and predictions for normalized rows z.
+def _forward(net: Network, zt: np.ndarray):
+    """Hidden activations (units, n) and predictions (n,) for normalized
+    inputs zt, stored feature-major: (inputs, n).
 
-    Works on one network, z (n, inputs), or on a stack, z (members, n, inputs).
+    Works on one network, or on a stack with zt (members, inputs, n).
     Each member's slice gets the same BLAS call as a lone 2-D product.
     """
-    # The sigmoid 1 / (1 + exp(-t)) runs op for op in one buffer: at
-    # (8, 189, 19) a fresh array per op made it 375 us against 77 us (2-core VM).
-    hidden = z @ np.swapaxes(net.w1, -1, -2)
-    hidden += net.b1[..., None, :]
+    # The sigmoid 1 / (1 + exp(-t)) runs op for op in one buffer: at 8
+    # members, 189 rows and 19 units a fresh array per op made it 375 us
+    # against 77 us (2-core VM).
+    hidden = net.w1 @ zt
+    hidden += net.b1[..., None]
     np.negative(hidden, out=hidden)
     np.exp(hidden, out=hidden)
     hidden += 1.0
     np.divide(1.0, hidden, out=hidden)
-    preds = (hidden @ np.swapaxes(net.w2, -1, -2))[..., 0] + net.b2
+    preds = (net.w2 @ hidden)[..., 0, :] + net.b2
     return hidden, preds
 
 
 def predict_batch(net: Network, norm: NormStats, x: np.ndarray) -> np.ndarray:
-    _, preds = _forward(net, norm.apply(x))
+    """Predictions for feature rows x (n, inputs)."""
+    _, preds = _forward(net, norm.apply(x).T)
     return preds
 
 
-def mse(net: Network, z: np.ndarray, y: np.ndarray):
-    """Mean squared error on normalized rows; one value per stacked member."""
-    _, preds = _forward(net, z)
-    return np.add.reduce((preds - y) ** 2, axis=-1) / z.shape[-2]
+def mse(net: Network, zt: np.ndarray, y: np.ndarray):
+    """Mean squared error on normalized inputs zt, feature-major
+    (..., inputs, n); one value per stacked member."""
+    _, preds = _forward(net, zt)
+    return np.add.reduce((preds - y) ** 2, axis=-1) / zt.shape[-1]
 
 
 def _sum_of_squares(w: np.ndarray):
@@ -154,30 +169,31 @@ def _sum_of_squares(w: np.ndarray):
     return np.add.reduce((w**2).reshape(w.shape[:-2] + (-1,)), axis=-1)
 
 
-def loss_and_gradient(net: Network, z: np.ndarray, y: np.ndarray, l2_penalty: float):
+def loss_and_gradient(net: Network, zt: np.ndarray, y: np.ndarray, l2_penalty: float):
     """MSE plus L2 weight penalty, with exact analytic gradients.
 
     Returns (loss, grads), grads a tuple in ``Network.params()`` order.
-    Biases are excluded from the penalty.  z holds normalized feature rows,
-    for one network or, with a leading member axis, for a stack of them.
+    Biases are excluded from the penalty.  zt holds normalized inputs
+    feature-major, (inputs, n) for one network or, with a leading member
+    axis, (members, inputs, n) for a stack of them.
     """
-    n = z.shape[-2]
+    n = zt.shape[-1]
     if n == 0:
         raise ValueError("empty batch")
-    hidden, preds = _forward(net, z)
+    hidden, preds = _forward(net, zt)
     err = preds - y
     loss = np.add.reduce(err**2, axis=-1) / n + l2_penalty * (
         _sum_of_squares(net.w1) + _sum_of_squares(net.w2)
     )
 
     dpred = 2.0 * err / n  # (..., n)
-    gw2 = dpred[..., None, :] @ hidden + 2.0 * l2_penalty * net.w2
+    gw2 = dpred[..., None, :] @ np.swapaxes(hidden, -1, -2) + 2.0 * l2_penalty * net.w2
     gb2 = np.add.reduce(dpred, axis=-1, keepdims=True)
-    dact = dpred[..., :, None] * net.w2  # (..., n, hidden)
+    dact = np.swapaxes(net.w2, -1, -2) * dpred[..., None, :]  # (..., hidden, n)
     dact *= hidden
     dact *= np.subtract(1.0, hidden, out=hidden)  # hidden is not read again
-    gw1 = np.swapaxes(dact, -1, -2) @ z + 2.0 * l2_penalty * net.w1
-    gb1 = np.add.reduce(dact, axis=-2)
+    gw1 = dact @ np.swapaxes(zt, -1, -2) + 2.0 * l2_penalty * net.w1
+    gb1 = np.add.reduce(dact, axis=-1)
     return loss, (gw1, gb1, gw2, gb2)
 
 
@@ -193,9 +209,9 @@ class _Members:
     lr: np.ndarray
     prev_loss: np.ndarray
     stale: np.ndarray
-    z_tr: np.ndarray
+    zt_tr: np.ndarray  # (members, inputs, rows): normalized inputs, feature-major
     y_tr: np.ndarray
-    z_val: np.ndarray
+    zt_val: np.ndarray
     y_val: np.ndarray
 
     def keep(self, rows: np.ndarray) -> "_Members":
@@ -219,8 +235,8 @@ def _start(x: np.ndarray, y: np.ndarray, hyper: TrainingConfig, seeds: list[int]
 
     Each member's split of the window's rows x (targets y) is normalized
     in float64, once, and rounded straight into its float32 slot of the
-    stack.  Only the returned state holds the stacked inputs, so the rows
-    of members that leave it are freed.
+    stack, feature-major.  Only the returned state holds the stacked
+    inputs, so the rows of members that leave it are freed.
     """
     m = len(seeds)
     norms, nets, stacks = [], [], None
@@ -230,23 +246,23 @@ def _start(x: np.ndarray, y: np.ndarray, hyper: TrainingConfig, seeds: list[int]
         norm = norm_stats(x_tr)
         norms.append(norm)
         nets.append(init_network(x.shape[1], hyper.hidden_units, mix64(seed, 2)))
-        member = (norm.apply(x_tr), y[tr], norm.apply(x[val]), y[val])
+        member = (norm.apply(x_tr).T, y[tr], norm.apply(x[val]).T, y[val])
         if stacks is None:
             stacks = [np.empty((m,) + a.shape, dtype=DTYPE) for a in member]
         for stack, a in zip(stacks, member):
             stack[k] = a
-    z_tr, y_tr, z_val, y_val = stacks
+    zt_tr, y_tr, zt_val, y_val = stacks
     net = Network(*(np.stack(p, dtype=DTYPE) for p in zip(*(n.params() for n in nets))))
     state = _Members(
         index=np.arange(m),
         net=net,
         velocity=Network(*(np.zeros_like(p) for p in net.params())),
         best=net.copy(),
-        best_val=mse(net, z_val, y_val),
+        best_val=mse(net, zt_val, y_val),
         lr=np.full(m, hyper.learning_rate, dtype=DTYPE),
         prev_loss=np.full(m, np.inf, dtype=DTYPE),
         stale=np.zeros(m, dtype=np.int64),
-        z_tr=z_tr, y_tr=y_tr, z_val=z_val, y_val=y_val,
+        zt_tr=zt_tr, y_tr=y_tr, zt_val=zt_val, y_val=y_val,
     )
     return state, norms
 
@@ -272,15 +288,15 @@ def train_batch(
 
     def stop(s, rows, epochs_run):
         """Hand the members in rows their best-epoch models; the rest train on."""
-        train_mse = mse(s.best, s.z_tr, s.y_tr)  # no copy of the rows' inputs
-        for k in np.flatnonzero(rows):
-            i = s.index[k]
+        leaving = s.keep(rows)
+        train_mse = mse(leaving.best, leaving.zt_tr, leaving.y_tr)
+        for k, i in enumerate(leaving.index):
             results[i] = TrainedModel(
-                network=Network(*(p[k].copy() for p in s.best.params())),
+                network=Network(*(p[k] for p in leaving.best.params())),
                 norm=norms[i],
                 seed=seeds[i],
                 train_mse=float(train_mse[k]),
-                val_mse=float(s.best_val[k]),
+                val_mse=float(leaving.best_val[k]),
                 epochs_run=epochs_run,
             )
         return s.keep(~rows)
@@ -297,7 +313,7 @@ def train_batch(
             s = stop(s, done, epoch - 1)
         if not len(s.index):
             break
-        loss, grads = loss_and_gradient(s.net, s.z_tr, s.y_tr, hyper.l2_penalty)
+        loss, grads = loss_and_gradient(s.net, s.zt_tr, s.y_tr, hyper.l2_penalty)
         bad = ~np.isfinite(loss)
         if bad.any():
             s = diverge(s, bad, epoch)
@@ -309,7 +325,7 @@ def train_batch(
             v -= _per_member(s.lr, g) * g
             param += v
 
-        val = mse(s.net, s.z_val, s.y_val)
+        val = mse(s.net, s.zt_val, s.y_val)
         bad = ~np.isfinite(val)
         if bad.any():
             s, val = diverge(s, bad, epoch), val[~bad]

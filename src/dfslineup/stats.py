@@ -25,7 +25,7 @@ from .errors import (
 )
 from .optimizer import MAX_COUNTS, POSITION_COUNTS
 from .seeds import mix64
-from .special import kolmogorov_sf, normal_cdf, student_t_sf2
+from .special import kolmogorov_sf, linear_quantiles, normal_cdf, student_t_sf2
 
 MAX_REJECTIONS = 10_000
 # Fewest observations the KS normality test takes.
@@ -135,7 +135,7 @@ def bootstrap_ci(
     counts = rng.multinomial(n, pvals, size=resamples)
     percs = 100.0 * (counts[:, 0] + 0.5 * counts[:, 1]) / n
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(percs, [alpha, 1.0 - alpha], method="linear")
+    lo, hi = linear_quantiles(percs, [alpha, 1.0 - alpha])
     point = 100.0 * (below + 0.5 * equal) / n
     return max(0.0, min(float(lo), point)), min(100.0, max(float(hi), point))
 
@@ -224,7 +224,7 @@ def random_population(
 def boxplot_stats(samples) -> dict:
     """Quartiles plus whiskers at the most extreme points within 1.5 IQR."""
     x = np.asarray(samples, dtype=np.float64)
-    q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75], method="linear")
+    q1, med, q3 = linear_quantiles(x, [0.25, 0.5, 0.75])
     iqr = q3 - q1
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     inside = x[(x >= lo_fence) & (x <= hi_fence)]

@@ -134,58 +134,60 @@ def reference_forward(w1, b1, w2, b2, mean, std, x):
     return float(out)
 
 
-def _reference_forward_2d(params, z):
+def _reference_forward_2d(params, zt):
     w1, b1, w2, b2 = params
-    hidden = 1.0 / (1.0 + np.exp(-(z @ w1.T + b1)))
-    return hidden, hidden @ w2.ravel() + b2[0]
+    hidden = 1.0 / (1.0 + np.exp(-(w1 @ zt + b1[:, None])))
+    return hidden, (w2 @ hidden)[0] + b2[0]
 
 
-def reference_loss_and_gradient(params, z, y, lam):
+def reference_loss_and_gradient(params, zt, y, lam):
     """One network's loss and gradients, (w1, b1, w2, b2), on 2-D arrays.
 
-    Runs in the dtype of z.  Every Python number is cast to that dtype
-    first, so no step widens to float64 on numpy 1.x or 2.
+    zt holds the normalized inputs feature-major, (inputs, n).  Runs in the
+    dtype of zt.  Every Python number is cast to that dtype first, so no
+    step widens to float64 on numpy 1.x or 2.
     """
-    dt = z.dtype.type
+    dt = zt.dtype.type
     w1, _, w2, _ = params
-    hidden, preds = _reference_forward_2d(params, z)
+    hidden, preds = _reference_forward_2d(params, zt)
     err = preds - y
     n = dt(len(y))
     loss = np.sum(err**2) / n + dt(lam) * (np.sum(w1**2) + np.sum(w2**2))
     dpred = dt(2.0) * err / n
-    dact = dpred[:, None] * w2.ravel()[None, :] * hidden * (dt(1.0) - hidden)
+    dact = w2.T * dpred[None, :] * hidden * (dt(1.0) - hidden)
     grads = [
-        dact.T @ z + dt(2.0 * lam) * w1,
-        dact.sum(axis=0),
-        (dpred @ hidden)[None, :] + dt(2.0 * lam) * w2,
+        dact @ zt.T + dt(2.0 * lam) * w1,
+        dact.sum(axis=1),
+        dpred[None, :] @ hidden.T + dt(2.0 * lam) * w2,
         np.array([dpred.sum()]),
     ]
     return loss, grads
 
 
-def reference_train(w1, b1, w2, b2, z_tr, y_tr, z_val, y_val, hyper):
+def reference_train(w1, b1, w2, b2, zt_tr, y_tr, zt_val, y_val, hyper):
     """One network's momentum descent, epoch by epoch, on 2-D arrays.
 
-    z_* are normalized rows; every step runs in their dtype, the
+    zt_* are normalized inputs, feature-major (inputs, n); every step runs
+    in their dtype, the
     hyperparameters cast to it.  Returns ("diverged", epoch) when the
     training loss or then the validation MSE turns non-finite, else the
     parameters of the best-validation epoch with their train MSE, best
     validation MSE and the epochs run.  The lr halves whenever the
     training loss rises.
     """
-    dt = z_tr.dtype.type
+    dt = zt_tr.dtype.type
     params = [w1.copy(), b1.copy(), w2.copy(), b2.copy()]
 
-    def mse(p, z, y):
-        return np.sum((_reference_forward_2d(p, z)[1] - y) ** 2) / dt(len(y))
+    def mse(p, zt, y):
+        return np.sum((_reference_forward_2d(p, zt)[1] - y) ** 2) / dt(len(y))
 
-    best, best_val = [q.copy() for q in params], mse(params, z_val, y_val)
+    best, best_val = [q.copy() for q in params], mse(params, zt_val, y_val)
     velocity = [np.zeros_like(q) for q in params]
     lr, prev_loss, stale, epochs_run = dt(hyper.learning_rate), dt(np.inf), 0, 0
     for epoch in range(1, hyper.max_epochs + 1):
         if stale >= hyper.patience:
             break
-        loss, grads = reference_loss_and_gradient(params, z_tr, y_tr, hyper.l2_penalty)
+        loss, grads = reference_loss_and_gradient(params, zt_tr, y_tr, hyper.l2_penalty)
         if not np.isfinite(loss):
             return ("diverged", epoch)
         if loss > prev_loss:
@@ -196,14 +198,14 @@ def reference_train(w1, b1, w2, b2, z_tr, y_tr, z_val, y_val, hyper):
             v -= lr * g
             q += v
         epochs_run = epoch
-        val = mse(params, z_val, y_val)
+        val = mse(params, zt_val, y_val)
         if not np.isfinite(val):
             return ("diverged", epoch)
         if val < best_val:
             best, best_val, stale = [q.copy() for q in params], val, 0
         else:
             stale += 1
-    return (tuple(best), float(mse(best, z_tr, y_tr)), float(best_val), epochs_run)
+    return (tuple(best), float(mse(best, zt_tr, y_tr)), float(best_val), epochs_run)
 
 
 def reference_window(csv_path, window_index: int, mode: str):

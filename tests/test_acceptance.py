@@ -19,7 +19,7 @@ import yaml
 from dfslineup.cli import EXIT_OK, main
 from dfslineup.errors import InfeasibleLineupError
 from dfslineup.data import build_window
-from dfslineup.ensemble import sample_matrix, train_ensemble
+from dfslineup.ensemble import B, sample_matrix, train_ensemble
 from dfslineup.config import TrainingConfig
 from dfslineup.network import loss_and_gradient, train
 from dfslineup.optimizer import Pool, blocks, modal_lineup, optimize_all_flex, solve_flex_configs
@@ -107,8 +107,8 @@ class TestGradientExactness:
             y = rng.normal(0, 3, n)
             l2 = float(rng.choice([0.0, 1e-3, 1e-2]))
 
-            z = norm.apply(x)
-            _, grad = loss_and_gradient(net, z, y, l2)
+            zt = norm.apply(x).T
+            _, grad = loss_and_gradient(net, zt, y, l2)
             analytic = np.concatenate([g.ravel() for g in grad])
             theta = flat_params(net)
             numeric = np.empty_like(theta)
@@ -116,8 +116,8 @@ class TestGradientExactness:
                 up, down = theta.copy(), theta.copy()
                 up[i] += h
                 down[i] -= h
-                lu, _ = loss_and_gradient(set_flat(net, up), z, y, l2)
-                ld, _ = loss_and_gradient(set_flat(net, down), z, y, l2)
+                lu, _ = loss_and_gradient(set_flat(net, up), zt, y, l2)
+                ld, _ = loss_and_gradient(set_flat(net, down), zt, y, l2)
                 numeric[i] = (lu - ld) / (2.0 * h)
 
             # Scale-aware denominator: components much smaller than 1 are
@@ -286,10 +286,10 @@ class TestReproducibility:
         train_w = build_window(season_table, 4, "train")
         predict_w = build_window(season_table, 5, "predict")
         hyper = TrainingConfig(max_epochs=60, patience=5)
-        # 11 models: a full batch and a partial one, on 2 of the 3 workers.
+        # B + 3 models: a full batch and a partial one, on 2 of the 3 workers.
         x, y = train_w.features, train_w.targets
-        serial = train_ensemble(x, y, 11, MASTER_SEED, hyper, workers=1)
-        parallel = train_ensemble(x, y, 11, MASTER_SEED, hyper, workers=3)
+        serial = train_ensemble(x, y, B + 3, MASTER_SEED, hyper, workers=1)
+        parallel = train_ensemble(x, y, B + 3, MASTER_SEED, hyper, workers=3)
         rows = predict_w.features
         assert np.array_equal(sample_matrix(serial, rows), sample_matrix(parallel, rows))
 

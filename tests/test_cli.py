@@ -350,6 +350,29 @@ class TestPipelineArtifacts:
             assert result.stdout.splitlines()[-1] == "False", command
 
 
+    def test_stages_do_not_load_numpy_ma(self, tmp_path):
+        """Quantiles are taken without ``np.quantile``, which imports numpy.ma."""
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        code = (
+            "import sys\n"
+            "from dfslineup.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "sys.exit(status)\n"
+        )
+        for command in ("predict", "optimize", "validate"):
+            result = subprocess.run(
+                [sys.executable, "-c", code, command, "--config", str(config)],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == EXIT_OK, result.stderr
+            assert result.stdout.splitlines()[-1] == "False", command
+
+
 class TestOptions:
     def test_config_init(self, tmp_path, capsys):
         path = tmp_path / "new.yaml"
@@ -579,10 +602,10 @@ class TestExitCodes:
         assert main(["predict", "--config", str(config)]) == EXIT_OK
         assert main(["optimize", "--config", str(config)]) == EXIT_INFEASIBLE
 
-    @pytest.mark.parametrize("n_models, workers", [(N_MODELS, 1), (9, 2)])
+    @pytest.mark.parametrize("n_models, workers", [(N_MODELS, 1), (ensemble.B + 1, 2)])
     def test_divergence_twice_exits_four(self, tmp_path, capsys, n_models, workers):
         # Every member diverges, with its first seed and with its retry seed.
-        # Nine models make two batches, which go to a pool of two processes.
+        # B + 1 models make two batches, which go to a pool of two processes.
         # Training raises no RuntimeWarning, which this suite makes an error.
         config = write_config(
             tmp_path,

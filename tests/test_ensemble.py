@@ -24,6 +24,7 @@ from dfslineup.seeds import mix64
 from .test_network import make_dataset
 
 FAST = TrainingConfig(max_epochs=40, patience=5)
+B = ensemble_module.B
 
 
 def make_predict_rows(rng, n=12):
@@ -45,11 +46,11 @@ class TestTraining:
             assert m1.val_mse == m2.val_mse
 
     def test_parallel_equals_serial(self):
-        """11 models make batches of 8 and 3, spread over 2 of 3 workers."""
+        """B + 3 models make batches of B and 3, spread over 2 of 3 workers."""
         x, y = make_dataset(np.random.default_rng(1), n=60)
-        serial = train_ensemble(x, y, 11, master_seed=5, hyper=FAST, workers=1)
-        parallel = train_ensemble(x, y, 11, master_seed=5, hyper=FAST, workers=3)
-        assert len(serial) == len(parallel) == 11
+        serial = train_ensemble(x, y, B + 3, master_seed=5, hyper=FAST, workers=1)
+        parallel = train_ensemble(x, y, B + 3, master_seed=5, hyper=FAST, workers=3)
+        assert len(serial) == len(parallel) == B + 3
         for ms, mp in zip(serial.models, parallel.models):
             assert ms.seed == mp.seed
             assert ms.epochs_run == mp.epochs_run and ms.val_mse == mp.val_mse
@@ -58,7 +59,8 @@ class TestTraining:
 
     @pytest.mark.parametrize(
         "workers, n_models, pool_size",
-        [(64, 3, None), (64, 20, 3), (2, 20, 2), (1, 20, None)],
+        # 2 * B + 4 models make three batches.
+        [(64, 3, None), (64, 2 * B + 4, 3), (2, 2 * B + 4, 2), (1, 2 * B + 4, None)],
     )
     def test_pool_has_no_more_workers_than_batches(
         self, monkeypatch, workers, n_models, pool_size
@@ -111,6 +113,23 @@ class TestTraining:
         assert sum(s != model_seed(master, i) for i, s in enumerate(seeds)) == 1
         alone = real(x, y, FAST, [seeds[k]])[0]
         assert np.array_equal(ensemble.models[k].network.w1, alone.network.w1)
+
+    @pytest.mark.parametrize("batch", [1, 8, B])
+    def test_members_do_not_depend_on_the_batch_size(self, monkeypatch, batch):
+        """B sets only how many members share an array program."""
+        x, y = make_dataset(np.random.default_rng(5), n=60)
+
+        def members():
+            ensemble = train_ensemble(x, y, 11, master_seed=23, hyper=FAST)
+            return [
+                (m.seed, m.epochs_run, m.train_mse, m.val_mse,
+                 *(p.tobytes() for p in m.network.params()))
+                for m in ensemble.models
+            ]
+
+        at_b = members()
+        monkeypatch.setattr(ensemble_module, "B", batch)
+        assert members() == at_b
 
     def test_prefix_property(self):
         """The first k models of a larger ensemble equal a smaller ensemble."""

@@ -103,8 +103,8 @@ class TestGradient:
             y = rng.normal(0, 5, x.shape[0])
             lam = float(rng.choice([0.0, 1e-3, 1e-2]))
 
-            z = norm.apply(x)
-            _, grad = loss_and_gradient(net, z, y, lam)
+            zt = norm.apply(x).T
+            _, grad = loss_and_gradient(net, zt, y, lam)
             analytic = np.concatenate([g.ravel() for g in grad])
             theta = flat_params(net)
             numeric = np.empty_like(theta)
@@ -112,8 +112,8 @@ class TestGradient:
                 up, dn = theta.copy(), theta.copy()
                 up[k] += h
                 dn[k] -= h
-                lu, _ = loss_and_gradient(set_flat(net, up), z, y, lam)
-                ld, _ = loss_and_gradient(set_flat(net, dn), z, y, lam)
+                lu, _ = loss_and_gradient(set_flat(net, up), zt, y, lam)
+                ld, _ = loss_and_gradient(set_flat(net, dn), zt, y, lam)
                 numeric[k] = (lu - ld) / (2 * h)
             # Scale-aware relative error: near-zero components are judged
             # against the loss scale, not their own magnitude, since central
@@ -127,9 +127,9 @@ class TestGradient:
         net, norm = random_net(rng), random_norm(rng)
         x = rng.normal(0, 1, (5, 7))
         y = rng.normal(0, 1, 5)
-        z = norm.apply(x)
-        loss0, grad0 = loss_and_gradient(net, z, y, 0.0)
-        loss1, grad1 = loss_and_gradient(net, z, y, 0.1)
+        zt = norm.apply(x).T
+        loss0, grad0 = loss_and_gradient(net, zt, y, 0.0)
+        loss1, grad1 = loss_and_gradient(net, zt, y, 0.1)
         assert loss1 == pytest.approx(
             loss0 + 0.1 * (np.sum(net.w1**2) + np.sum(net.w2**2))
         )
@@ -144,13 +144,13 @@ class TestGradient:
         rng = np.random.default_rng(15)
         nets = [random_net(rng, N_FEATURES, 19) for _ in range(5)]
         stack = Network(*(np.stack(p) for p in zip(*(n.params() for n in nets))))
-        z = rng.normal(0, 1, (5, 31, N_FEATURES))
+        zt = rng.normal(0, 1, (5, N_FEATURES, 31))  # feature-major, as trained
         y = rng.normal(0, 5, (5, 31))
         for lam in (1e-3, 1.0):  # at 1.0 the penalty's last bits reach the loss
-            loss, grads = loss_and_gradient(stack, z, y, lam)
+            loss, grads = loss_and_gradient(stack, zt, y, lam)
             for k, net in enumerate(nets):
                 ref_loss, ref_grads = reference_loss_and_gradient(
-                    net.params(), z[k], y[k], lam
+                    net.params(), zt[k], y[k], lam
                 )
                 assert loss[k] == ref_loss
                 for g, ref in zip(grads, ref_grads):
@@ -161,18 +161,18 @@ class TestGradient:
         rng = np.random.default_rng(16)
         nets = [random_net(rng, N_FEATURES, 19) for _ in range(3)]
         stack = Network(*(np.stack(p, dtype=dtype) for p in zip(*(n.params() for n in nets))))
-        z = rng.normal(0, 1, (3, 31, N_FEATURES)).astype(dtype)
+        zt = rng.normal(0, 1, (3, N_FEATURES, 31)).astype(dtype)
         y = rng.normal(0, 5, (3, 31)).astype(dtype)
-        loss, grads = loss_and_gradient(stack, z, y, 1e-3)
+        loss, grads = loss_and_gradient(stack, zt, y, 1e-3)
         assert loss.dtype == dtype
         assert [g.dtype for g in grads] == [dtype] * 4
-        assert mse(stack, z, y).dtype == dtype
+        assert mse(stack, zt, y).dtype == dtype
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(5)
         net, norm = random_net(rng), random_norm(rng)
         with pytest.raises(ValueError):
-            loss_and_gradient(net, np.empty((0, 7)), np.empty(0), 0.0)
+            loss_and_gradient(net, np.empty((7, 0)), np.empty(0), 0.0)
 
 
 class TestSplit:
@@ -263,12 +263,12 @@ class TestTraining:
 
 def reference_outcome(x, y, hyper, seed):
     """The one-network reference loop, fed the split and init a seed derives,
-    rounded to float32 as production rounds them."""
+    feature-major and rounded to float32 as production lays them out."""
     tr, va = split_data(len(x), hyper.train_fraction, mix64(seed, 1))
     norm = norm_stats(x[tr])
     net = init_network(x.shape[1], hyper.hidden_units, mix64(seed, 2))
-    arrays = (*net.params(), norm.apply(x[tr]), y[tr], norm.apply(x[va]), y[va])
-    out = reference_train(*(a.astype(np.float32) for a in arrays), hyper)
+    arrays = (*net.params(), norm.apply(x[tr]).T, y[tr], norm.apply(x[va]).T, y[va])
+    out = reference_train(*(a.astype(np.float32, order="C") for a in arrays), hyper)
     if out[0] == "diverged":
         return out
     params, train_mse, val_mse, epochs_run = out

@@ -20,7 +20,13 @@ from dfslineup.errors import (
     ZeroVarianceError,
 )
 from dfslineup import stats
-from dfslineup.special import betainc, kolmogorov_sf, normal_cdf, student_t_sf2
+from dfslineup.special import (
+    betainc,
+    kolmogorov_sf,
+    linear_quantiles,
+    normal_cdf,
+    student_t_sf2,
+)
 from dfslineup.stats import (
     MAX_HISTOGRAM_BINS,
     boxplot_stats,
@@ -37,6 +43,25 @@ from dfslineup.stats import (
 
 from .conftest import Player, columns, make_pool, make_pool_with
 from .oracles import FLEX_COUNTS, random_rows_ok
+
+
+class TestLinearQuantiles:
+    """The helper gives ``np.quantile``'s linear-method bytes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 57])
+    def test_equals_numpy_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        qs = [0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0, *rng.uniform(size=5)]
+        for x in (rng.normal(0, 10, n), rng.integers(0, 4, n).astype(float)):  # ties
+            want = np.quantile(x, qs, method="linear")
+            assert linear_quantiles(x, qs).tobytes() == want.tobytes()
+
+        grid = rng.normal(0, 5, (n, 6))
+        grid[:, :2] = np.round(grid[:, :2])
+        grid[:, 2] = rng.choice([-0.0, 0.0], n)  # ties that differ in sign
+        want = np.quantile(grid, [0.025, 0.975], axis=0, method="linear")
+        got = linear_quantiles(grid, [0.025, 0.975])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSpecialFunctions:
