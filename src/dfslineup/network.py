@@ -40,10 +40,11 @@ members, 4,929 epochs; 2-core VM, one BLAS thread, medians of 6
 alternating blocks of 5 runs) the row-major layout at batches of 8 took
 465 ms, and the feature-major one 398 ms at 8, 339 ms at 16 and 326 ms
 at 32.  B must keep the predict process's peak RSS below the validate
-stage's: there predict peaks at 40.7 MB with batches of 16 and 41.7 MB
-with 32, against 41.3 MB before and validate's 44.1 MB.  Batches of 50
-trained no faster than 32 (348 against 346 ms, 4 blocks of 5 runs) and
-took predict's peak to 44.0 MB, level with validate's.
+stage's.  There (5 runs each, modules compiled from source as in the
+benchmark) predict peaked at 40.6 MB with batches of 16 and 43.2 MB with
+32, against 41.4 MB before and validate's 44.1 MB.  Batches of 50 trained
+no faster than 32 (348 against 346 ms, 4 blocks of 5 runs) and took
+predict's peak to 44.2 MB, above validate's.
 """
 
 from __future__ import annotations

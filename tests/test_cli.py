@@ -349,7 +349,6 @@ class TestPipelineArtifacts:
             assert result.returncode == EXIT_OK, result.stderr
             assert result.stdout.splitlines()[-1] == "False", command
 
-
     def test_stages_do_not_load_numpy_ma(self, tmp_path):
         """Quantiles are taken without ``np.quantile``, which imports numpy.ma."""
         config = write_config(tmp_path)

@@ -114,22 +114,20 @@ class TestTraining:
         alone = real(x, y, FAST, [seeds[k]])[0]
         assert np.array_equal(ensemble.models[k].network.w1, alone.network.w1)
 
-    @pytest.mark.parametrize("batch", [1, 8, B])
-    def test_members_do_not_depend_on_the_batch_size(self, monkeypatch, batch):
-        """B sets only how many members share an array program."""
+    def test_members_do_not_depend_on_the_batch_size(self, monkeypatch):
+        """B sets only how many members share an array program: batches of
+        1, of 8 and of B give the same bytes."""
         x, y = make_dataset(np.random.default_rng(5), n=60)
-
-        def members():
+        runs = []
+        for batch in (1, 8, B):
+            monkeypatch.setattr(ensemble_module, "B", batch)
             ensemble = train_ensemble(x, y, 11, master_seed=23, hyper=FAST)
-            return [
+            runs.append([
                 (m.seed, m.epochs_run, m.train_mse, m.val_mse,
                  *(p.tobytes() for p in m.network.params()))
                 for m in ensemble.models
-            ]
-
-        at_b = members()
-        monkeypatch.setattr(ensemble_module, "B", batch)
-        assert members() == at_b
+            ])
+        assert runs[0] == runs[1] == runs[2]
 
     def test_prefix_property(self):
         """The first k models of a larger ensemble equal a smaller ensemble."""

@@ -58,7 +58,7 @@ class TestLinearQuantiles:
 
         grid = rng.normal(0, 5, (n, 6))
         grid[:, :2] = np.round(grid[:, :2])
-        grid[:, 2] = rng.choice([-0.0, 0.0], n)  # ties that differ in sign
+        grid[:, 2] = np.where(np.arange(n) % 2, 0.0, -0.0)  # ties that differ in sign
         want = np.quantile(grid, [0.025, 0.975], axis=0, method="linear")
         got = linear_quantiles(grid, [0.025, 0.975])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
