@@ -88,17 +88,18 @@ class PlayerWeekTable:
     missing row is NaN there.
     """
 
-    def __init__(self, ids, week, position, salary, values, draftable):
-        """One entry per CSV row, at most one per (player_id, week): ``ids``
-        a list of str, ``position`` indices into POSITIONS and ``values`` a
-        (len(VALUE_COLUMNS), n_rows) float array."""
-        self._ids = sorted(set(ids))
+    def __init__(self, names, player, week, position, salary, values, draftable):
+        """``names`` holds each player's id once; the other arguments hold
+        one entry per CSV row, at most one per (player_id, week): ``player``
+        an index into ``names``, ``position`` indices into POSITIONS and
+        ``values`` a (len(VALUE_COLUMNS), n_rows) float array."""
+        order = sorted(range(len(names)), key=names.__getitem__)
+        self._ids = [names[i] for i in order]
         self._index = {pid: i for i, pid in enumerate(self._ids)}
         shape = (len(self._ids), LAST_WEEK + 1)
-        at = (
-            np.array([self._index[pid] for pid in ids], dtype=np.intp),
-            np.asarray(week, dtype=np.intp),
-        )
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        at = (rank[np.asarray(player, dtype=np.intp)], np.asarray(week, dtype=np.intp))
         self.present = np.zeros(shape, dtype=bool)
         self.present[at] = True
         self.position = np.zeros(shape, dtype=np.int8)
@@ -109,7 +110,7 @@ class PlayerWeekTable:
         self.draftable[at] = draftable
         self.values = np.full((len(VALUE_COLUMNS), *shape), np.nan)
         self.values[(slice(None), *at)] = values
-        self._n_rows = len(ids)
+        self._n_rows = len(player)
 
     def __len__(self):
         return self._n_rows
@@ -336,37 +337,63 @@ def _columnar(records):
     return ids, week.astype(np.int64), position, salary.astype(np.int64), values, draftable
 
 
-def _check_keys(first_lines, keys, lines):
-    """Record each (player_id, week) key's first line; DuplicateKeyError
-    names the first key that repeats, in file order."""
-    block = dict(zip(keys, lines))
-    if len(block) == len(lines) and block.keys().isdisjoint(first_lines):
-        first_lines.update(block)
-        return
-    for key, line in zip(keys, lines):
-        first = first_lines.setdefault(key, line)
-        if first != line:
-            raise DuplicateKeyError(
-                f"duplicate (player_id, week) = {key}: line {line} repeats line {first}"
-            )
+class _Keys:
+    """The (player_id, week) keys read so far, as a week grid per player:
+    the line each key was first read on, 0 for none yet.  Each player's id
+    is held once, as the first string read for it."""
+
+    def __init__(self):
+        self.players: dict[str, int] = {}  # id -> its row of the grid
+        self.lines = np.zeros((64, LAST_WEEK + 1), dtype=np.int64)
+
+    def add(self, ids, weeks, lines) -> np.ndarray:
+        """Record a block's keys; their players' rows.  DuplicateKeyError
+        names the first key that repeats, in file order."""
+        players = self.players
+        rows = np.array([players.setdefault(pid, len(players)) for pid in ids], dtype=np.intp)
+        while len(self.lines) < len(players):
+            self.lines = np.concatenate([self.lines, np.zeros_like(self.lines)])
+        cells = rows * (LAST_WEEK + 1) + np.asarray(weeks, dtype=np.intp)
+        lines = np.asarray(lines, dtype=np.int64)
+        grid = self.lines.reshape(-1)
+        if not grid[cells].any():
+            grid[cells] = lines
+            # A key repeated within the block keeps only one of its lines.
+            if (grid[cells] == lines).all():
+                return rows
+            grid[cells] = 0
+        for pid, week, cell, line in zip(ids, weeks, cells.tolist(), lines.tolist()):
+            if grid[cell]:
+                raise DuplicateKeyError(
+                    f"duplicate (player_id, week) = {(pid, int(week))}: "
+                    f"line {line} repeats line {grid[cell]}"
+                )
+            grid[cell] = line
+        return rows
 
 
-def _row_by_row(lines, records, first_lines):
-    """parse_row and the key check over a block, row by row, so the first
-    bad row raises; the block's columns otherwise."""
-    rows = []
+def _row_by_row(lines, records, keys):
+    """parse_row over a block, row by row, then the key check of the rows
+    before the first bad one, so the first error in file order raises; the
+    block's columns otherwise, players as rows of ``keys``."""
+    rows, error = [], None
     for line, record in zip(lines, records):
-        if len(record) != len(CSV_COLUMNS):
-            raise SchemaError(
-                f"expected {len(CSV_COLUMNS)} fields, got {len(record)}", line=line
-            )
-        row = parse_row(dict(zip(CSV_COLUMNS, record)), line)
-        _check_keys(first_lines, [row[:2]], [line])
-        rows.append(row)
-    ids, week, position, salary, *values, draftable = zip(*rows)
+        try:
+            if len(record) != len(CSV_COLUMNS):
+                raise SchemaError(
+                    f"expected {len(CSV_COLUMNS)} fields, got {len(record)}", line=line
+                )
+            rows.append(parse_row(dict(zip(CSV_COLUMNS, record)), line))
+        except SchemaError as exc:
+            error = exc
+            break
+    player = keys.add([r[0] for r in rows], [r[1] for r in rows], lines[: len(rows)])
+    if error:
+        raise error
+    _, week, position, salary, *values, draftable = zip(*rows)
     position = [_POSITION_INDEX[p] for p in position]
     # An empty optional field is None, which float64 reads as NaN.
-    return list(ids), week, position, salary, np.array(values, dtype=np.float64), draftable
+    return player, week, position, salary, np.array(values, dtype=np.float64), draftable
 
 
 @names_file
@@ -388,7 +415,7 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
         raise SchemaError(
             f"header {header} does not match expected schema {CSV_COLUMNS}", line=1
         )
-    columns, first_lines, start = [], {}, 2
+    columns, keys, start = [], _Keys(), 2
     for block in _blocks(reader, BLOCK_ROWS):
         lines = range(start, start + len(block))
         start += len(block)
@@ -398,17 +425,17 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
             if not block:
                 continue
         try:
-            cols = _columnar(block)
+            ids, *cols = _columnar(block)
         except ValueError:
-            cols = _row_by_row(lines, block, first_lines)
+            columns.append(_row_by_row(lines, block, keys))
         else:
-            _check_keys(first_lines, list(zip(cols[0], cols[1].tolist())), lines)
-        columns.append(cols)
+            columns.append((keys.add(ids, cols[0], lines), *cols))
     if not columns:
-        return PlayerWeekTable([], [], [], [], np.empty((len(VALUE_COLUMNS), 0)), [])
-    ids, week, position, salary, values, draftable = zip(*columns)
+        return PlayerWeekTable([], [], [], [], [], np.empty((len(VALUE_COLUMNS), 0)), [])
+    player, week, position, salary, values, draftable = zip(*columns)
     return PlayerWeekTable(
-        [pid for part in ids for pid in part],
+        list(keys.players),
+        np.concatenate(player),
         np.concatenate(week),
         np.concatenate(position),
         np.concatenate(salary),

@@ -39,12 +39,19 @@ result.  On the ``week-default`` benchmark inputs (seed 1, week 8, 200
 members, 4,929 epochs; 2-core VM, one BLAS thread, medians of 6
 alternating blocks of 5 runs) the row-major layout at batches of 8 took
 465 ms, and the feature-major one 398 ms at 8, 339 ms at 16 and 326 ms
-at 32.  B must keep the predict process's peak RSS below the validate
-stage's.  There (5 runs each, modules compiled from source as in the
-benchmark) predict peaked at 40.6 MB with batches of 16 and 43.2 MB with
-32, against 41.4 MB before and validate's 44.1 MB.  Batches of 50 trained
-no faster than 32 (348 against 346 ms, 4 blocks of 5 runs) and took
-predict's peak to 44.2 MB, above validate's.
+at 32.  Batches of 50 trained no faster than 32 (348 against 346 ms, 4
+blocks of 5 runs).  A member that stops or diverges leaves the batch in
+place (``_Members.drop``): the members after it move up and every array
+becomes its own prefix, so no second copy of the state is made.  Since
+validate scores its random lineups block by block (40.3 MB), the predict
+process sets the weekly run's peak RSS, and B trades that peak against
+training time.  With modules compiled from source as in the benchmark (5
+runs each), predict peaked at 40.5 MB with batches of 16, 41.7 MB with
+24 and 41.9 MB with 32.  In 40 alternating runs, training took 240, 230
+and 234 ms at those sizes, closer together than their quartile spread of
+about 30 ms, so the gap at 16 seen above did not show again.  Of the
+peak, importing ``numpy.random`` alone takes 6.2 MB, 3.6 MB of it
+OpenSSL: the module loads ``secrets``, which loads ``hashlib``.
 """
 
 from __future__ import annotations
@@ -215,15 +222,23 @@ class _Members:
     zt_val: np.ndarray
     y_val: np.ndarray
 
-    def keep(self, rows: np.ndarray) -> "_Members":
-        """The members where the mask rows is true, copied."""
+    def drop(self, rows: np.ndarray) -> None:
+        """Remove the members where the mask rows is true.  The others move
+        up, in order, within each array, which then becomes its prefix view:
+        only the members that move are copied, one array at a time."""
+        kept = np.flatnonzero(~rows)
+        first = int(np.argmax(rows))  # members before the first leaver stay put
 
-        def take(v):
-            if isinstance(v, Network):
-                return Network(*(p[rows] for p in v.params()))
-            return v[rows]
+        def compact(a):
+            a[first : len(kept)] = a[kept[first:]]
+            return a[: len(kept)]
 
-        return _Members(*(take(getattr(self, f.name)) for f in fields(self)))
+        for f in fields(self):
+            v = getattr(self, f.name)
+            setattr(
+                self, f.name,
+                Network(*map(compact, v.params())) if isinstance(v, Network) else compact(v),
+            )
 
 
 def _per_member(values: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -287,37 +302,37 @@ def train_batch(
     s, norms = _start(x, y, hyper, seeds)
     results: list = [None] * len(seeds)
 
-    def stop(s, rows, epochs_run):
+    def stop(rows, epochs_run):
         """Hand the members in rows their best-epoch models; the rest train on."""
-        leaving = s.keep(rows)
-        train_mse = mse(leaving.best, leaving.zt_tr, leaving.y_tr)
-        for k, i in enumerate(leaving.index):
+        best = Network(*(p[rows] for p in s.best.params()))
+        train_mse = mse(best, s.zt_tr[rows], s.y_tr[rows])
+        for k, (i, val_mse) in enumerate(zip(s.index[rows], s.best_val[rows])):
             results[i] = TrainedModel(
-                network=Network(*(p[k] for p in leaving.best.params())),
+                network=Network(*(p[k] for p in best.params())),
                 norm=norms[i],
                 seed=seeds[i],
                 train_mse=float(train_mse[k]),
-                val_mse=float(leaving.best_val[k]),
+                val_mse=float(val_mse),
                 epochs_run=epochs_run,
             )
-        return s.keep(~rows)
+        s.drop(rows)
 
-    def diverge(s, rows, epoch):
+    def diverge(rows, epoch):
         for i in s.index[rows]:
             results[i] = TrainingDivergedError(epoch)
-        return s.keep(~rows)
+        s.drop(rows)
 
     # Pass max_epochs + 1 takes no step; it only ends the members still training.
     for epoch in range(1, hyper.max_epochs + 2):
         done = (s.stale >= hyper.patience) | (epoch > hyper.max_epochs)
         if done.any():
-            s = stop(s, done, epoch - 1)
+            stop(done, epoch - 1)
         if not len(s.index):
             break
         loss, grads = loss_and_gradient(s.net, s.zt_tr, s.y_tr, hyper.l2_penalty)
         bad = ~np.isfinite(loss)
         if bad.any():
-            s = diverge(s, bad, epoch)
+            diverge(bad, epoch)
             loss, grads = loss[~bad], tuple(g[~bad] for g in grads)
         s.lr = np.where(loss > s.prev_loss, s.lr * 0.5, s.lr)
         s.prev_loss = loss
@@ -329,7 +344,8 @@ def train_batch(
         val = mse(s.net, s.zt_val, s.y_val)
         bad = ~np.isfinite(val)
         if bad.any():
-            s, val = diverge(s, bad, epoch), val[~bad]
+            diverge(bad, epoch)
+            val = val[~bad]
         better = val < s.best_val
         s.best_val = np.where(better, val, s.best_val)
         for b, p in zip(s.best.params(), s.net.params()):

@@ -327,12 +327,17 @@ def solve_flex_configs(tables: Tables, r: int) -> list[Optional[Lineup]]:
     lineups = []
     for config, halves, root in zip(FLEX_CONFIGS, _HALVES, pool.roots):
         chosen = tables.chosen(r, halves, root, memo)
+        if chosen is None:
+            lineups.append(None)
+            continue
         # Chosen indices are in id order, so predicted_fpts is summed in id
-        # order: it decides the cross-configuration choice down to its last bit.
-        lineups.append(
-            None if chosen is None
-            else Lineup(tuple(pool.ids[j] for j in chosen), config, sum(fpts[j] for j in chosen))
-        )
+        # order, left to right: it decides the cross-configuration choice
+        # down to its last bit, and sum() compensates its float additions
+        # from Python 3.12 on.
+        total = 0.0
+        for j in chosen:
+            total += fpts[j]
+        lineups.append(Lineup(tuple(pool.ids[j] for j in chosen), config, total))
     return lineups
 
 

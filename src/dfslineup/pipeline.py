@@ -323,13 +323,12 @@ def cmd_validate(cfg: RunConfig) -> None:
         hist_rows += zip(repeat(pid), edges[:-1], edges[1:], counts, repeat(actuals[pid]))
 
     pool_rows = np.flatnonzero(target["draftable"] & (target["fpts"] > 0))
-    fpts = target["fpts"][pool_rows]
     rb = cfg.random_baseline
-    draws = stats.random_population(
+    populations = {"random": stats.random_population(
         np.array(target["position"])[pool_rows], target["salary"][pool_rows],
-        cfg.salary_cap, rb.count, rb.min_salary, mix64(cfg.master_seed, RANDOM_SALT),
-    )
-    populations = {"random": fpts[draws].sum(axis=1)}
+        target["fpts"][pool_rows], cfg.salary_cap, rb.count, rb.min_salary,
+        mix64(cfg.master_seed, RANDOM_SALT),
+    )}
     if np.ptp(populations["random"]) == 0:  # no percentile spread, no KS test
         raise UnservableWeekError(
             f"week {week}: the random population's {rb.count} lineups all score "

@@ -89,7 +89,7 @@ def ks_normality(sample) -> TestResult:
     if sd == 0.0:
         raise ZeroVarianceError("sample has zero variance")
     mean = float(x.mean())
-    cdf = np.array([normal_cdf((v - mean) / sd) for v in x])
+    cdf = np.fromiter((normal_cdf((v - mean) / sd) for v in x), dtype=np.float64, count=n)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)
@@ -167,17 +167,16 @@ def _draw_block(rng, groups, keep, config_ok, salary, band):
     return rows, config_ok[config] & (total >= band[0]) & (total <= band[1])
 
 
-def random_population(
-    position, salary, salary_cap: int, count: int, min_salary: int, seed: int
-) -> np.ndarray:
-    """`count` uniform slot-wise random lineups with salary in [min_salary, cap].
+def random_lineups(position, salary, salary_cap: int, count: int, min_salary: int, seed: int):
+    """`count` uniform slot-wise random lineups with salary in [min_salary, cap],
+    as blocks of rows.
 
     The pool is two parallel columns, each player's position and salary;
-    the result is a (count, 9) array of indices into them.  Per attempt: a
+    each block is an (n, 9) array of indices into them.  Per attempt: a
     flex configuration uniformly among the three, then per position uniform
     picks without replacement from that position's players in array order.
     Attempts run in blocks of _BLOCK; block b draws from
-    default_rng(mix64(seed, b)) and in-band attempts are kept in order, so
+    default_rng(mix64(seed, b)) and yields its in-band attempts in order, so
     a smaller count gives a prefix of a larger one.  MAX_REJECTIONS
     consecutive misses raise NoFeasibleSampleError.
     """
@@ -201,7 +200,7 @@ def random_population(
     salary = np.asarray(salary, dtype=np.int64)
     band = (min_salary, salary_cap)
 
-    chunks, misses, need = [], 0, count
+    misses, need = 0, count
     for block in itertools.count():
         rng = np.random.default_rng(mix64(seed, block))
         rows, ok = _draw_block(rng, groups, keep, config_ok, salary, band)
@@ -215,10 +214,27 @@ def random_population(
                 f"{MAX_REJECTIONS} consecutive draws missed the salary band "
                 f"[{min_salary}, {salary_cap}]"
             )
-        chunks.append(rows[hits])
+        yield rows[hits]
         if not need:
-            return np.concatenate(chunks)
+            return
         misses = _BLOCK - 1 - int(marks[-2])
+
+
+def random_population(
+    position, salary, fpts, salary_cap: int, count: int, min_salary: int, seed: int
+) -> np.ndarray:
+    """The FPTS totals of ``random_lineups``' `count` lineups, in draw order.
+
+    ``fpts`` is the pool's third column.  Each block of index rows is
+    summed as it is drawn, one row at a time (``fpts[rows].sum(axis=1)``),
+    so no more than one block of lineups is held.
+    """
+    fpts = np.asarray(fpts, dtype=np.float64)
+    scores, done = np.empty(count), 0
+    for rows in random_lineups(position, salary, salary_cap, count, min_salary, seed):
+        scores[done : done + len(rows)] = fpts[rows].sum(axis=1)
+        done += len(rows)
+    return scores
 
 
 def boxplot_stats(samples) -> dict:

@@ -24,7 +24,7 @@ from dfslineup.config import TrainingConfig
 from dfslineup.network import loss_and_gradient, train
 from dfslineup.optimizer import Pool, blocks, modal_lineup, optimize_all_flex, solve_flex_configs
 from dfslineup.stats import bootstrap_ci, cohens_d, ks_normality, percentile
-from dfslineup.stats import random_population, welch_t_test
+from dfslineup.stats import random_lineups, welch_t_test
 
 from .conftest import FIXTURES, columns, make_pool, pool_and_row
 from .oracles import (
@@ -87,7 +87,9 @@ class TestLineupValidity:
     def test_35000_random_draws_all_validate(self, week8_pool):
         salary_cap = 50_000
         _, position, salary, _ = columns(week8_pool)
-        draws = random_population(position, salary, salary_cap, 35_000, 45_000, seed=MASTER_SEED)
+        draws = np.concatenate(list(
+            random_lineups(position, salary, salary_cap, 35_000, 45_000, seed=MASTER_SEED)
+        ))
         assert draws.shape == (35_000, 9)
         assert all(random_rows_ok(week8_pool, draws, 45_000, salary_cap))
 

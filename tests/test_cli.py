@@ -350,7 +350,8 @@ class TestPipelineArtifacts:
             assert result.stdout.splitlines()[-1] == "False", command
 
     def test_stages_do_not_load_numpy_ma(self, tmp_path):
-        """Quantiles are taken without ``np.quantile``, which imports numpy.ma."""
+        """Quantiles are taken without ``np.quantile`` and repeated season keys
+        are found without ``np.unique``; both import numpy.ma."""
         config = write_config(tmp_path)
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
         code = (
@@ -360,7 +361,7 @@ class TestPipelineArtifacts:
             "print('numpy.ma' in sys.modules)\n"
             "sys.exit(status)\n"
         )
-        for command in ("predict", "optimize", "validate"):
+        for command in ("ingest", "predict", "optimize", "validate"):
             result = subprocess.run(
                 [sys.executable, "-c", code, command, "--config", str(config)],
                 env={**os.environ, "PYTHONPATH": str(SRC)},

@@ -219,6 +219,22 @@ class TestParsing:
             load_player_weeks(write_csv(tmp_path, GOOD_ROW, GOOD_ROW))
         assert "line 3 repeats line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("rows, message", [
+        # The repeat within block 1, then a bad week in block 2.
+        ([GOOD_ROW, GOOD_ROW, "", "BAD"], "line 3 repeats line 2"),
+        # The repeat across blocks 1 and 2, then a bad week in block 3.
+        ([GOOD_ROW, "", GOOD_ROW, "", "BAD"], "line 4 repeats line 2"),
+        # The repeat, then a bad week, in block 2, which is read row by row.
+        ([GOOD_ROW, "", GOOD_ROW, "BAD"], "line 4 repeats line 2"),
+    ])
+    def test_duplicate_key_before_a_later_bad_block(self, tmp_path, monkeypatch, rows, message):
+        monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+        bad = GOOD_ROW.replace("QB001,1,", "QB002,0,", 1)
+        path = write_csv(tmp_path, *(bad if r == "BAD" else r for r in rows))
+        with pytest.raises(DuplicateKeyError) as exc:
+            load_player_weeks(path)
+        assert message in str(exc.value)
+
     def test_draftable_zero_salary_rejected(self, tmp_path):
         row = GOOD_ROW.replace(",5000,", ",0,")
         with pytest.raises(SchemaError):

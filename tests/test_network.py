@@ -336,6 +336,23 @@ class TestBatchIndependence:
             assert got == expected, f"batches of {size}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["stops_at_different_epochs", "some_diverge_beside_healthy"])
+    def test_members_leaving_out_of_order_match_each_alone(self, case):
+        # A later member leaves before an earlier one, so the stacks are
+        # compacted around members that train on.
+        ds_seed, n, hyper, _ = self.CASES[case]
+        x, y = make_dataset(np.random.default_rng(ds_seed), n=n)
+        got = [outcome(r) for r in train_batch(x, y, hyper, self.SEEDS)]
+        left = [o[1] if o[0] == "diverged" else o[3] for o in got]
+        assert left != sorted(left)
+        for seed, result in zip(self.SEEDS, got):
+            try:
+                alone = outcome(train(x, y, hyper, seed))
+            except TrainingDivergedError as exc:
+                alone = outcome(exc)
+            assert result == alone
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_is_the_one_member_batch(self):
         ds_seed, n, hyper, _ = self.CASES["some_diverge_beside_healthy"]
         x, y = make_dataset(np.random.default_rng(ds_seed), n=n)

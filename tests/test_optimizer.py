@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
+from math import fsum, gcd
 
 import numpy as np
 import pytest
@@ -202,6 +202,22 @@ class TestBruteForceAgreement:
         ):
             assert lineup.players == want[1]
             assert lineup.predicted_fpts == want[0]
+
+    def test_predicted_fpts_is_summed_left_to_right(self, salary_cap):
+        # The only feasible lineup: nine players scoring 0.1 each.  Left to
+        # right they sum to 0.8999999999999999; a compensated sum (math.fsum,
+        # or sum() from Python 3.12 on) gives 0.9.
+        pool = [
+            Player(f"P{i}", pos, 5000, 0.1)
+            for i, pos in enumerate(["QB", "RB", "RB", "RB", "WR", "WR", "WR", "TE", "DST"])
+        ]
+        left_to_right = 0.0
+        for c in pool:
+            left_to_right += c.predicted_fpts
+        assert left_to_right != fsum(c.predicted_fpts for c in pool)
+        lineup = optimize_all_flex(*pool_and_row(pool, salary_cap))
+        assert lineup.flex_config == (3, 3, 1)
+        assert lineup.predicted_fpts == left_to_right
 
     def test_config_short_a_position_is_skipped(self, salary_cap):
         # Exactly three WR: 2-4-1 is infeasible, the other two still compete.

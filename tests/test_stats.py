@@ -37,6 +37,7 @@ from dfslineup.stats import (
     ks_normality,
     load_contest_results,
     percentile,
+    random_lineups,
     random_population,
     welch_t_test,
 )
@@ -231,9 +232,10 @@ class TestPercentile:
 
 
 def sample(pool, *args, **kwargs):
-    """``random_population`` on the pool's position and salary columns."""
+    """``random_lineups`` on the pool's position and salary columns, its
+    blocks joined."""
     _, position, salary, _ = columns(pool)
-    return random_population(position, salary, *args, **kwargs)
+    return np.concatenate(list(random_lineups(position, salary, *args, **kwargs)))
 
 
 class TestRandomLineups:
@@ -250,6 +252,16 @@ class TestRandomLineups:
         many = sample(pool, salary_cap, 9_000, 40_000, seed=3)
         for n in (1, 50, 4_000):
             assert np.array_equal(sample(pool, salary_cap, n, 40_000, seed=3), many[:n])
+
+    def test_scores_are_the_row_sums_of_the_lineups(self, salary_cap):
+        # 9,000 draws span three blocks of attempts; each score is its row's
+        # FPTS summed as one (n, 9) row sum, to the bit.
+        pool = make_pool(np.random.default_rng(9), 60)
+        _, position, salary, fpts = columns(pool)
+        rows = sample(pool, salary_cap, 9_000, 40_000, seed=3)
+        scores = random_population(position, salary, fpts, salary_cap, 9_000, 40_000, seed=3)
+        assert 9_000 > 2 * stats._BLOCK
+        assert scores.tobytes() == np.array(fpts)[rows].sum(axis=1).tobytes()
 
     def test_rows_are_not_all_alike(self, salary_cap):
         pool = make_pool(np.random.default_rng(10), 60)
