@@ -49,6 +49,79 @@ CSV_COLUMNS = [
 VALUE_COLUMNS = CSV_COLUMNS[4:15]
 N_PER_GAME = 6
 
+INT64_MAX = 2**63 - 1
+
+
+@dataclass(frozen=True)
+class Rule:
+    """How one number field reads: as ``kind`` (int, float or bool), None
+    when ``blank`` and the field is empty, and within [low, high]."""
+
+    kind: type
+    blank: bool
+    low: float
+    high: float
+
+    def parse(self, raw, column, line):
+        """The field's value, None for an empty field the rule lets be
+        blank; SchemaError names the line and column of a field it refuses."""
+        raw = raw.strip()
+        if raw == "":
+            if self.blank:
+                return None
+            raise SchemaError("empty value for required field", line=line, column=column)
+        if self.kind is bool:
+            if raw not in ("0", "1"):
+                raise SchemaError(f"cannot parse {raw!r}", line=line, column=column)
+            value = raw == "1"
+        else:
+            # A number is ASCII: a sign, digits, at most one dot and an
+            # exponent.  On ASCII text without "_", that is exactly what
+            # int() and float() read, besides "nan" and "inf", which fail the
+            # finite check, and ints beyond the float range, which cannot be
+            # checked; outside it they also take digit-group underscores and
+            # non-ASCII digits.
+            try:
+                if not raw.isascii() or "_" in raw:
+                    raise ValueError
+                value = self.kind(raw)
+                finite = math.isfinite(value)
+            except (ValueError, OverflowError):
+                raise SchemaError(f"cannot parse {raw!r}", line=line, column=column) from None
+            if not finite:
+                raise SchemaError(f"non-finite value {raw!r}", line=line, column=column)
+        if not self.low <= value <= self.high:
+            huge = self.kind is int and value > INT64_MAX
+            where = "beyond the int64 range" if huge else f"outside [{self.low}, {self.high}]"
+            raise SchemaError(f"{column} {value} {where}", line=line, column=column)
+        return value
+
+
+# The rule of every season number column; player_id is text that must not
+# be blank and position one of POSITIONS.  Salary fills an int64 grid.  The
+# bounds on fpts, point_diff, spread and over_under are plausibility bounds,
+# far inside what float32 training and the float64 statistics hold; FPTS
+# may be negative, since a defense or a player can score below 0.
+RULES = {
+    "week": Rule(int, False, FIRST_WEEK, LAST_WEEK),
+    "salary": Rule(int, False, 0, INT64_MAX),
+    "fpts": Rule(float, True, -50.0, 150.0),
+    "point_diff": Rule(int, True, -100, 100),
+    "team_off_rank": Rule(int, True, 1, 32),
+    "team_def_rank": Rule(int, True, 1, 32),
+    "opp_off_rank": Rule(int, True, 1, 32),
+    "opp_def_rank": Rule(int, True, 1, 32),
+    "home": Rule(bool, False, 0, 1),
+    "spread": Rule(float, True, -50.0, 50.0),
+    "over_under": Rule(float, True, 0.0, 100.0),
+    "latitude": Rule(float, True, -90.0, 90.0),
+    "longitude": Rule(float, True, -180.0, 180.0),
+    "draftable": Rule(bool, False, 0, 1),
+}
+# The contest file's fpts: a lineup's score, the sum of nine players' FPTS
+# (optimizer.LINEUP_SIZE, which imports this module).
+CONTEST_FPTS = Rule(float, False, 9 * RULES["fpts"].low, 9 * RULES["fpts"].high)
+
 # Feature layout (0-based slices into the 43-entry vector): one-hot position,
 # then per-game history blocks, then the four-game pre-game blocks.
 POS_SLICE = slice(0, 5)
@@ -134,89 +207,29 @@ class PlayerWeekTable:
         return out
 
 
-def parse_field(raw, column, line, kind, optional=False):
-    """One CSV field as ``kind`` (int, float or bool); None for an empty
-    optional field.  SchemaError names the line and column otherwise."""
-    raw = raw.strip()
-    if raw == "":
-        if optional:
-            return None
-        raise SchemaError(f"empty value for required field", line=line, column=column)
-    if kind is bool:
-        if raw not in ("0", "1"):
-            raise SchemaError(f"cannot parse {raw!r}", line=line, column=column)
-        return raw == "1"
-    # A number is ASCII: a sign, digits, at most one dot and an exponent.
-    # On ASCII text without "_", that is exactly what int() and float()
-    # read, besides "nan" and "inf", which fail the finite check, and ints
-    # beyond the float range, which cannot be checked; outside it they also
-    # take digit-group underscores and non-ASCII digits.
-    try:
-        if not raw.isascii() or "_" in raw:
-            raise ValueError
-        value = kind(raw)
-        finite = math.isfinite(value)
-    except (ValueError, OverflowError):
-        raise SchemaError(f"cannot parse {raw!r}", line=line, column=column) from None
-    if not finite:
-        raise SchemaError(f"non-finite value {raw!r}", line=line, column=column)
-    return value
+def _text(raw, column, line):
+    """player_id, which must not be blank, or position, one of POSITIONS."""
+    text = raw.strip()
+    if column == "player_id" and not text:
+        raise SchemaError("empty player_id", line=line, column=column)
+    if column == "position" and text not in POSITIONS:
+        raise SchemaError(f"position {text!r} not one of {POSITIONS}", line=line, column=column)
+    return text
 
 
-def _parse_rank(raw, column, line):
-    rank = parse_field(raw, column, line, int, optional=True)
-    if rank is not None and not 1 <= rank <= 32:
-        raise SchemaError(f"rank {rank} outside [1, 32]", line=line, column=column)
-    return rank
+# Each CSV column with its parser, in CSV order.
+_PARSERS = [(c, RULES[c].parse if c in RULES else _text) for c in CSV_COLUMNS]
 
 
 def parse_row(row: dict, line: int) -> tuple:
     """Validate one CSV row: its fields in CSV_COLUMNS order, parsed, with
-    None for an empty optional field."""
-    player_id = row["player_id"].strip()
-    if not player_id:
-        raise SchemaError("empty player_id", line=line, column="player_id")
-    week = parse_field(row["week"], "week", line, int)
-    if not FIRST_WEEK <= week <= LAST_WEEK:
-        raise SchemaError(f"week {week} outside [1, 17]", line=line, column="week")
-    position = row["position"].strip()
-    if position not in POSITIONS:
-        raise SchemaError(
-            f"position {position!r} not one of {POSITIONS}", line=line, column="position"
-        )
-    salary = parse_field(row["salary"], "salary", line, int)
-    if salary < 0:
-        raise SchemaError(f"negative salary {salary}", line=line, column="salary")
-    if salary >= 2**63:  # the table's salary grid is int64
-        raise SchemaError(f"salary {salary} beyond the int64 range", line=line, column="salary")
-    draftable = parse_field(row["draftable"], "draftable", line, bool)
-    if draftable and salary <= 0:
+    None for an empty optional field.  The first bad field in column order
+    raises; a draftable row's salary must then be above 0."""
+    fields = [parse(row[c], c, line) for c, parse in _PARSERS]
+    _, _, _, salary, *_, draftable = fields
+    if draftable and salary == 0:
         raise SchemaError("draftable player with salary 0", line=line, column="salary")
-    latitude = parse_field(row["latitude"], "latitude", line, float, optional=True)
-    if latitude is not None and not -90.0 <= latitude <= 90.0:
-        raise SchemaError(f"latitude {latitude} out of range", line=line, column="latitude")
-    longitude = parse_field(row["longitude"], "longitude", line, float, optional=True)
-    if longitude is not None and not -180.0 <= longitude <= 180.0:
-        raise SchemaError(f"longitude {longitude} out of range", line=line, column="longitude")
-
-    return (
-        player_id,
-        week,
-        position,
-        salary,
-        parse_field(row["fpts"], "fpts", line, float, optional=True),
-        parse_field(row["point_diff"], "point_diff", line, int, optional=True),
-        _parse_rank(row["team_off_rank"], "team_off_rank", line),
-        _parse_rank(row["team_def_rank"], "team_def_rank", line),
-        _parse_rank(row["opp_off_rank"], "opp_off_rank", line),
-        _parse_rank(row["opp_def_rank"], "opp_def_rank", line),
-        parse_field(row["home"], "home", line, bool),
-        parse_field(row["spread"], "spread", line, float, optional=True),
-        parse_field(row["over_under"], "over_under", line, float, optional=True),
-        latitude,
-        longitude,
-        draftable,
-    )
+    return tuple(fields)
 
 
 def names_file(load):
@@ -254,8 +267,6 @@ def read_csv(path):
 BLOCK_ROWS = 2048
 
 _POSITION_INDEX = {p: i for i, p in enumerate(POSITIONS)}
-_RANK_COLUMNS = CSV_COLUMNS[6:10]
-_KINDS = dict.fromkeys(VALUE_COLUMNS, float) | dict.fromkeys(("point_diff", *_RANK_COLUMNS), int)
 
 
 def _blocks(records, size):
@@ -282,8 +293,8 @@ def _numbers(column, kind):
     ValueError, which sends the block to parse_row, unless the column's
     text is ASCII without "_" (for an int column, also without a dot or an
     exponent) and every non-empty field converts to a finite float.  Fields
-    float() reads are exactly those parse_field reads, to the same value;
-    it strips only some of the whitespace parse_field strips, and the rest
+    float() reads are exactly those Rule.parse reads, to the same value;
+    it strips only some of the whitespace Rule.parse strips, and the rest
     goes to parse_row.
     """
     text = "".join(column)
@@ -307,33 +318,30 @@ def _flags(column):
 
 
 def _columnar(records):
-    """A block's columns, each converted and checked at once: (ids, week,
-    position, salary, values, draftable).  ValueError where any field needs
-    parse_row, which then reads the block row by row."""
+    """A block's columns, each converted and checked against its RULES entry
+    at once: (ids, week, position, salary, values, draftable).  ValueError
+    where any field needs parse_row, which then reads the block row by row."""
     if set(map(len, records)) != {len(CSV_COLUMNS)}:
         raise ValueError
-    ids, week, position, salary, *values, draftable = zip(*records)
-    ids = list(map(str.strip, ids))
-    if "" in ids or not set(position) <= _POSITION_INDEX.keys():
+    column = dict(zip(CSV_COLUMNS, zip(*records)))
+    ids = list(map(str.strip, column["player_id"]))
+    if "" in ids or not set(column["position"]) <= _POSITION_INDEX.keys():
         raise ValueError
-    week, salary = _numbers(week, int), _numbers(salary, int)
-    draftable = _flags(draftable)
-    values = np.stack([
-        _flags(col) if name == "home" else _numbers(col, _KINDS[name])
-        for name, col in zip(VALUE_COLUMNS, values)
-    ])
-    value = dict(zip(VALUE_COLUMNS, values))
-    # A NaN fails the required week and salary tests and passes the
-    # optional-field tests, which are written as "not outside".
-    ok = (week >= FIRST_WEEK) & (week <= LAST_WEEK) & (salary >= 0) & (salary < 2**53)
+    ok = True
+    for name, rule in RULES.items():
+        x = _flags(column[name]) if rule.kind is bool else _numbers(column[name], rule.kind)
+        # float64 holds every int up to 2**53 - 1 exactly; parse_row reads
+        # larger ones.  A blank field is NaN, which fails the range test.
+        cap = 2**53 - 1 if rule.kind is int else math.inf
+        inside = (x >= max(rule.low, -cap)) & (x <= min(rule.high, cap))
+        ok &= (inside | np.isnan(x)) if rule.blank else inside
+        column[name] = x
+    week, salary, draftable = column["week"], column["salary"], column["draftable"]
     ok &= ~draftable | (salary > 0)
-    for name in _RANK_COLUMNS:
-        ok &= ~((value[name] < 1) | (value[name] > 32))
-    ok &= ~((value["latitude"] < -90.0) | (value["latitude"] > 90.0))
-    ok &= ~((value["longitude"] < -180.0) | (value["longitude"] > 180.0))
     if not ok.all():
         raise ValueError
-    position = list(map(_POSITION_INDEX.__getitem__, position))
+    values = np.stack([column[name] for name in VALUE_COLUMNS])
+    position = list(map(_POSITION_INDEX.__getitem__, column["position"]))
     return ids, week.astype(np.int64), position, salary.astype(np.int64), values, draftable
 
 

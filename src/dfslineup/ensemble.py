@@ -95,8 +95,7 @@ def sample_matrix(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
     whole predictive distribution; every summary is a reduction over it.
     It is float64 on purpose, though the members trained in float32: the
     forward applies the float64 norm stats, which upcast the weights, so
-    ``samples.npz`` and the optimizer's sums stay float64.  On the fixture
-    week this forward takes 22 ms with float32 or float64 weights.
+    ``samples.npz`` and the optimizer's sums stay float64.
     """
     if x.shape[1] != ensemble.models[0].network.w1.shape[1]:
         raise ValueError("feature length does not match ensemble input size")

@@ -20,38 +20,26 @@ all run along the contiguous row axis; row-major, their inner loops were
 only the 19 units long and their cost grew with the batch.
 ``predict_batch`` still takes feature rows and transposes them itself.
 
-Training runs in float32 (``DTYPE``): the members' normalized inputs and
-targets, weights, velocities, best weights, best validation MSE, learning
-rates and last losses.  Normalization and the init draws run in float64
-and only their output is rounded, so the split and init streams are
-unchanged.  On the fixture's 200 members (2-core VM, one BLAS thread,
-batches of 8, 8 alternating runs) training took 0.67 s in float64 and
-0.52 s in float32, over the same 4,940 epochs.  float32's ``exp``
-overflows below about -88.7 (float64's below -709), so large learning
-rates diverge: on the fixture 1e2 trains and 1e3 diverges, where float64
-kept every member's initial weights.  ``predict_batch`` stays float64: the
-float64 norm stats upcast the weights, which keeps the ensemble's samples
-float64.
+The training state is float32 (``DTYPE``), which trains the same epochs
+as float64 but faster: the members' normalized inputs and targets,
+weights, velocities, best weights, best validation MSE, learning rates and
+last losses.  Normalization and the init draws run in float64 and only their
+output is rounded, so the split and init streams are unchanged.  float32's
+``exp`` overflows below about -88.7 (float64's below -709), so large
+learning rates diverge: on the fixture 1e2 trains and 1e3 diverges, where
+float64 kept every member's initial weights.  ``predict_batch`` stays
+float64: the float64 norm stats upcast the weights, which keeps the
+ensemble's samples float64.
 
 The ensemble uses fixed index batches of ``ensemble.B`` = 32 members, a
 module constant and not a config key: it sets speed and memory, never a
-result.  On the ``week-default`` benchmark inputs (seed 1, week 8, 200
-members, 4,929 epochs; 2-core VM, one BLAS thread, medians of 6
-alternating blocks of 5 runs) the row-major layout at batches of 8 took
-465 ms, and the feature-major one 398 ms at 8, 339 ms at 16 and 326 ms
-at 32.  Batches of 50 trained no faster than 32 (348 against 346 ms, 4
-blocks of 5 runs).  A member that stops or diverges leaves the batch in
-place (``_Members.drop``): the members after it move up and every array
-becomes its own prefix, so no second copy of the state is made.  Since
-validate scores its random lineups block by block (40.3 MB), the predict
-process sets the weekly run's peak RSS, and B trades that peak against
-training time.  With modules compiled from source as in the benchmark (5
-runs each), predict peaked at 40.5 MB with batches of 16, 41.7 MB with
-24 and 41.9 MB with 32.  In 40 alternating runs, training took 240, 230
-and 234 ms at those sizes, closer together than their quartile spread of
-about 30 ms, so the gap at 16 seen above did not show again.  Of the
-peak, importing ``numpy.random`` alone takes 6.2 MB, 3.6 MB of it
-OpenSSL: the module loads ``secrets``, which loads ``hashlib``.
+result.  Larger batches pay numpy's per-call overhead fewer times, up to
+about 32, past which training got no faster.  A member that stops or
+diverges leaves the batch in place (``_Members.drop``): the members after
+it move up and every array becomes its own prefix, so no second copy of
+the state is made.  The predict process sets the weekly run's peak RSS,
+and B trades that peak against training time.  CHANGES.md holds the
+timings and peak RSS behind these choices.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import POSITIONS, names_file, parse_field, read_csv
+from .data import CONTEST_FPTS, POSITIONS, names_file, read_csv
 from .errors import (
     ConfigError,
     NoFeasibleSampleError,
@@ -323,8 +323,8 @@ def load_contest_results(path) -> np.ndarray:
     """Read `user_rank,fpts` rows; the nonzero scores, in file order.
 
     Zero-score users are dropped.  Every SchemaError names the file: a bad
-    header or row, fewer than KS_MIN_SAMPLES nonzero scores, or nonzero
-    scores that are all equal.
+    header or row (a score CONTEST_FPTS refuses, say), fewer than
+    KS_MIN_SAMPLES nonzero scores, or nonzero scores that are all equal.
     """
     scores = []
     reader = read_csv(path)
@@ -336,7 +336,7 @@ def load_contest_results(path) -> np.ndarray:
             continue
         if len(row) != 2:
             raise SchemaError(f"expected 2 fields, got {len(row)}", line=line)
-        value = parse_field(row[1], "fpts", line, float)
+        value = CONTEST_FPTS.parse(row[1], "fpts", line)
         if value != 0.0:
             scores.append(value)
     if len(scores) < KS_MIN_SAMPLES:

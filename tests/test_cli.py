@@ -829,6 +829,43 @@ class TestInputChecks:
             f"error: {contest}: cannot parse 'abc' (line 3, column 'fpts')\n"
         )
 
+    @pytest.mark.parametrize("fpts", ["1e20", "5000"])
+    def test_implausible_season_fpts(self, tmp_path, capsys, fpts):
+        # A week-7 FPTS is a training target for week 8.  Read as is, 1e20
+        # makes float32 training diverge (exit 4), and 5000 raises the
+        # lineup's predicted mean from about 138 to 186 FPTS at 4 models.
+        lines = (FIXTURES / "season.csv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        week, column = header.index("week"), header.index("fpts")
+        n = next(i for i, line in enumerate(lines) if line.split(",")[week] == "7")
+        row = lines[n].split(",")
+        row[column] = fpts
+        lines[n] = ",".join(row)
+        target = tmp_path / "season_fpts.csv"
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, players_csv=str(target))
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {target}: fpts {float(fpts)} outside [-50.0, 150.0] "
+            f"(line {n + 1}, column 'fpts')\n"
+        )
+
+    @pytest.mark.parametrize("score", ["1e150", "1e200"])
+    def test_implausible_contest_score(self, full_run, tmp_path, capsys, score):
+        # Read as is, such a score overflows Welch's variance: OverflowError
+        # at 1e150 and ArithmeticError at 1e200, each a traceback.
+        _copy_upstream(full_run, tmp_path)
+        lines = (FIXTURES / "contest_results.csv").read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].split(",")[0] + "," + score
+        contest = tmp_path / "huge_contest.csv"
+        contest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, contest_results_csv=str(contest), output_dir=str(tmp_path))
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {contest}: fpts {float(score)} outside [-450.0, 1350.0] "
+            "(line 2, column 'fpts')\n"
+        )
+
     @pytest.mark.parametrize(
         "present, missing, stage",
         [((), "lineup.json", "optimize"), (("lineup.json",), "samples.npz", "predict")],

@@ -30,11 +30,11 @@ from dfslineup.data import (
     POS_SLICE,
     POSITIONS,
     SPREAD_SLICE,
+    Rule,
     build_window,
     load_exclusions,
     load_player_weeks,
     lookback_weeks,
-    parse_field,
     parse_row,
 )
 from dfslineup.errors import ConfigError, DuplicateKeyError, SchemaError, WindowRangeError
@@ -240,27 +240,69 @@ class TestParsing:
         with pytest.raises(SchemaError):
             load_player_weeks(write_csv(tmp_path, row))
 
+    @pytest.mark.parametrize(
+        "mutations, column",
+        [
+            ((("QB001,1,", "QB001,0,"), (",40.0,", ",95.0,")), "week"),
+            (((",5000,", ",0,"), (",40.0,", ",95.0,")), "latitude"),
+        ],
+        ids=["week-before-latitude", "latitude-before-draftable-salary"],
+    )
+    def test_first_bad_field_in_column_order_is_named(self, tmp_path, mutations, column):
+        """The load, which reads column by column first, and parse_row name
+        the row's first bad field in CSV order; a draftable row's salary of
+        0 is checked after every field."""
+        bad = GOOD_ROW
+        for old, new in mutations:
+            bad = bad.replace(old, new, 1)
+        with pytest.raises(SchemaError) as exc:
+            load_player_weeks(write_csv(tmp_path, bad))
+        assert (exc.value.line, exc.value.column) == (2, column)
+        with pytest.raises(SchemaError) as exc:
+            parse_row(dict(zip(CSV_COLUMNS, bad.split(","))), line=2)
+        assert (exc.value.line, exc.value.column) == (2, column)
+
     def test_exclusions_file(self, tmp_path):
         path = tmp_path / "exclude.txt"
         path.write_text("QB001\n\n# comment\n  WR005  \n", encoding="utf-8")
         assert load_exclusions(path) == {"QB001", "WR005"}
 
 
+# For each column of data.RULES, the edges of its rule, which it accepts,
+# and the values just past them, which it refuses: the bounds, the values
+# past them, and a blank field on the side the rule puts it.  Salary's
+# edges also straddle 2**53, past which float64 no longer holds every int.
+_EDGES = {
+    "week": (["1", "17"], ["0", "18", ""]),
+    "salary": (["0", str(2**53 - 1), str(2**53 + 1), str(2**63 - 1)], ["-1", str(2**63), ""]),
+    "fpts": (["-50", "150", ""], ["-50.5", "150.5"]),
+    "point_diff": (["-100", "100", ""], ["-101", "101"]),
+    **dict.fromkeys(CSV_COLUMNS[6:10], (["1", "32", ""], ["0", "33"])),
+    "home": (["0", "1"], ["-1", "2", ""]),
+    "spread": (["-50", "50", ""], ["-50.5", "50.5"]),
+    "over_under": (["0", "100", ""], ["-0.5", "100.5"]),
+    "latitude": (["-90", "90", ""], ["-90.5", "90.5"]),
+    "longitude": (["-180", "180", ""], ["-180.5", "180.5"]),
+    "draftable": (["0", "1"], ["-1", "2", ""]),
+}
+
 # Junk for any field: blanks, non-finite and unparsable numbers, ranks and
-# weeks out of range, a bool out of {0, 1}, coordinates off the globe, and
-# numbers int()/float() take but the ASCII grammar does not.
+# weeks out of range, a bool out of {0, 1}, coordinates off the globe,
+# numbers int()/float() take but the ASCII grammar does not, and the edges.
 _JUNK = ["", " ", "nan", "inf", "-inf", "1e999", "abc", "1.5", "-1", "0", "2", "18",
          "33", "99999", "-190.0", "95.0", "K", "QB", "1_0", "\u0668", "5_000", "1_8.2",
-         "\u0661\u0662"]
+         "\u0661\u0662", *sorted({e for inside, past in _EDGES.values() for e in inside + past})]
 
 
 @st.composite
 def csv_rows(draw):
-    """GOOD_ROW's sixteen fields with up to four of them replaced by junk or
-    arbitrary text."""
+    """GOOD_ROW's sixteen fields with up to four of them replaced by junk,
+    by an edge of that field's rule or by arbitrary text."""
     fields = GOOD_ROW.split(",")
     for i in draw(st.sets(st.integers(0, len(fields) - 1), max_size=4)):
-        fields[i] = draw(st.one_of(st.sampled_from(_JUNK), st.text(max_size=6)))
+        inside, past = _EDGES.get(CSV_COLUMNS[i], (_JUNK, []))
+        fields[i] = draw(st.one_of(st.sampled_from(_JUNK), st.sampled_from(inside + past),
+                                   st.text(max_size=6)))
     return fields
 
 
@@ -306,7 +348,7 @@ def test_number_fields_read_exactly_the_ascii_grammar():
             kind is float or not any(c in text for c in ".eE")
         )
         try:
-            value = parse_field(raw, "spread", 7, kind, optional=True)
+            value = Rule(kind, True, -math.inf, math.inf).parse(raw, "spread", 7)
         except SchemaError as exc:
             assert (exc.line, exc.column) == (7, "spread")
             assert not grammar or not math.isfinite(kind(text))
@@ -324,9 +366,10 @@ def test_number_fields_read_exactly_the_ascii_grammar():
 
 @st.composite
 def season_files(draw):
-    """Records of a season file: GOOD_ROW, one in four from csv_rows(),
-    under a few player ids and weeks, some fields padded with spaces, and
-    some blank records."""
+    """Records of a season file: GOOD_ROW, three in ten from csv_rows() and
+    one in ten with every rule's column at an edge the rule accepts, under
+    a few player ids and weeks, some fields padded with spaces, and some
+    blank records."""
     records = []
     for _ in range(draw(st.integers(1, 7))):
         kind = draw(st.integers(0, 9))
@@ -334,6 +377,9 @@ def season_files(draw):
             records.append([])
             continue
         fields = draw(csv_rows()) if kind < 4 else GOOD_ROW.split(",")
+        if kind == 4:
+            for column, (inside, _) in _EDGES.items():
+                fields[CSV_COLUMNS.index(column)] = draw(st.sampled_from(inside))
         if fields[0] == "QB001":
             fields[0] = draw(st.sampled_from(["QB001", "RB002", "WR003"]))
         if fields[1] == "1":
@@ -398,6 +444,48 @@ class TestColumnarParse:
         table = load_player_weeks(season_csv)
         assert len(table) == len(season_table) == 5100
         assert table.values.tobytes() == season_table.values.tobytes()
+
+    @pytest.mark.parametrize("column", list(_EDGES))
+    def test_rule_edges_read_alike_on_both_paths(self, tmp_path, monkeypatch, column):
+        """A value at an edge of the column's rule loads, column by column
+        wherever float64 holds it exactly, and to the same grids when a
+        padded position sends the row through parse_row; a value just past
+        an edge raises the same error, naming the column, on both paths."""
+        row_parse, calls = data.parse_row, []
+
+        def counted(*args):
+            calls.append(args)
+            return row_parse(*args)
+
+        monkeypatch.setattr(data, "parse_row", counted)
+        inside, past = _EDGES[column]
+        for edge in inside + past:
+            fields = dict(zip(CSV_COLUMNS, GOOD_ROW.split(",")))
+            if column == "salary":
+                fields["draftable"] = "0"  # which lets the salary be 0
+            fields[column] = edge
+            read, by_row = [], []
+            for position in ("QB", " QB "):
+                calls.clear()
+                try:
+                    table = load(tmp_path, ",".join({**fields, "position": position}.values()))
+                except SchemaError as exc:
+                    read.append((str(exc), exc.line, exc.column))
+                else:
+                    grids = (table.present, table.salary, table.draftable, table.values)
+                    read.append([grid.tobytes() for grid in grids])
+                by_row.append(bool(calls))
+            assert read[0] == read[1] and by_row[1], edge
+            if edge in past:
+                assert read[0][1:] == (2, column), edge
+                continue
+            assert by_row[0] == (edge != "" and abs(float(edge)) > 2**53 - 1), edge
+            if column != "week":
+                value = week_fields(table, "QB001", 1)[column]
+                if edge == "":
+                    assert np.isnan(value)
+                else:
+                    assert value == (int(edge) if column == "salary" else float(edge)), edge
 
     def test_negative_zero_int_reads_as_zero(self, tmp_path):
         table = load(tmp_path, row(point_diff="-0"))

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfslineup.data import POSITIONS
+from dfslineup.data import POSITIONS, RULES
 from dfslineup.errors import (
     ConfigError,
     NoFeasibleSampleError,
@@ -20,6 +20,7 @@ from dfslineup.errors import (
     ZeroVarianceError,
 )
 from dfslineup import stats
+from dfslineup.optimizer import LINEUP_SIZE
 from dfslineup.special import (
     betainc,
     kolmogorov_sf,
@@ -536,6 +537,20 @@ class TestReportingPipeline:
             load_contest_results(path)
         assert exc.value.line == 3
         assert exc.value.column == "fpts"
+
+    def test_load_contest_results_bounds_a_lineup_score(self, tmp_path):
+        """A contest score lies within LINEUP_SIZE times the season's fpts
+        bounds: both ends load, and a score just past either is refused."""
+        low, high = LINEUP_SIZE * RULES["fpts"].low, LINEUP_SIZE * RULES["fpts"].high
+        path = tmp_path / "contest.csv"
+        rows = ["user_rank,fpts", *(f"{r},{100.0 + r}" for r in range(1, 5))]
+        path.write_text("\n".join([*rows, f"5,{low}", f"6,{high}"]) + "\n", encoding="utf-8")
+        assert load_contest_results(path)[-2:].tolist() == [low, high]
+        for past in (low - 0.5, high + 0.5):
+            path.write_text("\n".join([*rows, f"5,{past}"]) + "\n", encoding="utf-8")
+            with pytest.raises(SchemaError) as exc:
+                load_contest_results(path)
+            assert (exc.value.line, exc.value.column) == (6, "fpts")
 
     @pytest.mark.parametrize("nonzero", [0, 3, 4])
     def test_load_contest_results_needs_five_nonzero_scores(self, tmp_path, nonzero):
