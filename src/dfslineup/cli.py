@@ -71,6 +71,9 @@ def main(argv=None) -> int:
         if args.command == "report":
             print(cmd_report(cfg), end="")
             return EXIT_OK
+        # numpy.random imports secrets, hence hmac: with no _hashlib, hmac and
+        # hashlib take CPython's no-OpenSSL path, and OpenSSL is never mapped.
+        sys.modules.setdefault("_hashlib", None)
         # Only the computing stages load numpy and the model stack.
         from . import pipeline
 

@@ -374,7 +374,9 @@ class _Keys:
             if grid[cell]:
                 raise DuplicateKeyError(
                     f"duplicate (player_id, week) = {(pid, int(week))}: "
-                    f"line {line} repeats line {grid[cell]}"
+                    f"line {line} repeats line {grid[cell]}",
+                    line=line,
+                    column=("player_id", "week"),
                 )
             grid[cell] = line
         return rows

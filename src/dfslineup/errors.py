@@ -45,8 +45,9 @@ class SchemaError(InputError):
         return text
 
 
-class DuplicateKeyError(InputError):
-    """Two rows carry the same (player_id, week) key."""
+class DuplicateKeyError(SchemaError):
+    """Two rows carry the same (player_id, week) key; ``line`` is the later
+    row, and ``column`` names both key columns."""
 
 
 class WindowRangeError(InputError):

@@ -37,9 +37,10 @@ result.  Larger batches pay numpy's per-call overhead fewer times, up to
 about 32, past which training got no faster.  A member that stops or
 diverges leaves the batch in place (``_Members.drop``): the members after
 it move up and every array becomes its own prefix, so no second copy of
-the state is made.  The predict process sets the weekly run's peak RSS,
-and B trades that peak against training time.  CHANGES.md holds the
-timings and peak RSS behind these choices.
+the state is made.  At B = 32 the predict process sets the weekly run's
+peak RSS (a deep season backtest's is ingest's), and B trades that peak
+against training time.  CHANGES.md holds the timings and peak RSS behind
+these choices.
 """
 
 from __future__ import annotations
@@ -147,8 +148,14 @@ def _forward(net: Network, zt: np.ndarray):
     return hidden, preds
 
 
+@np.errstate(over="ignore")
 def predict_batch(net: Network, norm: NormStats, x: np.ndarray) -> np.ndarray:
-    """Predictions for feature rows x (n, inputs)."""
+    """Predictions for feature rows x (n, inputs).
+
+    A feature constant over the training rows normalizes by ``STD_FLOOR``, so
+    a prediction row that differs can overflow ``exp``; the sigmoid then
+    reads its exact limit, 1 / (1 + inf) = 0.0.
+    """
     _, preds = _forward(net, norm.apply(x).T)
     return preds
 

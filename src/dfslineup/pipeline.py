@@ -53,8 +53,9 @@ from .report import (  # noqa: F401  cmd_report: re-exported
 )
 from .seeds import mix64
 
-# CPython's own sha256: importing hashlib loads OpenSSL, which adds 3.5 MB to
-# the peak RSS of ingest and validate.
+# CPython's own sha256.  cli.main blocks _hashlib before it imports this
+# module, so hashlib would load every builtin digest module instead: 0.5 MB
+# more on ingest, which sets deep-backtest's peak RSS.
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:

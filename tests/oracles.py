@@ -287,7 +287,9 @@ def reference_season(csv_path):
             if row[:2] in first:
                 raise DuplicateKeyError(
                     f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line "
-                    f"{first[row[:2]]}"
+                    f"{first[row[:2]]}",
+                    line=line,
+                    column=("player_id", "week"),
                 )
             first[row[:2]] = line
             rows.append(row)

@@ -306,71 +306,36 @@ class TestPipelineArtifacts:
         lo, hi = json.loads(without[0])["percentile_ci"]
         assert 0.0 < lo < hi < 100.0
 
-    @pytest.mark.parametrize("command", ["config-init", "report"])
-    def test_light_commands_do_not_load_numpy(self, full_run, tmp_path, command):
-        _, config = full_run
-        if command == "config-init":
-            config = tmp_path / "new.yaml"
-        code = (
-            "import sys\n"
-            "from dfslineup.cli import main\n"
-            "status = main(sys.argv[1:])\n"
-            "print('numpy' in sys.modules)\n"
-            "sys.exit(status)\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code, command, "--config", str(config)],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == EXIT_OK, result.stderr
-        assert result.stdout.splitlines()[-1] == "False"
-
-    def test_serial_stages_do_not_load_multiprocessing(self, tmp_path):
-        """At ``workers: 1`` no stage imports the process pool's machinery."""
+    def test_stage_processes_load_only_what_they_run(self, tmp_path):
+        """Each command, run as its own process, leaves out what it never runs:
+        numpy outside the computing stages; the process pool's machinery at
+        ``workers: 1``; numpy.ma, which ``np.quantile`` and ``np.unique``
+        import; and OpenSSL's ``_hashlib``, which numpy.random would load
+        through secrets.  Only a fresh process shows the last one: under
+        pytest, hypothesis has already imported ``_hashlib``."""
         config = write_config(tmp_path, workers=1)
         code = (
             "import sys\n"
             "from dfslineup.cli import main\n"
             "status = main(sys.argv[1:])\n"
-            "print('multiprocessing' in sys.modules)\n"
+            "print(*(name for name, module in sys.modules.items() if module is not None))\n"
             "sys.exit(status)\n"
         )
-        for command in ("ingest", "predict", "optimize", "validate"):
+        never = {"multiprocessing", "numpy.ma", "_hashlib"}
+        for command in ("config-init", "ingest", "predict", "optimize", "validate", "report"):
+            path = tmp_path / "new.yaml" if command == "config-init" else config
             result = subprocess.run(
-                [sys.executable, "-c", code, command, "--config", str(config)],
+                [sys.executable, "-c", code, command, "--config", str(path)],
                 env={**os.environ, "PYTHONPATH": str(SRC)},
                 capture_output=True,
                 text=True,
                 timeout=120,
             )
             assert result.returncode == EXIT_OK, result.stderr
-            assert result.stdout.splitlines()[-1] == "False", command
-
-    def test_stages_do_not_load_numpy_ma(self, tmp_path):
-        """Quantiles are taken without ``np.quantile`` and repeated season keys
-        are found without ``np.unique``; both import numpy.ma."""
-        config = write_config(tmp_path)
-        assert main(["ingest", "--config", str(config)]) == EXIT_OK
-        code = (
-            "import sys\n"
-            "from dfslineup.cli import main\n"
-            "status = main(sys.argv[1:])\n"
-            "print('numpy.ma' in sys.modules)\n"
-            "sys.exit(status)\n"
-        )
-        for command in ("ingest", "predict", "optimize", "validate"):
-            result = subprocess.run(
-                [sys.executable, "-c", code, command, "--config", str(config)],
-                env={**os.environ, "PYTHONPATH": str(SRC)},
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert result.returncode == EXIT_OK, result.stderr
-            assert result.stdout.splitlines()[-1] == "False", command
+            loaded = set(result.stdout.splitlines()[-1].split())
+            assert "dfslineup.cli" in loaded
+            unwanted = never | ({"numpy"} if command in ("config-init", "report") else set())
+            assert not loaded & unwanted, (command, loaded & unwanted)
 
 
 class TestOptions:
@@ -582,6 +547,19 @@ class TestExitCodes:
             f"error: {target}: {message} (line 2, column {column!r})\n"
         )
 
+    def test_repeated_season_key_names_file_line_and_columns(self, tmp_path, capsys):
+        # Line 2 takes line 3's player_id, so line 3 repeats its key.
+        target = tmp_path / "season_repeat.csv"
+        lines = (FIXTURES / "season.csv").read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[2].split(",")[0] + lines[1][lines[1].index(","):]
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, players_csv=str(target))
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {target}: duplicate (player_id, week) = ('RB001', 1): line 3 repeats "
+            "line 2 (line 3, column ('player_id', 'week'))\n"
+        )
+
     def test_malformed_season_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n1\n", encoding="utf-8")
@@ -643,6 +621,25 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
         assert main(["predict", "--config", str(config)]) == status
         assert capsys.readouterr().err == err
+
+    def test_feature_constant_in_training_rows_only(self, tmp_path):
+        # spread is 0 in every week but week 8, so it normalizes by the std
+        # floor, and the prediction week's 50 saturates every hidden unit: exp
+        # overflows to inf and the sigmoid reads its limit 0.0, with no warning.
+        target = tmp_path / "season_spread.csv"
+        with open(FIXTURES / "season.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        for row in rows:
+            row["spread"] = "50" if row["week"] == "8" else "0"
+        with open(target, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        config = write_config(tmp_path, players_csv=str(target))
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        assert main(["predict", "--config", str(config)]) == EXIT_OK
+        with np.load(tmp_path / "out" / "samples.npz") as blob:
+            assert np.isfinite(blob["samples"]).all()
 
     @pytest.mark.parametrize(
         "rows, nonzero",
@@ -994,6 +991,78 @@ def test_mutated_season_exits_cleanly(tmp_path_factory, mutations):
             assert stage == "ingest" or (
                 stage == "validate" and err.getvalue().startswith("error: week 8: ")
             ), err.getvalue()
+        if code != EXIT_OK:
+            break
+
+
+# Cell edits for the fuzz below: (file, row, column, change), row and column
+# taken modulo the file's size.  A change puts fixed text in the cell, pads
+# or signs the old text, or copies a cell or a whole row from another row.
+_CELL_TEXT = ["", " ", "0", "-0", "1e308", "-1e308", "1e-320", "9" * 25, "nan", "inf",
+              "\u0663", "\uff15", "1_0", "QB", "DST", "QB001"]
+_EDITS = st.tuples(
+    st.sampled_from(["season", "contest"]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**8),
+    st.one_of(
+        st.tuples(st.just("text"), st.sampled_from(_CELL_TEXT)),
+        st.tuples(st.just("wrap"), st.sampled_from(["-", "+", " ", "\t", "\u00a0", "0"])),
+        st.tuples(st.just("copy-cell"), st.integers(0, 2**16)),
+        st.tuples(st.just("copy-row"), st.integers(0, 2**16)),
+    ),
+)
+
+
+def _small_inputs():
+    """The fixture season through week 8 and the contest file's first 40
+    rows, each as (header, rows of fields)."""
+    files = {}
+    for name, source, keep in (
+        ("season", "season.csv", lambda row: int(row[1]) <= 8),
+        ("contest", "contest_results.csv", lambda row: int(row[0]) <= 40),
+    ):
+        with open(FIXTURES / source, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        files[name] = header, [row for row in rows if keep(row)]
+    return files
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(_EDITS, min_size=1, max_size=2))
+def test_edited_cells_exit_by_contract(tmp_path_factory, edits):
+    """One or two cells of a season or contest file changed: ingest through
+    validate exit 0, 2 or 3, never 1 or 4, and every exit 2 names the file,
+    line and column."""
+    tmp_path = tmp_path_factory.mktemp("cells")
+    files = _small_inputs()
+    for name, row, column, (change, arg) in edits:
+        header, rows = files[name]
+        row, column = row % len(rows), column % len(header)
+        if change == "text":
+            rows[row][column] = arg
+        elif change == "wrap":
+            rows[row][column] = arg + rows[row][column] + (arg if arg.isspace() else "")
+        elif change == "copy-cell":
+            rows[row][column] = rows[arg % len(rows)][column]
+        else:
+            rows[row] = list(rows[arg % len(rows)])
+    paths = {name: tmp_path / f"{name}.csv" for name in files}
+    for name, (header, rows) in files.items():
+        with open(paths[name], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    config = write_config(
+        tmp_path, players_csv=str(paths["season"]), contest_results_csv=str(paths["contest"])
+    )
+    for stage in ("ingest", "predict", "optimize", "validate"):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([stage, "--config", str(config)])
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE), (stage, err.getvalue())
+        if code == EXIT_INPUT:
+            message = err.getvalue()
+            assert any(f"error: {path}: " in message for path in paths.values()), message
+            assert "(line " in message and ", column " in message, message
         if code != EXIT_OK:
             break
 
