@@ -626,16 +626,10 @@ class TestExitCodes:
         # spread is 0 in every week but week 8, so it normalizes by the std
         # floor, and the prediction week's 50 saturates every hidden unit: exp
         # overflows to inf and the sigmoid reads its limit 0.0, with no warning.
-        target = tmp_path / "season_spread.csv"
-        with open(FIXTURES / "season.csv", newline="", encoding="utf-8") as f:
-            rows = list(csv.DictReader(f))
-        for row in rows:
-            row["spread"] = "50" if row["week"] == "8" else "0"
-        with open(target, "w", newline="", encoding="utf-8") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        config = write_config(tmp_path, players_csv=str(target))
+        season = _edited_season(
+            tmp_path, edit=lambda row: {**row, "spread": "50" if row["week"] == "8" else "0"}
+        )
+        config = write_config(tmp_path, players_csv=str(season))
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
         assert main(["predict", "--config", str(config)]) == EXIT_OK
         with np.load(tmp_path / "out" / "samples.npz") as blob:
