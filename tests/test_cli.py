@@ -98,6 +98,38 @@ def full_run(tmp_path_factory):
     return tmp_path / "out", config
 
 
+COMPUTING_STAGES = ("ingest", "predict", "optimize", "validate")
+
+
+@pytest.fixture(scope="module")
+def stage_modules(tmp_path_factory):
+    """The modules each command leaves loaded when run as its own process at
+    ``workers: 1``, by command."""
+    tmp_path = tmp_path_factory.mktemp("stage_modules")
+    config = write_config(tmp_path, workers=1)
+    code = (
+        "import sys\n"
+        "from dfslineup.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(*(name for name, module in sys.modules.items() if module is not None))\n"
+        "sys.exit(status)\n"
+    )
+    loaded = {}
+    for command in ("config-init", *COMPUTING_STAGES, "report"):
+        path = tmp_path / "new.yaml" if command == "config-init" else config
+        result = subprocess.run(
+            [sys.executable, "-c", code, command, "--config", str(path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        loaded[command] = set(result.stdout.splitlines()[-1].split())
+        assert "dfslineup.cli" in loaded[command]
+    return loaded
+
+
 class TestPipelineArtifacts:
     def test_ingest_outputs(self, full_run):
         out, _ = full_run
@@ -306,36 +338,26 @@ class TestPipelineArtifacts:
         lo, hi = json.loads(without[0])["percentile_ci"]
         assert 0.0 < lo < hi < 100.0
 
-    def test_stage_processes_load_only_what_they_run(self, tmp_path):
-        """Each command, run as its own process, leaves out what it never runs:
-        numpy outside the computing stages; the process pool's machinery at
-        ``workers: 1``; numpy.ma, which ``np.quantile`` and ``np.unique``
-        import; and OpenSSL's ``_hashlib``, which numpy.random would load
-        through secrets.  Only a fresh process shows the last one: under
-        pytest, hypothesis has already imported ``_hashlib``."""
-        config = write_config(tmp_path, workers=1)
-        code = (
-            "import sys\n"
-            "from dfslineup.cli import main\n"
-            "status = main(sys.argv[1:])\n"
-            "print(*(name for name, module in sys.modules.items() if module is not None))\n"
-            "sys.exit(status)\n"
-        )
-        never = {"multiprocessing", "numpy.ma", "_hashlib"}
-        for command in ("config-init", "ingest", "predict", "optimize", "validate", "report"):
-            path = tmp_path / "new.yaml" if command == "config-init" else config
-            result = subprocess.run(
-                [sys.executable, "-c", code, command, "--config", str(path)],
-                env={**os.environ, "PYTHONPATH": str(SRC)},
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert result.returncode == EXIT_OK, result.stderr
-            loaded = set(result.stdout.splitlines()[-1].split())
-            assert "dfslineup.cli" in loaded
-            unwanted = never | ({"numpy"} if command in ("config-init", "report") else set())
-            assert not loaded & unwanted, (command, loaded & unwanted)
+    @pytest.mark.parametrize("command", ["config-init", "report"])
+    def test_light_commands_do_not_load_numpy(self, stage_modules, command):
+        assert "numpy" not in stage_modules[command]
+
+    def test_serial_stages_do_not_load_multiprocessing(self, stage_modules):
+        """At ``workers: 1`` no stage imports the process pool's machinery."""
+        for command in COMPUTING_STAGES:
+            assert "multiprocessing" not in stage_modules[command], command
+
+    def test_stages_do_not_load_numpy_ma(self, stage_modules):
+        """Quantiles are taken without ``np.quantile`` and repeated season keys
+        are found without ``np.unique``; both import numpy.ma."""
+        for command in COMPUTING_STAGES:
+            assert "numpy.ma" not in stage_modules[command], command
+
+    def test_stages_do_not_load_hashlib(self, stage_modules):
+        """numpy.random would load OpenSSL's ``_hashlib`` through secrets.  Only
+        a fresh process shows it: under pytest, hypothesis has imported it."""
+        for command, loaded in stage_modules.items():
+            assert "_hashlib" not in loaded, command
 
 
 class TestOptions:
