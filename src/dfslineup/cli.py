@@ -9,6 +9,7 @@ program fault: it propagates with its traceback, and Python exits 1.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import logging
 import sys
 from pathlib import Path
@@ -21,6 +22,11 @@ EXIT_OK = 0
 EXIT_INPUT = InputError.exit_code
 EXIT_INFEASIBLE = InfeasibleError.exit_code
 EXIT_NUMERIC = NumericError.exit_code
+
+# The builtin digest modules hashlib imports when _hashlib is absent.
+BUILTIN_DIGESTS = ("_md5", "_sha1", "_blake2", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,6 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Before a computing stage, where the interpreter has every module in
+    ``BUILTIN_DIGESTS``, this marks ``_hashlib`` absent in ``sys.modules``.
+    The mark lasts for the rest of the process: if nothing had imported
+    hashlib before, hashlib is then without OpenSSL for every later caller
+    too (no ``hashlib.scrypt``, no OpenSSL-only names in ``hashlib.new``).
+    """
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
@@ -73,7 +87,9 @@ def main(argv=None) -> int:
             return EXIT_OK
         # numpy.random imports secrets, hence hmac: with no _hashlib, hmac and
         # hashlib take CPython's no-OpenSSL path, and OpenSSL is never mapped.
-        sys.modules.setdefault("_hashlib", None)
+        # A build that lacks a builtin digest keeps OpenSSL, which then serves it.
+        if all(importlib.util.find_spec(name) for name in BUILTIN_DIGESTS):
+            sys.modules.setdefault("_hashlib", None)
         # Only the computing stages load numpy and the model stack.
         from . import pipeline
 

@@ -55,7 +55,8 @@ from .seeds import mix64
 
 # CPython's own sha256.  cli.main blocks _hashlib before it imports this
 # module, so hashlib would load every builtin digest module instead: 0.5 MB
-# more on ingest, which sets deep-backtest's peak RSS.
+# more on ingest, which sets deep-backtest's peak RSS.  A build without these
+# modules reaches hashlib, and cli.main has then left OpenSSL to serve it.
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:

@@ -359,6 +359,33 @@ class TestPipelineArtifacts:
         for command, loaded in stage_modules.items():
             assert "_hashlib" not in loaded, command
 
+    @pytest.mark.parametrize("missing", [("_sha2", "_sha256"), ("_md5",)])
+    def test_stages_keep_hashlib_without_a_builtin_digest(self, tmp_path, missing):
+        """On a CPython built without some builtin digest module, hashlib's
+        no-OpenSSL path would log an error for each missing digest, and with no
+        builtin sha256 the pipeline could not import: the stages keep OpenSSL."""
+        config = write_config(tmp_path, n_models=1)
+        code = (
+            "import sys\n"
+            f"sys.modules.update(dict.fromkeys({missing!r}))\n"
+            "from dfslineup.cli import main\n"
+            "for command in ('ingest', 'predict'):\n"
+            "    status = main([command, '--config', sys.argv[1]])\n"
+            "    if status:\n"
+            "        sys.exit(status)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(config)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stderr == ""
+        with np.load(tmp_path / "out" / "samples.npz") as blob:
+            assert np.isfinite(blob["samples"]).all()
+
 
 class TestOptions:
     def test_config_init(self, tmp_path, capsys):
