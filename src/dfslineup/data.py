@@ -161,29 +161,14 @@ class PlayerWeekTable:
     missing row is NaN there.
     """
 
-    def __init__(self, names, player, week, position, salary, values, draftable):
-        """``names`` holds each player's id once; the other arguments hold
-        one entry per CSV row, at most one per (player_id, week): ``player``
-        an index into ``names``, ``position`` indices into POSITIONS and
-        ``values`` a (len(VALUE_COLUMNS), n_rows) float array."""
-        order = sorted(range(len(names)), key=names.__getitem__)
-        self._ids = [names[i] for i in order]
-        self._index = {pid: i for i, pid in enumerate(self._ids)}
-        shape = (len(self._ids), LAST_WEEK + 1)
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        at = (rank[np.asarray(player, dtype=np.intp)], np.asarray(week, dtype=np.intp))
-        self.present = np.zeros(shape, dtype=bool)
-        self.present[at] = True
-        self.position = np.zeros(shape, dtype=np.int8)
-        self.position[at] = position
-        self.salary = np.zeros(shape, dtype=np.int64)
-        self.salary[at] = salary
-        self.draftable = np.zeros(shape, dtype=bool)
-        self.draftable[at] = draftable
-        self.values = np.full((len(VALUE_COLUMNS), *shape), np.nan)
-        self.values[(slice(None), *at)] = values
-        self._n_rows = len(player)
+    def __init__(self, ids, n_rows, *, present, position, salary, draftable, values):
+        """``ids`` holds each player's id once, in sorted order, and
+        ``n_rows`` counts the CSV rows the grids hold."""
+        self._ids = ids
+        self._index = {pid: i for i, pid in enumerate(ids)}
+        self._n_rows = n_rows
+        self.present, self.position, self.salary = present, position, salary
+        self.draftable, self.values = draftable, values
 
     def __len__(self):
         return self._n_rows
@@ -263,7 +248,9 @@ def read_csv(path):
             raise SchemaError(not_utf8(exc), path=path) from None
 
 
-# Records per parse block.  Only one block of text is held at a time.
+# Records per parse block.  The loader drops each block before it reads the
+# next and keeps only the season grids between blocks, so the parse holds
+# players x weeks plus one block, however many rows the file has.
 BLOCK_ROWS = 2048
 
 _POSITION_INDEX = {p: i for i, p in enumerate(POSITIONS)}
@@ -342,50 +329,103 @@ def _columnar(records):
         raise ValueError
     values = np.stack([column[name] for name in VALUE_COLUMNS])
     position = list(map(_POSITION_INDEX.__getitem__, column["position"]))
-    return ids, week.astype(np.int64), position, salary.astype(np.int64), values, draftable
+    return ids, week, position, salary.astype(np.int64), values, draftable
 
 
-class _Keys:
-    """The (player_id, week) keys read so far, as a week grid per player:
-    the line each key was first read on, 0 for none yet.  Each player's id
-    is held once, as the first string read for it."""
+def _grids(players):
+    """Empty week grids for ``players`` players: PlayerWeekTable's, with
+    ``lines``, the line each (player_id, week) key was read on (0 for none
+    yet), in place of ``present``."""
+    shape = (players, LAST_WEEK + 1)
+    return {
+        "lines": np.zeros(shape, dtype=np.int64),
+        "position": np.zeros(shape, dtype=np.int8),
+        "salary": np.zeros(shape, dtype=np.int64),
+        "draftable": np.zeros(shape, dtype=bool),
+        "values": np.full((len(VALUE_COLUMNS), *shape), np.nan),
+    }
+
+
+class _Season:
+    """The season read so far, as week grids with a row per player in the
+    order first read; the grids double when a player needs a row they lack.
+    Each player's id is held once, as the first string read for it."""
 
     def __init__(self):
-        self.players: dict[str, int] = {}  # id -> its row of the grid
-        self.lines = np.zeros((64, LAST_WEEK + 1), dtype=np.int64)
+        self.players: dict[str, int] = {}  # id -> its row of the grids
+        self.grids = _grids(64)
+        self.n_rows = 0
 
-    def add(self, ids, weeks, lines) -> np.ndarray:
-        """Record a block's keys; their players' rows.  DuplicateKeyError
-        names the first key that repeats, in file order."""
+    def read(self, lines, records):
+        """Add a block of records, read on ``lines``; blank ones are skipped.
+        The block is checked and converted column by column; a block the
+        column checks refuse goes through parse_row, row by row."""
+        if not all(records):
+            lines = [n for n, record in zip(lines, records) if record]
+            records = [record for record in records if record]
+        try:
+            columns = _columnar(records)
+        except ValueError:
+            _row_by_row(lines, records, self)
+        else:
+            self.add(lines, *columns)
+
+    def add(self, lines, ids, weeks, position, salary, values, draftable):
+        """Add a block's rows, one per line of ``lines``, with ``values`` a
+        (len(VALUE_COLUMNS), rows) array.  DuplicateKeyError names the first
+        key that repeats, in file order, before any field is written."""
         players = self.players
         rows = np.array([players.setdefault(pid, len(players)) for pid in ids], dtype=np.intp)
-        while len(self.lines) < len(players):
-            self.lines = np.concatenate([self.lines, np.zeros_like(self.lines)])
-        cells = rows * (LAST_WEEK + 1) + np.asarray(weeks, dtype=np.intp)
-        lines = np.asarray(lines, dtype=np.int64)
-        grid = self.lines.reshape(-1)
-        if not grid[cells].any():
-            grid[cells] = lines
-            # A key repeated within the block keeps only one of its lines.
-            if (grid[cells] == lines).all():
-                return rows
-            grid[cells] = 0
-        for pid, week, cell, line in zip(ids, weeks, cells.tolist(), lines.tolist()):
-            if grid[cell]:
-                raise DuplicateKeyError(
-                    f"duplicate (player_id, week) = {(pid, int(week))}: "
-                    f"line {line} repeats line {grid[cell]}",
-                    line=line,
-                    column=("player_id", "week"),
-                )
-            grid[cell] = line
-        return rows
+        if len(players) > len(self.grids["lines"]):
+            self._grow(len(players))
+        weeks = np.asarray(weeks, dtype=np.intp)
+        cells = rows * (LAST_WEEK + 1) + weeks
+        grid = self.grids["lines"].reshape(-1)
+        ordered = np.sort(cells)
+        if grid[cells].any() or (ordered[1:] == ordered[:-1]).any():
+            # A key read before, or twice in this block: its first repeat raises.
+            for pid, week, cell, line in zip(ids, weeks.tolist(), cells.tolist(), lines):
+                if grid[cell]:
+                    raise DuplicateKeyError(
+                        f"duplicate (player_id, week) = {(pid, week)}: "
+                        f"line {line} repeats line {grid[cell]}",
+                        line=line,
+                        column=("player_id", "week"),
+                    )
+                grid[cell] = line
+        grid[cells] = lines
+        at = (rows, weeks)
+        self.grids["position"][at] = position
+        self.grids["salary"][at] = salary
+        self.grids["draftable"][at] = draftable
+        self.grids["values"][(slice(None), *at)] = values
+        self.n_rows += len(rows)
+
+    def _grow(self, players):
+        """Double the grids until they have a row for each of ``players``."""
+        size = len(self.grids["lines"])
+        while size < players:
+            size *= 2
+        grown = _grids(size)
+        for name, grid in self.grids.items():
+            grown[name][..., : grid.shape[-2], :] = grid
+        self.grids = grown
+
+    def table(self) -> PlayerWeekTable:
+        """The season in sorted-id order.  The grids are cut to the players
+        and reordered one at a time, so only one is ever held twice."""
+        ids = sorted(self.players)
+        order = np.array([self.players[pid] for pid in ids], dtype=np.intp)
+        grids = self.grids
+        grids["present"] = grids.pop("lines") > 0
+        for name in grids:
+            grids[name] = grids[name][..., order, :]
+        return PlayerWeekTable(ids, self.n_rows, **grids)
 
 
-def _row_by_row(lines, records, keys):
-    """parse_row over a block, row by row, then the key check of the rows
-    before the first bad one, so the first error in file order raises; the
-    block's columns otherwise, players as rows of ``keys``."""
+def _row_by_row(lines, records, season):
+    """parse_row over a block, row by row, then the rows before the first
+    bad one added to ``season``, so the first error in file order raises."""
     rows, error = [], None
     for line, record in zip(lines, records):
         try:
@@ -397,13 +437,14 @@ def _row_by_row(lines, records, keys):
         except SchemaError as exc:
             error = exc
             break
-    player = keys.add([r[0] for r in rows], [r[1] for r in rows], lines[: len(rows)])
+    if rows:
+        ids, week, position, salary, *values, draftable = zip(*rows)
+        position = [_POSITION_INDEX[p] for p in position]
+        # An empty optional field is None, which float64 reads as NaN.
+        values = np.array(values, dtype=np.float64)
+        season.add(lines[: len(rows)], ids, week, position, salary, values, draftable)
     if error:
         raise error
-    _, week, position, salary, *values, draftable = zip(*rows)
-    position = [_POSITION_INDEX[p] for p in position]
-    # An empty optional field is None, which float64 reads as NaN.
-    return player, week, position, salary, np.array(values, dtype=np.float64), draftable
 
 
 @names_file
@@ -412,10 +453,10 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
 
     Rows with an empty ``fpts`` field are retained as did-not-play weeks.
     The file is read in blocks of BLOCK_ROWS records, each checked and
-    converted column by column; a block the column checks refuse goes
-    through parse_row, so errors name the file, line and column of the
-    first bad row.  A repeated (player_id, week) raises DuplicateKeyError
-    naming both lines.
+    converted column by column, then written straight into the season's
+    grids; a block the column checks refuse goes through parse_row, so
+    errors name the file, line and column of the first bad row.  A repeated
+    (player_id, week) raises DuplicateKeyError naming both lines.
     """
     reader = read_csv(csv_path)
     header = next(reader, None)
@@ -425,33 +466,12 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
         raise SchemaError(
             f"header {header} does not match expected schema {CSV_COLUMNS}", line=1
         )
-    columns, keys, start = [], _Keys(), 2
+    season, start = _Season(), 2
     for block in _blocks(reader, BLOCK_ROWS):
-        lines = range(start, start + len(block))
+        season.read(range(start, start + len(block)), block)
         start += len(block)
-        if not all(block):  # blank records are skipped
-            lines = [n for n, record in zip(lines, block) if record]
-            block = [record for record in block if record]
-            if not block:
-                continue
-        try:
-            ids, *cols = _columnar(block)
-        except ValueError:
-            columns.append(_row_by_row(lines, block, keys))
-        else:
-            columns.append((keys.add(ids, cols[0], lines), *cols))
-    if not columns:
-        return PlayerWeekTable([], [], [], [], [], np.empty((len(VALUE_COLUMNS), 0)), [])
-    player, week, position, salary, values, draftable = zip(*columns)
-    return PlayerWeekTable(
-        list(keys.players),
-        np.concatenate(player),
-        np.concatenate(week),
-        np.concatenate(position),
-        np.concatenate(salary),
-        np.concatenate(values, axis=1),
-        np.concatenate(draftable),
-    )
+        del block  # dropped before _blocks reads the next
+    return season.table()
 
 
 def load_exclusions(path) -> set[str]:

@@ -37,8 +37,8 @@ result.  Larger batches pay numpy's per-call overhead fewer times, up to
 about 32, past which training got no faster.  A member that stops or
 diverges leaves the batch in place (``_Members.drop``): the members after
 it move up and every array becomes its own prefix, so no second copy of
-the state is made.  At B = 32 the predict process sets the weekly run's
-peak RSS (a deep season backtest's is ingest's), and B trades that peak
+the state is made.  At B = 32 the predict process sets the peak RSS of
+both the weekly run and a deep season backtest, and B trades that peak
 against training time.  CHANGES.md holds the timings and peak RSS behind
 these choices.
 """

@@ -55,7 +55,7 @@ from .seeds import mix64
 
 # CPython's own sha256.  cli.main blocks _hashlib before it imports this
 # module, so hashlib would load every builtin digest module instead: 0.5 MB
-# more on ingest, which sets deep-backtest's peak RSS.  A build without these
+# more on ingest and validate, which hash the season.  A build without these
 # modules reaches hashlib, and cli.main has then left OpenSSL to serve it.
 try:
     from _sha2 import sha256  # Python 3.12+
@@ -99,8 +99,16 @@ def _write_csv(path: Path, header: str, rows) -> None:
     _write_text(path, buf.getvalue())
 
 
+# Bytes per read when hashing a file, so the file is never held whole.
+HASH_CHUNK = 1 << 16
+
+
 def _sha256(path) -> str:
-    return sha256(Path(path).read_bytes()).hexdigest()
+    digest = sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------- ingest

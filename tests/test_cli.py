@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -1149,6 +1150,11 @@ class TestSeasonCache:
         report = json.loads((tmp_path / "out" / "validation_report.json").read_text())
         assert report["status"] == "invalid_week"
         assert len(report["missing_actuals"]) == 9
+
+    def test_season_hash_reads_in_chunks(self, tmp_path):
+        path = tmp_path / "season.csv"
+        path.write_bytes(bytes(range(256)) * (3 * pipeline.HASH_CHUNK // 256) + b"tail")
+        assert pipeline._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_changed_target_week_parses_again(self, full_run, tmp_path, monkeypatch):
         assert main(["ingest", "--config", str(write_config(tmp_path))]) == EXIT_OK

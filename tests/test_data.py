@@ -10,6 +10,7 @@ from pathlib import Path
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,41 @@ class TestColumnarParse:
                 else:
                     assert value == (int(edge) if column == "salary" else float(edge)), edge
 
+    def test_grids_grow_and_sort_across_blocks(self, tmp_path, monkeypatch):
+        """More players than the season's first grids hold, read in shuffled
+        order in blocks of 3 records, with blank records and a padded
+        position that sends one block row by row: the grids are the
+        reference's, and the length counts the rows that are not blank."""
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        row_parse, calls = data.parse_row, []
+
+        def counted(*args):
+            calls.append(args)
+            return row_parse(*args)
+
+        monkeypatch.setattr(data, "parse_row", counted)
+        rng = random.Random(28)
+        keys = [(f"P{i:03d}", week) for i in range(150) for week in (1, 2, 5)]
+        rng.shuffle(keys)
+        records = [
+            row(pid, week, POSITIONS[int(pid[1:]) % len(POSITIONS)], 3000 + 100 * rng.randrange(60),
+                rng.choice([None, 4.5, 12.0, 27.25]))
+            for pid, week in keys
+        ]
+        fields = records[200].split(",")
+        fields[2] = f" {fields[2]} "
+        records[200] = ",".join(fields)
+        for at in (400, 100, 7, 6):
+            records.insert(at, "")
+        path = write_csv(tmp_path, *records)
+        table = load_player_weeks(path)
+        assert 0 < len(calls) < len(keys)
+        ids, grids = reference_season(path)
+        assert table.player_ids() == ids and len(ids) == 150
+        for name, grid in grids.items():
+            assert getattr(table, name).tobytes() == grid.tobytes(), name
+        assert len(table) == len(keys)
+
     def test_negative_zero_int_reads_as_zero(self, tmp_path):
         table = load(tmp_path, row(point_diff="-0"))
         assert week_fields(table, "X1", 1)["point_diff"].tobytes() == np.float64(0.0).tobytes()
@@ -507,6 +543,31 @@ class TestColumnarParse:
         with pytest.raises(SchemaError) as exc:
             load_player_weeks(path)
         assert str(exc.value).startswith(f"{path}: header ['a', 'b'] does not match")
+
+
+def test_parse_memory_follows_the_grids(season_csv, tmp_path):
+    """The parse holds the season's grids and one block of text, not every
+    row: from the fixture to three copies of its players, the traced peak
+    grows by at most 2.25 times what the returned grids grow by.  Keeping
+    every block's columns until the end, it grew by about 2.8 times."""
+    header, *rows = season_csv.read_text(encoding="utf-8").splitlines()
+    peaks, sizes = [], []
+    for copies in (1, 3):
+        path = tmp_path / f"season-{copies}.csv"
+        suffixed = [f"{pid}-{k},{rest}" for k in range(copies)
+                    for pid, rest in (r.split(",", 1) for r in rows)]
+        path.write_text("\n".join([header, *suffixed]) + "\n", encoding="utf-8")
+        load_player_weeks(path)  # one-off allocations of a first parse are not counted
+        tracemalloc.start()
+        try:
+            table = load_player_weeks(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        grids = (table.present, table.position, table.salary, table.draftable, table.values)
+        sizes.append(sum(grid.nbytes for grid in grids))
+    assert len(table) == 3 * len(rows) and sizes[1] == 3 * sizes[0]
+    assert peaks[1] - peaks[0] <= 2.25 * (sizes[1] - sizes[0])
 
 
 class TestEligibility:
