@@ -161,17 +161,16 @@ class PlayerWeekTable:
     missing row is NaN there.
     """
 
-    def __init__(self, ids, n_rows, *, present, position, salary, draftable, values):
-        """``ids`` holds each player's id once, in sorted order, and
-        ``n_rows`` counts the CSV rows the grids hold."""
+    def __init__(self, ids, *, present, position, salary, draftable, values):
+        """``ids`` holds each player's id once, in sorted order."""
         self._ids = ids
         self._index = {pid: i for i, pid in enumerate(ids)}
-        self._n_rows = n_rows
         self.present, self.position, self.salary = present, position, salary
         self.draftable, self.values = draftable, values
 
     def __len__(self):
-        return self._n_rows
+        """The number of CSV rows: each is one present cell."""
+        return int(self.present.sum())
 
     def player_ids(self) -> list[str]:
         return list(self._ids)
@@ -354,7 +353,6 @@ class _Season:
     def __init__(self):
         self.players: dict[str, int] = {}  # id -> its row of the grids
         self.grids = _grids(64)
-        self.n_rows = 0
 
     def read(self, lines, records):
         """Add a block of records, read on ``lines``; blank ones are skipped.
@@ -399,7 +397,6 @@ class _Season:
         self.grids["salary"][at] = salary
         self.grids["draftable"][at] = draftable
         self.grids["values"][(slice(None), *at)] = values
-        self.n_rows += len(rows)
 
     def _grow(self, players):
         """Double the grids until they have a row for each of ``players``."""
@@ -420,7 +417,7 @@ class _Season:
         grids["present"] = grids.pop("lines") > 0
         for name in grids:
             grids[name] = grids[name][..., order, :]
-        return PlayerWeekTable(ids, self.n_rows, **grids)
+        return PlayerWeekTable(ids, **grids)
 
 
 def _row_by_row(lines, records, season):
