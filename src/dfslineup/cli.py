@@ -49,12 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default="dfslineup.yaml", help="config file path")
+        if name == "config-init":
+            # It writes the defaults, so it takes no overrides.
+            p.add_argument("--force", action="store_true", help="overwrite an existing file")
+            continue
         p.add_argument("--output-dir", help="override the configured output directory")
         p.add_argument("--seed", type=int, help="override master_seed")
         p.add_argument("--n-models", type=int, help="override n_models")
         p.add_argument("-v", "--verbose", action="store_true")
-        if name == "config-init":
-            p.add_argument("--force", action="store_true", help="overwrite an existing file")
     return parser
 
 
@@ -69,7 +71,7 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
+        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

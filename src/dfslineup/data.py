@@ -230,47 +230,60 @@ def names_file(load):
     return loader
 
 
-def read_csv(path):
-    """The rows of a UTF-8 CSV file, each a list of fields.
+# Records per block of read_csv.  The season loader drops each block before
+# it reads the next and keeps only the season grids between blocks, so the
+# parse holds players x weeks plus one block, however many rows the file has.
+BLOCK_ROWS = 2048
 
-    A row the csv module refuses (a field over its size limit, say) raises
-    SchemaError naming the file and line; bytes that are not UTF-8 raise
-    SchemaError naming the file.
+POSITION_INDEX = {p: i for i, p in enumerate(POSITIONS)}
+
+
+def read_csv(path, columns):
+    """The records of a UTF-8 CSV file with header ``columns``, in blocks of
+    up to BLOCK_ROWS: (lines, records), each record a list of len(columns)
+    fields read on the file line of ``lines`` where it starts.  Blank
+    records are skipped.
+
+    An empty file, a different header, a record with another field count
+    or one the csv module refuses (a field over its size limit, say) raises
+    SchemaError naming its line; bytes that are not UTF-8 raise SchemaError
+    naming the file.  The error comes after the block of the records before
+    it, so an earlier bad row is still found first.
     """
+    lines, records, error, start = [], [], None, 1
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            yield from reader
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("file is empty", line=1)
+            if header != columns:
+                raise SchemaError(
+                    f"header {header} does not match expected schema {columns}", line=1
+                )
+            start = reader.line_num + 1
+            for record in reader:
+                if record:
+                    if len(record) != len(columns):
+                        raise SchemaError(
+                            f"expected {len(columns)} fields, got {len(record)}", line=start
+                        )
+                    lines.append(start)
+                    records.append(record)
+                    if len(records) == BLOCK_ROWS:
+                        yield lines, records
+                        lines, records = [], []
+                start = reader.line_num + 1
+        except SchemaError as exc:
+            error = exc
         except csv.Error as exc:
-            raise SchemaError(str(exc), line=reader.line_num, path=path) from None
+            error = SchemaError(str(exc), line=start, path=path)
         except UnicodeDecodeError as exc:
-            raise SchemaError(not_utf8(exc), path=path) from None
-
-
-# Records per parse block.  The loader drops each block before it reads the
-# next and keeps only the season grids between blocks, so the parse holds
-# players x weeks plus one block, however many rows the file has.
-BLOCK_ROWS = 2048
-
-_POSITION_INDEX = {p: i for i, p in enumerate(POSITIONS)}
-
-
-def _blocks(records, size):
-    """Lists of up to ``size`` records.  A read error comes after the block
-    of the records before it, so an earlier bad row is still found first."""
-    block = []
-    try:
-        for record in records:
-            block.append(record)
-            if len(block) == size:
-                yield block
-                block = []
-    except SchemaError:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
+            error = SchemaError(not_utf8(exc), path=path)
+    if records:
+        yield lines, records
+    if error:
+        raise error
 
 
 def _numbers(column, kind):
@@ -307,11 +320,9 @@ def _columnar(records):
     """A block's columns, each converted and checked against its RULES entry
     at once: (ids, week, position, salary, values, draftable).  ValueError
     where any field needs parse_row, which then reads the block row by row."""
-    if set(map(len, records)) != {len(CSV_COLUMNS)}:
-        raise ValueError
     column = dict(zip(CSV_COLUMNS, zip(*records)))
     ids = list(map(str.strip, column["player_id"]))
-    if "" in ids or not set(column["position"]) <= _POSITION_INDEX.keys():
+    if "" in ids or not set(column["position"]) <= POSITION_INDEX.keys():
         raise ValueError
     ok = True
     for name, rule in RULES.items():
@@ -327,7 +338,7 @@ def _columnar(records):
     if not ok.all():
         raise ValueError
     values = np.stack([column[name] for name in VALUE_COLUMNS])
-    position = list(map(_POSITION_INDEX.__getitem__, column["position"]))
+    position = list(map(POSITION_INDEX.__getitem__, column["position"]))
     return ids, week, position, salary.astype(np.int64), values, draftable
 
 
@@ -355,12 +366,9 @@ class _Season:
         self.grids = _grids(64)
 
     def read(self, lines, records):
-        """Add a block of records, read on ``lines``; blank ones are skipped.
-        The block is checked and converted column by column; a block the
-        column checks refuse goes through parse_row, row by row."""
-        if not all(records):
-            lines = [n for n, record in zip(lines, records) if record]
-            records = [record for record in records if record]
+        """Add a block of read_csv's records, read on ``lines``.  The block
+        is checked and converted column by column; a block the column
+        checks refuse goes through parse_row, row by row."""
         try:
             columns = _columnar(records)
         except ValueError:
@@ -426,17 +434,13 @@ def _row_by_row(lines, records, season):
     rows, error = [], None
     for line, record in zip(lines, records):
         try:
-            if len(record) != len(CSV_COLUMNS):
-                raise SchemaError(
-                    f"expected {len(CSV_COLUMNS)} fields, got {len(record)}", line=line
-                )
             rows.append(parse_row(dict(zip(CSV_COLUMNS, record)), line))
         except SchemaError as exc:
             error = exc
             break
     if rows:
         ids, week, position, salary, *values, draftable = zip(*rows)
-        position = [_POSITION_INDEX[p] for p in position]
+        position = [POSITION_INDEX[p] for p in position]
         # An empty optional field is None, which float64 reads as NaN.
         values = np.array(values, dtype=np.float64)
         season.add(lines[: len(rows)], ids, week, position, salary, values, draftable)
@@ -449,25 +453,16 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
     """Load a season table from ``players.csv``.
 
     Rows with an empty ``fpts`` field are retained as did-not-play weeks.
-    The file is read in blocks of BLOCK_ROWS records, each checked and
-    converted column by column, then written straight into the season's
+    read_csv yields the file in blocks of BLOCK_ROWS records, each checked
+    and converted column by column, then written straight into the season's
     grids; a block the column checks refuse goes through parse_row, so
     errors name the file, line and column of the first bad row.  A repeated
     (player_id, week) raises DuplicateKeyError naming both lines.
     """
-    reader = read_csv(csv_path)
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError("file is empty", line=1)
-    if header != CSV_COLUMNS:
-        raise SchemaError(
-            f"header {header} does not match expected schema {CSV_COLUMNS}", line=1
-        )
-    season, start = _Season(), 2
-    for block in _blocks(reader, BLOCK_ROWS):
-        season.read(range(start, start + len(block)), block)
-        start += len(block)
-        del block  # dropped before _blocks reads the next
+    season = _Season()
+    for lines, records in read_csv(csv_path, CSV_COLUMNS):
+        season.read(lines, records)
+        del lines, records  # dropped before read_csv reads the next block
     return season.table()
 
 

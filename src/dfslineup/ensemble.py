@@ -18,7 +18,7 @@ from .config import TrainingConfig
 from .errors import EnsembleTrainingError, TrainingDivergedError
 from .network import TrainedModel, predict_batch, train_batch
 from .seeds import mix64
-from .special import linear_quantiles
+from .special import central_interval
 
 RETRY_SALT = 0x5EED
 B = 32  # members per stacked batch; sets speed and memory only (see network.py)
@@ -102,16 +102,9 @@ def sample_matrix(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
     return np.vstack([predict_batch(m.network, m.norm, x) for m in ensemble.models])
 
 
-def _central_interval(samples: np.ndarray, level: float):
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level {level} outside (0, 1)")
-    alpha = (1.0 - level) / 2.0
-    return linear_quantiles(samples, [alpha, 1.0 - alpha])
-
-
 def predict_distribution(samples: np.ndarray, level: float = 0.95):
     """Per-player (mean, ci_low, ci_high) arrays over the sample matrix's columns."""
-    ci_low, ci_high = _central_interval(samples, level)
+    ci_low, ci_high = central_interval(samples, level)
     # Each column reduced in contiguous memory sums in the same order as a
     # lone 1-D column would, which keeps the means bit-stable.
     return np.asfortranarray(samples).mean(axis=0), ci_low, ci_high
@@ -126,5 +119,5 @@ def lineup_prediction_interval(lineup_samples: np.ndarray, level: float = 0.95):
     # Column-contiguous layout adds the players one at a time for each model,
     # in lineup order, whatever order numpy would pick for a row-major array.
     totals = np.asfortranarray(lineup_samples).sum(axis=1)
-    lo, hi = _central_interval(totals, level)
+    lo, hi = central_interval(totals, level)
     return float(totals.mean()), float(lo), float(hi)

@@ -37,10 +37,9 @@ result.  Larger batches pay numpy's per-call overhead fewer times, up to
 about 32, past which training got no faster.  A member that stops or
 diverges leaves the batch in place (``_Members.drop``): the members after
 it move up and every array becomes its own prefix, so no second copy of
-the state is made.  At B = 32 the predict process sets the peak RSS of
-both the weekly run and a deep season backtest, and B trades that peak
-against training time.  CHANGES.md holds the timings and peak RSS behind
-these choices.
+the state is made.  B trades the predict process's peak RSS against
+training time.  CHANGES.md holds the timings and peak RSS behind these
+choices.
 """
 
 from __future__ import annotations
@@ -135,9 +134,8 @@ def _forward(net: Network, zt: np.ndarray):
     Works on one network, or on a stack with zt (members, inputs, n).
     Each member's slice gets the same BLAS call as a lone 2-D product.
     """
-    # The sigmoid 1 / (1 + exp(-t)) runs op for op in one buffer: at 8
-    # members, 189 rows and 19 units a fresh array per op made it 375 us
-    # against 77 us (2-core VM).
+    # The sigmoid 1 / (1 + exp(-t)) runs op for op in one buffer: a fresh
+    # array per op made it several times slower.
     hidden = net.w1 @ zt
     hidden += net.b1[..., None]
     np.negative(hidden, out=hidden)

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import POSITIONS
+from .data import POSITION_INDEX, POSITIONS
 from .errors import InfeasibleLineupError
 
 # Slots per position of the three flex configurations: the one place the
@@ -62,7 +62,6 @@ LINEUP_SIZE = sum(POSITION_COUNTS[0].values())
 # Slots every configuration has, and the most any configuration needs.
 _FIXED_SLOTS = {p: min(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 MAX_COUNTS = {p: max(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
-_POS_INDEX = {p: i for i, p in enumerate(POSITIONS)}
 
 
 @dataclass
@@ -129,12 +128,12 @@ class Pool:
         self.salary = np.array([int(salary[j]) for j in order], dtype=np.int64)
         self.salary_cap = salary_cap
         self.unit = gcd(*self.salary.tolist())
-        axes = [_POS_INDEX[p] for p in self.position.tolist()]
+        axes = [POSITION_INDEX[p] for p in self.position.tolist()]
         units = [s // self.unit for s in self.salary.tolist()]
         # Cheapest unit salary per position axis; 0 for a position the pool lacks.
         floor = [
             min((w for a, w in zip(axes, units) if a == i), default=0)
-            for i in _POS_INDEX.values()
+            for i in POSITION_INDEX.values()
         ]
         weights = [w - floor[a] for a, w in zip(axes, units)]
         budget_max = salary_cap // self.unit if self.unit else 0
@@ -143,12 +142,12 @@ class Pool:
         # any larger root reads back the same lineup.
         dearest = [
             sorted((w for a, w in zip(axes, weights) if a == i), reverse=True)
-            for i in _POS_INDEX.values()
+            for i in POSITION_INDEX.values()
         ]
         self.roots = [
             min(
-                budget_max - sum(k * floor[_POS_INDEX[p]] for p, k in counts.items()),
-                sum(sum(dearest[_POS_INDEX[p]][:k]) for p, k in counts.items()),
+                budget_max - sum(k * floor[POSITION_INDEX[p]] for p, k in counts.items()),
+                sum(sum(dearest[POSITION_INDEX[p]][:k]) for p, k in counts.items()),
             )
             for counts in POSITION_COUNTS
         ]
@@ -215,7 +214,7 @@ _HALVES = [
 ]
 
 # Take bits one block of rows may hold.  A block takes as many rows as fit,
-# at least one; on fixture week 8 a row's bits are about 0.1 MB.
+# at least one.
 TAKE_BYTES = 4 << 20
 
 
@@ -299,7 +298,7 @@ class Tables:
     def _walk(self, r: int, pos: str, k: int, b: int) -> tuple:
         """The smallest set of cell (k, b) of ``pos`` in row ``r``: walk the
         players in id order, jumping to the next set take bit."""
-        members, weights, _ = self.pool.groups[_POS_INDEX[pos]]
+        members, weights, _ = self.pool.groups[POSITION_INDEX[pos]]
         take = self.take[pos]
         chosen, i = [], 0
         while k:
@@ -317,6 +316,15 @@ def blocks(pool: Pool, rows):
         yield Tables(pool, rows[start : start + step])
 
 
+def lineup_total(fpts) -> float:
+    """The sum of ``fpts``, added left to right: sum() compensates its float
+    additions from Python 3.12 on, which would move a total's last bits."""
+    total = 0.0
+    for value in fpts:
+        total += value
+    return total
+
+
 def solve_flex_configs(tables: Tables, r: int) -> list[Optional[Lineup]]:
     """Provably optimal lineup of each flex configuration for row ``r`` of
     ``tables``, in FLEX_CONFIGS order; an infeasible one is None.  Exact
@@ -331,12 +339,8 @@ def solve_flex_configs(tables: Tables, r: int) -> list[Optional[Lineup]]:
             lineups.append(None)
             continue
         # Chosen indices are in id order, so predicted_fpts is summed in id
-        # order, left to right: it decides the cross-configuration choice
-        # down to its last bit, and sum() compensates its float additions
-        # from Python 3.12 on.
-        total = 0.0
-        for j in chosen:
-            total += fpts[j]
+        # order: it decides the cross-configuration choice down to its last bit.
+        total = lineup_total(fpts[j] for j in chosen)
         lineups.append(Lineup(tuple(pool.ids[j] for j in chosen), config, total))
     return lineups
 

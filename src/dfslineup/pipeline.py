@@ -31,6 +31,7 @@ from .ensemble import (
 )
 from .errors import UnservableWeekError
 from .optimizer import MAX_COUNTS, Pool, assign_slots, blocks, modal_lineup, optimize_all_flex
+from .optimizer import lineup_total
 from .report import (  # noqa: F401  cmd_report: re-exported
     BOXPLOT,
     ELIGIBILITY,
@@ -54,9 +55,10 @@ from .report import (  # noqa: F401  cmd_report: re-exported
 from .seeds import mix64
 
 # CPython's own sha256.  cli.main blocks _hashlib before it imports this
-# module, so hashlib would load every builtin digest module instead: 0.5 MB
-# more on ingest and validate, which hash the season.  A build without these
-# modules reaches hashlib, and cli.main has then left OpenSSL to serve it.
+# module, so hashlib would load every builtin digest module instead, and
+# ingest and validate, which hash the season, would hold them all.  A build
+# without these modules reaches hashlib, and cli.main has then left OpenSSL
+# to serve it.
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
@@ -316,11 +318,7 @@ def cmd_validate(cfg: RunConfig) -> None:
         )
         return
 
-    # Left to right: sum() compensates its float additions from Python 3.12
-    # on, which would move the last bits of the score.
-    score = 0.0
-    for pid in lineup_info["players"]:
-        score += actuals[pid]
+    score = lineup_total(actuals[pid] for pid in lineup_info["players"])
 
     # The histograms come first: a bin width that would give a player too
     # many bins stops the stage before the random population is drawn.

@@ -131,3 +131,13 @@ def linear_quantiles(a, q) -> np.ndarray:
     below, above = x[lo], x[hi]
     diff = above - below
     return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)
+
+
+def central_interval(a, level: float) -> np.ndarray:
+    """The bounds of the central ``level`` interval of ``a`` along axis 0:
+    linear_quantiles at alpha and 1 - alpha, with alpha = (1 - level) / 2.
+    ValueError unless 0 < level < 1."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level {level} outside (0, 1)")
+    alpha = (1.0 - level) / 2.0
+    return linear_quantiles(a, [alpha, 1.0 - alpha])

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .optimizer import MAX_COUNTS, POSITION_COUNTS
 from .seeds import mix64
-from .special import kolmogorov_sf, linear_quantiles, normal_cdf, student_t_sf2
+from .special import central_interval, kolmogorov_sf, linear_quantiles, normal_cdf, student_t_sf2
 
 MAX_REJECTIONS = 10_000
 # Fewest observations the KS normality test takes.
@@ -127,15 +127,12 @@ def bootstrap_ci(
     """
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level {level} outside (0, 1)")
     below, equal, n = _ranks(score, samples)
     pvals = np.array([below, equal, n - below - equal], dtype=np.float64) / n
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, pvals, size=resamples)
     percs = 100.0 * (counts[:, 0] + 0.5 * counts[:, 1]) / n
-    alpha = (1.0 - level) / 2.0
-    lo, hi = linear_quantiles(percs, [alpha, 1.0 - alpha])
+    lo, hi = central_interval(percs, level)
     point = 100.0 * (below + 0.5 * equal) / n
     return max(0.0, min(float(lo), point)), min(100.0, max(float(hi), point))
 
@@ -322,23 +319,17 @@ def compare_populations(random, real) -> dict:
 def load_contest_results(path) -> np.ndarray:
     """Read `user_rank,fpts` rows; the nonzero scores, in file order.
 
-    Zero-score users are dropped.  Every SchemaError names the file: a bad
-    header or row (a score CONTEST_FPTS refuses, say), fewer than
-    KS_MIN_SAMPLES nonzero scores, or nonzero scores that are all equal.
+    Zero-score users are dropped.  Every SchemaError names the file: an
+    empty file, a bad header or row (a score CONTEST_FPTS refuses, say),
+    fewer than KS_MIN_SAMPLES nonzero scores, or nonzero scores that are all
+    equal.
     """
     scores = []
-    reader = read_csv(path)
-    header = next(reader, None)
-    if header != ["user_rank", "fpts"]:
-        raise SchemaError(f"unexpected header {header}", line=1)
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise SchemaError(f"expected 2 fields, got {len(row)}", line=line)
-        value = CONTEST_FPTS.parse(row[1], "fpts", line)
-        if value != 0.0:
-            scores.append(value)
+    for lines, records in read_csv(path, ["user_rank", "fpts"]):
+        for line, (_, fpts) in zip(lines, records):
+            value = CONTEST_FPTS.parse(fpts, "fpts", line)
+            if value != 0.0:
+                scores.append(value)
     if len(scores) < KS_MIN_SAMPLES:
         raise SchemaError(
             f"{len(scores)} nonzero fpts score(s); the real-world population "

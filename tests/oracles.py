@@ -265,10 +265,11 @@ def reference_window(csv_path, window_index: int, mode: str):
 def reference_season(csv_path):
     """The season grids as a row-by-row parse builds them.
 
-    Every record goes through ``data.parse_row`` in file order, the
-    row-level rules the columnar loader must match; the first bad row or
-    repeated (player_id, week) raises, with the file named as the loader
-    names it.  The grids are then filled one cell at a time.  Returns
+    Every record of ``data.read_csv``'s blocks goes through
+    ``data.parse_row`` in file order, the row-level rules the columnar
+    loader must match; the first bad row or repeated (player_id, week)
+    raises, with the file named as the loader names it.  The grids are then
+    filled one cell at a time.  Returns
     (ids, {"present", "position", "salary", "draftable", "values"}).
     """
     from dfslineup.data import CSV_COLUMNS, POSITIONS, parse_row, read_csv
@@ -276,23 +277,18 @@ def reference_season(csv_path):
 
     rows, first = [], {}
     try:
-        reader = read_csv(csv_path)
-        assert next(reader) == CSV_COLUMNS
-        for line, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(CSV_COLUMNS):
-                raise SchemaError(f"expected {len(CSV_COLUMNS)} fields, got {len(raw)}", line=line)
-            row = parse_row(dict(zip(CSV_COLUMNS, raw)), line)
-            if row[:2] in first:
-                raise DuplicateKeyError(
-                    f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line "
-                    f"{first[row[:2]]}",
-                    line=line,
-                    column=("player_id", "week"),
-                )
-            first[row[:2]] = line
-            rows.append(row)
+        for lines, records in read_csv(csv_path, CSV_COLUMNS):
+            for line, raw in zip(lines, records):
+                row = parse_row(dict(zip(CSV_COLUMNS, raw)), line)
+                if row[:2] in first:
+                    raise DuplicateKeyError(
+                        f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line "
+                        f"{first[row[:2]]}",
+                        line=line,
+                        column=("player_id", "week"),
+                    )
+                first[row[:2]] = line
+                rows.append(row)
     except SchemaError as exc:
         exc.path = csv_path
         raise

@@ -396,6 +396,18 @@ class TestOptions:
         assert main(["config-init", "--config", str(path)]) == EXIT_INPUT
         assert main(["config-init", "--config", str(path), "--force"]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "flag", [["--output-dir", ""], ["--seed", "1"], ["--n-models", "0"], ["-v"]]
+    )
+    def test_config_init_takes_no_overrides(self, tmp_path, flag):
+        """config-init writes the defaults, so an override flag is refused
+        rather than ignored, and no file is written."""
+        path = tmp_path / "new.yaml"
+        with pytest.raises(SystemExit) as exc:
+            main(["config-init", "--config", str(path), *flag])
+        assert exc.value.code == EXIT_INPUT
+        assert not path.exists()
+
     def test_seed_override_changes_predictions(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"
@@ -869,6 +881,21 @@ class TestInputChecks:
         assert capsys.readouterr().err == (
             f"error: {contest}: cannot parse 'abc' (line 3, column 'fpts')\n"
         )
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "file is empty"),
+        ("rank,points\n1,130.5\n",
+         "header ['rank', 'points'] does not match expected schema ['user_rank', 'fpts']"),
+    ], ids=["empty", "header"])
+    def test_contest_header_errors_read_as_the_season_ones(
+        self, full_run, tmp_path, capsys, text, message
+    ):
+        _copy_upstream(full_run, tmp_path)
+        contest = tmp_path / "bad_contest.csv"
+        contest.write_text(text, encoding="utf-8")
+        config = write_config(tmp_path, contest_results_csv=str(contest), output_dir=str(tmp_path))
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {contest}: {message} (line 1)\n"
 
     @pytest.mark.parametrize("fpts", ["1e20", "5000"])
     def test_implausible_season_fpts(self, tmp_path, capsys, fpts):

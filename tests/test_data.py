@@ -215,6 +215,39 @@ class TestParsing:
             load_player_weeks(write_csv(tmp_path, GOOD_ROW + ",9"))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("bad, error, column", [
+        (GOOD_ROW.replace(",QB,", ",K,"), "position 'K' not one of", "position"),
+        (GOOD_ROW.rsplit(",", 1)[0], "expected 16 fields, got 15", None),
+        (GOOD_ROW.replace("QB001,1,", "QB001,2,", 1), "line 6 repeats line 4",
+         ("player_id", "week")),
+    ], ids=["bad-field", "short-row", "repeated-key"])
+    def test_errors_name_the_file_line_after_a_quoted_line_break(
+        self, tmp_path, bad, error, column
+    ):
+        """A quoted player_id spans lines 2 and 3; the bad row on line 6 is
+        named by that file line, not by its record number 5."""
+        wrapped = '"QB\n001"' + GOOD_ROW[len("QB001"):]
+        weeks = [GOOD_ROW.replace("QB001,1,", f"QB001,{w},", 1) for w in (2, 3)]
+        with pytest.raises(SchemaError, match=error) as exc:
+            load_player_weeks(write_csv(tmp_path, wrapped, *weeks, bad))
+        assert (exc.value.line, exc.value.column) == (6, column)
+
+    def test_read_csv_yields_blocks_by_file_line(self, tmp_path, monkeypatch):
+        """Blank records are skipped, and each record carries the file line
+        where it starts."""
+        monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+        path = tmp_path / "two.csv"
+        path.write_text('a,b\n1,"x\ny"\n\n2,3\n4,5\n', encoding="utf-8")
+        assert list(data.read_csv(path, ["a", "b"])) == [
+            ([2, 5], [["1", "x\ny"], ["2", "3"]]),
+            ([6], [["4", "5"]]),
+        ]
+        # A field the csv module refuses names the line its record starts on.
+        path.write_text('a,b\n1,2\n3,"x\n' + "9" * 140_000 + '"\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match="field larger than field limit") as exc:
+            list(data.read_csv(path, ["a", "b"]))
+        assert exc.value.line == 3
+
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(DuplicateKeyError) as exc:
             load_player_weeks(write_csv(tmp_path, GOOD_ROW, GOOD_ROW))

@@ -538,6 +538,16 @@ class TestReportingPipeline:
         assert exc.value.line == 3
         assert exc.value.column == "fpts"
 
+    @pytest.mark.parametrize("bad, column", [("4,abc", "fpts"), ("4", None)])
+    def test_load_contest_results_names_the_file_line(self, tmp_path, bad, column):
+        """After a quoted user_rank that spans lines 2 and 3, a bad score or
+        a short row on line 5 is named by that file line."""
+        path = tmp_path / "contest.csv"
+        path.write_text(f'user_rank,fpts\n"1\n",120.5\n3,99.0\n{bad}\n', encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            load_contest_results(path)
+        assert (exc.value.line, exc.value.column) == (5, column)
+
     def test_load_contest_results_bounds_a_lineup_score(self, tmp_path):
         """A contest score lies within LINEUP_SIZE times the season's fpts
         bounds: both ends load, and a score just past either is refused."""
