@@ -80,6 +80,7 @@ RULES = (
     ("target_week", lambda v: 5 <= v <= 17, "in [5, 17]"),
     ("n_models", lambda v: v >= 1, ">= 1"),
     ("workers", lambda v: v >= 1, ">= 1"),
+    ("salary_cap", lambda v: v >= 1, ">= 1"),
     ("training.hidden_units", lambda v: v >= 1, ">= 1"),
     ("training.learning_rate", lambda v: v > 0, "> 0"),
     ("training.momentum", lambda v: 0 <= v < 1, "in [0, 1)"),

@@ -62,6 +62,35 @@ class Rule:
     low: float
     high: float
 
+    def read(self, fields):
+        """The fields as ``parse`` reads them: float64 with NaN for an empty
+        field, or bools.  ValueError, which sends the column to ``parse``,
+        unless its text is ASCII without "_" (an int rule's also without a
+        dot or an exponent) and every field converts with float() to a value
+        inside the rule.  On that text float() reads exactly what ``parse``
+        reads, and float64 holds every int up to 2**53 - 1 exactly; ``parse``
+        reads larger ones, and strips whitespace float() does not."""
+        if self.kind is bool:
+            if not set(fields) <= {"0", "1"}:
+                raise ValueError
+            return np.array(fields) == "1"
+        text = "".join(fields)
+        if not text.isascii() or "_" in text or self.kind is int and any(c in text for c in ".eE"):
+            raise ValueError
+        blanks = fields.count("")
+        if blanks and not self.blank:
+            raise ValueError
+        values = np.array(
+            [float(x) if x else math.nan for x in fields] if blanks else list(map(float, fields))
+        )
+        blank = np.isnan(values)
+        cap = 2**53 - 1 if self.kind is int else math.inf
+        inside = (values >= max(self.low, -cap)) & (values <= min(self.high, cap))
+        if np.isinf(values).any() or blank.sum() != blanks or not (inside | blank).all():
+            raise ValueError
+        # int("-0") is 0, float("-0") is -0.0; adding 0.0 gives +0.0.
+        return values + 0.0 if self.kind is int else values
+
     def parse(self, raw, column, line):
         """The field's value, None for an empty field the rule lets be
         blank; SchemaError names the line and column of a field it refuses."""
@@ -191,38 +220,71 @@ class PlayerWeekTable:
         return out
 
 
-def _text(raw, column, line):
-    """player_id, which must not be blank, or position, one of POSITIONS."""
-    text = raw.strip()
-    if column == "player_id" and not text:
-        raise SchemaError("empty player_id", line=line, column=column)
-    if column == "position" and text not in POSITIONS:
-        raise SchemaError(f"position {text!r} not one of {POSITIONS}", line=line, column=column)
-    return text
+POSITION_INDEX = {p: i for i, p in enumerate(POSITIONS)}
 
 
-# Each CSV column with its parser, in CSV order.
-_PARSERS = [(c, RULES[c].parse if c in RULES else _text) for c in CSV_COLUMNS]
+class _PlayerIdRule:
+    """player_id: text, stripped, that must not be blank."""
+
+    def read(self, fields):
+        ids = list(map(str.strip, fields))
+        if "" in ids:
+            raise ValueError
+        return ids
+
+    def parse(self, raw, column, line):
+        pid = raw.strip()
+        if not pid:
+            raise SchemaError("empty player_id", line=line, column=column)
+        return pid
 
 
-def parse_row(row: dict, line: int) -> tuple:
-    """Validate one CSV row: its fields in CSV_COLUMNS order, parsed, with
-    None for an empty optional field.  The first bad field in column order
-    raises; a draftable row's salary must then be above 0."""
-    fields = [parse(row[c], c, line) for c, parse in _PARSERS]
-    _, _, _, salary, *_, draftable = fields
-    if draftable and salary == 0:
-        raise SchemaError("draftable player with salary 0", line=line, column="salary")
-    return tuple(fields)
+class _PositionRule:
+    """position: one of POSITIONS, read as its index there."""
+
+    def read(self, fields):
+        if not set(fields) <= POSITION_INDEX.keys():
+            raise ValueError
+        return list(map(POSITION_INDEX.__getitem__, fields))
+
+    def parse(self, raw, column, line):
+        text = raw.strip()
+        if text not in POSITION_INDEX:
+            raise SchemaError(f"position {text!r} not one of {POSITIONS}", line=line, column=column)
+        return POSITION_INDEX[text]
+
+
+# Every season column with its rule, in CSV order.
+_TEXT_RULES = {"player_id": _PlayerIdRule(), "position": _PositionRule()}
+_COLUMN_RULES = {c: RULES[c] if c in RULES else _TEXT_RULES[c] for c in CSV_COLUMNS}
+
+
+def read_column(rule, column, fields, lines):
+    """One column of a block, its fields read on ``lines``: (values, None),
+    or the values before its first refused field and that field's
+    SchemaError.  ``rule.read`` takes the whole column at once; only a
+    column it refuses is read field by field with ``rule.parse``, which
+    gives None for an empty field the rule lets be blank."""
+    try:
+        return rule.read(fields), None
+    except ValueError:
+        pass
+    values = []
+    for raw, line in zip(fields, lines):
+        try:
+            values.append(rule.parse(raw, column, line))
+        except SchemaError as exc:
+            return values, exc
+    return values, None
 
 
 def names_file(load):
-    """Decorate a loader of one CSV so a SchemaError it raises names the file."""
+    """Decorate a loader of one file so a SchemaError it raises names the file."""
 
     @functools.wraps(load)
-    def loader(path):
+    def loader(path, *args):
         try:
-            return load(path)
+            return load(path, *args)
         except SchemaError as exc:
             exc.path = path
             raise
@@ -234,8 +296,6 @@ def names_file(load):
 # it reads the next and keeps only the season grids between blocks, so the
 # parse holds players x weeks plus one block, however many rows the file has.
 BLOCK_ROWS = 2048
-
-POSITION_INDEX = {p: i for i, p in enumerate(POSITIONS)}
 
 
 def read_csv(path, columns):
@@ -286,62 +346,6 @@ def read_csv(path, columns):
         raise error
 
 
-def _numbers(column, kind):
-    """A number column as floats, NaN for an empty field.
-
-    ValueError, which sends the block to parse_row, unless the column's
-    text is ASCII without "_" (for an int column, also without a dot or an
-    exponent) and every non-empty field converts to a finite float.  Fields
-    float() reads are exactly those Rule.parse reads, to the same value;
-    it strips only some of the whitespace Rule.parse strips, and the rest
-    goes to parse_row.
-    """
-    text = "".join(column)
-    if not text.isascii() or "_" in text or kind is int and any(c in text for c in ".eE"):
-        raise ValueError
-    blanks = column.count("")
-    values = np.array(
-        [float(x) if x else math.nan for x in column] if blanks else list(map(float, column))
-    )
-    if np.isinf(values).any() or np.isnan(values).sum() != blanks:
-        raise ValueError
-    # int("-0") is 0, float("-0") is -0.0; adding 0.0 gives +0.0.
-    return values + 0.0 if kind is int else values
-
-
-def _flags(column):
-    """A 0/1 column as bools; ValueError on any other text."""
-    if not set(column) <= {"0", "1"}:
-        raise ValueError
-    return np.array(column) == "1"
-
-
-def _columnar(records):
-    """A block's columns, each converted and checked against its RULES entry
-    at once: (ids, week, position, salary, values, draftable).  ValueError
-    where any field needs parse_row, which then reads the block row by row."""
-    column = dict(zip(CSV_COLUMNS, zip(*records)))
-    ids = list(map(str.strip, column["player_id"]))
-    if "" in ids or not set(column["position"]) <= POSITION_INDEX.keys():
-        raise ValueError
-    ok = True
-    for name, rule in RULES.items():
-        x = _flags(column[name]) if rule.kind is bool else _numbers(column[name], rule.kind)
-        # float64 holds every int up to 2**53 - 1 exactly; parse_row reads
-        # larger ones.  A blank field is NaN, which fails the range test.
-        cap = 2**53 - 1 if rule.kind is int else math.inf
-        inside = (x >= max(rule.low, -cap)) & (x <= min(rule.high, cap))
-        ok &= (inside | np.isnan(x)) if rule.blank else inside
-        column[name] = x
-    week, salary, draftable = column["week"], column["salary"], column["draftable"]
-    ok &= ~draftable | (salary > 0)
-    if not ok.all():
-        raise ValueError
-    values = np.stack([column[name] for name in VALUE_COLUMNS])
-    position = list(map(POSITION_INDEX.__getitem__, column["position"]))
-    return ids, week, position, salary.astype(np.int64), values, draftable
-
-
 def _grids(players):
     """Empty week grids for ``players`` players: PlayerWeekTable's, with
     ``lines``, the line each (player_id, week) key was read on (0 for none
@@ -366,25 +370,30 @@ class _Season:
         self.grids = _grids(64)
 
     def read(self, lines, records):
-        """Add a block of read_csv's records, read on ``lines``.  The block
-        is checked and converted column by column; a block the column
-        checks refuse goes through parse_row, row by row."""
-        try:
-            columns = _columnar(records)
-        except ValueError:
-            _row_by_row(lines, records, self)
-        else:
-            self.add(lines, *columns)
+        """Add a block of read_csv's records, read on ``lines``, column by
+        column with read_column.  The block's error is its first refused
+        field by row, then CSV column order; a draftable row's salary of 0
+        is its row's error after every field.  The rows before the error are
+        added first, so that DuplicateKeyError names the first key that
+        repeats in file order, before any field of the block is written."""
+        columns, errors = {}, []
+        for (name, rule), fields in zip(_COLUMN_RULES.items(), zip(*records)):
+            columns[name], error = read_column(rule, name, fields, lines)
+            if error:
+                errors.append((len(columns[name]), error))
+        n, error = min(errors, key=lambda e: e[0], default=(len(lines), None))
+        draftable = np.asarray(columns["draftable"][:n], dtype=bool)
+        unpaid = np.flatnonzero(draftable & (np.asarray(columns["salary"][:n]) == 0))
+        if unpaid.size:
+            n = int(unpaid[0])
+            error = SchemaError("draftable player with salary 0", line=lines[n], column="salary")
+        lines, columns = lines[:n], {name: values[:n] for name, values in columns.items()}
 
-    def add(self, lines, ids, weeks, position, salary, values, draftable):
-        """Add a block's rows, one per line of ``lines``, with ``values`` a
-        (len(VALUE_COLUMNS), rows) array.  DuplicateKeyError names the first
-        key that repeats, in file order, before any field is written."""
-        players = self.players
+        players, ids = self.players, columns["player_id"]
         rows = np.array([players.setdefault(pid, len(players)) for pid in ids], dtype=np.intp)
         if len(players) > len(self.grids["lines"]):
             self._grow(len(players))
-        weeks = np.asarray(weeks, dtype=np.intp)
+        weeks = np.asarray(columns["week"], dtype=np.intp)
         cells = rows * (LAST_WEEK + 1) + weeks
         grid = self.grids["lines"].reshape(-1)
         ordered = np.sort(cells)
@@ -401,10 +410,13 @@ class _Season:
                 grid[cell] = line
         grid[cells] = lines
         at = (rows, weeks)
-        self.grids["position"][at] = position
-        self.grids["salary"][at] = salary
-        self.grids["draftable"][at] = draftable
+        for name in ("position", "salary", "draftable"):
+            self.grids[name][at] = columns[name]
+        # Rule.parse reads an empty optional field as None, which is NaN here.
+        values = np.array([columns[name] for name in VALUE_COLUMNS], dtype=np.float64)
         self.grids["values"][(slice(None), *at)] = values
+        if error:
+            raise error
 
     def _grow(self, players):
         """Double the grids until they have a row for each of ``players``."""
@@ -428,36 +440,16 @@ class _Season:
         return PlayerWeekTable(ids, **grids)
 
 
-def _row_by_row(lines, records, season):
-    """parse_row over a block, row by row, then the rows before the first
-    bad one added to ``season``, so the first error in file order raises."""
-    rows, error = [], None
-    for line, record in zip(lines, records):
-        try:
-            rows.append(parse_row(dict(zip(CSV_COLUMNS, record)), line))
-        except SchemaError as exc:
-            error = exc
-            break
-    if rows:
-        ids, week, position, salary, *values, draftable = zip(*rows)
-        position = [POSITION_INDEX[p] for p in position]
-        # An empty optional field is None, which float64 reads as NaN.
-        values = np.array(values, dtype=np.float64)
-        season.add(lines[: len(rows)], ids, week, position, salary, values, draftable)
-    if error:
-        raise error
-
-
 @names_file
 def load_player_weeks(csv_path) -> PlayerWeekTable:
     """Load a season table from ``players.csv``.
 
     Rows with an empty ``fpts`` field are retained as did-not-play weeks.
-    read_csv yields the file in blocks of BLOCK_ROWS records, each checked
-    and converted column by column, then written straight into the season's
-    grids; a block the column checks refuse goes through parse_row, so
-    errors name the file, line and column of the first bad row.  A repeated
-    (player_id, week) raises DuplicateKeyError naming both lines.
+    read_csv yields the file in blocks of BLOCK_ROWS records, each read
+    column by column and written straight into the season's grids; a
+    column its rule's vector check refuses is read field by field, so
+    errors name the file, line and column of the first bad field.  A
+    repeated (player_id, week) raises DuplicateKeyError naming both lines.
     """
     season = _Season()
     for lines, records in read_csv(csv_path, CSV_COLUMNS):
@@ -466,18 +458,22 @@ def load_player_weeks(csv_path) -> PlayerWeekTable:
     return season.table()
 
 
-def load_exclusions(path) -> set[str]:
-    """One player_id per line; blank lines and '#' comments ignored.  Bytes
-    that are not UTF-8 raise SchemaError naming the file."""
+@names_file
+def load_exclusions(path, player_ids) -> set[str]:
+    """One player_id per line, each one of ``player_ids``; blank lines and
+    '#' comments ignored.  An id that names no player, or bytes that are not
+    UTF-8, raise SchemaError naming the file."""
     out = set()
     with open(path, encoding="utf-8") as fh:
         try:
-            for line in fh:
-                pid = line.strip()
+            for line, text in enumerate(fh, 1):
+                pid = text.strip()
                 if pid and not pid.startswith("#"):
+                    if pid not in player_ids:
+                        raise SchemaError(f"player_id {pid!r} names no season player", line=line)
                     out.add(pid)
         except UnicodeDecodeError as exc:
-            raise SchemaError(not_utf8(exc), path=path) from None
+            raise SchemaError(not_utf8(exc)) from None
     return out
 
 

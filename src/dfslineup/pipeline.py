@@ -145,7 +145,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     season_sha256 = _sha256(cfg.players_csv)
     table = load_player_weeks(cfg.players_csv)
     excluded = (
-        load_exclusions(cfg.exclusions_file) if cfg.exclusions_file else set()
+        load_exclusions(cfg.exclusions_file, table.player_ids()) if cfg.exclusions_file else set()
     )
     train_w = build_window(table, cfg.target_week - 4, "train")
     pred_w = build_window(table, cfg.target_week - 3, "predict")

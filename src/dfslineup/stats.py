@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import CONTEST_FPTS, POSITIONS, names_file, read_csv
+from .data import CONTEST_FPTS, POSITIONS, names_file, read_column, read_csv
 from .errors import (
     ConfigError,
     NoFeasibleSampleError,
@@ -326,10 +326,10 @@ def load_contest_results(path) -> np.ndarray:
     """
     scores = []
     for lines, records in read_csv(path, ["user_rank", "fpts"]):
-        for line, (_, fpts) in zip(lines, records):
-            value = CONTEST_FPTS.parse(fpts, "fpts", line)
-            if value != 0.0:
-                scores.append(value)
+        values, error = read_column(CONTEST_FPTS, "fpts", [fpts for _, fpts in records], lines)
+        scores.extend(value for value in values if value != 0.0)
+        if error:
+            raise error
     if len(scores) < KS_MIN_SAMPLES:
         raise SchemaError(
             f"{len(scores)} nonzero fpts score(s); the real-world population "
@@ -337,7 +337,7 @@ def load_contest_results(path) -> np.ndarray:
         )
     if len(set(scores)) == 1:
         raise SchemaError(
-            f"all {len(scores)} nonzero fpts scores are {scores[0]!r}; the "
+            f"all {len(scores)} nonzero fpts scores are {float(scores[0])!r}; the "
             f"real-world population needs at least two distinct scores"
         )
     return np.array(scores)

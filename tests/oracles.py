@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import re
+import sys
 
 import numpy as np
 
@@ -262,32 +264,124 @@ def reference_window(csv_path, window_index: int, mode: str):
     return ids, matrix, (np.array(targets, dtype=np.float64) if mode == "train" else None)
 
 
-def reference_season(csv_path):
-    """The season grids as a row-by-row parse builds them.
+# The season columns and their rules, as README's Input format table states
+# them: (kind, blank allowed, low, high).  player_id and position are text.
+SEASON_COLUMNS = (
+    "player_id", "week", "position", "salary", "fpts", "point_diff", "team_off_rank",
+    "team_def_rank", "opp_off_rank", "opp_def_rank", "home", "spread", "over_under",
+    "latitude", "longitude", "draftable",
+)
+SEASON_RULES = {
+    "week": ("int", False, 1, 17),
+    "salary": ("int", False, 0, 2**63 - 1),
+    "fpts": ("float", True, -50.0, 150.0),
+    "point_diff": ("int", True, -100, 100),
+    "team_off_rank": ("int", True, 1, 32),
+    "team_def_rank": ("int", True, 1, 32),
+    "opp_off_rank": ("int", True, 1, 32),
+    "opp_def_rank": ("int", True, 1, 32),
+    "home": ("bool", False, 0, 1),
+    "spread": ("float", True, -50.0, 50.0),
+    "over_under": ("float", True, 0.0, 100.0),
+    "latitude": ("float", True, -90.0, 90.0),
+    "longitude": ("float", True, -180.0, 180.0),
+    "draftable": ("bool", False, 0, 1),
+}
+SEASON_POSITIONS = ("QB", "RB", "WR", "TE", "DST")
+INTEGER = re.compile(r"[+-]?[0-9]+")
+NON_FINITE = re.compile(r"[+-]?(?:nan|inf|infinity)", re.IGNORECASE)
 
-    Every record of ``data.read_csv``'s blocks goes through
-    ``data.parse_row`` in file order, the row-level rules the columnar
-    loader must match; the first bad row or repeated (player_id, week)
-    raises, with the file named as the loader names it.  The grids are then
-    filled one cell at a time.  Returns
+
+class FieldRefused(Exception):
+    """One season field the reference refuses: (message, column)."""
+
+
+def reference_field(column, raw):
+    """One season field, stripped, read by its rule: text for player_id, a
+    POSITIONS entry for position, else an int, float or bool, None when
+    blank is allowed and the field is empty.  A number is an ASCII string
+    of NUMBER (an int one without dot or exponent); nan and inf are
+    non-finite; an int beyond the float range cannot be parsed, and one
+    above the int64 range says so."""
+    text = raw.strip()
+    if column == "player_id":
+        if text == "":
+            raise FieldRefused("empty player_id", column)
+        return text
+    if column == "position":
+        if text not in SEASON_POSITIONS:
+            raise FieldRefused(f"position {text!r} not one of {SEASON_POSITIONS}", column)
+        return text
+    kind, blank, low, high = SEASON_RULES[column]
+    if text == "":
+        if blank:
+            return None
+        raise FieldRefused("empty value for required field", column)
+    if kind == "bool":
+        if text not in ("0", "1"):
+            raise FieldRefused(f"cannot parse {text!r}", column)
+        return text == "1"
+    if kind == "float" and NON_FINITE.fullmatch(text):
+        raise FieldRefused(f"non-finite value {text!r}", column)
+    grammar = INTEGER if kind == "int" else NUMBER
+    if not text.isascii() or not grammar.fullmatch(text):
+        raise FieldRefused(f"cannot parse {text!r}", column)
+    if kind == "int":
+        value = int(text)
+        if abs(value) > sys.float_info.max:
+            raise FieldRefused(f"cannot parse {text!r}", column)
+    else:
+        value = float(text)
+        if math.isinf(value):
+            raise FieldRefused(f"non-finite value {text!r}", column)
+    if value > 2**63 - 1 and kind == "int":
+        raise FieldRefused(f"{column} {value} beyond the int64 range", column)
+    if not low <= value <= high:
+        raise FieldRefused(f"{column} {value} outside [{low}, {high}]", column)
+    return value
+
+
+def reference_row(record):
+    """One season record's fields in column order, each read by
+    reference_field; the first refused field in column order raises, and
+    then a draftable row's salary of 0."""
+    row = [reference_field(column, raw) for column, raw in zip(SEASON_COLUMNS, record)]
+    if row[15] and row[3] == 0:
+        raise FieldRefused("draftable player with salary 0", "salary")
+    return row
+
+
+def reference_season(csv_path):
+    """The season grids as a row-by-row parse with the rules above builds
+    them.
+
+    Only ``data.read_csv``, which frames the records, and the error classes
+    come from dfslineup.  Every record goes through reference_row in file
+    order; the first bad row or repeated (player_id, week) raises, with the
+    file named as the loader names it.  The grids are then filled one cell
+    at a time.  Returns
     (ids, {"present", "position", "salary", "draftable", "values"}).
     """
-    from dfslineup.data import CSV_COLUMNS, POSITIONS, parse_row, read_csv
+    from dfslineup.data import read_csv
     from dfslineup.errors import DuplicateKeyError, SchemaError
 
     rows, first = [], {}
     try:
-        for lines, records in read_csv(csv_path, CSV_COLUMNS):
-            for line, raw in zip(lines, records):
-                row = parse_row(dict(zip(CSV_COLUMNS, raw)), line)
-                if row[:2] in first:
+        for lines, records in read_csv(csv_path, list(SEASON_COLUMNS)):
+            for line, record in zip(lines, records):
+                try:
+                    row = reference_row(record)
+                except FieldRefused as exc:
+                    raise SchemaError(exc.args[0], line=line, column=exc.args[1]) from None
+                key = (row[0], row[1])
+                if key in first:
                     raise DuplicateKeyError(
-                        f"duplicate (player_id, week) = {row[:2]}: line {line} repeats line "
-                        f"{first[row[:2]]}",
+                        f"duplicate (player_id, week) = {key}: line {line} repeats line "
+                        f"{first[key]}",
                         line=line,
                         column=("player_id", "week"),
                     )
-                first[row[:2]] = line
+                first[key] = line
                 rows.append(row)
     except SchemaError as exc:
         exc.path = csv_path
@@ -304,7 +398,7 @@ def reference_season(csv_path):
     for row in rows:
         i, week = ids.index(row[0]), row[1]
         grids["present"][i, week] = True
-        grids["position"][i, week] = POSITIONS.index(row[2])
+        grids["position"][i, week] = SEASON_POSITIONS.index(row[2])
         grids["salary"][i, week] = row[3]
         grids["draftable"][i, week] = row[15]
         for k, value in enumerate(row[4:15]):

@@ -85,6 +85,7 @@ BAD_VALUES = [
     ("output_dir", ""),
     ("report.ci_level", 1.5),
     ("report.histogram_bin_width", 0),
+    ("salary_cap", 0),
     ("random_baseline.min_salary", 50_001),  # above the default salary_cap
 ]
 
@@ -783,6 +784,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {exclusions}: not UTF-8 text (byte 0xff: invalid start byte)\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, line, pid",
+        [
+            ("\ufeffQB001\nRB001\n", 1, "\ufeffQB001"),  # a UTF-8 BOM before the first id
+            ("# drop\nQB001\nRB0001\n", 3, "RB0001"),  # a typo
+        ],
+        ids=["bom", "typo"],
+    )
+    def test_exclusion_naming_no_player(self, tmp_path, capsys, text, line, pid):
+        exclusions = tmp_path / "exclusions.txt"
+        exclusions.write_text(text, encoding="utf-8")
+        config = write_config(tmp_path, exclusions_file=str(exclusions))
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {exclusions}: player_id {pid!r} names no season player (line {line})\n"
+        )
+        assert not (tmp_path / "out" / "predict_window.npz").exists()
 
     @pytest.mark.parametrize(
         "key, stage",

@@ -36,7 +36,6 @@ from dfslineup.data import (
     load_exclusions,
     load_player_weeks,
     lookback_weeks,
-    parse_row,
 )
 from dfslineup.errors import ConfigError, DuplicateKeyError, SchemaError, WindowRangeError
 
@@ -93,6 +92,25 @@ def eligible(table, target_week, require_target_fpts=False):
     """Players eligible for target_week: the window whose game 4 it is."""
     mode = "train" if require_target_fpts else "predict"
     return build_window(table, target_week - 3, mode).player_ids
+
+
+# Pads a field so that Rule.parse, which strips it, reads it, while its
+# column's vector check refuses it: no-break spaces are not ASCII.
+PAD = "\u00a0"
+
+
+@pytest.fixture
+def scalar_reads(monkeypatch):
+    """The (column, line) of every season field read one at a time, by the
+    scalar form of its column's rule."""
+    calls = []
+    for cls in {type(rule) for rule in data._COLUMN_RULES.values()}:
+        def counted(self, raw, column, line, parse=cls.parse):
+            calls.append((column, line))
+            return parse(self, raw, column, line)
+
+        monkeypatch.setattr(cls, "parse", counted)
+    return calls
 
 
 class TestParsing:
@@ -282,24 +300,32 @@ class TestParsing:
         ],
         ids=["week-before-latitude", "latitude-before-draftable-salary"],
     )
-    def test_first_bad_field_in_column_order_is_named(self, tmp_path, mutations, column):
-        """The load, which reads column by column first, and parse_row name
-        the row's first bad field in CSV order; a draftable row's salary of
-        0 is checked after every field."""
+    def test_first_bad_field_in_column_order_is_named(
+        self, tmp_path, scalar_reads, mutations, column
+    ):
+        """The load names the row's first bad field in CSV order, whether
+        its good columns are read at once or, with every field padded, each
+        column field by field; a draftable row's salary of 0 is checked after
+        every field."""
         bad = GOOD_ROW
         for old, new in mutations:
             bad = bad.replace(old, new, 1)
-        with pytest.raises(SchemaError) as exc:
-            load_player_weeks(write_csv(tmp_path, bad))
-        assert (exc.value.line, exc.value.column) == (2, column)
-        with pytest.raises(SchemaError) as exc:
-            parse_row(dict(zip(CSV_COLUMNS, bad.split(","))), line=2)
-        assert (exc.value.line, exc.value.column) == (2, column)
+        padded = ",".join(f"{PAD}{field}{PAD}" for field in bad.split(","))
+        for text in (bad, padded):
+            scalar_reads.clear()
+            with pytest.raises(SchemaError) as exc:
+                load_player_weeks(write_csv(tmp_path, text))
+            assert (exc.value.line, exc.value.column) == (2, column)
+        # player_id's vector form strips the padding itself.
+        assert {c for c, _ in scalar_reads} == set(CSV_COLUMNS[1:])
 
     def test_exclusions_file(self, tmp_path):
         path = tmp_path / "exclude.txt"
         path.write_text("QB001\n\n# comment\n  WR005  \n", encoding="utf-8")
-        assert load_exclusions(path) == {"QB001", "WR005"}
+        assert load_exclusions(path, ["QB001", "RB002", "WR005"]) == {"QB001", "WR005"}
+        with pytest.raises(SchemaError) as exc:
+            load_exclusions(path, ["QB001"])
+        assert str(exc.value) == f"{path}: player_id 'WR005' names no season player (line 4)"
 
 
 # For each column of data.RULES, the edges of its rule, which it accepts,
@@ -346,14 +372,15 @@ def test_any_row_parses_or_names_its_line_and_column():
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(csv_rows())
     def check(fields):
+        season = data._Season()
         try:
-            parsed = parse_row(dict(zip(CSV_COLUMNS, fields)), line=7)
+            season.read([7], [fields])
         except SchemaError as exc:
             assert exc.line == 7
             assert exc.column in CSV_COLUMNS
             outcomes.append("rejected")
         else:
-            assert isinstance(parsed, tuple) and len(parsed) == len(CSV_COLUMNS) == 16
+            assert len(season.table()) == 1
             outcomes.append("parsed")
 
     check()
@@ -424,19 +451,12 @@ def season_files(draw):
     return records
 
 
-def test_columnar_parse_matches_row_by_row(tmp_path, monkeypatch):
+def test_columnar_parse_matches_row_by_row(tmp_path, monkeypatch, scalar_reads):
     """load_player_weeks accepts exactly the files the row-by-row reference
     accepts, raises its error (type, text, line and column) on the others,
     and fills byte-equal grids.  Blocks of 3 records put block edges inside
     the files."""
     monkeypatch.setattr(data, "BLOCK_ROWS", 3)
-    row_parse, row_calls = data.parse_row, []
-
-    def counted(*args):
-        row_calls.append(args)
-        return row_parse(*args)
-
-    monkeypatch.setattr(data, "parse_row", counted)
     path = tmp_path / "season.csv"
     outcomes = []
 
@@ -447,7 +467,7 @@ def test_columnar_parse_matches_row_by_row(tmp_path, monkeypatch):
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             writer.writerows(records)
-        row_calls.clear()
+        scalar_reads.clear()
         try:
             table = load_player_weeks(path)
         except (SchemaError, DuplicateKeyError) as exc:
@@ -458,7 +478,7 @@ def test_columnar_parse_matches_row_by_row(tmp_path, monkeypatch):
                 assert (ref.value.line, ref.value.column) == (exc.line, exc.column)
             outcomes.append("rejected")
             return
-        outcomes.append("row by row" if row_calls else "columnar")
+        outcomes.append("fallback" if scalar_reads else "all-vector")
         ids, grids = reference_season(path)
         assert table.player_ids() == ids
         for name, grid in grids.items():
@@ -466,54 +486,44 @@ def test_columnar_parse_matches_row_by_row(tmp_path, monkeypatch):
 
     check()
     # Each path is taken often enough that no part of the property is vacuous.
-    assert min(outcomes.count(k) for k in ("rejected", "row by row", "columnar")) >= 10
+    assert min(outcomes.count(k) for k in ("rejected", "fallback", "all-vector")) >= 10
 
 
 class TestColumnarParse:
-    def test_clean_season_never_calls_parse_row(self, season_csv, season_table, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("parse_row called on a clean season")
-
-        monkeypatch.setattr(data, "parse_row", refuse)
+    def test_clean_season_never_takes_the_fallback(self, season_csv, season_table, scalar_reads):
         table = load_player_weeks(season_csv)
+        assert scalar_reads == []
         assert len(table) == len(season_table) == 5100
         assert table.values.tobytes() == season_table.values.tobytes()
 
     @pytest.mark.parametrize("column", list(_EDGES))
-    def test_rule_edges_read_alike_on_both_paths(self, tmp_path, monkeypatch, column):
-        """A value at an edge of the column's rule loads, column by column
-        wherever float64 holds it exactly, and to the same grids when a
-        padded position sends the row through parse_row; a value just past
-        an edge raises the same error, naming the column, on both paths."""
-        row_parse, calls = data.parse_row, []
-
-        def counted(*args):
-            calls.append(args)
-            return row_parse(*args)
-
-        monkeypatch.setattr(data, "parse_row", counted)
+    def test_rule_edges_read_alike_on_both_paths(self, tmp_path, scalar_reads, column):
+        """A value at an edge of the column's rule loads, at once wherever
+        float64 holds it exactly, and to the same grids when it is padded so
+        that its column is read field by field; a value just past an edge
+        raises the same error, naming the column, on both paths."""
         inside, past = _EDGES[column]
         for edge in inside + past:
             fields = dict(zip(CSV_COLUMNS, GOOD_ROW.split(",")))
             if column == "salary":
                 fields["draftable"] = "0"  # which lets the salary be 0
-            fields[column] = edge
-            read, by_row = [], []
-            for position in ("QB", " QB "):
-                calls.clear()
+            read, by_field = [], []
+            for text in (edge, f"{PAD}{edge}{PAD}"):
+                scalar_reads.clear()
                 try:
-                    table = load(tmp_path, ",".join({**fields, "position": position}.values()))
+                    table = load(tmp_path, ",".join({**fields, column: text}.values()))
                 except SchemaError as exc:
                     read.append((str(exc), exc.line, exc.column))
                 else:
                     grids = (table.present, table.salary, table.draftable, table.values)
                     read.append([grid.tobytes() for grid in grids])
-                by_row.append(bool(calls))
-            assert read[0] == read[1] and by_row[1], edge
+                by_field.append({c for c, _ in scalar_reads})
+            assert read[0] == read[1] and by_field[1] == {column}, edge
             if edge in past:
                 assert read[0][1:] == (2, column), edge
                 continue
-            assert by_row[0] == (edge != "" and abs(float(edge)) > 2**53 - 1), edge
+            huge = edge != "" and abs(float(edge)) > 2**53 - 1
+            assert by_field[0] == ({column} if huge else set()), edge
             if column != "week":
                 value = week_fields(table, "QB001", 1)[column]
                 if edge == "":
@@ -521,19 +531,13 @@ class TestColumnarParse:
                 else:
                     assert value == (int(edge) if column == "salary" else float(edge)), edge
 
-    def test_grids_grow_and_sort_across_blocks(self, tmp_path, monkeypatch):
+    def test_grids_grow_and_sort_across_blocks(self, tmp_path, monkeypatch, scalar_reads):
         """More players than the season's first grids hold, read in shuffled
         order in blocks of 3 records, with blank records and a padded
-        position that sends one block row by row: the grids are the
-        reference's, and the length counts the rows that are not blank."""
+        position that sends its block's position column field by field: the
+        grids are the reference's, and the length counts the rows that are
+        not blank."""
         monkeypatch.setattr(data, "BLOCK_ROWS", 3)
-        row_parse, calls = data.parse_row, []
-
-        def counted(*args):
-            calls.append(args)
-            return row_parse(*args)
-
-        monkeypatch.setattr(data, "parse_row", counted)
         rng = random.Random(28)
         keys = [(f"P{i:03d}", week) for i in range(150) for week in (1, 2, 5)]
         rng.shuffle(keys)
@@ -549,12 +553,21 @@ class TestColumnarParse:
             records.insert(at, "")
         path = write_csv(tmp_path, *records)
         table = load_player_weeks(path)
-        assert 0 < len(calls) < len(keys)
+        assert [c for c, _ in scalar_reads] == ["position"] * 3
         ids, grids = reference_season(path)
         assert table.player_ids() == ids and len(ids) == 150
         for name, grid in grids.items():
             assert getattr(table, name).tobytes() == grid.tobytes(), name
         assert len(table) == len(keys)
+
+    def test_unpaid_row_before_a_later_bad_field_is_named(self, tmp_path):
+        """A draftable row's salary of 0 is its own row's error, so it comes
+        before a bad field on a later row of the same block."""
+        unpaid = GOOD_ROW.replace(",5000,", ",0,")
+        bad = GOOD_ROW.replace("QB001,1,", "QB002,0,", 1)
+        with pytest.raises(SchemaError, match="draftable player with salary 0") as exc:
+            load_player_weeks(write_csv(tmp_path, unpaid, bad))
+        assert (exc.value.line, exc.value.column) == (2, "salary")
 
     def test_negative_zero_int_reads_as_zero(self, tmp_path):
         table = load(tmp_path, row(point_diff="-0"))
