@@ -120,7 +120,7 @@ class Rule:
             if not finite:
                 raise SchemaError(f"non-finite value {raw!r}", line=line, column=column)
         if not self.low <= value <= self.high:
-            huge = self.kind is int and value > INT64_MAX
+            huge = self.high == INT64_MAX and value > self.high
             where = "beyond the int64 range" if huge else f"outside [{self.low}, {self.high}]"
             raise SchemaError(f"{column} {value} {where}", line=line, column=column)
         return value
@@ -147,9 +147,6 @@ RULES = {
     "longitude": Rule(float, True, -180.0, 180.0),
     "draftable": Rule(bool, False, 0, 1),
 }
-# The contest file's fpts: a lineup's score, the sum of nine players' FPTS
-# (optimizer.LINEUP_SIZE, which imports this module).
-CONTEST_FPTS = Rule(float, False, 9 * RULES["fpts"].low, 9 * RULES["fpts"].high)
 
 # Feature layout (0-based slices into the 43-entry vector): one-hot position,
 # then per-game history blocks, then the four-game pre-game blocks.

@@ -56,8 +56,8 @@ class WindowRangeError(InputError):
 
 class UnservableWeekError(InputError):
     """The season cannot serve the target week: a window without rows, a
-    draftable pool short of a position, or a random population whose
-    lineups all score the same."""
+    draftable pool that fills no flex configuration, or a random population
+    whose lineups all score the same."""
 
 
 class TrainingDivergedError(NumericError):
@@ -77,16 +77,6 @@ class EnsembleTrainingError(NumericError):
     def __init__(self, index):
         self.index = index
         super().__init__(f"model {index} diverged twice; giving up")
-
-
-class PositionShortfallError(InfeasibleError):
-    """Not enough candidates at a position to fill its slots."""
-
-    def __init__(self, position, needed, available):
-        self.position = position
-        super().__init__(
-            f"position {position}: need {needed} candidates, have {available}"
-        )
 
 
 class InfeasibleLineupError(InfeasibleError):

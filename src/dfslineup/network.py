@@ -16,30 +16,26 @@ bytes are the same in any batch as trained alone.
 Training inputs are stored feature-major, (members, inputs, rows), once
 per batch.  The hidden layer is then (members, units, rows), so the bias
 add, the sigmoid, the backward products and the hidden-bias gradient sum
-all run along the contiguous row axis; row-major, their inner loops were
-only the 19 units long and their cost grew with the batch.
-``predict_batch`` still takes feature rows and transposes them itself.
+all run along the contiguous row axis, not along the 19 units.
+``predict_batch`` takes feature rows and transposes them itself.
 
-The training state is float32 (``DTYPE``), which trains the same epochs
-as float64 but faster: the members' normalized inputs and targets,
-weights, velocities, best weights, best validation MSE, learning rates and
-last losses.  Normalization and the init draws run in float64 and only their
-output is rounded, so the split and init streams are unchanged.  float32's
-``exp`` overflows below about -88.7 (float64's below -709), so large
-learning rates diverge: on the fixture 1e2 trains and 1e3 diverges, where
-float64 kept every member's initial weights.  ``predict_batch`` stays
-float64: the float64 norm stats upcast the weights, which keeps the
-ensemble's samples float64.
+The training state is float32 (``DTYPE``): the members' normalized inputs
+and targets, weights, velocities, best weights, best validation MSE,
+learning rates and last losses.  Normalization and the init draws run in
+float64 and only their output is rounded, so the split and init streams
+are float64's.  float32's ``exp`` overflows below about -88.7, so large
+learning rates diverge: on the fixture 1e2 trains and 1e3 diverges.
+``predict_batch`` stays float64: the float64 norm stats upcast the
+weights, which keeps the ensemble's samples float64.
 
 The ensemble uses fixed index batches of ``ensemble.B`` = 32 members, a
 module constant and not a config key: it sets speed and memory, never a
-result.  Larger batches pay numpy's per-call overhead fewer times, up to
-about 32, past which training got no faster.  A member that stops or
-diverges leaves the batch in place (``_Members.drop``): the members after
-it move up and every array becomes its own prefix, so no second copy of
-the state is made.  B trades the predict process's peak RSS against
-training time.  CHANGES.md holds the timings and peak RSS behind these
-choices.
+result.  Larger batches pay numpy's per-call overhead fewer times, and B
+trades the predict process's peak RSS against training time.  A member
+that stops or diverges leaves the batch in place (``_Members.drop``): the
+members after it move up and every array becomes its own prefix, so no
+second copy of the state is made.  CHANGES.md holds the timings and peak
+RSS behind these choices.
 """
 
 from __future__ import annotations

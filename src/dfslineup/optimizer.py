@@ -64,6 +64,18 @@ _FIXED_SLOTS = {p: min(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 MAX_COUNTS = {p: max(c[p] for c in POSITION_COUNTS) for p in POSITIONS}
 
 
+def shortfalls(have) -> list[list[str]]:
+    """Per flex configuration, in FLEX_CONFIGS order, the positions that
+    ``have`` (players per position; a Counter, say) cannot fill, in the
+    words of every error that names them; empty for a configuration the
+    pool fills.  Ingest, the solver and the random sampler serve a pool
+    while one of these lists is empty."""
+    return [
+        [f"position {p}: need {k} candidates, have {have[p]}" for p, k in c.items() if have[p] < k]
+        for c in POSITION_COUNTS
+    ]
+
+
 @dataclass
 class Lineup:
     players: tuple[str, ...]  # sorted player ids; the lineup's identity
@@ -351,17 +363,11 @@ def optimize_all_flex(tables: Tables, r: int) -> Lineup:
     results = [lu for lu in solve_flex_configs(tables, r) if lu]
     if results:
         return min(results, key=lambda lu: (-lu.predicted_fpts, lu.players))
-    pool = tables.pool
-    available = Counter(pool.position.tolist())
-    reasons = []
-    for config, counts in zip(FLEX_CONFIGS, POSITION_COUNTS):
-        short = [
-            f"position {p}: need {k} candidates, have {available[p]}"
-            for p, k in counts.items()
-            if available[p] < k
-        ]
-        reason = ", ".join(short) or f"no lineup fits the ${pool.salary_cap:,} salary cap"
-        reasons.append(f"{config}: {reason}")
+    cap = f"no lineup fits the ${tables.pool.salary_cap:,} salary cap"
+    reasons = [
+        f"{config}: {', '.join(short) or cap}"
+        for config, short in zip(FLEX_CONFIGS, shortfalls(Counter(tables.pool.position.tolist())))
+    ]
     raise InfeasibleLineupError("all flex configurations infeasible: " + "; ".join(reasons))
 
 

@@ -30,8 +30,8 @@ from .ensemble import (
     train_ensemble,
 )
 from .errors import UnservableWeekError
-from .optimizer import MAX_COUNTS, Pool, assign_slots, blocks, modal_lineup, optimize_all_flex
-from .optimizer import lineup_total
+from .optimizer import Pool, assign_slots, blocks, modal_lineup, optimize_all_flex, shortfalls
+from .optimizer import FLEX_CONFIGS, lineup_total
 from .report import (  # noqa: F401  cmd_report: re-exported
     BOXPLOT,
     ELIGIBILITY,
@@ -119,7 +119,8 @@ def _sha256(path) -> str:
 def _check_servable(week: int, train_w: WindowDataset, pred_w: WindowDataset, pool) -> None:
     """UnservableWeekError naming the week unless training has at least 2
     rows and the prediction pool (``pool``: its positions) is non-empty and
-    covers every position's largest slot count."""
+    fills at least one flex configuration, as the solver and the random
+    sampler require."""
     if len(train_w) < 2:
         raise UnservableWeekError(
             f"week {week}: training window {train_w.window_index} has "
@@ -130,11 +131,11 @@ def _check_servable(week: int, train_w: WindowDataset, pred_w: WindowDataset, po
             f"week {week}: prediction window {pred_w.window_index} has no "
             f"eligible player that is not excluded"
         )
-    have = Counter(pool)
-    short = [f"{pos} {have[pos]} of {k}" for pos, k in MAX_COUNTS.items() if have[pos] < k]
-    if short:
+    short = shortfalls(Counter(pool))
+    if all(short):
         raise UnservableWeekError(
-            f"week {week}: the draftable pool is short at " + ", ".join(short)
+            f"week {week}: the draftable pool fills no flex configuration: "
+            + "; ".join(f"{config}: {', '.join(s)}" for config, s in zip(FLEX_CONFIGS, short))
         )
 
 

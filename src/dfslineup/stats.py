@@ -15,19 +15,17 @@ from typing import Optional
 
 import numpy as np
 
-from .data import CONTEST_FPTS, POSITIONS, names_file, read_column, read_csv
-from .errors import (
-    ConfigError,
-    NoFeasibleSampleError,
-    PositionShortfallError,
-    SchemaError,
-    ZeroVarianceError,
-)
-from .optimizer import MAX_COUNTS, POSITION_COUNTS
+from .data import POSITIONS, RULES, Rule, names_file, read_column, read_csv
+from .errors import ConfigError, NoFeasibleSampleError, SchemaError, ZeroVarianceError
+from .optimizer import FLEX_CONFIGS, LINEUP_SIZE, MAX_COUNTS, POSITION_COUNTS, shortfalls
 from .seeds import mix64
 from .special import central_interval, kolmogorov_sf, linear_quantiles, normal_cdf, student_t_sf2
 
 MAX_REJECTIONS = 10_000
+# The contest file's fpts: a lineup's score, the sum of its players' FPTS.
+CONTEST_FPTS = Rule(
+    float, False, LINEUP_SIZE * RULES["fpts"].low, LINEUP_SIZE * RULES["fpts"].high
+)
 # Fewest observations the KS normality test takes.
 KS_MIN_SAMPLES = 5
 # Most bin widths one player's samples may span in their histogram.
@@ -174,20 +172,22 @@ def random_lineups(position, salary, salary_cap: int, count: int, min_salary: in
     picks without replacement from that position's players in array order.
     Attempts run in blocks of _BLOCK; block b draws from
     default_rng(mix64(seed, b)) and yields its in-band attempts in order, so
-    a smaller count gives a prefix of a larger one.  MAX_REJECTIONS
-    consecutive misses raise NoFeasibleSampleError.
+    a smaller count gives a prefix of a larger one.  An attempt at a
+    configuration the pool cannot fill (``shortfalls``) is a miss.  A pool
+    that fills no configuration, or MAX_REJECTIONS consecutive misses,
+    raise NoFeasibleSampleError.
     """
     if min_salary > salary_cap:
         raise ValueError("min_salary exceeds the salary cap")
     position = np.asarray(position)
     groups = {p: np.flatnonzero(position == p) for p in POSITIONS}
-    config_ok = np.array(
-        [all(len(groups[p]) >= k for p, k in counts.items()) for counts in POSITION_COUNTS]
-    )
+    short = shortfalls({p: len(ids) for p, ids in groups.items()})
+    config_ok = np.array([not s for s in short])
     if not config_ok.any():
-        for pos, k in POSITION_COUNTS[0].items():
-            if len(groups[pos]) < k:
-                raise PositionShortfallError(pos, k, len(groups[pos]))
+        raise NoFeasibleSampleError(
+            "the pool fills no flex configuration: "
+            + "; ".join(f"{config}: {', '.join(s)}" for config, s in zip(FLEX_CONFIGS, short))
+        )
     # A column per slot a position can need; each configuration keeps the
     # first counts[pos] columns of each position.
     keep = np.array(

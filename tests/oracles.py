@@ -302,7 +302,7 @@ def reference_field(column, raw):
     blank is allowed and the field is empty.  A number is an ASCII string
     of NUMBER (an int one without dot or exponent); nan and inf are
     non-finite; an int beyond the float range cannot be parsed, and one
-    above the int64 range says so."""
+    above a range whose top is the int64 limit says so."""
     text = raw.strip()
     if column == "player_id":
         if text == "":
@@ -334,7 +334,7 @@ def reference_field(column, raw):
         value = float(text)
         if math.isinf(value):
             raise FieldRefused(f"non-finite value {text!r}", column)
-    if value > 2**63 - 1 and kind == "int":
+    if high == 2**63 - 1 and value > high:
         raise FieldRefused(f"{column} {value} beyond the int64 range", column)
     if not low <= value <= high:
         raise FieldRefused(f"{column} {value} outside [{low}, {high}]", column)

@@ -594,8 +594,9 @@ class TestExitCodes:
         [
             ("salary", "9" * 20, f"salary {'9' * 20} beyond the int64 range"),
             ("point_diff", "9" * 401, f"cannot parse '{'9' * 401}'"),
+            ("point_diff", "1" + "0" * 20, f"point_diff 1{'0' * 20} outside [-100, 100]"),
         ],
-        ids=["salary", "point_diff"],
+        ids=["salary", "point_diff", "point_diff-above-int64"],
     )
     def test_season_integer_out_of_range(self, tmp_path, capsys, column, raw, message):
         target = tmp_path / "season_huge.csv"
@@ -608,6 +609,19 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"error: {target}: {message} (line 2, column {column!r})\n"
+        )
+
+    def test_blank_player_id_after_a_named_one(self, tmp_path, capsys):
+        # The block's first record has an id, so the column is read field by
+        # field: line 2's id is taken, and line 3's blank one is refused.
+        target = tmp_path / "season_blank_id.csv"
+        lines = (FIXTURES / "season.csv").read_text(encoding="utf-8").splitlines()
+        lines[2] = " " + lines[2][lines[2].index(","):]
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, players_csv=str(target))
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {target}: empty player_id (line 3, column 'player_id')\n"
         )
 
     def test_repeated_season_key_names_file_line_and_columns(self, tmp_path, capsys):
@@ -979,7 +993,10 @@ class TestInputChecks:
             (lambda r: int(r["week"]) > 3,
              "week 8: training window 4 has 0 eligible player(s); training needs at least 2"),
             (lambda r: r["week"] != "8" or r["position"] != "TE",
-             "week 8: the draftable pool is short at TE 0 of 2"),
+             "week 8: the draftable pool fills no flex configuration: "
+             "(2, 3, 2): position TE: need 2 candidates, have 0; "
+             "(2, 4, 1): position TE: need 1 candidates, have 0; "
+             "(3, 3, 1): position TE: need 1 candidates, have 0"),
         ],
         ids=["week-8-absent", "weeks-1-3-absent", "no-week-8-te"],
     )
@@ -989,6 +1006,24 @@ class TestInputChecks:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out" / "train_window.npz").exists()
 
+
+    def test_one_te_serves_the_configurations_it_fills(self, tmp_path, capsys):
+        # Only TE003 is draftable in week 8: the 2-3-2 configuration cannot
+        # be filled, but 2-4-1 and 3-3-1 can, so every stage serves the week.
+        season = _edited_season(
+            tmp_path,
+            edit=lambda r: {**r, "draftable": "0"}
+            if r["week"] == "8" and r["position"] == "TE" and r["player_id"] != "TE003"
+            else r,
+        )
+        config = write_config(tmp_path, players_csv=str(season))
+        for command in ("ingest", "predict", "optimize", "validate", "report"):
+            assert main([command, "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        lineup = json.loads((tmp_path / "out" / "lineup.json").read_text(encoding="utf-8"))
+        assert lineup["flex_config"][2] == 1 and "TE003" in lineup["players"]
+        report = json.loads((tmp_path / "out" / "validation_report.json").read_text("utf-8"))
+        assert report["status"] == "valid"
 
     def test_random_population_with_equal_scores(self, tmp_path, capsys):
         # Every FPTS is 10.0, so every random lineup scores 90.0.

@@ -593,6 +593,31 @@ class TestStructure:
         with pytest.raises(InfeasibleLineupError, match="position DST: need 1 candidates, have 0"):
             optimize_all_flex(*pool_and_row(pool, salary_cap))
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"QB": 1, "RB": 2, "WR": 3, "TE": 2, "DST": 1},
+            {"QB": 2, "RB": 3, "WR": 4, "TE": 1, "DST": 1},
+            {"QB": 1, "RB": 2, "WR": 3, "TE": 1, "DST": 1},
+            {"QB": 0, "RB": 3, "WR": 4, "TE": 2, "DST": 0},
+            {"QB": 1, "RB": 1, "WR": 5, "TE": 0, "DST": 1},
+        ],
+    )
+    def test_shortfalls_match_the_oracle_counts(self, shape):
+        # Recounted from the oracle's own configurations; a configuration
+        # without a shortfall has a lineup once the cap cannot bind.
+        pool = make_pool_with(np.random.default_rng(49), shape)
+        want = []
+        for counts in FLEX_COUNTS:
+            short = []
+            for pos, needed in counts.items():
+                have = sum(1 for c in pool if c.position == pos)
+                if have < needed:
+                    short.append(f"position {pos}: need {needed} candidates, have {have}")
+            want.append(short)
+            assert (brute_force_config(pool, counts, 10**9) is None) == bool(short)
+        assert optimizer.shortfalls(Counter(c.position for c in pool)) == want
+
     def test_infeasible_when_cap_too_tight(self):
         pool = make_pool(np.random.default_rng(48), 16)
         with pytest.raises(InfeasibleLineupError):

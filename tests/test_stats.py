@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,13 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfslineup.data import POSITIONS, RULES
-from dfslineup.errors import (
-    ConfigError,
-    NoFeasibleSampleError,
-    PositionShortfallError,
-    SchemaError,
-    ZeroVarianceError,
-)
+from dfslineup.errors import ConfigError, NoFeasibleSampleError, SchemaError, ZeroVarianceError
 from dfslineup import stats
 from dfslineup.optimizer import LINEUP_SIZE
 from dfslineup.special import (
@@ -339,18 +334,38 @@ class TestRandomLineups:
 
     def test_position_shortfall(self, salary_cap):
         pool = [c for c in make_pool(np.random.default_rng(12), 40) if c.position != "QB"]
-        with pytest.raises(PositionShortfallError):
+        with pytest.raises(NoFeasibleSampleError, match="position QB: need 1 candidates, have 0"):
             sample(pool, salary_cap, 1, 0, seed=1)
 
     def test_shortfall_names_first_short_position(self, salary_cap):
-        # No flex configuration is coverable; the first shortfall of the
-        # 2-3-2 configuration is reported.
+        # No flex configuration is coverable; each one's shortfalls are
+        # reported, the 2-3-2 configuration's first.
         pool = make_pool_with(
             np.random.default_rng(58), {"QB": 2, "RB": 2, "WR": 3, "TE": 1, "DST": 2}
         )
-        with pytest.raises(PositionShortfallError, match="need 2 candidates, have 1") as exc:
+        with pytest.raises(NoFeasibleSampleError) as exc:
             sample(pool, salary_cap, 1, 0, seed=1)
-        assert exc.value.position == "TE"
+        assert str(exc.value) == (
+            "the pool fills no flex configuration: "
+            "(2, 3, 2): position TE: need 2 candidates, have 1; "
+            "(2, 4, 1): position WR: need 4 candidates, have 3; "
+            "(3, 3, 1): position RB: need 3 candidates, have 2"
+        )
+
+    def test_pool_short_of_a_configuration_draws_the_others(self):
+        # One TE: the 2-3-2 configuration cannot be filled, so every row is
+        # a legal 2-4-1 or 3-3-1 lineup, and both of those are drawn.  Every
+        # lineup of the pool fits the band.
+        pool = make_pool_with(
+            np.random.default_rng(62), {"QB": 2, "RB": 4, "WR": 5, "TE": 1, "DST": 2}
+        )
+        rows = sample(pool, 90_000, 500, 0, seed=5)
+        assert all(random_rows_ok(pool, rows, 0, 90_000))
+        shapes = Counter(
+            tuple(sum(pool[i].position == p for i in row) for p in ("RB", "WR", "TE"))
+            for row in rows.tolist()
+        )
+        assert set(shapes) == {(2, 4, 1), (3, 3, 1)}
 
     def test_min_salary_above_cap_rejected(self, salary_cap):
         pool = make_pool(np.random.default_rng(13), 30)
