@@ -76,6 +76,12 @@ def shortfalls(have) -> list[list[str]]:
     ]
 
 
+def shortfall_list(short, fills: str = "") -> str:
+    """``shortfalls``' lists as every refusal words them, in FLEX_CONFIGS
+    order; a configuration with none reads ``fills``."""
+    return "; ".join(f"{config}: {', '.join(s) or fills}" for config, s in zip(FLEX_CONFIGS, short))
+
+
 @dataclass
 class Lineup:
     players: tuple[str, ...]  # sorted player ids; the lineup's identity
@@ -363,12 +369,9 @@ def optimize_all_flex(tables: Tables, r: int) -> Lineup:
     results = [lu for lu in solve_flex_configs(tables, r) if lu]
     if results:
         return min(results, key=lambda lu: (-lu.predicted_fpts, lu.players))
+    short = shortfalls(Counter(tables.pool.position.tolist()))
     cap = f"no lineup fits the ${tables.pool.salary_cap:,} salary cap"
-    reasons = [
-        f"{config}: {', '.join(short) or cap}"
-        for config, short in zip(FLEX_CONFIGS, shortfalls(Counter(tables.pool.position.tolist())))
-    ]
-    raise InfeasibleLineupError("all flex configurations infeasible: " + "; ".join(reasons))
+    raise InfeasibleLineupError("all flex configurations infeasible: " + shortfall_list(short, cap))
 
 
 def modal_lineup(lineups: list[Lineup]) -> Lineup:

@@ -1,8 +1,10 @@
 """File-based pipeline stages: ingest -> predict -> optimize -> validate -> report.
 
-Each stage reads the previous stage's artifacts from the output directory
+Each stage reads earlier stages' artifacts from the output directory
 (``_read_npz``, ``report._read_json``) and writes its own through the
-temp-file-then-rename helpers.  Every CSV artifact goes through
+temp-file-then-rename helpers.  ``report.ARTIFACTS`` declares every file and
+the stage that writes it; a missing file is reported with that stage, and a
+name it does not declare is a ValueError.  Every CSV artifact goes through
 ``_write_csv``, the one place that turns a float into text: repr(), which
 keeps reruns byte-identical.  ``report`` holds the last stage, which needs
 no numpy; it is re-exported here so every stage is ``pipeline.cmd_<stage>``.
@@ -31,27 +33,8 @@ from .ensemble import (
 )
 from .errors import UnservableWeekError
 from .optimizer import Pool, assign_slots, blocks, modal_lineup, optimize_all_flex, shortfalls
-from .optimizer import FLEX_CONFIGS, lineup_total
-from .report import (  # noqa: F401  cmd_report: re-exported
-    BOXPLOT,
-    ELIGIBILITY,
-    HISTOGRAMS,
-    LINEUP_CSV,
-    LINEUP_JSON,
-    PERCENTILES,
-    PREDICT_WINDOW,
-    PREDICTIONS,
-    SAMPLES,
-    SEASON,
-    TRAIN_WINDOW,
-    VALIDATION_JSON,
-    _out,
-    _read_json,
-    _require,
-    _write_json,
-    _write_text,
-    cmd_report,
-)
+from .optimizer import lineup_total, shortfall_list
+from .report import _out, _read_json, _require, _write_json, _write_text, cmd_report  # noqa: F401
 from .seeds import mix64
 
 # CPython's own sha256.  cli.main blocks _hashlib before it imports this
@@ -81,10 +64,10 @@ def _write_npz(path: Path, **arrays) -> None:
     os.replace(tmp, path)
 
 
-def _read_npz(cfg: RunConfig, name: str, stage: str, *keys: str) -> dict:
-    """The named arrays of artifact ``name`` by name; ``stage`` writes it.
-    Only those arrays are read from the file."""
-    with np.load(_require(_out(cfg, name), stage)) as blob:
+def _read_npz(cfg: RunConfig, name: str, *keys: str) -> dict:
+    """The named arrays of artifact ``name`` by name.  Only those arrays are
+    read from the file."""
+    with np.load(_require(cfg, name)) as blob:
         return {key: blob[key] for key in keys}
 
 
@@ -135,7 +118,7 @@ def _check_servable(week: int, train_w: WindowDataset, pred_w: WindowDataset, po
     if all(short):
         raise UnservableWeekError(
             f"week {week}: the draftable pool fills no flex configuration: "
-            + "; ".join(f"{config}: {', '.join(s)}" for config, s in zip(FLEX_CONFIGS, short))
+            + shortfall_list(short)
         )
 
 
@@ -158,12 +141,12 @@ def cmd_ingest(cfg: RunConfig) -> None:
     _check_servable(cfg.target_week, train_w, pred_w, target["position"])
 
     _write_npz(
-        _out(cfg, TRAIN_WINDOW),
+        _out(cfg, "train_window.npz"),
         features=train_w.features,
         targets=train_w.targets,
     )
     _write_npz(
-        _out(cfg, PREDICT_WINDOW),
+        _out(cfg, "predict_window.npz"),
         player_ids=np.array(pred_ids),
         features=pred_feats,
         salary=target["salary"],
@@ -171,13 +154,13 @@ def cmd_ingest(cfg: RunConfig) -> None:
     )
     flags = (set(train_w.player_ids), set(pred_w.player_ids), excluded)
     _write_csv(
-        _out(cfg, ELIGIBILITY),
+        _out(cfg, "eligibility.csv"),
         "player_id,eligible_train,eligible_predict,excluded",
         ((pid, *(int(pid in ids) for ids in flags)) for pid in table.player_ids()),
     )
     week = table.at_week(cfg.target_week)
     _write_npz(
-        _out(cfg, SEASON),
+        _out(cfg, "season.npz"),
         sha256=np.array(season_sha256),
         target_week=np.array(cfg.target_week),
         player_ids=np.array(table.player_ids()),
@@ -193,8 +176,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 def cmd_predict(cfg: RunConfig) -> None:
     """Train the ensemble and export per-player prediction distributions."""
-    train = _read_npz(cfg, TRAIN_WINDOW, "ingest", "features", "targets")
-    pred = _read_npz(cfg, PREDICT_WINDOW, "ingest", "player_ids", "features", "salary", "position")
+    train = _read_npz(cfg, "train_window.npz", "features", "targets")
+    pred = _read_npz(cfg, "predict_window.npz", "player_ids", "features", "salary", "position")
     ensemble = train_ensemble(
         train["features"], train["targets"], cfg.n_models, cfg.master_seed,
         cfg.training, workers=cfg.workers,
@@ -203,12 +186,12 @@ def cmd_predict(cfg: RunConfig) -> None:
     mean, ci_low, ci_high = predict_distribution(samples, level=cfg.report.ci_level)
 
     _write_csv(
-        _out(cfg, PREDICTIONS),
+        _out(cfg, "predictions.csv"),
         "player_id,position,salary,mean_fpts,ci_low,ci_high",
         zip(pred["player_ids"], pred["position"], pred["salary"], mean, ci_low, ci_high),
     )
     _write_npz(
-        _out(cfg, SAMPLES),
+        _out(cfg, "samples.npz"),
         player_ids=pred["player_ids"],
         samples=samples,
         salary=pred["salary"],
@@ -221,7 +204,7 @@ def cmd_predict(cfg: RunConfig) -> None:
 
 def cmd_optimize(cfg: RunConfig) -> None:
     """Solve every model's lineup and export the modal lineup with its interval."""
-    blob = _read_npz(cfg, SAMPLES, "predict", "player_ids", "samples", "salary", "position")
+    blob = _read_npz(cfg, "samples.npz", "player_ids", "samples", "salary", "position")
     ids, samples, salary = blob["player_ids"].tolist(), blob["samples"], blob["salary"]
     position = blob["position"].tolist()
     pool = Pool(ids, position, salary, cfg.salary_cap)
@@ -250,12 +233,12 @@ def cmd_optimize(cfg: RunConfig) -> None:
         rows.append((slot, pid, position[j], int(salary[j]), samples[:, j].mean(), ""))
     rows.append(("TOTAL", "", "", total_salary, mean_total, ""))
     _write_csv(
-        _out(cfg, LINEUP_CSV),
+        _out(cfg, "lineup.csv"),
         "slot,player_id,position,salary,predicted_fpts,actual_fpts",
         rows,
     )
     _write_json(
-        _out(cfg, LINEUP_JSON),
+        _out(cfg, "lineup.json"),
         {
             "players": list(modal.players),
             "slots": [list(s) for s in slots],
@@ -279,9 +262,9 @@ def _target_week(cfg: RunConfig):
     from ingest's season.npz when its sha256 and target week still match;
     otherwise the CSV is parsed again, since actual FPTS may arrive after
     ingest."""
-    if _out(cfg, SEASON).exists():
+    if _out(cfg, "season.npz").exists():
         blob = _read_npz(
-            cfg, SEASON, "ingest",
+            cfg, "season.npz",
             "target_week", "sha256", "player_ids", "position", "salary", "fpts", "draftable",
         )
         if (
@@ -295,8 +278,8 @@ def _target_week(cfg: RunConfig):
 
 def cmd_validate(cfg: RunConfig) -> None:
     """Compare the generated lineup to random (and real-world) populations."""
-    lineup_info = _read_json(cfg, LINEUP_JSON, "optimize")
-    blob = _read_npz(cfg, SAMPLES, "predict", "player_ids", "samples")
+    lineup_info = _read_json(cfg, "lineup.json")
+    blob = _read_npz(cfg, "samples.npz", "player_ids", "samples")
     week = cfg.target_week
     player_ids, target = _target_week(cfg)
 
@@ -309,7 +292,7 @@ def cmd_validate(cfg: RunConfig) -> None:
     missing = sorted(set(lineup_info["players"]) - set(actuals))
     if missing:
         _write_json(
-            _out(cfg, VALIDATION_JSON),
+            _out(cfg, "validation_report.json"),
             {
                 "status": "invalid_week",
                 "week": week,
@@ -371,13 +354,13 @@ def cmd_validate(cfg: RunConfig) -> None:
                           summary["percentile"], *summary["percentile_ci"]))
         box_rows.append((label, *map(summary["boxplot"].get, BOXPLOT_COLUMNS)))
 
-    _write_json(_out(cfg, VALIDATION_JSON), report)
+    _write_json(_out(cfg, "validation_report.json"), report)
     _write_csv(
-        _out(cfg, PERCENTILES),
+        _out(cfg, "percentiles.csv"),
         "population,n,mean_fpts,generated_fpts,percentile,ci_low,ci_high",
         perc_rows,
     )
-    _write_csv(_out(cfg, BOXPLOT), ",".join(("population", *BOXPLOT_COLUMNS)), box_rows)
+    _write_csv(_out(cfg, "boxplot.csv"), ",".join(("population", *BOXPLOT_COLUMNS)), box_rows)
     _write_csv(
-        _out(cfg, HISTOGRAMS), "player_id,bin_low,bin_high,count,actual_fpts", hist_rows
+        _out(cfg, "histograms.csv"), "player_id,bin_low,bin_high,count,actual_fpts", hist_rows
     )

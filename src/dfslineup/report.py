@@ -14,22 +14,29 @@ from pathlib import Path
 
 from .config import RunConfig
 
-SEASON = "season.npz"
-TRAIN_WINDOW = "train_window.npz"
-PREDICT_WINDOW = "predict_window.npz"
-ELIGIBILITY = "eligibility.csv"
-PREDICTIONS = "predictions.csv"
-SAMPLES = "samples.npz"
-LINEUP_CSV = "lineup.csv"
-LINEUP_JSON = "lineup.json"
-VALIDATION_JSON = "validation_report.json"
-PERCENTILES = "percentiles.csv"
-HISTOGRAMS = "histograms.csv"
-BOXPLOT = "boxplot.csv"
-REPORT_TXT = "report.txt"
+# Every artifact file, by the stage that writes it, in stage order: the one
+# place that says which stage a missing artifact needs.
+ARTIFACTS = {
+    "season.npz": "ingest",
+    "train_window.npz": "ingest",
+    "predict_window.npz": "ingest",
+    "eligibility.csv": "ingest",
+    "predictions.csv": "predict",
+    "samples.npz": "predict",
+    "lineup.csv": "optimize",
+    "lineup.json": "optimize",
+    "validation_report.json": "validate",
+    "percentiles.csv": "validate",
+    "histograms.csv": "validate",
+    "boxplot.csv": "validate",
+    "report.txt": "report",
+}
 
 
 def _out(cfg: RunConfig, name: str) -> Path:
+    """Artifact ``name``'s path; ValueError for a name not in ARTIFACTS."""
+    if name not in ARTIFACTS:
+        raise ValueError(f"{name!r} is not an artifact in report.ARTIFACTS")
     return Path(cfg.output_dir) / name
 
 
@@ -44,21 +51,23 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _require(path: Path, stage: str) -> Path:
+def _require(cfg: RunConfig, name: str) -> Path:
+    """Artifact ``name``'s path; FileNotFoundError naming its writer if missing."""
+    path = _out(cfg, name)
     if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run `{stage}` first")
+        raise FileNotFoundError(f"{path} not found; run `{ARTIFACTS[name]}` first")
     return path
 
 
-def _read_json(cfg: RunConfig, name: str, stage: str):
-    """The parsed JSON artifact ``name``; ``stage`` writes it."""
-    return json.loads(_require(_out(cfg, name), stage).read_text(encoding="utf-8"))
+def _read_json(cfg: RunConfig, name: str):
+    """The parsed JSON artifact ``name``."""
+    return json.loads(_require(cfg, name).read_text(encoding="utf-8"))
 
 
 def cmd_report(cfg: RunConfig) -> str:
     """Render the validation bundle as plain text; returns the text."""
-    report = _read_json(cfg, VALIDATION_JSON, "validate")
-    lineup = _read_json(cfg, LINEUP_JSON, "optimize")
+    report = _read_json(cfg, "validation_report.json")
+    lineup = _read_json(cfg, "lineup.json")
 
     lines = [
         f"Week {report['week']} lineup validation",
@@ -92,5 +101,5 @@ def cmd_report(cfg: RunConfig) -> str:
                 f"p={w['p_value']:.3g}), Cohen's d={report['cohens_d']:.3f}"
             )
     text = "\n".join(lines) + "\n"
-    _write_text(_out(cfg, REPORT_TXT), text)
+    _write_text(_out(cfg, "report.txt"), text)
     return text

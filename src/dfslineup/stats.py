@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import POSITIONS, RULES, Rule, names_file, read_column, read_csv
 from .errors import ConfigError, NoFeasibleSampleError, SchemaError, ZeroVarianceError
-from .optimizer import FLEX_CONFIGS, LINEUP_SIZE, MAX_COUNTS, POSITION_COUNTS, shortfalls
+from .optimizer import LINEUP_SIZE, POSITION_COUNTS, shortfall_list, shortfalls
 from .seeds import mix64
 from .special import central_interval, kolmogorov_sf, linear_quantiles, normal_cdf, student_t_sf2
 
@@ -139,27 +139,26 @@ def bootstrap_ci(
 _BLOCK = 4096
 
 
-def _draw_block(rng, groups, keep, config_ok, salary, band):
-    """One block of attempts: (rows, in_band), rows a (_BLOCK, 9) index array."""
-    config = rng.integers(0, len(POSITION_COUNTS), size=_BLOCK)
+def _draw_block(rng, groups, width, keep, salary, band):
+    """One block of attempts: (rows, in_band), rows a (_BLOCK, 9) index array.
+    ``width[pos]`` picks are drawn per position; row c of ``keep`` marks the
+    columns that configuration c takes."""
+    config = rng.integers(0, len(keep), size=_BLOCK)
     cols = []
     for pos in POSITIONS:
         ids = groups[pos]
-        k = min(MAX_COUNTS[pos], len(ids))
         # Pick j is uniform over the players not picked yet: a draw below
         # len(ids) - j, shifted past each earlier pick in ascending order.
-        picks = np.empty((_BLOCK, k), dtype=np.intp)
-        for j in range(k):
+        picks = np.empty((_BLOCK, width[pos]), dtype=np.intp)
+        for j in range(width[pos]):
             u = rng.integers(0, len(ids) - j, size=_BLOCK)
             for taken in np.sort(picks[:, :j], axis=1).T:
                 u += u >= taken
             picks[:, j] = u
-        # Pad a short position with its first pick; the configurations
-        # needing the padding are never in band.
-        cols.append(np.pad(ids[picks], ((0, 0), (0, MAX_COUNTS[pos] - k)), mode="edge"))
+        cols.append(ids[picks])
     rows = np.concatenate(cols, axis=1)[keep[config]].reshape(_BLOCK, -1)
     total = salary[rows].sum(axis=1)
-    return rows, config_ok[config] & (total >= band[0]) & (total <= band[1])
+    return rows, (total >= band[0]) & (total <= band[1])
 
 
 def random_lineups(position, salary, salary_cap: int, count: int, min_salary: int, seed: int):
@@ -168,31 +167,29 @@ def random_lineups(position, salary, salary_cap: int, count: int, min_salary: in
 
     The pool is two parallel columns, each player's position and salary;
     each block is an (n, 9) array of indices into them.  Per attempt: a
-    flex configuration uniformly among the three, then per position uniform
-    picks without replacement from that position's players in array order.
-    Attempts run in blocks of _BLOCK; block b draws from
-    default_rng(mix64(seed, b)) and yields its in-band attempts in order, so
-    a smaller count gives a prefix of a larger one.  An attempt at a
-    configuration the pool cannot fill (``shortfalls``) is a miss.  A pool
-    that fills no configuration, or MAX_REJECTIONS consecutive misses,
-    raise NoFeasibleSampleError.
+    flex configuration uniformly among those the pool fills (``shortfalls``),
+    then per position uniform picks without replacement from that
+    position's players in array order.  Attempts run in blocks of _BLOCK;
+    block b draws from default_rng(mix64(seed, b)) and yields its in-band
+    attempts in order, so a smaller count gives a prefix of a larger one.
+    A pool that fills no configuration, or MAX_REJECTIONS consecutive
+    misses, raise NoFeasibleSampleError.
     """
     if min_salary > salary_cap:
         raise ValueError("min_salary exceeds the salary cap")
     position = np.asarray(position)
     groups = {p: np.flatnonzero(position == p) for p in POSITIONS}
     short = shortfalls({p: len(ids) for p, ids in groups.items()})
-    config_ok = np.array([not s for s in short])
-    if not config_ok.any():
+    fillable = [counts for counts, s in zip(POSITION_COUNTS, short) if not s]
+    if not fillable:
         raise NoFeasibleSampleError(
-            "the pool fills no flex configuration: "
-            + "; ".join(f"{config}: {', '.join(s)}" for config, s in zip(FLEX_CONFIGS, short))
+            "the pool fills no flex configuration: " + shortfall_list(short)
         )
-    # A column per slot a position can need; each configuration keeps the
-    # first counts[pos] columns of each position.
+    # A column per pick a position draws; each configuration keeps the first
+    # counts[pos] columns of each position.
+    width = {p: max(counts[p] for counts in fillable) for p in POSITIONS}
     keep = np.array(
-        [[j < counts[p] for p in POSITIONS for j in range(MAX_COUNTS[p])]
-         for counts in POSITION_COUNTS]
+        [[j < counts[p] for p in POSITIONS for j in range(width[p])] for counts in fillable]
     )
     salary = np.asarray(salary, dtype=np.int64)
     band = (min_salary, salary_cap)
@@ -200,7 +197,7 @@ def random_lineups(position, salary, salary_cap: int, count: int, min_salary: in
     misses, need = 0, count
     for block in itertools.count():
         rng = np.random.default_rng(mix64(seed, block))
-        rows, ok = _draw_block(rng, groups, keep, config_ok, salary, band)
+        rows, ok = _draw_block(rng, groups, width, keep, salary, band)
         hits = np.flatnonzero(ok)[:need]
         need -= len(hits)
         # Runs of misses lie between the last hit before this block, each

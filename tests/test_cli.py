@@ -20,7 +20,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfslineup import ensemble, errors, pipeline, stats
+from dfslineup import ensemble, errors, pipeline, report, stats
 from dfslineup.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from dfslineup.config import RULES, RunConfig
 from dfslineup.data import POSITIONS, VALUE_COLUMNS, load_player_weeks
@@ -133,6 +133,25 @@ def stage_modules(tmp_path_factory):
 
 
 class TestPipelineArtifacts:
+    def test_each_stage_writes_the_artifacts_it_declares(self, tmp_path):
+        # Run alone into an empty directory, each stage adds exactly the
+        # files report.ARTIFACTS gives it, and the table lists the stages in
+        # order.
+        config = write_config(tmp_path, n_models=20, workers=1)
+        out, before = tmp_path / "out", set()
+        for stage in ("ingest", "predict", "optimize", "validate", "report"):
+            assert main([stage, "--config", str(config)]) == EXIT_OK
+            after = {path.name for path in out.iterdir()}
+            declared = {name for name, writer in report.ARTIFACTS.items() if writer == stage}
+            assert before < after and after - before == declared, stage
+            before = after
+        assert before == set(report.ARTIFACTS)
+        assert list(dict.fromkeys(report.ARTIFACTS.values())) == [
+            "ingest", "predict", "optimize", "validate", "report"
+        ]
+        with pytest.raises(ValueError, match="'lineup.txt' is not an artifact"):
+            report._out(RunConfig(output_dir=str(out)), "lineup.txt")
+
     def test_ingest_outputs(self, full_run):
         out, _ = full_run
         with np.load(out / "train_window.npz") as blob:

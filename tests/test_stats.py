@@ -136,6 +136,16 @@ class TestHypothesisTests:
         pooled = (29 * np.var(a, ddof=1) + 39 * np.var(b, ddof=1)) / 68
         assert cohens_d(a, b) == pytest.approx((a.mean() - b.mean()) / np.sqrt(pooled))
 
+    @pytest.mark.parametrize("test", [welch_t_test, cohens_d])
+    @pytest.mark.parametrize("a, b", [([1.0], [1.0, 2.0]), ([1.0, 2.0], [3.0])])
+    def test_two_sample_tests_need_two_observations_each(self, test, a, b):
+        with pytest.raises(ValueError, match="each sample needs at least 2 observations"):
+            test(a, b)
+
+    def test_cohens_d_zero_pooled_variance(self):
+        with pytest.raises(ZeroVarianceError, match="pooled variance is zero"):
+            cohens_d([1.0, 1.0, 1.0], [2.0, 2.0])
+
     def test_ks_matches_scipy(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
@@ -366,6 +376,16 @@ class TestRandomLineups:
             for row in rows.tolist()
         )
         assert set(shapes) == {(2, 4, 1), (3, 3, 1)}
+
+    def test_pool_short_of_a_configuration_spends_no_attempt_on_it(self):
+        # Every lineup of the one-TE pool fits the band, so no attempt may
+        # miss: a block of attempts gives a block of lineups.
+        pool = make_pool_with(
+            np.random.default_rng(62), {"QB": 2, "RB": 4, "WR": 5, "TE": 1, "DST": 2}
+        )
+        _, position, salary, _ = columns(pool)
+        drawn = list(random_lineups(position, salary, 90_000, stats._BLOCK, 0, seed=5))
+        assert [len(rows) for rows in drawn] == [stats._BLOCK]
 
     def test_min_salary_above_cap_rejected(self, salary_cap):
         pool = make_pool(np.random.default_rng(13), 30)
